@@ -335,6 +335,20 @@ def generate_crooked_pattern(n_coarse: int) -> RefinementPattern:
                              n_coarse=n_coarse)
 
 
+def crooked_pattern_length(n_coarse: int) -> int:
+    """``len(generate_crooked_pattern(n_coarse))``, without building it.
+
+    A fold over span d = n_coarse - 1 has length
+    l(d) = 2 l(d-1) + l(d-2) - 2, from l(-1) = 2 and l(0) = 1.
+    """
+    if n_coarse < 1:
+        raise DomainError("need n_coarse >= 1")
+    prev, cur = 2, 1
+    for _ in range(n_coarse - 1):
+        prev, cur = cur, 2 * cur + prev - 2
+    return cur
+
+
 def repeat_pattern(pattern: RefinementPattern, times: int) -> RefinementPattern:
     """Repeat each entry ``times`` times; preserves crookedness and span."""
     if times < 1:

@@ -484,11 +484,12 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
     if svg is not None and args.svg:
         write_svg(args.svg, svg)
         report["artifacts"].append(args.svg)
+    if args.out:
+        report["artifacts"].append(args.out)
     text = json.dumps(report, sort_keys=True, indent=2, default=str)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        report["artifacts"].append(args.out)
     print(text)
     return {"pass": 0, "fail": 1, "error": 2}[status]
 

@@ -5,9 +5,8 @@ embedding.  Its "subcontinua" are the connected vertex sets; the containment
 poset of those sets is the finite stand-in for the hyperspace of a continuum.
 
 Also provided: order arcs between nested subcontinua, terminal-subcontinuum
-and triod detection, filament/ample classification for the Cantor fan, and
-the two classic hyperspace homeomorphisms (interval -> triangle,
-circle -> disk).
+and triod detection, and the two classic hyperspace homeomorphisms
+(interval -> triangle, circle -> disk).
 """
 
 from __future__ import annotations
@@ -93,8 +92,17 @@ class GraphContinuum:
 # constructors
 
 
+_KIND_PARAMS = {"path": {"n"}, "cycle": {"n"},
+                "star": {"legs", "leg_length"}, "cantor_fan": {"depth"}}
+
+
 def build_continuum(kind: str, **params) -> GraphContinuum:
     """Build a named continuum model: path, cycle, star, or cantor_fan."""
+    if kind not in _KIND_PARAMS:
+        raise DomainError(f"unknown continuum kind: {kind!r}")
+    unknown = sorted(set(params) - _KIND_PARAMS[kind])
+    if unknown:
+        raise DomainError(f"unknown {kind} parameters: {unknown}")
     if kind == "path":
         n = int(params.get("n", 2))
         if n < 1:
@@ -112,29 +120,27 @@ def build_continuum(kind: str, **params) -> GraphContinuum:
         return GraphContinuum(n=n, edges=edges, pos=pos, kind=f"cycle-{n}")
     if kind == "star":
         legs = int(params.get("legs", 3))
-        leg_len = int(params.get("leg_len", 1))
-        if legs < 3 or leg_len < 1:
-            raise DomainError("star needs legs >= 3 and leg_len >= 1")
+        leg_length = int(params.get("leg_length", 1))
+        if legs < 3 or leg_length < 1:
+            raise DomainError("star needs legs >= 3 and leg_length >= 1")
         edges: List[Tuple[int, int]] = []
         pos = [(0.0, 0.0)]
         idx = 1
         for leg in range(legs):
             ang = 2 * math.pi * leg / legs
             prev = 0
-            for step in range(1, leg_len + 1):
-                pos.append((step * math.cos(ang) / leg_len,
-                            step * math.sin(ang) / leg_len))
+            for step in range(1, leg_length + 1):
+                pos.append((step * math.cos(ang) / leg_length,
+                            step * math.sin(ang) / leg_length))
                 edges.append((prev, idx))
                 prev = idx
                 idx += 1
         return GraphContinuum(n=idx, edges=tuple(edges), pos=tuple(pos),
-                              kind=f"star-{legs}x{leg_len}")
-    if kind == "cantor_fan":
-        depth = int(params.get("depth", 1))
-        if depth < 1:
-            raise DomainError("cantor_fan needs depth >= 1")
-        return _cantor_fan(depth)
-    raise DomainError(f"unknown continuum kind: {kind!r}")
+                              kind=f"star-{legs}x{leg_length}")
+    depth = int(params.get("depth", 1))
+    if depth < 1:
+        raise DomainError("cantor_fan needs depth >= 1")
+    return _cantor_fan(depth)
 
 
 def _cantor_fan(depth: int) -> GraphContinuum:
@@ -166,20 +172,6 @@ def _cantor_fan(depth: int) -> GraphContinuum:
             idx += 1
     return GraphContinuum(n=idx, edges=tuple(edges), pos=tuple(pos),
                           kind=f"cantor_fan-{depth}")
-
-
-def fan_apex(g: GraphContinuum) -> int:
-    if not g.kind.startswith("cantor_fan"):
-        raise DomainError("fan_apex applies to cantor_fan continua")
-    return 0
-
-
-def classify_fan_element(g: GraphContinuum,
-                         element: FrozenSet[int]) -> str:
-    """Filament/ample split on the Cantor fan: ample iff the apex is inside."""
-    if not g.is_connected(element):
-        raise DomainError("element must be a subcontinuum")
-    return "ample" if fan_apex(g) in element else "filament"
 
 
 # ---------------------------------------------------------------------------
@@ -243,27 +235,6 @@ class ContainmentPoset:
             if a < c < b:
                 return False
         return True
-
-    def maximal_chains_between(self, a: FrozenSet[int], b: FrozenSet[int],
-                               cap: int = 1_000_000
-                               ) -> List[Tuple[FrozenSet[int], ...]]:
-        if not a <= b:
-            raise DomainError("need a <= b for chains")
-        chains: List[Tuple[FrozenSet[int], ...]] = []
-
-        def grow(chain):
-            top = chain[-1]
-            if top == b:
-                chains.append(tuple(chain))
-                if len(chains) > cap:
-                    raise ResourceError("too many chains", achievable=cap)
-                return
-            for c in self.elements:
-                if top < c <= b and self.covers(top, c):
-                    grow(chain + [c])
-
-        grow([a])
-        return chains
 
 
 def order_arcs_between(g: GraphContinuum, a: FrozenSet[int],

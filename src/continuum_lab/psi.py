@@ -29,13 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 from scipy.sparse.csgraph import dijkstra
 
-from .chains import RefinementPattern, generate_crooked_pattern, is_crooked
+from .chains import (RefinementPattern, crooked_pattern_length,
+                     generate_crooked_pattern, is_crooked)
 from .continua import _max_elements, build_continuum
 from .errors import DomainError, ResourceError
 from .metric_core import DEFAULT_TOL, FinitePointSet
@@ -71,6 +73,7 @@ HyperElement = Union[Piece, Arc]
 
 FIBER_STICK = 0.35  # radial extent of one embedded fiber
 BASE_RADIUS = 1.0
+ORDER_BLOCK_ROWS = 128  # rows of the containment order compared at once
 
 
 class PsiModel:
@@ -138,27 +141,41 @@ class PsiModel:
         return frozenset((e.start + off) % self.m for off in range(e.length))
 
     def leq(self, a: HyperElement, b: HyperElement) -> bool:
+        """Scalar containment test; :attr:`strict_order` is its batch form."""
         if isinstance(a, Piece):
             if isinstance(b, Piece):
                 return a.fiber == b.fiber and b.i <= a.i and a.j <= b.j
             return a.fiber in self.fibers_of(b)
         if isinstance(b, Piece):
             return False
-        return self._arc_subset(a, b)
-
-    def _arc_subset(self, a: Arc, b: Arc) -> bool:
         return self.fibers_of(a) <= self.fibers_of(b)
+
+    @cached_property
+    def strict_order(self) -> csr_matrix:
+        """Strict containment order as a bool CSR matrix: [a, b] iff a < b.
+
+        a <= b iff b's cyclic base interval of fibers holds a's and b's link
+        interval holds a's (an arc has all links [1, k]).  Rows are compared
+        ``ORDER_BLOCK_ROWS`` at a time and only their nonzeros are kept, so
+        memory grows with the comparable pairs, never with n^2.
+        """
+        n, m = len(self.elements), self.m
+        start, length, lo, hi = np.array(
+            [(e.fiber, 1, e.i, e.j) if isinstance(e, Piece)
+             else (e.start, e.length, 1, self.k) for e in self.elements],
+            dtype=np.int32).T.copy()
+        blocks = []
+        for r0 in range(0, n, ORDER_BLOCK_ROWS):
+            r = np.arange(r0, min(r0 + ORDER_BLOCK_ROWS, n))
+            offset = (start[r, None] - start) % m
+            below = (((length == m) | (offset + length[r, None] <= length))
+                     & (lo <= lo[r, None]) & (hi[r, None] <= hi))
+            below[np.arange(len(r)), r] = False
+            blocks.append(csr_matrix(below))
+        return vstack(blocks, format="csr")
 
     def classify(self, e: HyperElement) -> str:
         return "filament" if isinstance(e, Piece) else "ample"
-
-    def covers(self, lo: HyperElement, hi: HyperElement) -> bool:
-        if not (self.leq(lo, hi) and lo != hi):
-            return False
-        for c in self.elements:
-            if c != lo and c != hi and self.leq(lo, c) and self.leq(c, hi):
-                return False
-        return True
 
     def join(self, a: HyperElement, b: HyperElement,
              values: Optional[Dict[HyperElement, float]] = None,
@@ -201,22 +218,6 @@ class PsiModel:
         return max(vals[j] - vals[a], vals[j] - vals[b])
 
 
-def fiber_link_count(fiber_level: int, n_coarse_initial: int = 4
-                     ) -> Tuple[int, List[RefinementPattern]]:
-    """Links per fiber and the tower patterns certifying crookedness."""
-    if fiber_level < 1:
-        raise DomainError("fiber_level must be >= 1")
-    patterns: List[RefinementPattern] = []
-    length = n_coarse_initial
-    for _ in range(2, fiber_level + 1):
-        pat = generate_crooked_pattern(length)
-        if not is_crooked(pat).ok:
-            raise DomainError("internal: generated pattern is not crooked")
-        patterns.append(pat)
-        length = len(pat)
-    return length, patterns
-
-
 def closed_form_element_count(m: int, k: int) -> int:
     """Stated closed form for the element count.
 
@@ -238,13 +239,25 @@ def build_psi_model(m: int = 6, fiber_level: int = 2,
                     max_elements: Optional[int] = None) -> PsiModel:
     if m < 3:
         raise DomainError("need m >= 3 fibers")
-    k, patterns = fiber_link_count(fiber_level, n_coarse_initial)
-    count = distinct_element_count(m, k)
+    if fiber_level < 1:
+        raise DomainError("fiber_level must be >= 1")
     cap = _max_elements(max_elements)
-    if count > cap:
-        raise ResourceError(
-            f"psi model with {count} elements exceeds cap {cap}",
-            achievable=cap)
+    # Link counts grow with the level: refuse at the first level over the
+    # cap, before any pattern is built (level 4 has ~10^11 links).
+    links = [n_coarse_initial]  # per fiber, at levels 1, 2, ...
+    for level in range(1, fiber_level + 1):
+        if level > 1:
+            links.append(crooked_pattern_length(links[-1]))
+        count = distinct_element_count(m, links[-1])
+        if count > cap:
+            bound = "" if level == fiber_level else "at least "
+            raise ResourceError(
+                f"psi model with {bound}{count} elements exceeds cap {cap}",
+                achievable=cap)
+    k = links[-1]
+    patterns = [generate_crooked_pattern(n) for n in links[:-1]]
+    if not all(is_crooked(pat).ok for pat in patterns):
+        raise DomainError("internal: generated pattern is not crooked")
     pts = []
     for a in range(m):
         ang = 2 * math.pi * a / m
@@ -283,14 +296,16 @@ class PlanckReport:
 
 
 def planck_report(model: PsiModel) -> PlanckReport:
-    """Boundary = ample elements covering some filament element."""
-    boundary = []
-    filaments = [e for e in model.elements if isinstance(e, Piece)]
-    for e in model.elements:
-        if model.classify(e) != "ample":
-            continue
-        if any(model.covers(f, e) for f in filaments):
-            boundary.append(e)
+    """Boundary = ample elements covering some filament element.
+
+    b covers a iff S[a, b] and not (S @ S)[a, b], for S the strict order.
+    """
+    order = model.strict_order
+    filament = np.array([isinstance(e, Piece) for e in model.elements])
+    below = order[np.flatnonzero(filament)]
+    ample = np.flatnonzero(~filament)
+    covers = below[:, ample] > (below @ order)[:, ample]
+    boundary = [model.elements[i] for i in ample[covers.getnnz(axis=0) > 0]]
     fibers = [Arc(start=a, length=1) for a in range(model.m)]
     return PlanckReport(l=model.l, L=model.L, boundary=boundary,
                         fiber_values=[model.mu[f] for f in fibers])
@@ -523,17 +538,16 @@ class PsiPathspace:
         else:
             self.nodes = list(model.elements)
         self.node_index = {e: i for i, e in enumerate(self.nodes)}
-        rows, cols, data = [], [], []
-        for i, a in enumerate(self.nodes):
-            for j in range(i + 1, len(self.nodes)):
-                b = self.nodes[j]
-                if model.leq(a, b) or model.leq(b, a):
-                    w = abs(pv.values[a] - pv.values[b])
-                    rows += [i, j]
-                    cols += [j, i]
-                    data += [w, w]
+        idx = [model.index[e] for e in self.nodes]
+        order = model.strict_order
+        comparable = (order + order.T)[idx][:, idx]
+        comparable.sort_indices()
+        values = np.array([pv.values[e] for e in self.nodes])
         n = len(self.nodes)
-        self.graph = csr_matrix((data, (rows, cols)), shape=(n, n))
+        rows = np.repeat(np.arange(n), np.diff(comparable.indptr))
+        weights = np.abs(values[rows] - values[comparable.indices])
+        self.graph = csr_matrix(
+            (weights, comparable.indices, comparable.indptr), shape=(n, n))
 
     def shortest(self, sources: Sequence[HyperElement]):
         idx = [self.node_index[s] for s in sources]

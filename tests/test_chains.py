@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from continuum_lab.chains import (Chain, Link, Rect, RefinementPattern,
+                                  crooked_pattern_length,
                                   generate_crooked_pattern, is_crooked,
                                   minimal_spanning_crooked_length,
                                   pattern_from_json, pattern_to_json,
@@ -24,6 +25,10 @@ def test_generated_lengths_follow_recurrence():
         expected.append(2 * expected[-1] + expected[-2] - 2)
     got = [len(generate_crooked_pattern(n)) for n in range(1, 9)]
     assert got == expected
+    # the length alone, without building the pattern
+    assert [crooked_pattern_length(n) for n in range(1, 9)] == expected
+    with pytest.raises(DomainError):
+        crooked_pattern_length(0)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

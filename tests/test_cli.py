@@ -84,6 +84,16 @@ def test_out_and_svg_artifacts(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
+def test_out_report_lists_itself(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = dispatch(["chains", "generate", "--n", "4", "--out", str(out),
+                     "--no-timings"])
+    printed = capsys.readouterr().out
+    assert code == 0
+    assert out.read_text() == printed
+    assert json.loads(printed)["artifacts"] == [str(out)]
+
+
 def test_timings_present_unless_suppressed(capsys):
     _, with_t = run(["chains", "generate", "--n", "3"], capsys)
     _, without = run(["chains", "generate", "--n", "3", "--no-timings"],

@@ -66,6 +66,18 @@ def test_no_triod_in_path_or_cycle():
     assert detect_triod(build_continuum("cycle", n=6)) is None
 
 
+def test_star_reads_leg_length_and_rejects_unknown_parameters():
+    g = build_continuum("star", legs=3, leg_length=5)
+    assert g.n == 16 and g.kind == "star-3x5"
+    assert build_continuum("star").n == 4
+    with pytest.raises(DomainError):
+        build_continuum("star", leg_len=5)
+    with pytest.raises(DomainError):
+        build_continuum("path", n=4, legs=3)
+    with pytest.raises(DomainError):
+        build_continuum("disk", n=4)
+
+
 def test_star_contains_triod_witness():
     g = build_continuum("star", legs=3, leg_length=2)
     w = detect_triod(g)

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from continuum_lab.errors import DomainError, ResourceError
 from continuum_lab.psi import (Arc, Piece, PsiPathspace, build_psi_model,
@@ -120,6 +123,85 @@ def test_invalid_elements_rejected(model):
 def test_element_cap():
     with pytest.raises(ResourceError):
         build_psi_model(max_elements=50)
+    # level-4 fibers have about 10^11 links: the cap refuses them from the
+    # link-count recurrence, before any pattern is generated
+    with pytest.raises(ResourceError):
+        build_psi_model(fiber_level=4)
+
+
+# -- containment-order kernel -----------------------------------------------
+
+SMALL_MODELS = st.tuples(st.integers(3, 8), st.sampled_from([1, 2]))
+
+
+def _leq_matrix(model):
+    """Strict order from the scalar reference ``PsiModel.leq``."""
+    return np.array([[a != b and model.leq(a, b) for b in model.elements]
+                     for a in model.elements])
+
+
+def _reference_graph(pv, filament_only):
+    """Comparability graph from a pair loop over ``PsiModel.leq``."""
+    model = pv.model
+    nodes = [e for e in model.elements
+             if isinstance(e, Piece) or not filament_only]
+    rows, cols, data = [], [], []
+    for i, a in enumerate(nodes):
+        for j in range(i + 1, len(nodes)):
+            b = nodes[j]
+            if model.leq(a, b) or model.leq(b, a):
+                w = abs(pv.values[a] - pv.values[b])
+                rows += [i, j]
+                cols += [j, i]
+                data += [w, w]
+    return csr_matrix((data, (rows, cols)), shape=(len(nodes), len(nodes)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(SMALL_MODELS)
+def test_strict_order_matches_scalar_leq(shape):
+    model = build_psi_model(*shape)
+    order = model.strict_order
+    assert order.dtype == bool
+    assert (order.toarray() == _leq_matrix(model)).all()
+
+
+@settings(max_examples=12, deadline=None)
+@given(SMALL_MODELS)
+def test_covers_match_transitive_reduction(shape):
+    nx = pytest.importorskip("networkx")
+    model = build_psi_model(*shape)
+    dag = nx.DiGraph()
+    dag.add_nodes_from(range(len(model.elements)))
+    dag.add_edges_from((int(a), int(b))
+                       for a, b in zip(*np.nonzero(_leq_matrix(model))))
+    reduction = set(nx.transitive_reduction(dag).edges())
+    order = model.strict_order
+    covers = order > order @ order
+    assert {(int(a), int(b)) for a, b in zip(*covers.nonzero())} == reduction
+    els = model.elements
+    covering = {els[b] for a, b in reduction
+                if isinstance(els[a], Piece) and isinstance(els[b], Arc)}
+    assert planck_report(model).boundary == [e for e in els if e in covering]
+
+
+@settings(max_examples=12, deadline=None)
+@given(SMALL_MODELS, st.booleans())
+def test_pathspace_csr_matches_pair_loop(shape, normalized):
+    model = build_psi_model(*shape)
+    pv = normalize_to_psi0(model) if normalized else raw_values(model)
+    for filament_only in (False, True):
+        got = PsiPathspace(pv, filament_only=filament_only).graph
+        want = _reference_graph(pv, filament_only)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("m, level", [(6, 2), (12, 2), (24, 2), (6, 3)])
+def test_planck_boundary_on_the_ladder(m, level):
+    rep = planck_report(build_psi_model(m=m, fiber_level=level))
+    assert rep.boundary == [Arc(start=s, length=1) for s in range(m)]
 
 
 # -- normalization ----------------------------------------------------------
