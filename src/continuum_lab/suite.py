@@ -27,7 +27,7 @@ from .psi import (Arc, Piece, PsiPathspace, build_psi_model,
                   level_structure_report, normalize_to_psi0, planck_report)
 from .realize import build_tower
 from .whitney import (build_whitney_map, check_whitney_axioms,
-                      whitney_distance)
+                      whitney_distance, whitney_distance_matrix)
 
 TOL = DEFAULT_TOL
 
@@ -113,13 +113,9 @@ def check_size_metric() -> CheckResult:
         subs = enumerate_subcontinua(g)
         mu = build_whitney_map(g)
         k = len(subs)
-        dist = np.zeros((k, k))
-        for i in range(k):
-            for j in range(i + 1, k):
-                dist[i, j] = dist[j, i] = whitney_distance(mu, subs[i],
-                                                           subs[j])
+        dist = whitney_distance_matrix(mu, subs)
         pos = dist[~np.eye(k, dtype=bool)].min() > TOL
-        sym = True  # filled symmetrically above
+        sym = bool((dist == dist.T).all())
         # d(i,k) <= d(i,j) + d(j,k) over all ordered triples
         tri = float((dist[:, :, None] + dist[None, :, :]
                      - dist[:, None, :]).min())

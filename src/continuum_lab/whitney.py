@@ -1,14 +1,15 @@
 """Whitney maps on finite hyperspaces.
 
-The size map is built from a point enumeration x_1, x_2, ... of the ambient
-space: with f_n(x) = 1 / (1 + d(x_n, x)), each term mu_n(A) = diam f_n(A)
-is averaged into mu(A) = sum_n mu_n(A) / 2^n.  Truncating after N terms
-changes any value by less than 2^-N.
+The size map is built from a point enumeration x_1, ..., x_N of the finite
+ambient space: with f_n(x) = 1 / (1 + d(x_n, x)), each term
+mu_n(A) = diam f_n(A) is averaged into mu(A) = sum_n mu_n(A) / 2^n.
 
 The module also provides the hyperspace size metric
 d_mu(A, B) = max(mu(A | B) - mu(A), mu(A | B) - mu(B)), axiom checkers for
 the monotone/subadditive characterisation of Whitney maps, level sets, and
-equal-level refinements of decompositions.
+equal-level refinements of decompositions.  The axiom checks and the
+distance matrices read from one union-size table U[i, j] = mu(F_i | F_j)
+per family.
 """
 
 from __future__ import annotations
@@ -19,11 +20,15 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .continua import GraphContinuum
+from .continua import GraphContinuum, enumerate_subcontinua
 from .errors import DomainError
 from .metric_core import DEFAULT_TOL, FinitePointSet
 
 MuLike = Callable[[FrozenSet[int]], float]
+
+# The difference-monotonicity check compares this many nested pairs at a
+# time, so its working memory stays at DIFF_BLOCK_ROWS x len(family) floats.
+DIFF_BLOCK_ROWS = 64
 
 
 class WhitneyMap:
@@ -32,8 +37,7 @@ class WhitneyMap:
     ``ambient`` is a FinitePointSet or a GraphContinuum (whose embedding
     supplies Euclidean distances).  The enumeration order is breadth-first
     from vertex 0 for graphs and index order for point sets; a non-None
-    ``ordering_seed`` applies a seeded permutation instead.  ``truncate``
-    keeps only the first N enumeration terms (tail bound 2**-N).
+    ``ordering_seed`` applies a seeded permutation instead.
 
     Sizes do not depend on the platform: the weights are powers of two, so
     every term ``w_n * span_n`` is exact, and ``math.fsum`` returns the
@@ -43,12 +47,9 @@ class WhitneyMap:
     the distances and of ``1 / (1 + d)``.
     """
 
-    def __init__(self, ambient, ordering_seed: Optional[int] = None,
-                 truncate: Optional[int] = None):
+    def __init__(self, ambient, ordering_seed: Optional[int] = None):
         if isinstance(ambient, GraphContinuum):
-            pts = np.array(ambient.pos, dtype=float)
-            diff = pts[:, None, :] - pts[None, :, :]
-            dist = np.sqrt((diff ** 2).sum(axis=2))
+            dist = _vertex_distances(ambient)
             order = _bfs_order(ambient)
         elif isinstance(ambient, FinitePointSet):
             dist = ambient.distances_to(ambient)
@@ -62,18 +63,10 @@ class WhitneyMap:
         self.ambient = ambient
         self.n_points = n
         self.order = list(order)
-        self.truncate = n if truncate is None else min(int(truncate), n)
-        if self.truncate < 1:
-            raise DomainError("truncate must be at least 1")
-        # F[k, i] = f_{x_k}(p_i) for the first `truncate` enumeration points
-        centers = self.order[:self.truncate]
-        self.F = 1.0 / (1.0 + dist[centers, :])
-        self.weights = 0.5 ** np.arange(1, self.truncate + 1)
+        # F[k, i] = f_{x_k}(p_i) for the k-th enumeration point x_k
+        self.F = 1.0 / (1.0 + dist[self.order, :])
+        self.weights = 0.5 ** np.arange(1, n + 1)
         self._cache: Dict[FrozenSet[int], float] = {}
-
-    @property
-    def tail_bound(self) -> float:
-        return 0.5 ** self.truncate
 
     def __call__(self, a: FrozenSet[int]) -> float:
         a = frozenset(a)
@@ -92,6 +85,12 @@ class WhitneyMap:
         return val
 
 
+def _vertex_distances(g: GraphContinuum) -> np.ndarray:
+    """Euclidean distances between the embedded vertices of ``g``."""
+    pts = np.array(g.pos, dtype=float)
+    return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+
+
 def _bfs_order(g: GraphContinuum) -> List[int]:
     adj = g.adjacency
     seen = [0]
@@ -106,9 +105,9 @@ def _bfs_order(g: GraphContinuum) -> List[int]:
     return seen
 
 
-def build_whitney_map(ambient, ordering_seed: Optional[int] = None,
-                      truncate: Optional[int] = None) -> WhitneyMap:
-    return WhitneyMap(ambient, ordering_seed=ordering_seed, truncate=truncate)
+def build_whitney_map(ambient,
+                      ordering_seed: Optional[int] = None) -> WhitneyMap:
+    return WhitneyMap(ambient, ordering_seed=ordering_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +134,24 @@ def whitney_distance(mu: MuLike, a: FrozenSet[int], b: FrozenSet[int],
         raise DomainError(f"unknown mode {mode!r}")
     mu_u = mu(u)
     return max(mu_u - mu(a), mu_u - mu(b))
+
+
+def _union_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]]) -> np.ndarray:
+    """U[i, j] = mu(F_i | F_j), one mu call per unordered pair i <= j."""
+    u = np.empty((len(fam), len(fam)))
+    for i, a in enumerate(fam):
+        u[i, i:] = u[i:, i] = [mu(a | b) for b in fam[i:]]
+    return u
+
+
+def whitney_distance_matrix(mu: MuLike,
+                            family: Sequence[FrozenSet[int]]) -> np.ndarray:
+    """d_mu over the family (2X mode), from the union-size table."""
+    u = _union_sizes(mu, [frozenset(a) for a in family])
+    grow = u - u.diagonal()[:, None]  # mu(F_i | F_j) - mu(F_i); U symmetric
+    dm = np.maximum(grow, grow.T)
+    np.fill_diagonal(dm, 0.0)
+    return dm
 
 
 # ---------------------------------------------------------------------------
@@ -174,41 +191,49 @@ class AxiomReport:
 
 
 def check_whitney_axioms(mu: MuLike, family: Sequence[FrozenSet[int]],
-                         tol: float = DEFAULT_TOL,
-                         check_subadd: bool = True,
-                         check_diff: bool = True) -> AxiomReport:
+                         tol: float = DEFAULT_TOL) -> AxiomReport:
     """Check the Whitney axioms over an explicit family of sets.
 
     (a) singletons have size 0; (b) strict containment gives strictly
     smaller size; (c) union-intersection subadditivity
-    mu(A|B) <= mu(A) + mu(B) - mu(A&B) on intersecting pairs; (c')
+    mu(A|B) <= mu(A) + mu(B) - mu(A&B) on intersecting pairs i <= j; (c')
     difference monotonicity mu(B|C) - mu(A|C) <= mu(B) - mu(A) for A <= B.
-    Unions and intersections are evaluated in 2^X mode.
+    Unions and intersections are evaluated in 2^X mode.  Violations are
+    listed in row-major order of the member indices ((A, B), then C).
     """
     fam = [frozenset(s) for s in family]
     report = AxiomReport()
-    for s in fam:
-        if len(s) == 1 and abs(mu(s)) > tol:
-            report.singleton_violations.append(s)
-    for a in fam:
-        for b in fam:
-            if a < b and mu(b) - mu(a) <= tol:
-                report.monotone_violations.append((a, b))
-    if check_subadd:
-        for i, a in enumerate(fam):
-            for b in fam[i:]:
-                inter = a & b
-                if not inter:
-                    continue
-                if mu(a | b) > mu(a) + mu(b) - mu(inter) + tol:
-                    report.subadd_violations.append((a, b))
-    if check_diff:
-        nested = [(a, b) for a in fam for b in fam if a <= b]
-        for a, b in nested:
-            base = mu(b) - mu(a)
-            for c in fam:
-                if mu(b | c) - mu(a | c) > base + tol:
-                    report.diff_violations.append((a, b, c))
+    verts = {v: j for j, v in enumerate(sorted(set().union(*fam)))}
+    inc = np.zeros((len(fam), len(verts)), dtype=np.int64)
+    for i, a in enumerate(fam):
+        inc[i, [verts[v] for v in a]] = 1
+    meet = inc @ inc.T  # |F_i & F_j|
+    card = np.diag(meet)
+    subset = meet == card[:, None]  # F_i <= F_j
+    u = _union_sizes(mu, fam)
+    s = u.diagonal()
+
+    single = (card == 1) & (np.abs(s) > tol)
+    report.singleton_violations = [fam[i] for i in np.flatnonzero(single)]
+
+    strict = subset & (card[:, None] < card[None, :])
+    bad = strict & (s[None, :] - s[:, None] <= tol)
+    report.monotone_violations = [(fam[i], fam[j])
+                                  for i, j in zip(*np.nonzero(bad))]
+
+    ii, jj = np.nonzero(np.triu(meet > 0))
+    s_meet = np.array([mu(fam[i] & fam[j]) for i, j in zip(ii, jj)],
+                      dtype=float)
+    bad = u[ii, jj] > s[ii] + s[jj] - s_meet + tol
+    report.subadd_violations = [(fam[ii[p]], fam[jj[p]])
+                                for p in np.flatnonzero(bad)]
+
+    na, nb = np.nonzero(subset)
+    for lo in range(0, len(na), DIFF_BLOCK_ROWS):
+        a, b = na[lo:lo + DIFF_BLOCK_ROWS], nb[lo:lo + DIFF_BLOCK_ROWS]
+        bad = u[b] - u[a] > (s[b] - s[a] + tol)[:, None]
+        report.diff_violations.extend((fam[a[p]], fam[b[p]], fam[c])
+                                      for p, c in zip(*np.nonzero(bad)))
     return report
 
 
@@ -271,9 +296,10 @@ def equal_level_refinement(g: GraphContinuum, mu: MuLike,
     if t0 > min_size + DEFAULT_TOL:
         raise DomainError(
             f"t0 = {t0} exceeds the smallest member size {min_size}")
+    subs = enumerate_subcontinua(g)
     out: List[RefinementPiece] = []
     for m in members:
-        cands = _connected_subsets(g, m)
+        cands = [c for c in subs if c <= m]
         errs = {c: abs(mu(c) - t0) for c in cands}
         tol = 0.0
         for v in m:
@@ -281,26 +307,6 @@ def equal_level_refinement(g: GraphContinuum, mu: MuLike,
             tol = max(tol, best)
         pieces = [c for c in cands if errs[c] <= tol + DEFAULT_TOL]
         out.append(RefinementPiece(member=m, pieces=pieces, tol=tol))
-    return out
-
-
-def _connected_subsets(g: GraphContinuum,
-                       inside: FrozenSet[int]) -> List[FrozenSet[int]]:
-    seen = set()
-    frontier = [frozenset([v]) for v in inside]
-    for s in frontier:
-        seen.add(s)
-    out = list(frontier)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for w in g.neighbors_of_set(s) & inside:
-                t = s | {w}
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-                    out.append(t)
-        frontier = nxt
     return out
 
 
@@ -312,18 +318,16 @@ def hyperspace_distance_matrices(g: GraphContinuum, mu: MuLike,
                                  family: Sequence[FrozenSet[int]]
                                  ) -> Tuple[np.ndarray, np.ndarray]:
     """(d_H, d_mu) matrices over the family, using the planar embedding."""
-    fam = [frozenset(s) for s in family]
-    coords = [g.point_coordinates(sorted(s)) for s in fam]
-    k = len(fam)
-    dh = np.zeros((k, k))
-    dm = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            diff = coords[i][:, None, :] - coords[j][None, :, :]
-            d = np.sqrt((diff ** 2).sum(axis=2))
-            dh[i, j] = dh[j, i] = max(d.min(axis=1).max(), d.min(axis=0).max())
-            dm[i, j] = dm[j, i] = whitney_distance(mu, fam[i], fam[j])
-    return dh, dm
+    members = [sorted(s) for s in family]
+    d = _vertex_distances(g)
+    near = np.empty((len(d), len(members)))  # near[x, j] = d(x, F_j)
+    for j, m in enumerate(members):
+        near[:, j] = d[:, m].min(axis=1)
+    # h[i, j] = max_{x in F_i} d(x, F_j), zero on the diagonal as d(x, x) is
+    h = np.empty((len(members), len(members)))
+    for i, m in enumerate(members):
+        h[i] = near[m].max(axis=0)
+    return np.maximum(h, h.T), whitney_distance_matrix(mu, family)
 
 
 def continuity_modulus_table(d_from: np.ndarray, d_to: np.ndarray,

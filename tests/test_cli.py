@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 
 from continuum_lab.cli import dispatch
@@ -116,3 +117,15 @@ def test_suite_all_names_the_known_violation(capsys):
     assert rep["result"]["passed"] == rep["result"]["total"] - 1
     assert len(rep["violations"]) == 1
     assert "psi_model" in rep["violations"][0]
+
+
+GOLDEN = Path(__file__).parent / "golden" / "whitney_check.json"
+
+
+def test_whitney_check_matches_golden_output(capsys):
+    # recorded from the nested-loop axiom checker; a negative or a large
+    # tolerance makes every list of violations non-empty somewhere
+    for case in json.loads(GOLDEN.read_text()):
+        code = dispatch(case["argv"])
+        assert code == case["exit"], case["argv"]
+        assert capsys.readouterr().out == case["stdout"], case["argv"]

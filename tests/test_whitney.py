@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,11 +6,55 @@ from hypothesis import strategies as st
 from continuum_lab.continua import build_continuum, enumerate_subcontinua
 from continuum_lab.errors import DomainError
 from continuum_lab.metric_core import DEFAULT_TOL
+from continuum_lab.suite import _convex_size, _noise_size
 from continuum_lab.whitney import (build_whitney_map, check_whitney_axioms,
                                    continuity_modulus_table,
                                    equal_level_refinement,
                                    hyperspace_distance_matrices,
                                    whitney_distance, whitney_level)
+
+
+def reference_axioms(mu, family, tol):
+    """The Whitney axiom checks as plain nested loops over the family."""
+    fam = [frozenset(s) for s in family]
+    single, mono, subadd, diff = [], [], [], []
+    for s in fam:
+        if len(s) == 1 and abs(mu(s)) > tol:
+            single.append(s)
+    for a in fam:
+        for b in fam:
+            if a < b and mu(b) - mu(a) <= tol:
+                mono.append((a, b))
+    for i, a in enumerate(fam):
+        for b in fam[i:]:
+            inter = a & b
+            if inter and mu(a | b) > mu(a) + mu(b) - mu(inter) + tol:
+                subadd.append((a, b))
+    for a in fam:
+        for b in fam:
+            if a <= b:
+                base = mu(b) - mu(a)
+                for c in fam:
+                    if mu(b | c) - mu(a | c) > base + tol:
+                        diff.append((a, b, c))
+    return single, mono, subadd, diff
+
+
+def reference_distances(g, mu, family):
+    """(d_H, d_mu) one pair at a time from the members' coordinates."""
+    fam = [frozenset(s) for s in family]
+    coords = [g.point_coordinates(sorted(s)) for s in fam]
+    k = len(fam)
+    dh = np.zeros((k, k))
+    dm = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            diff = coords[i][:, None, :] - coords[j][None, :, :]
+            d = np.sqrt((diff ** 2).sum(axis=2))
+            dh[i, j] = dh[j, i] = max(d.min(axis=1).max(),
+                                      d.min(axis=0).max())
+            dm[i, j] = dm[j, i] = whitney_distance(mu, fam[i], fam[j])
+    return dh, dm
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +192,86 @@ def test_cycle_maps_are_whitney(n):
     subs = enumerate_subcontinua(g)
     mu = build_whitney_map(g)
     assert check_whitney_axioms(mu, subs, tol=DEFAULT_TOL).all_ok
+
+
+@st.composite
+def sized_families(draw):
+    """A path or cycle, its subcontinua, and a size function on them.
+
+    The size function is a Whitney map (any ordering seed), one with a
+    single perturbed value, or one of the suite's two adversarial maps.
+    """
+    model = draw(st.sampled_from(["path", "cycle"]))
+    n = draw(st.integers(min_value=2 if model == "path" else 3,
+                         max_value=10))
+    g = build_continuum(model, n=n)
+    subs = enumerate_subcontinua(g)
+    kind = draw(st.sampled_from(["whitney", "perturbed", "convex", "noise"]))
+    if kind == "convex":
+        return g, subs, _convex_size
+    if kind == "noise":
+        return g, subs, _noise_size
+    mu = build_whitney_map(g, ordering_seed=draw(
+        st.none() | st.integers(min_value=0, max_value=10**6)))
+    if kind == "perturbed":
+        target = subs[draw(st.integers(min_value=0, max_value=len(subs) - 1))]
+        value = mu(target)
+        mu._cache[target] = draw(st.sampled_from(
+            [0.0, value - 0.05, value - 1e-3, value + 1e-3, value + 0.05]))
+    return g, subs, mu
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_families(), st.sampled_from([DEFAULT_TOL, 0.0, -1e-9, 0.02]))
+def test_axiom_tables_match_nested_loops(case, tol):
+    g, subs, mu = case
+    rep = check_whitney_axioms(mu, subs, tol=tol)
+    single, mono, subadd, diff = reference_axioms(mu, subs, tol)
+    assert rep.singleton_violations == single
+    assert rep.monotone_violations == mono
+    assert rep.subadd_violations == subadd
+    assert rep.diff_violations == diff
+
+
+@settings(max_examples=40, deadline=None)
+@given(sized_families())
+def test_distance_tables_match_pair_loop(case):
+    g, subs, mu = case
+    dh, dm = hyperspace_distance_matrices(g, mu, subs)
+    ref_dh, ref_dm = reference_distances(g, mu, subs)
+    assert np.array_equal(dh, ref_dh)
+    assert np.array_equal(dm, ref_dm)
+
+
+def test_equal_sizes_violate_strict_monotonicity():
+    g = build_continuum("path", n=6)
+    subs = enumerate_subcontinua(g)
+    mu = build_whitney_map(g)
+    a, b = frozenset([2, 3]), frozenset([2, 3, 4])
+    mu._cache[a] = mu(b)
+    rep = check_whitney_axioms(mu, subs, tol=0.0)
+    assert (a, b) in rep.monotone_violations
+    assert rep.monotone_violations == reference_axioms(mu, subs, 0.0)[1]
+
+
+@pytest.mark.parametrize("mu,counts", [
+    (_convex_size, [0, 0, 35, 504]),
+    (_noise_size, [0, 28, 4, 301]),
+])
+def test_adversarial_violation_counts(mu, counts):
+    # the suite's subadditivity-agreement family: the arc with 6 vertices
+    subs = enumerate_subcontinua(build_continuum("path", n=6))
+    rep = check_whitney_axioms(mu, subs)
+    assert [len(rep.singleton_violations), len(rep.monotone_violations),
+            len(rep.subadd_violations), len(rep.diff_violations)] == counts
+
+
+@pytest.mark.parametrize("model,n,members", [
+    ("path", 22, 22 * 23 // 2),     # intervals [i, j]: n(n + 1) / 2
+    ("cycle", 16, 16 * 15 + 1),     # proper arcs n(n - 1), and the circle
+])
+def test_axioms_hold_on_the_ladder(model, n, members):
+    g = build_continuum(model, n=n)
+    subs = enumerate_subcontinua(g)
+    assert len(subs) == members
+    assert check_whitney_axioms(build_whitney_map(g), subs).all_ok
