@@ -431,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     plot_p = top.add_parser("plot").add_subparsers(dest="sub", required=True)
     sp = plot_p.add_parser("chain")
-    sp.add_argument("--n", type=int, default=4)
+    sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--pattern", default=None)
     sp.add_argument("--infile", default=None)
     common(sp)

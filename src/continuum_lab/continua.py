@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -210,31 +210,6 @@ def enumerate_subcontinua(g: GraphContinuum,
         frontier = nxt
     out.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return out
-
-
-@dataclass
-class ContainmentPoset:
-    """Containment partial order over an explicit element family."""
-
-    elements: List[FrozenSet[int]]
-    index: Dict[FrozenSet[int], int] = field(init=False)
-
-    def __post_init__(self):
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
-            raise DomainError("poset elements must be distinct")
-
-    def leq(self, a: FrozenSet[int], b: FrozenSet[int]) -> bool:
-        return a <= b
-
-    def covers(self, a: FrozenSet[int], b: FrozenSet[int]) -> bool:
-        """True when b covers a: a < b with nothing strictly between."""
-        if not (a < b):
-            return False
-        for c in self.elements:
-            if a < c < b:
-                return False
-        return True
 
 
 def order_arcs_between(g: GraphContinuum, a: FrozenSet[int],

@@ -1,18 +1,25 @@
 """Geometric realization of crooked chain towers on a cell grid.
 
-Links are unions of grid-cell rectangles.  A coarse chain is a straight row
-of columns; each finer chain threads the previous level as a snake: every
-monotone run of the refinement pattern gets its own transverse lane, links
-are short bars along their lane, turns descend to the next lane through a
-transverse stub placed in the overlap window of the two coarse links, and
-at right-angle bends of the carrier tube lanes turn as nested L-blocks
-around the inner corner (which keeps distinct lanes disjoint).
+Links are unions of grid-cell rectangles.  One router threads every level
+through the *tube* of the level above: the coarse links' segments (straight
+rectangles, each with a longitudinal axis) plus a meet window at each
+straight junction of the coarse chain.  The coarse chain is a row of
+columns, which is simply a straight tube with one segment per column whose
+overlaps are its meet windows.  Inside the tube every monotone run of the
+refinement pattern gets its own transverse lane and links are bars along
+their lane.  A straight step meets its neighbour in a slot of the coarse
+meet window; a turn descends to the next lane through a transverse stub in
+that window; at right-angle bends of the tube the lanes turn as nested
+L-blocks around the inner corner (which keeps distinct lanes disjoint).
+The bars and stubs of the fine links, with their slots, are the tube of the
+next level.
 
-Lane bookkeeping is bottom-up: the transverse thickness of a level-n link
-equals the tube width the level-(n+1) routing needs, so all cell counts are
-fixed by the patterns alone; the physical cell size then follows from the
-requested endpoints.  Meshes, adjacency, closures, and containment are all
-verified on the grid after construction.
+Sizing is bottom-up: the transverse thickness of a level-n link is the
+width of the lanes the level-(n+1) routing needs, and each meet window is
+as wide as the slots and stubs the finer level puts into it, so all cell
+counts are fixed by the patterns alone; the physical cell size then
+follows from the requested endpoints.  Meshes, adjacency, closures, and
+containment are all verified on the grid after construction.
 """
 
 from __future__ import annotations
@@ -33,6 +40,14 @@ from .metric_core import FinitePointSet
 MAX_LEVELS = 3
 MAX_LINKS_PER_LEVEL = 2000
 MAX_GRID_CELLS = 5_000_000
+
+# Per level (level 1 first): the narrowest meet window at a straight
+# adjacency, and the thinnest link.  A level with no finer level gets
+# exactly these.
+_MIN_WINDOW = (4, 5, 2)
+_MIN_THICKNESS = (3, 1, 1)
+
+Interval = Tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -65,24 +80,6 @@ def pattern_runs(assignment: Sequence[int]) -> List[Run]:
     return runs
 
 
-def _turn_junctions(p: Sequence[int], runs: List[Run]) -> List[int]:
-    """Coarse adjacency id (1-based) hosting each turn's stub."""
-    out = []
-    for r in runs[:-1]:
-        out.append(min(p[r.end], p[r.end + 1]))
-    return out
-
-
-def _crossings(p: Sequence[int], runs: List[Run]) -> List[Tuple[int, int]]:
-    """(coarse adjacency id, run index) pairs where a run crosses over."""
-    out = []
-    for idx, r in enumerate(runs):
-        lo, hi = min(p[r.start], p[r.end]), max(p[r.start], p[r.end])
-        for c in range(lo, hi):
-            out.append((c, idx))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # tube segments
 
@@ -92,21 +89,8 @@ class Segment:
     rect: Rect
     axis: str          # 'h': longitudinal = columns; 'v': longitudinal = rows
     link_id: int       # 1-based owner link in its own chain
-    entry: float       # longitudinal coordinate where the tube comes in
-    exit: float
+    direction: int     # +1 when the tube runs toward larger coordinates
     band_start: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def direction(self) -> int:
-        return 1 if self.exit >= self.entry else -1
-
-    @property
-    def long0(self) -> int:
-        return self.rect.c0 if self.axis == "h" else self.rect.r0
-
-    @property
-    def long1(self) -> int:
-        return self.rect.c1 if self.axis == "h" else self.rect.r1
 
     @property
     def trans0(self) -> int:
@@ -116,12 +100,15 @@ class Segment:
     def trans1(self) -> int:
         return self.rect.r1 if self.axis == "h" else self.rect.c1
 
-    def band_rect(self, run: int, bh: int, lo: int, hi: int) -> Rect:
-        """Bar of thickness ``bh`` on this run's lane over [lo, hi)."""
-        t = self.band_start[run]
+    def rect_at(self, lo: int, hi: int, t0: int, t1: int) -> Rect:
+        """Longitudinal [lo, hi) by transverse [t0, t1)."""
         if self.axis == "h":
-            return Rect(lo, hi, t, t + bh)
-        return Rect(t, t + bh, lo, hi)
+            return Rect(lo, hi, t0, t1)
+        return Rect(t0, t1, lo, hi)
+
+    def lane(self, run: int, bh: int) -> Interval:
+        t = self.band_start[run]
+        return (t, t + bh)
 
 
 def _transfer_bands(a: Segment, b: Segment, bh: int) -> None:
@@ -149,81 +136,56 @@ def _transfer_bands(a: Segment, b: Segment, bh: int) -> None:
 
 @dataclass
 class _Plan:
-    n1: int
-    levels: int
-    q2: Optional[RefinementPattern]
-    q3: Optional[RefinementPattern]
-    runs2: List[Run]
-    runs3: List[Run]
-    band2: int                 # transverse thickness of a level-2 link
-    band3: int
-    height: int                # level-1 column height
-    meet2_w: Dict[int, int]    # straight level-2 adjacency -> window width
-    corner2: set                # level-2 adjacencies realized as bends
-    ov1: List[int]             # level-1 window widths
+    """Per level, level 1 first: the runs of its pattern (none at level 1),
+    the transverse thickness of its links, and the meet-window width of
+    each adjacency c at [c - 1] (only straight junctions have a window)."""
+
+    runs: List[List[Run]]
+    thickness: List[int]
+    windows: List[List[int]]
 
 
-def _plan_tower(n1: int, levels: int) -> _Plan:
-    q2 = generate_crooked_pattern(n1) if levels >= 2 else None
-    runs2 = pattern_runs(q2.assignment) if q2 else []
-    q3 = None
-    runs3: List[Run] = []
-    if levels >= 3:
-        if len(q2) > 8:
+def _plan(n1: int, patterns: Sequence[RefinementPattern]) -> _Plan:
+    """Size every level bottom-up from its refinement pattern."""
+    runs = [[]] + [pattern_runs(q.assignment) for q in patterns]
+    sizes = [n1] + [len(q) for q in patterns]
+    thickness: List[int] = []
+    windows: List[List[int]] = []
+    fine_thick, fine_windows = 0, []   # of the level below, if any
+    for k in reversed(range(len(sizes))):
+        room = [2] * (sizes[k] - 1)
+        lanes = 0
+        if k < len(patterns):
+            p = patterns[k].assignment
+            turns = {r.end for r in runs[k + 1][:-1]}
+            for t in range(len(p) - 1):
+                c = min(p[t], p[t + 1])
+                if c < sizes[k]:  # a stutter in the last link has no window
+                    room[c - 1] += 1 + (fine_thick if t in turns
+                                        else fine_windows[t])
+            lanes = len(runs[k + 1])
+        fine_thick = max(lanes * (fine_thick + 1) + 1, _MIN_THICKNESS[k])
+        fine_windows = [max(w, _MIN_WINDOW[k]) for w in room]
+        thickness.insert(0, fine_thick)
+        windows.insert(0, fine_windows)
+    return _Plan(runs=runs, thickness=thickness, windows=windows)
+
+
+def _crooked_patterns(n1: int, levels: int) -> List[RefinementPattern]:
+    patterns: List[RefinementPattern] = []
+    n = n1
+    for level in range(2, levels + 1):
+        if level > 2 and n > 8:
             raise ResourceError(
-                f"level-3 pattern over {len(q2)} coarse links is too large",
-                achievable=2)
-        q3 = generate_crooked_pattern(len(q2))
-        if len(q3) > MAX_LINKS_PER_LEVEL:
-            raise ResourceError("level-3 chain has too many links",
-                                achievable=2)
-        runs3 = pattern_runs(q3.assignment)
-    band3 = 1
-    band2 = (2 * len(runs3) + 1) if q3 else 1
-    height = (len(runs2) * (band2 + 1) + 1) if q2 else 3
-
-    corner2 = set()
-    if q2:
-        p2 = q2.assignment
-        for r in runs2[:-1]:
-            corner2.add(r.end + 1)  # 1-based adjacency (apex, apex + 1)
-
-    meet2_w: Dict[int, int] = {}
-    stubs3: Dict[int, int] = {}
-    meets3: Dict[int, int] = {}
-    if q3:
-        for c in _turn_junctions(q3.assignment, runs3):
-            stubs3[c] = stubs3.get(c, 0) + 1
-        for c, _ in _crossings(q3.assignment, runs3):
-            meets3[c] = meets3.get(c, 0) + 1
-    if q2:
-        for c in range(1, len(q2)):
-            if c in corner2:
-                continue
-            meet2_w[c] = (2 + stubs3.get(c, 0) * (band3 + 1)
-                          + max(meets3.get(c, 1), 1) * 3)
-
-    ov1 = []
-    if q2:
-        stubs2: Dict[int, int] = {}
-        for j in _turn_junctions(q2.assignment, runs2):
-            stubs2[j] = stubs2.get(j, 0) + 1
-        where: Dict[int, List[int]] = {}
-        p2 = q2.assignment
-        for c in range(1, len(q2)):
-            if c in corner2:
-                continue
-            j = min(p2[c - 1], p2[c])
-            where.setdefault(j, []).append(c)
-        for j in range(1, n1):
-            w = 2 + sum(meet2_w[c] + 1 for c in where.get(j, []))
-            w += stubs2.get(j, 0) * (band2 + 1)
-            ov1.append(max(w, 4))
-    else:
-        ov1 = [4] * (n1 - 1)
-    return _Plan(n1=n1, levels=levels, q2=q2, q3=q3, runs2=runs2,
-                 runs3=runs3, band2=band2, band3=band3, height=height,
-                 meet2_w=meet2_w, corner2=corner2, ov1=ov1)
+                f"level-{level} pattern over {n} coarse links is too large",
+                achievable=level - 1)
+        q = generate_crooked_pattern(n)
+        if level > 2 and len(q) > MAX_LINKS_PER_LEVEL:
+            raise ResourceError(f"level-{level} chain has too many links",
+                                achievable=level - 1)
+        patterns.append(q)
+        n = len(q)
+    return patterns
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +196,10 @@ class _Allocator:
     """Hands out disjoint longitudinal intervals inside a window."""
 
     def __init__(self, lo: int, hi: int):
-        self.lo, self.hi = lo, hi
+        self.hi = hi
         self.next = lo + 1
 
-    def take(self, width: int) -> Tuple[int, int]:
+    def take(self, width: int) -> Interval:
         iv = (self.next, self.next + width)
         self.next += width + 1
         if self.next > self.hi:
@@ -249,181 +211,152 @@ class _Allocator:
 # routing
 
 
-def _route_row(plan: _Plan, cols: List[Rect], windows: List[Rect]
-               ) -> Tuple[List[Link], List[Segment],
-                          Dict[int, Tuple[int, int]], Dict[int, int]]:
-    """Realize the level-2 pattern inside the straight column row.
+def _route(tube: List[Segment], windows: Dict[int, Interval],
+           p: Sequence[int], runs: List[Run], bh: int, slot_w: List[int],
+           inset: int, gw: int
+           ) -> Tuple[List[Link], List[Segment], Dict[int, Interval]]:
+    """Thread the fine pattern ``p`` through the coarse tube.
 
-    Returns the links, the tube segments for the next level, the meet
-    window per straight adjacency, and the lane row per run.
+    ``windows`` maps each straight coarse adjacency to its meet window,
+    ``bh`` is the fine link thickness, ``slot_w[t]`` the meet-window width
+    of the fine junction after link t, and the terminal anchors sit
+    ``inset`` cells inside the grid of width ``gw``.  Returns the fine
+    links, their segments, and the meet windows of their straight
+    junctions: the tube of the next level.
     """
-    q2, runs = plan.q2, plan.runs2
-    p = q2.assignment
-    bh = plan.band2
-    lane_row = {idx: 1 + idx * (bh + 1) for idx in range(len(runs))}
-    run_of = {}
+    run_of = [0] * len(p)
     for idx, r in enumerate(runs):
-        for t in range(r.start, r.end + 1):
-            run_of[t] = idx
-
-    allocs = {j: _Allocator(windows[j - 1].c0, windows[j - 1].c1)
-              for j in range(1, plan.n1)}
-    meet_iv: Dict[int, Tuple[int, int]] = {}
-    stub_iv: List[Tuple[int, int]] = []
-    p2 = p
-    for c in range(1, len(q2)):
-        if c not in plan.corner2:
-            j = min(p2[c - 1], p2[c])
-            meet_iv[c] = allocs[j].take(plan.meet2_w[c])
-    for turn, j in enumerate(_turn_junctions(p, runs)):
-        stub_iv.append(allocs[j].take(bh))
-
-    gw = cols[-1].c1
-    links: List[Link] = []
-    segments: List[Segment] = []
-    for t in range(len(p)):
-        rho = run_of[t]
-        row = lane_row[rho]
-        anchors: List[Tuple[int, int]] = []
-        rects: List[Rect] = []
-        if t == 0:
-            anchors.append((1, 3))
-        else:
-            c = t  # adjacency between links t and t+1, 1-based
-            if c in plan.corner2:
-                anchors.append(stub_iv[rho - 1])  # stub of the turn into us
-            else:
-                anchors.append(meet_iv[c])
-        if t == len(p) - 1:
-            anchors.append((gw - 3, gw - 1))
-        else:
-            c = t + 1
-            if c in plan.corner2:
-                anchors.append(stub_iv[rho])
-                s0, s1 = stub_iv[rho]
-                rects.append(Rect(s0, s1, row, lane_row[rho + 1] + bh))
-            else:
-                anchors.append(meet_iv[c])
-        lo = min(a for a, _ in anchors)
-        hi = max(b for _, b in anchors)
-        bar = Rect(lo, hi, row, row + bh)
-        links.append(Link(index=t + 1, rects=tuple([bar] + rects)))
-        entry, exit_ = (sum(anchors[0]) / 2, sum(anchors[1]) / 2)
-        segments.append(Segment(rect=bar, axis="h", link_id=t + 1,
-                                entry=entry, exit=exit_))
-        if rects:
-            stub = rects[0]
-            segments.append(Segment(rect=stub, axis="v", link_id=t + 1,
-                                    entry=stub.r0, exit=stub.r1 - 1))
-    return links, segments, meet_iv, lane_row
-
-
-def _route_tube(plan: _Plan, segments: List[Segment],
-                meet_iv: Dict[int, Tuple[int, int]], grid_w: int
-                ) -> List[Link]:
-    """Realize the level-3 pattern inside the level-2 snake."""
-    q3, runs = plan.q3, plan.runs3
-    p = q3.assignment
-    bh = plan.band3
-    run_of = {}
-    for idx, r in enumerate(runs):
-        for t in range(r.start, r.end + 1):
-            run_of[t] = idx
+        run_of[r.start:r.end + 1] = [idx] * (r.end - r.start + 1)
+    turns = {r.end for r in runs[:-1]}
 
     # lane positions: seed the first segment, then push through junctions
-    first = segments[0]
+    first = tube[0]
     for idx in range(len(runs)):
         first.band_start[idx] = first.trans0 + 1 + idx * (bh + 1)
-    for a, b in zip(segments, segments[1:]):
+    for a, b in zip(tube, tube[1:]):
         _transfer_bands(a, b, bh)
 
-    seg_of_link: Dict[int, List[int]] = {}
-    for i, s in enumerate(segments):
-        seg_of_link.setdefault(s.link_id, []).append(i)
+    segs_of: Dict[int, List[int]] = {}
+    for i, s in enumerate(tube):
+        segs_of.setdefault(s.link_id, []).append(i)
 
-    # slots inside the straight junction windows
-    stub_slot: List[Tuple[int, int]] = [None] * (len(runs) - 1)
-    meet_slot: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    allocs = {c: _Allocator(*meet_iv[c]) for c in meet_iv}
-    for c, rho in _crossings(p, runs):
-        if c in meet_iv:
-            meet_slot[(c, rho)] = allocs[c].take(2)
-    for turn, c in enumerate(_turn_junctions(p, runs)):
-        if c in meet_iv:
-            stub_slot[turn] = allocs[c].take(bh)
-
-    gw = grid_w
-
-    def interface(t_from: int, t_to: int):
-        """Anchors for the junction between child t_from and t_to.
-
-        Returns (anchor_for_from, anchor_for_to, extra_rect_for_from,
-        seg_index_for_from, seg_index_for_to) in the longitudinal
-        coordinates of each child's terminal segment.
-        """
-        a_link, b_link = p[t_from], p[t_to]
-        rho_a, rho_b = run_of[t_from], run_of[t_to]
-        c = min(a_link, b_link)
-        # the two tube segments that actually meet at this junction
-        ia = seg_of_link[a_link]
-        ib = seg_of_link[b_link]
-        if max(ia) < min(ib):
-            i_a, i_b = max(ia), min(ib)
-        else:
-            i_a, i_b = min(ia), max(ib)
-        sa, sb = segments[i_a], segments[i_b]
-        if sa.axis == sb.axis:
-            if rho_a == rho_b:
-                iv = meet_slot[(c, rho_a)]
-                return iv, iv, None, i_a, i_b
-            s0, s1 = stub_slot[min(rho_a, rho_b)]
-            rows = sorted([sa.band_start[rho_a], sa.band_start[rho_b]])
-            stub = Rect(s0, s1, rows[0], rows[1] + bh)
-            return (s0, s1), (s0, s1), stub, i_a, i_b
-        # bend: each side extends to the other's lane interval
-        ta = sb.band_start[rho_b]
-        tb = sa.band_start[rho_a]
-        return (ta, ta + bh), (tb, tb + bh), None, i_a, i_b
-
-    # interfaces per child: entry (toward t-1) and exit (toward t+1)
-    entry_anchor: List[Tuple[int, int]] = [None] * len(p)
-    exit_anchor: List[Tuple[int, int]] = [None] * len(p)
-    entry_seg: List[int] = [None] * len(p)
-    exit_seg: List[int] = [None] * len(p)
-    extra: List[List[Rect]] = [[] for _ in range(len(p))]
-    entry_anchor[0] = (2, 3)
-    entry_seg[0] = seg_of_link[p[0]][0]
-    exit_anchor[-1] = (gw - 3, gw - 2)
-    exit_seg[-1] = seg_of_link[p[-1]][0]
+    # the two tube segments that meet at each fine junction
+    meet: List[Tuple[int, int]] = []
     for t in range(len(p) - 1):
-        av, bv, stub, i_a, i_b = interface(t, t + 1)
-        exit_anchor[t], exit_seg[t] = av, i_a
-        entry_anchor[t + 1], entry_seg[t + 1] = bv, i_b
-        if stub is not None:
-            extra[t].append(stub)
+        ia, ib = segs_of[p[t]], segs_of[p[t + 1]]
+        meet.append((ia[-1], ib[0]) if ia[-1] < ib[0] else (ia[0], ib[-1]))
 
+    # slots in the straight coarse windows: straight steps, then turn stubs
+    allocs = {c: _Allocator(*iv) for c, iv in windows.items()}
+    slot: List[Optional[Interval]] = [None] * (len(p) - 1)
+    for stubs in (False, True):
+        for t, (i_a, i_b) in enumerate(meet):
+            if (t in turns) != stubs or tube[i_a].axis != tube[i_b].axis:
+                continue
+            c = min(p[t], p[t + 1])
+            if c not in allocs:
+                raise DomainError(
+                    f"fine links {t + 1} and {t + 2} have no meet window "
+                    f"in coarse link {c}")
+            slot[t] = allocs[c].take(bh if stubs else slot_w[t])
+
+    # anchors of each fine link toward its neighbours, in the coordinates
+    # of the tube segment it enters and leaves by
+    n = len(p)
+    enter: List[Interval] = [(inset, 3)] + [None] * (n - 1)
+    leave: List[Interval] = [None] * (n - 1) + [(gw - 3, gw - inset)]
+    seg_in = [segs_of[p[0]][0]] + [0] * (n - 1)
+    seg_out = [0] * (n - 1) + [segs_of[p[-1]][0]]
+    stub_of: List[Optional[Segment]] = [None] * n
+    for t, (i_a, i_b) in enumerate(meet):
+        sa, sb = tube[i_a], tube[i_b]
+        ra, rb = run_of[t], run_of[t + 1]
+        seg_out[t], seg_in[t + 1] = i_a, i_b
+        iv = slot[t]
+        if iv is None:
+            # bend: each side extends to the other's lane interval
+            leave[t], enter[t + 1] = sb.lane(rb, bh), sa.lane(ra, bh)
+            continue
+        leave[t] = enter[t + 1] = iv
+        if ra != rb:
+            la, lb = sa.band_start[ra], sa.band_start[rb]
+            stub = sa.rect_at(iv[0], iv[1], min(la, lb), max(la, lb) + bh)
+            stub_of[t] = Segment(rect=stub, axis="v" if sa.axis == "h"
+                                 else "h", link_id=t + 1,
+                                 direction=1 if lb >= la else -1)
+
+    # stitch: one bar per tube segment the link passes, then its stub
     links: List[Link] = []
-    for t in range(len(p)):
+    segments: List[Segment] = []
+    for t in range(n):
         rho = run_of[t]
-        lo_i, hi_i = sorted((entry_seg[t], exit_seg[t]))
-        segs = segments[lo_i:hi_i + 1]
-        if entry_seg[t] > exit_seg[t]:
-            segs = list(reversed(segs))
-        rects = list(extra[t])
-        # anchor of each internal bend, then stitch bars between anchors
-        marks: List[List[Tuple[int, int]]] = [[] for _ in segs]
-        marks[0].append(entry_anchor[t])
-        marks[-1].append(exit_anchor[t])
-        for i in range(len(segs) - 1):
-            sa, sb = segs[i], segs[i + 1]
-            marks[i].append((sb.band_start[rho], sb.band_start[rho] + bh))
-            marks[i + 1].append((sa.band_start[rho], sa.band_start[rho] + bh))
-        for seg, mk in zip(segs, marks):
-            lo = min(a for a, _ in mk)
-            hi = max(b for _, b in mk)
-            rects.append(seg.band_rect(rho, bh, lo, hi))
+        i, j = seg_in[t], seg_out[t]
+        path = tube[i:j + 1] if i <= j else tube[j:i + 1][::-1]
+        rects = []
+        for m, seg in enumerate(path):
+            a = enter[t] if m == 0 else path[m - 1].lane(rho, bh)
+            b = leave[t] if m == len(path) - 1 else path[m + 1].lane(rho, bh)
+            bar = seg.rect_at(min(a[0], b[0]), max(a[1], b[1]),
+                              *seg.lane(rho, bh))
+            rects.append(bar)
+            segments.append(Segment(rect=bar, axis=seg.axis, link_id=t + 1,
+                                    direction=1 if sum(b) >= sum(a) else -1))
+        if stub_of[t] is not None:
+            rects.append(stub_of[t].rect)
+            segments.append(stub_of[t])
         links.append(Link(index=t + 1, rects=tuple(rects)))
-    return links
+    meets = {t + 1: iv for t, iv in enumerate(slot)
+             if iv is not None and t not in turns}
+    return links, segments, meets
+
+
+def _columns(windows: List[int], height: int) -> List[Rect]:
+    """Row of columns; neighbours overlap in their meet windows."""
+    cols: List[Rect] = []
+    start = 0
+    ends = [2] + windows + [2]
+    for k in range(len(windows) + 1):
+        width = ends[k] + 3 + ends[k + 1]
+        cols.append(Rect(start, start + width, 0, height))
+        start += width - ends[k + 1]
+    return cols
+
+
+def _realize(n1: int, patterns: Sequence[RefinementPattern]
+             ) -> Tuple[List[List[Link]], Tuple[int, int]]:
+    """Links of every level, and the grid shape (rows, cols)."""
+    plan = _plan(n1, patterns)
+    cols = _columns(plan.windows[0], plan.thickness[0])
+    shape = (plan.thickness[0], cols[-1].c1)
+    if shape[0] * shape[1] > MAX_GRID_CELLS:
+        raise ResourceError("grid too large", achievable=None)
+    tube = [Segment(rect=c, axis="h", link_id=k + 1, direction=1)
+            for k, c in enumerate(cols)]
+    windows = {j: (cols[j].c0, cols[j - 1].c1) for j in range(1, n1)}
+    chains = [[Link(index=k + 1, rects=(c,)) for k, c in enumerate(cols)]]
+    for k, q in enumerate(patterns, start=1):
+        links, tube, windows = _route(
+            tube, windows, q.assignment, plan.runs[k], plan.thickness[k],
+            plan.windows[k], inset=k, gw=shape[1])
+        chains.append(links)
+    return chains, shape
+
+
+def _verified(chains: Sequence[Sequence[Link]],
+              patterns: Sequence[RefinementPattern]
+              ) -> List[RefinementPattern]:
+    """Each pattern with its containment flags checked on the grid."""
+    out = []
+    for coarse, fine, q in zip(chains, chains[1:], patterns):
+        flags = tuple(rects_contain([r.dilate(1) for r in link.rects],
+                                    coarse[a - 1].rects)
+                      for link, a in zip(fine, q.assignment))
+        if not all(flags):
+            raise DomainError("containment violated on the grid")
+        out.append(RefinementPattern(assignment=q.assignment,
+                                     n_coarse=len(coarse),
+                                     containment=flags))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -462,20 +395,6 @@ class ChainTower:
         ca, sa = math.cos(self.rotation), math.sin(self.rotation)
         return (self.origin[0] + self.cell_size * (ca * dc - sa * dr),
                 self.origin[1] + self.cell_size * (sa * dc + ca * dr))
-
-
-def _column_rects(plan: _Plan) -> Tuple[List[Rect], List[Rect]]:
-    cols: List[Rect] = []
-    start = 0
-    for k in range(plan.n1):
-        ovl = 2 if k == 0 else plan.ov1[k - 1]
-        ovr = 2 if k == plan.n1 - 1 else plan.ov1[k]
-        width = ovl + 3 + ovr
-        cols.append(Rect(start, start + width, 0, plan.height))
-        start = start + width - (ovr if k < plan.n1 - 1 else 0)
-    windows = [Rect(cols[j + 1].c0, cols[j].c1, 0, plan.height)
-               for j in range(plan.n1 - 1)]
-    return cols, windows
 
 
 def _mask(rect_lists: Sequence[Sequence[Rect]], shape) -> np.ndarray:
@@ -534,41 +453,17 @@ def _deepest(n1, x, y, cap) -> int:
     return 0
 
 
+def _mid_row(r: Rect) -> int:
+    return r.r0 + (r.r1 - r.r0) // 2
+
+
 def _build_tower(n1: int, levels: int, x, y) -> ChainTower:
-    plan = _plan_tower(n1, levels)
-    cols, windows = _column_rects(plan)
-    shape = (plan.height, cols[-1].c1)
-    if shape[0] * shape[1] > MAX_GRID_CELLS:
-        raise ResourceError("grid too large", achievable=None)
+    patterns = _crooked_patterns(n1, levels)
+    chains, shape = _realize(n1, patterns)
 
-    level1 = [Link(index=k + 1, rects=(cols[k],)) for k in range(n1)]
-    chains: List[List[Link]] = [level1]
-    patterns: List[RefinementPattern] = []
-
-    meet_iv: Dict[int, Tuple[int, int]] = {}
-    segments: List[Segment] = []
-    if levels >= 2:
-        links2, segments, meet_iv, lane_row = _route_row(plan, cols, windows)
-        chains.append(links2)
-    if levels >= 3:
-        chains.append(_route_tube(plan, segments, meet_iv, cols[-1].c1))
-
-    # endpoint cells
-    gw = cols[-1].c1
-    if levels == 1:
-        x_cell = (2, plan.height // 2)
-        y_cell = (gw - 3, plan.height // 2)
-    else:
-        x_row = (segments[0].band_start[0] if levels >= 3
-                 else 1)
-        if levels >= 3:
-            last_seg = max((s for s in segments if s.link_id == len(plan.q2)),
-                           key=lambda s: s.rect.c1)
-            y_row = last_seg.band_start[len(plan.runs3) - 1]
-        else:
-            y_row = 1 + (len(plan.runs2) - 1) * (plan.band2 + 1)
-        x_cell = (2, x_row)
-        y_cell = (gw - 3, y_row)
+    # endpoint cells: on the lanes of the finest terminal links
+    x_cell = (2, _mid_row(chains[-1][0].rects[0]))
+    y_cell = (shape[1] - 3, _mid_row(chains[-1][-1].rects[-1]))
 
     dx, dy = y[0] - x[0], y[1] - x[1]
     dist = math.hypot(dx, dy)
@@ -612,24 +507,11 @@ def _build_tower(n1: int, levels: int, x, y) -> ChainTower:
         prev_mask, prev_mesh = mask, report.mesh
         diags.append(diag)
 
-    for n in range(1, len(level_chains)):
-        coarse, fine = level_chains[n - 1], level_chains[n]
-        q = plan.q2 if n == 1 else plan.q3
-        flags = []
-        for t, link in enumerate(fine.links):
-            parent = coarse.links[q.assignment[t] - 1]
-            closure = [r.dilate(1) for r in link.rects]
-            flags.append(rects_contain(closure, parent.rects))
-        pat = RefinementPattern(assignment=q.assignment,
-                                n_coarse=len(coarse.links),
-                                containment=tuple(flags))
-        if not all(flags):
-            raise DomainError("internal: containment violated on the grid")
-        if not is_crooked(pat).ok:
-            raise DomainError("internal: realized pattern is not crooked")
-        patterns.append(pat)
+    verified = _verified(chains, patterns)
+    if not all(is_crooked(pat).ok for pat in verified):
+        raise DomainError("internal: realized pattern is not crooked")
 
-    return ChainTower(levels=level_chains, patterns=patterns,
+    return ChainTower(levels=level_chains, patterns=verified,
                       endpoints=(tuple(x), tuple(y)), cell_size=cell,
                       x_cell=x_cell, y_cell=y_cell, grid_shape=shape,
                       origin=tuple(x), rotation=rotation, diagnostics=diags)
@@ -644,50 +526,24 @@ def realize_pattern(pattern: RefinementPattern, cell_size: float = 1.0
     """Realize one refinement pattern inside a straight row of columns.
 
     Returns the coarse row, the fine snake, and the pattern with its
-    containment flags re-verified on the grid.
+    containment flags re-verified on the grid.  The pattern must run from
+    the first coarse link to the last.  A pattern the router cannot fit
+    (some stutters, e.g. one in the last coarse link) raises a domain
+    error, so every returned flag is true and the snake is a chain.
     """
-    plan = _plan_tower(pattern.n_coarse, 2)
-    if plan.q2.assignment != pattern.assignment:
-        plan = _plan_for_pattern(pattern)
-    cols, windows = _column_rects(plan)
-    level1 = Chain(links=[Link(index=k + 1, rects=(cols[k],))
-                          for k in range(plan.n1)], cell_size=cell_size)
-    links2, _, _, _ = _route_row(plan, cols, windows)
-    fine = Chain(links=links2, cell_size=cell_size)
-    flags = []
-    for t, link in enumerate(fine.links):
-        parent = level1.links[pattern.assignment[t] - 1]
-        flags.append(rects_contain([r.dilate(1) for r in link.rects],
-                                   parent.rects))
-    verified = RefinementPattern(assignment=pattern.assignment,
-                                 n_coarse=pattern.n_coarse,
-                                 containment=tuple(flags))
-    return level1, fine, verified
-
-
-def _plan_for_pattern(pattern: RefinementPattern) -> _Plan:
-    runs2 = pattern_runs(pattern.assignment)
-    plan = _plan_tower(pattern.n_coarse, 1)
-    plan.q2 = pattern
-    plan.runs2 = runs2
-    plan.band2 = 1
-    plan.height = len(runs2) * 2 + 1
-    plan.corner2 = {r.end + 1 for r in runs2[:-1]}
-    plan.meet2_w = {c: 5 for c in range(1, len(pattern))
-                    if c not in plan.corner2}
-    stubs2: Dict[int, int] = {}
-    for j in _turn_junctions(pattern.assignment, runs2):
-        stubs2[j] = stubs2.get(j, 0) + 1
-    where: Dict[int, List[int]] = {}
-    p2 = pattern.assignment
-    for c in range(1, len(pattern)):
-        if c not in plan.corner2:
-            where.setdefault(min(p2[c - 1], p2[c]), []).append(c)
-    plan.ov1 = [max(2 + sum(plan.meet2_w[c] + 1 for c in where.get(j, []))
-                    + stubs2.get(j, 0) * 2, 4)
-                for j in range(1, pattern.n_coarse)]
-    plan.levels = 2
-    return plan
+    p = pattern.assignment
+    if p[0] != 1 or p[-1] != pattern.n_coarse:
+        raise DomainError(f"pattern must run from coarse link 1 to "
+                          f"{pattern.n_coarse}; got {p[0]} to {p[-1]}")
+    chains, _ = _realize(pattern.n_coarse, [pattern])
+    verified = _verified(chains, [pattern])[0]
+    coarse, fine = (Chain(links=links, cell_size=cell_size)
+                    for links in chains)
+    report = verify_chain(fine, math.inf)
+    if not report.ok:
+        raise DomainError(f"pattern {list(p)} does not realize as a chain: "
+                          f"{report.failures[0]}")
+    return coarse, fine, verified
 
 
 def chain_point_sets(chain: Chain) -> List[FinitePointSet]:

@@ -129,3 +129,26 @@ def test_whitney_check_matches_golden_output(capsys):
         code = dispatch(case["argv"])
         assert code == case["exit"], case["argv"]
         assert capsys.readouterr().out == case["stdout"], case["argv"]
+
+
+def test_plot_chain_pattern_spans_its_own_maximum(capsys):
+    code, rep = run(["plot", "chain", "--pattern", "1,2,3", "--no-timings"],
+                    capsys)
+    assert code == 0
+    assert rep["result"] == {"links": 3, "containment_ok": True}
+    code, rep = run(["plot", "chain", "--no-timings"], capsys)
+    assert code == 0
+    assert rep["result"] == {"links": 6, "containment_ok": True}
+
+
+def test_plot_chain_refuses_unrealizable_patterns(capsys):
+    code, rep = run(["plot", "chain", "--pattern", "2,1", "--no-timings"],
+                    capsys)
+    assert code == 2
+    assert rep["status"] == "error" and "coarse link 1" in rep["result"]["error"]
+    # a stutter in the last coarse link: a JSON report either way
+    code, rep = run(["plot", "chain", "--pattern", "1,2,2", "--n", "2",
+                     "--no-timings"], capsys)
+    assert (code, rep["status"]) in ((0, "pass"), (2, "error"))
+    if code == 0:
+        assert rep["result"]["containment_ok"] is True

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from continuum_lab.continua import (ContainmentPoset, build_continuum,
-                                    circle_arc_to_disk, detect_triod,
-                                    disk_to_circle_arc,
+from continuum_lab.continua import (build_continuum, circle_arc_to_disk,
+                                    detect_triod, disk_to_circle_arc,
                                     enumerate_subcontinua,
                                     interval_arc_to_triangle, is_terminal,
                                     order_arcs_between,
@@ -27,17 +26,6 @@ def test_path_subcontinua_are_intervals():
     for s in enumerate_subcontinua(g):
         lo, hi = min(s), max(s)
         assert s == frozenset(range(lo, hi + 1))
-
-
-def test_containment_poset_relations():
-    g = build_continuum("path", n=4)
-    subs = enumerate_subcontinua(g)
-    poset = ContainmentPoset(elements=subs)
-    a, b = frozenset([1]), frozenset([0, 1, 2])
-    assert poset.leq(a, b)
-    assert not poset.leq(b, a)
-    assert poset.covers(frozenset([1]), frozenset([1, 2]))
-    assert not poset.covers(a, b)
 
 
 def test_order_arcs_have_unit_steps():

@@ -1,13 +1,18 @@
+import itertools
+import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from continuum_lab.chains import (RefinementPattern, generate_crooked_pattern,
-                                  is_crooked, verify_chain)
+                                  is_crooked, repeat_pattern, verify_chain)
 from continuum_lab.errors import DomainError, ResourceError
 from continuum_lab.realize import (build_tower, chain_point_sets,
                                    pattern_runs, realize_pattern,
                                    realize_planar, tower_to_json)
+from continuum_lab.svg import chains_svg, tower_svg
 
 X, Y = (0.0, 0.0), (0.25, 0.0)
 
@@ -129,3 +134,120 @@ def test_point_set_realization(tower):
     per_level = realize_planar(tower)
     assert [len(level) for level in per_level] == [4, 6, 30]
     assert len(realize_planar(generate_crooked_pattern(3))) == 3
+
+
+def _small_patterns():
+    """Every valid pattern with at most 4 coarse links and 6 fine links."""
+    for n in range(1, 5):
+        for length in range(1, 7):
+            for p in itertools.product(range(1, n + 1), repeat=length):
+                if all(abs(a - b) <= 1 for a, b in zip(p, p[1:])):
+                    yield RefinementPattern(assignment=p, n_coarse=n)
+
+
+def test_realize_pattern_realizes_or_refuses_every_small_pattern():
+    seen = realized = 0
+    for pat in _small_patterns():
+        seen += 1
+        p = pat.assignment
+        spans = p[0] == 1 and p[-1] == pat.n_coarse
+        stutters = any(a == b for a, b in zip(p, p[1:]))
+        try:
+            coarse, fine, verified = realize_pattern(pat)
+        except DomainError:
+            assert not spans or stutters, p
+            continue
+        realized += 1
+        assert spans, p
+        assert len(fine) == len(p) and len(coarse) == pat.n_coarse
+        assert verified.containment == (True,) * len(p)
+        assert verify_chain(fine, math.inf).ok, p
+        # closure containment, checked against the column bounds directly
+        for link, a in zip(fine.links, p):
+            (col,) = coarse.links[a - 1].rects
+            for r in link.rects:
+                d = r.dilate(1)
+                assert (col.c0 <= d.c0 and d.c1 <= col.c1 and
+                        col.r0 <= d.r0 and d.r1 <= col.r1), (p, link.index)
+    assert seen == 1290
+    # the 11 spanning patterns without stutters and 29 with them
+    assert realized == 40
+
+
+def test_realize_pattern_refusals():
+    _, fine, verified = realize_pattern(
+        RefinementPattern(assignment=(1, 1, 2), n_coarse=2))
+    assert len(fine) == 3 and all(verified.containment)
+    for p, n in (((2, 1), 2), ((1, 2, 3), 4), ((1, 2, 2), 2),
+                 ((1, 2, 1, 1, 2), 2)):
+        with pytest.raises(DomainError):
+            realize_pattern(RefinementPattern(assignment=p, n_coarse=n))
+    with pytest.raises(DomainError):
+        realize_pattern(repeat_pattern(generate_crooked_pattern(4), 2))
+
+
+GOLDEN = Path(__file__).parent / "golden" / "towers.json"
+# Towers whose level-3 links list their bars before their turn stub, where
+# the recorded outputs list the stub first: the only allowed difference.
+RECT_ORDER_CHANGED = {(4, 3)}
+
+
+def _sorted_chain_rects(text):
+    chain = json.loads(text)
+    for link in chain["links"]:
+        link["rects"].sort()
+    return json.dumps(chain, sort_keys=True)
+
+
+def _sorted_tower_rects(text):
+    tower = json.loads(text)
+    tower["levels"] = [_sorted_chain_rects(c) for c in tower["levels"]]
+    return json.dumps(tower, sort_keys=True)
+
+
+def _sorted_svg_rects(svg):
+    # one <path> per link, one "M ... Z" subpath per rect
+    def sort_path(match):
+        subpaths = sorted(s.strip() for s in match.group(1).split("Z")
+                          if s.strip())
+        return 'd="' + " ".join(s + " Z" for s in subpaths) + '"'
+    return re.sub(r'd="([^"]*)"', sort_path, svg)
+
+
+def _tower_case(case):
+    try:
+        tower = build_tower(case["n"], case["levels"], tuple(case["x"]),
+                            tuple(case["y"]))
+    except ResourceError as exc:
+        return {"error": str(exc), "achievable": exc.achievable}
+    return {"json": json.dumps(tower_to_json(tower), sort_keys=True),
+            "svg": tower_svg(tower)}
+
+
+def test_towers_match_golden_outputs():
+    # recorded before the single planner and router replaced the per-level
+    # ones: towers (built and refused, two frames) and pattern realizations
+    reordered = set()
+    for case in json.loads(GOLDEN.read_text()):
+        if case["call"] == "pattern":
+            pat = RefinementPattern(assignment=tuple(case["assignment"]),
+                                    n_coarse=case["n_coarse"])
+            coarse, fine, verified = realize_pattern(pat)
+            assert coarse.to_json() == case["coarse"], pat
+            assert fine.to_json() == case["fine"], pat
+            assert list(verified.containment) == case["containment"], pat
+            assert chains_svg([coarse, fine]) == case["svg"], pat
+            continue
+        key = (case["n"], case["levels"])
+        got = _tower_case(case)
+        want = {k: case[k] for k in ("json", "svg", "error", "achievable")
+                if k in case}
+        if got == want:
+            continue
+        assert key in RECT_ORDER_CHANGED, case
+        assert _sorted_tower_rects(got["json"]) == \
+            _sorted_tower_rects(want["json"]), case
+        assert _sorted_svg_rects(got["svg"]) == \
+            _sorted_svg_rects(want["svg"]), case
+        reordered.add(key)
+    assert reordered == RECT_ORDER_CHANGED
