@@ -5,8 +5,17 @@ abstract points carrying a validated distance table.  Subsets created with
 :meth:`FinitePointSet.subset` remember their parent so that operations can
 reject pairs drawn from unrelated ambient spaces.
 
-All distance computations are exact numpy float64 arithmetic; the default
-comparison tolerance is ``1e-12``.
+Planar distances are ``sqrt(dx*dx + dy*dy)`` in numpy float64.  One
+nearest-distance kernel serves :func:`hausdorff_distance` and
+:func:`closed_neighborhood`.  Up to ``TREE_MIN_PAIRS`` point pairs it
+evaluates that formula densely.  Above it the per-point minima come from a
+KD-tree (Bentley, CACM 1975), and only the points whose tree minimum lies
+within a few ulps of the deciding value (the larger directed Hausdorff
+maximum, or the neighborhood radius) are re-checked with the dense formula,
+``BLOCK_PAIRS`` pairs at a time.  Results are therefore the dense results
+bit for bit, ties going to the lowest index, whatever the tree's rounding.
+Table-backed sets read their table.  The default comparison tolerance is
+``1e-12``.
 """
 
 from __future__ import annotations
@@ -20,6 +29,16 @@ import numpy as np
 from .errors import DomainError
 
 DEFAULT_TOL = 1e-12
+
+# Planar pairs of sets with more than this many point pairs take their
+# nearest distances from a KD-tree; below it the dense formula is faster.
+TREE_MIN_PAIRS = 50_000
+# Dense distances are formed this many point pairs at a time.
+BLOCK_PAIRS = 1 << 17
+# A tree minimum closer than this to a deciding value is re-checked densely:
+# 16 ulps relative, plus an absolute floor for squares in the subnormal range.
+_RECHECK_REL = 2.0 ** -48
+_RECHECK_ABS = 2.0 ** -500
 
 
 class FinitePointSet:
@@ -43,6 +62,8 @@ class FinitePointSet:
                 raise DomainError("points must have shape (n, 2)")
             if pts.shape[0] == 0:
                 raise DomainError("point set must be non-empty")
+            if not np.isfinite(pts).all():
+                raise DomainError("point coordinates must be finite")
             self.points = pts
             self.matrix = None
         else:
@@ -97,8 +118,7 @@ class FinitePointSet:
     def distances_to(self, other: "FinitePointSet") -> np.ndarray:
         """Pairwise distance matrix between self and other (same ambient)."""
         if self.is_planar and other.is_planar:
-            diff = self.points[:, None, :] - other.points[None, :, :]
-            return np.sqrt((diff ** 2).sum(axis=2))
+            return _pair_distances(self.points, other.points)
         if self.is_planar != other.is_planar:
             raise DomainError("cannot mix planar and table-backed point sets")
         ra, rb = self.root(), other.root()
@@ -164,8 +184,69 @@ class DistanceReport:
     direction: int
 
     def __post_init__(self):
-        if self.value < 0:
-            raise DomainError("Hausdorff distance cannot be negative")
+        if not self.value >= 0:
+            raise DomainError("Hausdorff distance must be a non-negative "
+                              "number")
+
+
+# -- the planar nearest-distance kernel ------------------------------------
+
+
+def _pair_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dense |A| x |B| Euclidean distances between planar point arrays."""
+    dx = A[:, 0, None] - B[None, :, 0]
+    dy = A[:, 1, None] - B[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def _dense_minima(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Distance from each point of A to its nearest point of B, exactly.
+
+    Evaluated ``BLOCK_PAIRS`` pairs at a time, so memory stays bounded.
+    """
+    step = max(1, BLOCK_PAIRS // len(B))
+    out = np.empty(len(A))
+    for s in range(0, len(A), step):
+        out[s:s + step] = _pair_distances(A[s:s + step], B).min(axis=1)
+    return out
+
+
+def _tree_minima(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Nearest distances from A to B by a KD-tree, within a few ulps."""
+    from scipy.spatial import cKDTree
+    return cKDTree(B).query(A)[0]
+
+
+def _margin(x: float):
+    """Bounds outside which a tree minimum is surely on the same side of
+    ``x`` as the dense minimum it approximates."""
+    return (x * (1 - _RECHECK_REL) - _RECHECK_ABS,
+            x * (1 + _RECHECK_REL) + _RECHECK_ABS)
+
+
+def _farthest(A: np.ndarray, B: np.ndarray, rows: np.ndarray):
+    """``(value, i, j)``: the row ``i`` among ``rows`` of A farthest from B,
+    and its nearest point ``j`` of B, both exact; lowest indices on ties.
+    No rows give value ``-inf``."""
+    if rows.size == 0:
+        return -np.inf, -1, -1
+    mins = _dense_minima(A[rows], B)
+    k = int(np.argmax(mins))
+    i = int(rows[k])
+    j = int(np.argmin(_pair_distances(A[i:i + 1], B)[0]))
+    return float(mins[k]), i, j
+
+
+def _tree_hausdorff(P: np.ndarray, Q: np.ndarray):
+    """Forward and backward ``(value, i, j)`` of two planar point arrays.
+
+    Tree minima select the rows, in either direction, that may attain the
+    larger of the two maxima; only those are re-checked densely.
+    """
+    near = _tree_minima(P, Q), _tree_minima(Q, P)
+    lo = _margin(max(near[0].max(), near[1].max()))[0]
+    return (_farthest(P, Q, np.flatnonzero(near[0] >= lo)),
+            _farthest(Q, P, np.flatnonzero(near[1] >= lo)))
 
 
 def _directed_hausdorff(d: np.ndarray):
@@ -176,14 +257,19 @@ def _directed_hausdorff(d: np.ndarray):
     return float(mins[i]), i, j
 
 
+def _report(fwd, bwd) -> DistanceReport:
+    """The larger of two directed ``(value, i, j)``; forward on a tie."""
+    if fwd[0] >= bwd[0]:
+        return DistanceReport(value=fwd[0], witness=fwd[1:], direction=0)
+    return DistanceReport(value=bwd[0], witness=bwd[1:], direction=1)
+
+
 def hausdorff_distance(K: FinitePointSet, L: FinitePointSet) -> DistanceReport:
     """Hausdorff distance between two finite sets in a common ambient space."""
+    if K.is_planar and L.is_planar and len(K) * len(L) > TREE_MIN_PAIRS:
+        return _report(*_tree_hausdorff(K.points, L.points))
     d = K.distances_to(L)
-    fwd, i_f, j_f = _directed_hausdorff(d)
-    bwd, i_b, j_b = _directed_hausdorff(d.T)
-    if fwd >= bwd:
-        return DistanceReport(value=fwd, witness=(i_f, j_f), direction=0)
-    return DistanceReport(value=bwd, witness=(i_b, j_b), direction=1)
+    return _report(_directed_hausdorff(d), _directed_hausdorff(d.T))
 
 
 def closed_neighborhood(K: FinitePointSet, eps: float,
@@ -197,9 +283,14 @@ def closed_neighborhood(K: FinitePointSet, eps: float,
     if eps < 0:
         raise DomainError("neighborhood radius must be non-negative")
     _require_subset(K, ambient)
-    d = ambient.distances_to(K)
-    keep = np.where(d.min(axis=1) <= eps)[0]
-    return ambient.subset(keep)
+    if K.is_planar and len(K) * len(ambient) > TREE_MIN_PAIRS:
+        near = _tree_minima(ambient.points, K.points)
+        lo, hi = _margin(eps)
+        rows = np.flatnonzero((near >= lo) & (near <= hi))
+        near[rows] = _dense_minima(ambient.points[rows], K.points)
+    else:
+        near = ambient.distances_to(K).min(axis=1)
+    return ambient.subset(np.flatnonzero(near <= eps))
 
 
 def _require_subset(K: FinitePointSet, ambient: FinitePointSet) -> None:

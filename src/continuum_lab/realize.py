@@ -429,6 +429,9 @@ def build_tower(n_coarse_initial: int, levels: int,
         raise DomainError("levels must be >= 1")
     if n_coarse_initial < 1:
         raise DomainError("need at least one coarse link")
+    if not all(math.isfinite(v) for v in (*x, *y)):
+        raise DomainError(f"endpoints must be finite; got {tuple(x)} and "
+                          f"{tuple(y)}")
     if tuple(x) == tuple(y):
         raise DomainError("endpoints must differ")
     if levels > MAX_LEVELS:
@@ -547,13 +550,26 @@ def realize_pattern(pattern: RefinementPattern, cell_size: float = 1.0
 
 
 def chain_point_sets(chain: Chain) -> List[FinitePointSet]:
-    """Cell-center point set of every link, in physical units."""
-    out = []
+    """Cell-center point set of every link, in physical units.
+
+    Points come in the order of ``Rect.cells``: rect by rect, columns
+    outer, rows inner.
+    """
+    spec, ends, total = [], [], 0   # per rect: c0, r0, height, first, cells
     for link in chain.links:
-        pts = [((c + 0.5) * chain.cell_size, (r + 0.5) * chain.cell_size)
-               for rect in link.rects for c, r in rect.cells()]
-        out.append(FinitePointSet(points=pts))
-    return out
+        for r in link.rects:
+            n = (r.c1 - r.c0) * (r.r1 - r.r0)
+            spec.append((r.c0, r.r0, r.r1 - r.r0, total, n))
+            total += n
+        ends.append(total)
+    per_rect = np.array(spec)
+    per_cell = per_rect.repeat(per_rect[:, 4], axis=0)
+    # cell k of a rect is (c0 + k // height, r0 + k % height)
+    dc, dr = np.divmod(np.arange(total) - per_cell[:, 3], per_cell[:, 2])
+    pts = (np.column_stack((per_cell[:, 0] + dc, per_cell[:, 1] + dr))
+           + 0.5) * chain.cell_size
+    return [FinitePointSet(points=pts[a:b])
+            for a, b in zip([0] + ends, ends)]
 
 
 def realize_planar(obj, cell_size: float = 1.0):

@@ -152,3 +152,31 @@ def test_plot_chain_refuses_unrealizable_patterns(capsys):
     assert (code, rep["status"]) in ((0, "pass"), (2, "error"))
     if code == 0:
         assert rep["result"]["containment_ok"] is True
+
+
+def test_non_finite_endpoint_exits_two(capsys):
+    for flag in ("--x=nan,0", "--y=0.25,inf"):
+        code, rep = run(["chains", "tower", "--n", "2", "--levels", "1",
+                         flag, "--no-timings"], capsys)
+        assert code == 2
+        assert rep["status"] == "error"
+        assert "endpoints must be finite" in rep["result"]["error"]
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import continuum_lab
+    src = str(Path(list(continuum_lab.__path__)[0]).resolve().parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, continuum_lab.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['scipy', 'spatial']))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from continuum_lab import metric_core
 from continuum_lab.errors import DomainError
 from continuum_lab.metric_core import (DistanceReport,
                                        FinitePointSet, closed_neighborhood,
@@ -118,3 +119,133 @@ def test_hausdorff_witness_attains_value(p, q):
     i, j = rep.witness
     d = math.dist(far.points[i], near.points[j])
     assert d == pytest.approx(rep.value, abs=1e-12)
+
+
+def test_non_finite_coordinates_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            FinitePointSet(points=[(0.0, 0.0), (bad, 1.0)])
+    with pytest.raises(DomainError, match="non-negative number"):
+        DistanceReport(value=math.nan, witness=(0, 0), direction=0)
+
+
+def test_mixed_ambient_spaces_rejected():
+    table = FinitePointSet(matrix=[[0.0, 1.0], [1.0, 0.0]])
+    other = FinitePointSet(matrix=[[0.0, 1.0], [1.0, 0.0]])
+    planar = FinitePointSet(points=[(0.0, 0.0), (1.0, 0.0)])
+    with pytest.raises(DomainError, match="mix planar"):
+        hausdorff_distance(planar, table)
+    with pytest.raises(DomainError, match="mix planar"):
+        hausdorff_distance(table, planar)
+    with pytest.raises(DomainError, match="different distance tables"):
+        hausdorff_distance(table, other.subset([0]))
+
+
+# -- the KD-tree path against the dense formula -----------------------------
+
+
+def dense_reference(P, Q, block=256):
+    """(value, witness, direction) from the dense formula, row block by row
+    block: max over rows of min over columns, lowest index on ties, the
+    forward direction on a tie between directions."""
+    best = None
+    for direction, (A, B) in enumerate(((P, Q), (Q, P))):
+        mins = np.concatenate([
+            np.sqrt(((A[s:s + block, None, :] - B[None, :, :]) ** 2)
+                    .sum(axis=2)).min(axis=1)
+            for s in range(0, len(A), block)])
+        i = int(np.argmax(mins))
+        j = int(np.argmin(np.sqrt(((A[i] - B) ** 2).sum(axis=1))))
+        if best is None or mins[i] > best[0]:
+            best = (float(mins[i]), (i, j), direction)
+    return best
+
+
+def tree_report(P, Q):
+    rep = metric_core._report(*metric_core._tree_hausdorff(P, Q))
+    return rep.value, rep.witness, rep.direction
+
+
+def _large_pair(kind, seed, n, m):
+    """Two planar point arrays with n x m > TREE_MIN_PAIRS."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.uniform(-3, 3, (n, 2)), rng.uniform(-2, 4, (m, 2))
+    if kind == "grid":   # cell centres: many equal distances
+        h = rng.uniform(0.01, 3.0)
+        cells = np.array([(c, r) for c in range(40) for r in range(30)])
+        a = cells[rng.choice(len(cells), size=n, replace=False)]
+        b = cells[rng.choice(len(cells), size=m, replace=False)]
+        return (a + 0.5) * h, (b + 0.5) * h
+    if kind == "duplicates":
+        base = rng.integers(0, 12, (n, 2)) * 0.25
+        return base, base[rng.integers(0, n, m)]
+    if kind == "identical":
+        a = rng.uniform(0, 1, (n, 2))
+        return a, a.copy()
+    # one point against many, either way round
+    a = rng.uniform(0, 1, (1, 2))
+    b = rng.uniform(0, 1, (metric_core.TREE_MIN_PAIRS + n, 2))
+    return (a, b) if seed % 2 else (b, a)
+
+
+def _nudged(minima, seed):
+    """Tree minima moved by up to 4 ulps either way, as another tree's
+    rounding might move them."""
+    rng = np.random.default_rng(seed)
+    out = minima.copy()
+    for _ in range(4):
+        step = rng.integers(-1, 2, len(out))
+        out = np.where(step > 0, np.nextafter(out, np.inf),
+                       np.where(step < 0, np.nextafter(out, -np.inf), out))
+    return np.maximum(out, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["random", "grid", "duplicates", "identical", "one"]),
+       st.integers(0, 2**32 - 1), st.integers(250, 500),
+       st.integers(210, 400), st.booleans())
+def test_tree_path_equals_dense_reference(kind, seed, n, m, nudge):
+    P, Q = _large_pair(kind, seed, n, m)
+    assert len(P) * len(Q) > metric_core.TREE_MIN_PAIRS
+    expected = dense_reference(P, Q)
+    with pytest.MonkeyPatch.context() as mp:
+        if nudge:
+            exact = metric_core._tree_minima
+            mp.setattr(metric_core, "_tree_minima",
+                       lambda A, B: _nudged(exact(A, B), seed))
+        assert tree_report(P, Q) == expected
+        rep = hausdorff_distance(FinitePointSet(points=P),
+                                 FinitePointSet(points=Q))
+    assert (rep.value, rep.witness, rep.direction) == expected
+
+
+def test_tree_path_neighborhood_keeps_the_boundary(monkeypatch):
+    cells = np.array([(c, r) for c in range(60) for r in range(40)], float)
+    amb = FinitePointSet(points=(cells + 0.5) * 0.3)
+    K = amb.subset(np.arange(0, len(cells), 7))
+    assert len(K) * len(amb) > metric_core.TREE_MIN_PAIRS
+    dense = amb.distances_to(K).min(axis=1)
+    exact = metric_core._tree_minima
+    for nudge in (0, 1, -1):
+        monkeypatch.setattr(
+            metric_core, "_tree_minima",
+            lambda A, B: np.nextafter(exact(A, B), nudge * np.inf)
+            if nudge else exact(A, B))
+        for eps in np.unique(dense)[[1, 2, 5, -1]]:
+            nb = closed_neighborhood(K, float(eps), amb)
+            assert np.array_equal(nb._indices, np.flatnonzero(dense <= eps))
+            assert np.any(dense[nb._indices] == eps)  # a point at exactly eps
+
+
+def test_five_link_two_level_tower_step_equals_dense_reference():
+    from continuum_lab.realize import build_tower, realize_planar
+    tower = build_tower(5, 2, (0.0, 0.0), (0.25, 0.1))
+    P, Q = (np.vstack([link.points for link in links])
+            for links in realize_planar(tower))
+    assert (len(P), len(Q)) == (1965, 181)
+    assert len(P) * len(Q) > metric_core.TREE_MIN_PAIRS
+    rep = hausdorff_distance(FinitePointSet(points=P),
+                             FinitePointSet(points=Q))
+    assert (rep.value, rep.witness, rep.direction) == dense_reference(P, Q)
+    assert tree_report(P, Q) == dense_reference(P, Q)

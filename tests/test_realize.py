@@ -4,6 +4,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from continuum_lab.chains import (RefinementPattern, generate_crooked_pattern,
@@ -110,6 +111,14 @@ def test_degenerate_input_rejected():
         build_tower(4, 2, X, X)
 
 
+def test_non_finite_endpoints_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="endpoints must be finite"):
+            build_tower(2, 1, (bad, 0.0), Y)
+        with pytest.raises(DomainError, match="endpoints must be finite"):
+            build_tower(2, 1, X, (0.0, bad))
+
+
 def test_tower_json_shape(tower):
     data = tower_to_json(tower)
     assert len(data["levels"]) == 3
@@ -134,6 +143,15 @@ def test_point_set_realization(tower):
     per_level = realize_planar(tower)
     assert [len(level) for level in per_level] == [4, 6, 30]
     assert len(realize_planar(generate_crooked_pattern(3))) == 3
+
+
+def test_point_sets_follow_cell_order(tower):
+    for chain in tower.levels:
+        for link, pts in zip(chain.links, chain_point_sets(chain)):
+            ref = [((c + 0.5) * chain.cell_size, (r + 0.5) * chain.cell_size)
+                   for rect in link.rects for c, r in rect.cells()]
+            assert pts.points.shape == (len(ref), 2)
+            assert np.array_equal(pts.points, np.array(ref))
 
 
 def _small_patterns():
