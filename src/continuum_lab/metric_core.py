@@ -5,17 +5,15 @@ abstract points carrying a validated distance table.  Subsets created with
 :meth:`FinitePointSet.subset` remember their parent so that operations can
 reject pairs drawn from unrelated ambient spaces.
 
-Planar distances are ``sqrt(dx*dx + dy*dy)`` in numpy float64.  One
-nearest-distance kernel serves :func:`hausdorff_distance` and
-:func:`closed_neighborhood`.  Up to ``TREE_MIN_PAIRS`` point pairs it
-evaluates that formula densely.  Above it the per-point minima come from a
+Planar distances are ``sqrt(dx*dx + dy*dy)`` in numpy float64.
+:func:`hausdorff_distance` evaluates that formula densely up to
+``TREE_MIN_PAIRS`` point pairs.  Above it the per-point minima come from a
 KD-tree (Bentley, CACM 1975), and only the points whose tree minimum lies
-within a few ulps of the deciding value (the larger directed Hausdorff
-maximum, or the neighborhood radius) are re-checked with the dense formula,
-``BLOCK_PAIRS`` pairs at a time.  Results are therefore the dense results
-bit for bit, ties going to the lowest index, whatever the tree's rounding.
-Table-backed sets read their table.  The default comparison tolerance is
-``1e-12``.
+within a few ulps of the larger directed maximum are re-checked with the
+dense formula, ``BLOCK_PAIRS`` pairs at a time.  Results are therefore the
+dense results bit for bit, ties going to the lowest index, whatever the
+tree's rounding.  :func:`closed_neighborhood` and table-backed sets use the
+dense distance matrix.  The default comparison tolerance is ``1e-12``.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ DEFAULT_TOL = 1e-12
 TREE_MIN_PAIRS = 50_000
 # Dense distances are formed this many point pairs at a time.
 BLOCK_PAIRS = 1 << 17
-# A tree minimum closer than this to a deciding value is re-checked densely:
+# A tree minimum this close below the Hausdorff value is re-checked densely:
 # 16 ulps relative, plus an absolute floor for squares in the subnormal range.
 _RECHECK_REL = 2.0 ** -48
 _RECHECK_ABS = 2.0 ** -500
@@ -217,11 +215,9 @@ def _tree_minima(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return cKDTree(B).query(A)[0]
 
 
-def _margin(x: float):
-    """Bounds outside which a tree minimum is surely on the same side of
-    ``x`` as the dense minimum it approximates."""
-    return (x * (1 - _RECHECK_REL) - _RECHECK_ABS,
-            x * (1 + _RECHECK_REL) + _RECHECK_ABS)
+def _recheck_floor(x: float) -> float:
+    """Tree minima below this are surely below the dense maximum ``x``."""
+    return x * (1 - _RECHECK_REL) - _RECHECK_ABS
 
 
 def _farthest(A: np.ndarray, B: np.ndarray, rows: np.ndarray):
@@ -244,7 +240,7 @@ def _tree_hausdorff(P: np.ndarray, Q: np.ndarray):
     larger of the two maxima; only those are re-checked densely.
     """
     near = _tree_minima(P, Q), _tree_minima(Q, P)
-    lo = _margin(max(near[0].max(), near[1].max()))[0]
+    lo = _recheck_floor(max(near[0].max(), near[1].max()))
     return (_farthest(P, Q, np.flatnonzero(near[0] >= lo)),
             _farthest(Q, P, np.flatnonzero(near[1] >= lo)))
 
@@ -283,13 +279,7 @@ def closed_neighborhood(K: FinitePointSet, eps: float,
     if eps < 0:
         raise DomainError("neighborhood radius must be non-negative")
     _require_subset(K, ambient)
-    if K.is_planar and len(K) * len(ambient) > TREE_MIN_PAIRS:
-        near = _tree_minima(ambient.points, K.points)
-        lo, hi = _margin(eps)
-        rows = np.flatnonzero((near >= lo) & (near <= hi))
-        near[rows] = _dense_minima(ambient.points[rows], K.points)
-    else:
-        near = ambient.distances_to(K).min(axis=1)
+    near = ambient.distances_to(K).min(axis=1)
     return ambient.subset(np.flatnonzero(near <= eps))
 
 

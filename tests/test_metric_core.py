@@ -220,24 +220,6 @@ def test_tree_path_equals_dense_reference(kind, seed, n, m, nudge):
     assert (rep.value, rep.witness, rep.direction) == expected
 
 
-def test_tree_path_neighborhood_keeps_the_boundary(monkeypatch):
-    cells = np.array([(c, r) for c in range(60) for r in range(40)], float)
-    amb = FinitePointSet(points=(cells + 0.5) * 0.3)
-    K = amb.subset(np.arange(0, len(cells), 7))
-    assert len(K) * len(amb) > metric_core.TREE_MIN_PAIRS
-    dense = amb.distances_to(K).min(axis=1)
-    exact = metric_core._tree_minima
-    for nudge in (0, 1, -1):
-        monkeypatch.setattr(
-            metric_core, "_tree_minima",
-            lambda A, B: np.nextafter(exact(A, B), nudge * np.inf)
-            if nudge else exact(A, B))
-        for eps in np.unique(dense)[[1, 2, 5, -1]]:
-            nb = closed_neighborhood(K, float(eps), amb)
-            assert np.array_equal(nb._indices, np.flatnonzero(dense <= eps))
-            assert np.any(dense[nb._indices] == eps)  # a point at exactly eps
-
-
 def test_five_link_two_level_tower_step_equals_dense_reference():
     from continuum_lab.realize import build_tower, realize_planar
     tower = build_tower(5, 2, (0.0, 0.0), (0.25, 0.1))
