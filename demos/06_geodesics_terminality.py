@@ -1,9 +1,11 @@
 """Geodesics, flat triangles, and terminal elements in the fiber model.
 
-Paths between elements run along the containment order: an edge joins
-two comparable elements and costs their size difference.  Any walk from
-one fiber's pieces to another's must climb through an ample element —
-removing the ample zone disconnects the fibers from each other.  On
+Paths between elements run along the containment order: a step joins
+two comparable elements and costs their size difference.  Sizes grow
+strictly along the order, so a geodesic bends once, at the join (the
+least common upper bound) or at the meet (the greatest common lower
+bound).  No piece of one fiber is comparable with a piece of another,
+so any walk between fibers climbs through an ample element.  On
 degenerate geodesic triangles the metric is exactly additive, and the
 full fibers are precisely the terminal elements of the family.
 
@@ -11,9 +13,8 @@ Run:  python3 demos/06_geodesics_terminality.py
 """
 
 from continuum_lab.continua import is_terminal
-from continuum_lab.psi import (Arc, Piece, PsiPathspace, build_psi_model,
-                               curvature_check, normalize_to_psi0,
-                               order_arc_path)
+from continuum_lab.psi import (Arc, Piece, build_psi_model, curvature_check,
+                               normalize_to_psi0)
 
 model = build_psi_model()
 pv = normalize_to_psi0(model)
@@ -21,7 +22,7 @@ pv = normalize_to_psi0(model)
 # A geodesic between pieces of different fibers.
 a = Piece(fiber=0, i=2, j=3)
 b = Piece(fiber=3, i=1, j=4)
-dist, path = order_arc_path(pv, a, b)
+dist, path = pv.space.path_between(a, b)
 
 
 def label(e):
@@ -35,10 +36,12 @@ print("  " + " -> ".join(label(e) for e in path))
 print(f"  passes through an ample element: "
       f"{any(model.classify(e) == 'ample' for e in path)}")
 
-# With the ample zone removed, no cross-fiber path exists at all.
-filament = PsiPathspace(pv, filament_only=True)
-d2, _ = filament.path_between(a, b)
-print(f"same endpoints, filament elements only: distance = {d2}")
+# Without the ample zone no path leaves a fiber: no piece of one fiber
+# is comparable with a piece of another.
+pieces = [e for e in model.elements if isinstance(e, Piece)]
+linked = sum(model.leq(p, q) or model.leq(q, p)
+             for p in pieces for q in pieces if p.fiber != q.fiber)
+print(f"comparable pairs of pieces of two fibers: {linked}")
 
 # Degenerate triangles (one geodesic passing through the third element)
 # are exactly additive.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from typing import Dict, List, Optional
@@ -23,7 +22,7 @@ from .errors import DomainError, ResourceError
 from .metric_core import DEFAULT_TOL
 from .psi import (Arc, Piece, build_psi_model, closed_form_element_count,
                   curvature_check, level_structure_report, normalize_to_psi0,
-                  order_arc_path, planck_report, raw_values)
+                  planck_report, raw_values)
 from .realize import build_tower, realize_pattern, tower_to_json
 from .suite import run_all
 from .svg import (chains_svg, hyperspace_svg, psi_svg, tower_svg,
@@ -261,7 +260,8 @@ def _cmd_psi_levels(args):
     model = _psi_from_args(args)
     pv = normalize_to_psi0(model)
     t = args.t if args.t is not None else pv.l
-    rep = level_structure_report(pv, t)
+    rep = level_structure_report(pv, t,
+                                 tol=args.tol if args.tol_given else None)
     return {"t": t, "l": pv.l,
             "elements": [_element_json(e) for e in rep.elements],
             "components": [[_element_json(e) for e in comp]
@@ -276,12 +276,11 @@ def _cmd_psi_path(args):
     pv = normalize_to_psi0(model)
     a = _element_from_text(model, args.frm)
     b = _element_from_text(model, args.to)
-    dist, path = order_arc_path(pv, a, b)
-    result = {"from": _element_json(a), "to": _element_json(b),
-              "distance": dist if math.isfinite(dist) else None,
-              "path": [_element_json(e) for e in path]}
-    violations = [] if math.isfinite(dist) else ["no path between elements"]
-    return result, violations, None
+    # the whole space lies above any two elements, so a path always exists
+    dist, path = pv.space.path_between(a, b)
+    return {"from": _element_json(a), "to": _element_json(b),
+            "distance": dist,
+            "path": [_element_json(e) for e in path]}, [], None
 
 
 def _cmd_psi_curvature(args):
@@ -345,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="write JSON report here")
         sp.add_argument("--svg", default=None, help="write SVG figure here")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--no-timings", action="store_true")
 
     def model_flags(sp, default_size=10):
@@ -464,8 +463,9 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    source = argv if argv is not None else sys.argv[1:]
-    args.tol_given = "--tol" in source
+    args.tol_given = args.tol is not None
+    if not args.tol_given:
+        args.tol = DEFAULT_TOL
     t0 = time.perf_counter()
     try:
         result, violations, svg = args.fn(args)

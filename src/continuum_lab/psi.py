@@ -22,7 +22,11 @@ Distances between elements use the containment join J of the pair:
 d(A, B) = max(mu(J) - mu(A), mu(J) - mu(B)).  On nested pairs this is the
 plain size difference, so order arcs are isometric to their size ranges,
 and it remains well defined after normalization (where unions of vertex
-sets no longer have canonical sizes).
+sets no longer have canonical sizes).  Paths along the containment order
+are measured by their total size variation; a shortest one bends once, at
+the join or at the meet M, so its length is the closed form
+min(2 mu(J) - mu(A) - mu(B), mu(A) + mu(B) - 2 mu(M)).  One index-based
+kernel, :class:`PsiPathspace`, computes J and M for both metrics.
 """
 
 from __future__ import annotations
@@ -30,11 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix, vstack
-from scipy.sparse.csgraph import dijkstra
 
 from .chains import (RefinementPattern, crooked_pattern_length,
                      generate_crooked_pattern, is_crooked)
@@ -98,7 +101,6 @@ class PsiModel:
         self.l = min(self.mu[f] for f in fibers)
         self.L = max(self.mu[f] for f in fibers)
         self.whole = Arc(start=0, length=m)
-        self._joins: Dict[Tuple[int, int], HyperElement] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -151,19 +153,26 @@ class PsiModel:
         return self.fibers_of(a) <= self.fibers_of(b)
 
     @cached_property
+    def shapes(self) -> List[Tuple[int, int, int, int]]:
+        """(base start, base length, first link, last link) per element.
+
+        Every element is a cyclic base interval of fibers with a link
+        interval; an arc holds all links [1, k].
+        """
+        return [(e.fiber, 1, e.i, e.j) if isinstance(e, Piece)
+                else (e.start, e.length, 1, self.k) for e in self.elements]
+
+    @cached_property
     def strict_order(self) -> csr_matrix:
         """Strict containment order as a bool CSR matrix: [a, b] iff a < b.
 
         a <= b iff b's cyclic base interval of fibers holds a's and b's link
-        interval holds a's (an arc has all links [1, k]).  Rows are compared
+        interval holds a's (see :attr:`shapes`).  Rows are compared
         ``ORDER_BLOCK_ROWS`` at a time and only their nonzeros are kept, so
         memory grows with the comparable pairs, never with n^2.
         """
         n, m = len(self.elements), self.m
-        start, length, lo, hi = np.array(
-            [(e.fiber, 1, e.i, e.j) if isinstance(e, Piece)
-             else (e.start, e.length, 1, self.k) for e in self.elements],
-            dtype=np.int32).T.copy()
+        start, length, lo, hi = np.array(self.shapes, dtype=np.int32).T.copy()
         blocks = []
         for r0 in range(0, n, ORDER_BLOCK_ROWS):
             r = np.arange(r0, min(r0 + ORDER_BLOCK_ROWS, n))
@@ -176,46 +185,6 @@ class PsiModel:
 
     def classify(self, e: HyperElement) -> str:
         return "filament" if isinstance(e, Piece) else "ample"
-
-    def join(self, a: HyperElement, b: HyperElement,
-             values: Optional[Dict[HyperElement, float]] = None,
-             label: str = "raw") -> HyperElement:
-        """Smallest element containing both (ties by size then identity).
-
-        Minimality is measured in the given size assignment so that joins,
-        and hence distances, stay consistent after renormalization.
-        """
-        vals = self.mu if values is None else values
-        key = (label,) + tuple(sorted((self.index[a], self.index[b])))
-        got = self._joins.get(key)
-        if got is not None:
-            return got
-        if (isinstance(a, Piece) and isinstance(b, Piece)
-                and a.fiber == b.fiber):
-            i, j = min(a.i, b.i), max(a.j, b.j)
-            cand: HyperElement
-            if (i, j) == (1, self.k):
-                cand = Arc(start=a.fiber, length=1)
-            else:
-                cand = Piece(fiber=a.fiber, i=i, j=j)
-        else:
-            need = self.fibers_of(a) | self.fibers_of(b)
-            best = None
-            for e in self.elements:
-                if isinstance(e, Arc) and need <= self.fibers_of(e):
-                    score = (vals[e], self.index[e])
-                    if best is None or score < best[0]:
-                        best = (score, e)
-            cand = best[1]
-        self._joins[key] = cand
-        return cand
-
-    def distance(self, a: HyperElement, b: HyperElement,
-                 values: Optional[Dict[HyperElement, float]] = None,
-                 label: str = "raw") -> float:
-        vals = self.mu if values is None else values
-        j = self.join(a, b, values=values, label=label)
-        return max(vals[j] - vals[a], vals[j] - vals[b])
 
 
 def closed_form_element_count(m: int, k: int) -> int:
@@ -318,16 +287,21 @@ class PsiValues:
     model: PsiModel
     values: Dict[HyperElement, float]
     l: float
-    label: str
+
+    @cached_property
+    def space(self) -> "PsiPathspace":
+        return PsiPathspace(self)
 
     def distance(self, a: HyperElement, b: HyperElement) -> float:
-        return self.model.distance(a, b, values=self.values,
-                                   label=self.label)
+        """Join metric max(v(J) - v(a), v(J) - v(b)), J the join of a, b."""
+        i, j = self.model.index[a], self.model.index[b]
+        v = self.space.v
+        top = v[self.space.join(i, j)]
+        return max(top - v[i], top - v[j])
 
 
 def raw_values(model: PsiModel) -> PsiValues:
-    return PsiValues(model=model, values=dict(model.mu), l=model.l,
-                     label="raw")
+    return PsiValues(model=model, values=dict(model.mu), l=model.l)
 
 
 def normalize_to_psi0(model: PsiModel) -> PsiValues:
@@ -355,8 +329,7 @@ def normalize_to_psi0(model: PsiModel) -> PsiValues:
             values[e] = model.l
         else:
             values[e] = model.l + arc_size[e.length]
-    return PsiValues(model=model, values=values, l=model.l,
-                     label="normalized")
+    return PsiValues(model=model, values=values, l=model.l)
 
 
 # ---------------------------------------------------------------------------
@@ -389,36 +362,23 @@ def level_structure_report(pv: PsiValues, t: float,
     if t <= 0:
         raise DomainError("level parameter must be positive")
     if t < pv.l - DEFAULT_TOL:
-        shells: List[HyperElement] = []
-        tols: List[float] = []
-        for a in range(model.m):
-            pieces = [e for e in model.elements
-                      if isinstance(e, Piece) and e.fiber == a]
-            errs = {e: abs(pv.values[e] - t) for e in pieces}
-            best = min(errs.values())
-            tols.append(best)
-        use_tol = max(tols) if tol is None else tol
-        for a in range(model.m):
-            pieces = [e for e in model.elements
-                      if isinstance(e, Piece) and e.fiber == a]
-            shells.extend(e for e in pieces
-                          if abs(pv.values[e] - t) <= use_tol + DEFAULT_TOL)
+        pieces = [e for e in model.elements if isinstance(e, Piece)]
+        errs = {e: abs(pv.values[e] - t) for e in pieces}
+        if tol is None:
+            tol = max(min(errs[e] for e in pieces if e.fiber == a)
+                      for a in range(model.m))
+        shells = [e for e in pieces if errs[e] <= tol + DEFAULT_TOL]
         eps = _per_fiber_connect_radius(pv, shells)
     else:
         arcs = [e for e in model.elements if isinstance(e, Arc)]
         errs = {e: abs(pv.values[e] - t) for e in arcs}
         if tol is None:
-            per_start = []
-            for s in range(model.m):
-                local = [errs[e] for e in arcs
-                         if e.length == model.m or e.start == s]
-                per_start.append(min(local))
-            use_tol = max(per_start)
-        else:
-            use_tol = tol
-        shells = [e for e in arcs if errs[e] <= use_tol + DEFAULT_TOL]
+            tol = max(min(errs[e] for e in arcs
+                          if e.length == model.m or e.start == s)
+                      for s in range(model.m))
+        shells = [e for e in arcs if errs[e] <= tol + DEFAULT_TOL]
         eps = _second_neighbor_radius(pv, shells)
-    return _nerve_report(pv, t, use_tol, eps, shells)
+    return _nerve_report(pv, t, tol, eps, shells)
 
 
 def _per_fiber_connect_radius(pv: PsiValues,
@@ -523,54 +483,98 @@ def component_cyclic_arrangement(pv: PsiValues, report: LevelReport) -> bool:
 
 
 class PsiPathspace:
-    """Weighted comparability graph over the elements of a size assignment.
+    """The order-arc metric of a size assignment, in closed form.
 
-    Vertices are elements; edges join strictly comparable pairs with weight
-    equal to the size difference, so a path is a concatenation of order
-    arcs and its length is the total size variation.
+    A path steps between comparable elements and costs their size gap, so
+    its length is its total size variation.  Sizes are strictly monotone,
+    so a shortest path bends once: up to the join J (least common upper
+    bound) and down, or down to the meet M (greatest common lower bound)
+    and up, d(a, b) = min(2 v(J) - v(a) - v(b), v(a) + v(b) - 2 v(M)).
+    :meth:`join`, :meth:`meet` and :meth:`distance` take element indices;
+    :attr:`graph` is the comparability graph, kept for checks and tests.
     """
 
-    def __init__(self, pv: PsiValues, filament_only: bool = False):
+    def __init__(self, pv: PsiValues):
         self.pv = pv
         model = pv.model
-        if filament_only:
-            self.nodes = [e for e in model.elements if isinstance(e, Piece)]
-        else:
-            self.nodes = list(model.elements)
-        self.node_index = {e: i for i, e in enumerate(self.nodes)}
-        idx = [model.index[e] for e in self.nodes]
-        order = model.strict_order
-        comparable = (order + order.T)[idx][:, idx]
-        comparable.sort_indices()
-        values = np.array([pv.values[e] for e in self.nodes])
-        n = len(self.nodes)
-        rows = np.repeat(np.arange(n), np.diff(comparable.indptr))
-        weights = np.abs(values[rows] - values[comparable.indices])
-        self.graph = csr_matrix(
-            (weights, comparable.indices, comparable.indptr), shape=(n, n))
+        self.m, self.k = model.m, model.k
+        self.shapes = model.shapes
+        self.at = {shape: i for i, shape in enumerate(self.shapes)}
+        self.whole = self.at[0, self.m, 1, self.k]
+        self.v = [pv.values[e] for e in model.elements]
 
-    def shortest(self, sources: Sequence[HyperElement]):
-        idx = [self.node_index[s] for s in sources]
-        dist, pred = dijkstra(self.graph, indices=idx,
-                              return_predecessors=True)
-        return dist, pred
+    def join(self, a: int, b: int) -> int:
+        """Least common upper bound.
+
+        In one fiber it is the link hull (the fiber arc for [1, k]).
+        Otherwise it is the smaller, by (size, index), of the two minimal
+        base arcs holding both, one starting at each element's start; an
+        arc of length m or more is the whole space.
+        """
+        m, k, at, v, whole = self.m, self.k, self.at, self.v, self.whole
+        sa, la, loa, hia = self.shapes[a]
+        sb, lb, lob, hib = self.shapes[b]
+        if la == lb == 1 and sa == sb:
+            return at[sa, 1, min(loa, lob), max(hia, hib)]
+        x = at.get((sa, max(la, (sb - sa) % m + lb), 1, k), whole)
+        y = at.get((sb, max(lb, (sa - sb) % m + la), 1, k), whole)
+        return x if v[x] < v[y] or (v[x] == v[y] and x < y) else y
+
+    def meet(self, a: int, b: int) -> int:
+        """Greatest common lower bound, or -1 when a and b are disjoint.
+
+        The cyclic base intersection has at most two arcs, each taken with
+        the intersected links; the larger wins, by size then lower index.
+        """
+        m, at, v = self.m, self.at, self.v
+        sa, la, loa, hia = self.shapes[a]
+        sb, lb, lob, hib = self.shapes[b]
+        if la == m or lb == m:
+            return b if la == m else a
+        lo, hi = max(loa, lob), min(hia, hib)
+        if lo > hi:
+            return -1
+        off = (sb - sa) % m  # b's start, counted from a's
+        x = at[sb, min(la - off, lb), lo, hi] if off < la else -1
+        y = at[sa, min(la, off + lb - m), lo, hi] if off + lb > m else -1
+        if x < 0 or y < 0:
+            return max(x, y)
+        return x if v[x] > v[y] or (v[x] == v[y] and x < y) else y
+
+    def _geodesic(self, a: int, b: int) -> Tuple[float, int]:
+        """Length of a shortest path and its bend; ties go to the join."""
+        v = self.v
+        top, low = self.join(a, b), self.meet(a, b)
+        up = (v[top] - v[a]) + (v[top] - v[b])
+        if low >= 0 and (v[a] - v[low]) + (v[b] - v[low]) < up:
+            return (v[a] - v[low]) + (v[b] - v[low]), low
+        return up, top
+
+    def distance(self, a: int, b: int) -> float:
+        return self._geodesic(a, b)[0]
 
     def path_between(self, a: HyperElement, b: HyperElement
                      ) -> Tuple[float, List[HyperElement]]:
-        dist, pred = self.shortest([a])
-        tb = self.node_index[b]
-        if not np.isfinite(dist[0, tb]):
-            return float("inf"), []
-        path = [tb]
-        while path[-1] != self.node_index[a]:
-            path.append(int(pred[0, path[-1]]))
-        return float(dist[0, tb]), [self.nodes[i] for i in reversed(path)]
+        """A shortest path [a, J, b] or [a, M, b], repeated ends dropped."""
+        model = self.pv.model
+        dist, bend = self._geodesic(model.index[a], model.index[b])
+        path = [a]
+        for e in (model.elements[bend], b):
+            if e != path[-1]:
+                path.append(e)
+        return dist, path
 
-
-def order_arc_path(pv: PsiValues, a: HyperElement, b: HyperElement
-                   ) -> Tuple[float, List[HyperElement]]:
-    """Shortest concatenation of order arcs between two elements."""
-    return PsiPathspace(pv).path_between(a, b)
+    @cached_property
+    def graph(self) -> csr_matrix:
+        """Comparable pairs, weighted by their size gap."""
+        order = self.pv.model.strict_order
+        comparable = order + order.T
+        comparable.sort_indices()
+        v = np.array(self.v)
+        rows = np.repeat(np.arange(len(v)), np.diff(comparable.indptr))
+        return csr_matrix((np.abs(v[rows] - v[comparable.indices]),
+                           comparable.indices, comparable.indptr),
+                          shape=comparable.shape)
 
 
 @dataclass
@@ -593,29 +597,24 @@ def curvature_check(pv: PsiValues, trials: int = 1000,
     Samples seeded random element triples; a triple is degenerate when its
     third element lies on *some* geodesic between the other two, that is
     |d(x, y) - d(x, z) - d(z, y)| <= ``tol`` for one of the three orderings.
-    This reading does not depend on which of several equal shortest paths
-    Dijkstra returns.  On it the two shorter sides sum to the third within
-    ``tol`` by definition, so ``additive`` equals ``degenerate`` and
-    ``worst_defect`` is the largest such gap.  The distances come from one
-    batched Dijkstra call whose sources are the distinct sampled elements.
+    This reading does not depend on which of several shortest paths is
+    taken.  On it the two shorter sides sum to the third within ``tol`` by
+    definition, so ``additive`` equals ``degenerate`` and ``worst_defect``
+    is the largest such gap.  Each side is one closed-form distance.
     """
     if trials <= 0:
         return CurvatureReport(trials=trials, degenerate=0, additive=0,
                                worst_defect=0.0)
     rng = np.random.default_rng(seed)
-    space = PsiPathspace(pv)
-    n = len(space.nodes)
-    triples = np.array([rng.choice(n, size=3, replace=False)
-                        for _ in range(trials)])
-    sources = np.unique(triples)
-    rows = np.searchsorted(sources, triples)
-    dist = dijkstra(space.graph, indices=sources)
-
-    def d(i: int, j: int) -> np.ndarray:
-        return dist[rows[:, i], triples[:, j]]
-
-    gap = np.min([np.abs(d(x, y) - d(x, z) - d(z, y))
-                  for x, y, z in ((0, 1, 2), (0, 2, 1), (1, 2, 0))], axis=0)
+    space = pv.space
+    n = len(space.v)
+    sides = np.array([(space.distance(x, y), space.distance(x, z),
+                       space.distance(y, z))
+                      for x, y, z in (rng.choice(n, size=3, replace=False)
+                                      .tolist() for _ in range(trials))])
+    xy, xz, yz = sides.T
+    gap = np.min([np.abs(xy - xz - yz), np.abs(xz - xy - yz),
+                  np.abs(yz - xy - xz)], axis=0)
     flat = gap[gap <= tol]
     degenerate = int(flat.size)
     worst = float(flat.max()) if degenerate else 0.0

@@ -7,6 +7,7 @@ The test suite and the command line both run these.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from .continua import (build_continuum, circle_arc_to_disk, detect_triod,
                        interval_arc_to_triangle, is_terminal,
                        order_arcs_between, triangle_to_interval_arc)
 from .metric_core import DEFAULT_TOL
-from .psi import (Arc, Piece, PsiPathspace, build_psi_model,
+from .psi import (Arc, Piece, build_psi_model,
                   closed_form_element_count, component_cyclic_arrangement,
                   curvature_check, distinct_element_count,
                   level_structure_report, normalize_to_psi0, planck_report)
@@ -286,30 +287,64 @@ def check_psi_levels() -> CheckResult:
 # 9. geodesics must pass through ample elements
 
 
+def _geodesic_certificate(pv, d, sources: int = 16, seed: int = 0) -> bool:
+    """Closed-form geodesics are real paths that no graph edge shortens.
+
+    From each seeded source a, ``path_between`` must give, for every b, a
+    chain of comparable elements from a to b whose size gaps sum to
+    d(a, b); so d(a, .) is at least the shortest-path distance.  Every
+    edge (c, b) of the comparability graph must satisfy
+    d(a, b) <= d(a, c) + |v(b) - v(c)|, and d(a, a) = 0; so d(a, .) is at
+    most that distance.  Together they prove it without Dijkstra.
+    """
+    model, space = pv.model, pv.space
+    edges = space.graph.tocoo()
+    els = model.elements
+    rng = np.random.default_rng(seed)
+    paths_ok, worst = True, math.inf
+    for a in rng.choice(len(els), size=sources, replace=False).tolist():
+        dist = np.empty(len(els))
+        for b, target in enumerate(els):
+            dist[b], path = space.path_between(els[a], target)
+            steps = list(zip(path, path[1:]))
+            length = math.fsum(abs(pv.values[y] - pv.values[x])
+                               for x, y in steps)
+            paths_ok &= (path[0] == els[a] and path[-1] == target
+                         and all(model.leq(x, y) or model.leq(y, x)
+                                 for x, y in steps)
+                         and abs(length - dist[b]) <= TOL)
+        paths_ok &= dist[a] == 0.0
+        slack = dist[edges.row] + edges.data - dist[edges.col]
+        worst = min(worst, float(slack.min()))
+    d["edges_checked"] = sources * edges.nnz
+    d["worst_slack"] = worst
+    return paths_ok and worst >= -TOL
+
+
 def check_psi_paths() -> CheckResult:
     def run(d):
         model = build_psi_model()
         pv = normalize_to_psi0(model)
-        fil_space = PsiPathspace(pv, filament_only=True)
+        # Pieces of two fibers need an ample element between them exactly
+        # when no pair of them is comparable.
         pieces = [e for e in model.elements if isinstance(e, Piece)]
-        blocked = 0
-        total = 0
-        for i, a in enumerate(pieces):
-            dists, _ = fil_space.shortest([a])
-            for b in pieces[i + 1:]:
-                if a.fiber != b.fiber:
-                    total += 1
-                    if np.isfinite(dists[0, fil_space.node_index[b]]):
-                        d["counterexample"] = (a, b)
-                        return False
-                    blocked += 1
-        d["cross_fiber_pairs"] = total
-        d["all_need_ample"] = blocked == total
+        d["cross_fiber_pairs"] = sum(a.fiber != b.fiber for a, b
+                                     in itertools.combinations(pieces, 2))
+        fiber = np.array([e.fiber if isinstance(e, Piece) else -1
+                          for e in model.elements])
+        rows, cols = model.strict_order.nonzero()
+        cross = np.flatnonzero((fiber[rows] >= 0) & (fiber[cols] >= 0)
+                               & (fiber[rows] != fiber[cols]))
+        if cross.size:
+            d["counterexample"] = (model.elements[rows[cross[0]]],
+                                   model.elements[cols[cross[0]]])
+        d["all_need_ample"] = cross.size == 0
+        geodesics_ok = _geodesic_certificate(pv, d)
         curv = curvature_check(pv, trials=1000, seed=0, tol=TOL)
         d["trials"] = curv.trials
         d["degenerate"] = curv.degenerate
         d["worst_defect"] = curv.worst_defect
-        return blocked == total and curv.all_additive
+        return d["all_need_ample"] and geodesics_ok
     return _timed("psi_paths", run)
 
 

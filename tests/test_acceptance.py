@@ -10,7 +10,7 @@ the model, the closed form or any other clause of the check changes.
 """
 
 
-from continuum_lab.psi import Arc, build_psi_model
+from continuum_lab.psi import Arc, PsiPathspace, build_psi_model
 from continuum_lab.suite import (check_crookedness, check_homeomorphisms,
                                  check_psi_levels, check_psi_model,
                                  check_psi_paths, check_size_axioms,
@@ -118,10 +118,32 @@ def test_9_cross_fiber_geodesics_and_flat_triangles():
     r = check_psi_paths()
     assert r.details["cross_fiber_pairs"] == 6000
     assert r.details["all_need_ample"]
+    assert r.details["edges_checked"] == 16 * 5280
+    assert -1e-12 <= r.details["worst_slack"] <= 0.0
     assert r.details["trials"] == 1000
-    assert r.details["degenerate"] > 0
+    assert r.details["degenerate"] == 220
     assert r.details["worst_defect"] <= 1e-12
     assert r.ok and r.seconds < 30.0
+
+
+def test_9_geodesic_certificate_fails_on_a_corrupted_join(monkeypatch):
+    def larger_join(self, a, b):
+        """The larger of the two minimal base arcs: an upper bound, but
+        not the least one, so some graph edge shortens its paths."""
+        (sa, la, _, _), (sb, lb, _, _) = self.shapes[a], self.shapes[b]
+        if la == lb == 1 and sa == sb:
+            return join(self, a, b)
+        ups = [self.at.get((s, max(l1, (s2 - s) % self.m + l2), 1, self.k),
+                           self.whole)
+               for s, l1, s2, l2 in ((sa, la, sb, lb), (sb, lb, sa, la))]
+        return max(ups, key=lambda e: (self.v[e], e))
+
+    join = PsiPathspace.join
+    monkeypatch.setattr(PsiPathspace, "join", larger_join)
+    r = check_psi_paths()
+    assert r.details["all_need_ample"]
+    assert r.details["worst_slack"] < -1e-12
+    assert not r.ok
 
 
 def test_10_triods_and_terminal_fibers():

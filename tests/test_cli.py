@@ -110,6 +110,23 @@ def test_psi_path_subcommand(capsys):
     assert "arc" in kinds  # crossing fibers forces an ample element
 
 
+def test_tol_is_read_in_both_spellings(capsys):
+    argv = ["whitney", "level", "--model", "path", "--size", "6", "--t",
+            "0.3", "--no-timings"]
+    members = [len(run(argv + extra, capsys)[1]["result"]["members"])
+               for extra in ([], ["--tol", "0.1"], ["--tol=0.1"])]
+    assert members == [0, 3, 3]
+
+
+def test_psi_levels_honours_tol(capsys):
+    _, auto = run(["psi", "levels", "--t", "0.01", "--no-timings"], capsys)
+    _, given = run(["psi", "levels", "--t", "0.01", "--tol", "0.5",
+                    "--no-timings"], capsys)
+    assert auto["result"]["tol"] < 0.5
+    assert given["result"]["tol"] == 0.5
+    assert len(given["result"]["elements"]) > len(auto["result"]["elements"])
+
+
 def test_suite_all_names_the_known_violation(capsys):
     # the element census clause is expected to fail; everything else passes
     code, rep = run(["suite", "all", "--no-timings"], capsys)
@@ -175,7 +192,8 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = ("import sys, continuum_lab.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] == ['scipy', 'spatial']))")
+            "if m.split('.')[:2] == ['scipy', 'spatial'] "
+            "or m.split('.')[:3] == ['scipy', 'sparse', 'csgraph']))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -12,8 +12,7 @@ from continuum_lab.psi import (Arc, Piece, PsiPathspace, build_psi_model,
                                closed_form_element_count,
                                component_cyclic_arrangement, curvature_check,
                                distinct_element_count, level_structure_report,
-                               normalize_to_psi0, order_arc_path,
-                               planck_report, raw_values)
+                               normalize_to_psi0, planck_report, raw_values)
 
 TOL = 1e-12
 
@@ -140,11 +139,10 @@ def _leq_matrix(model):
                      for a in model.elements])
 
 
-def _reference_graph(pv, filament_only):
+def _reference_graph(pv):
     """Comparability graph from a pair loop over ``PsiModel.leq``."""
     model = pv.model
-    nodes = [e for e in model.elements
-             if isinstance(e, Piece) or not filament_only]
+    nodes = model.elements
     rows, cols, data = [], [], []
     for i, a in enumerate(nodes):
         for j in range(i + 1, len(nodes)):
@@ -190,12 +188,11 @@ def test_covers_match_transitive_reduction(shape):
 def test_pathspace_csr_matches_pair_loop(shape, normalized):
     model = build_psi_model(*shape)
     pv = normalize_to_psi0(model) if normalized else raw_values(model)
-    for filament_only in (False, True):
-        got = PsiPathspace(pv, filament_only=filament_only).graph
-        want = _reference_graph(pv, filament_only)
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    got = PsiPathspace(pv).graph
+    want = _reference_graph(pv)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("m, level", [(6, 2), (12, 2), (24, 2), (6, 3)])
@@ -265,38 +262,116 @@ def test_level_above_l_is_a_single_cycle(pv):
     assert all(isinstance(e, Arc) for e in rep.elements)
 
 
+@pytest.mark.parametrize("m, level", [(24, 2), (6, 3)])
+def test_level_structure_on_the_ladder(m, level):
+    pv = normalize_to_psi0(build_psi_model(m=m, fiber_level=level))
+    fibers = {Arc(start=s, length=1) for s in range(m)}
+    below = level_structure_report(pv, 0.5 * pv.l)
+    assert len(below.components) == m and not below.is_cycle
+    assert component_cyclic_arrangement(pv, below)
+    at = level_structure_report(pv, pv.l)
+    assert set(at.elements) == fibers and at.is_cycle
+    above = level_structure_report(pv, pv.values[Arc(start=0, length=2)])
+    assert len(above.components) == 1 and above.is_cycle
+
+
 # -- paths and curvature ----------------------------------------------------
+
+def _assert_real_path(pv, path, a, b, dist):
+    """Ends a and b, comparable steps, size gaps summing to ``dist``."""
+    model = pv.model
+    steps = list(zip(path, path[1:]))
+    assert path[0] == a and path[-1] == b
+    assert all(x != y and (model.leq(x, y) or model.leq(y, x))
+               for x, y in steps)
+    gaps = [abs(pv.values[y] - pv.values[x]) for x, y in steps]
+    assert abs(math.fsum(gaps) - dist) <= TOL
+
 
 def test_cross_fiber_path_passes_ample_element(pv):
     a = Piece(fiber=0, i=2, j=3)
     b = Piece(fiber=3, i=2, j=3)
-    dist, path = order_arc_path(pv, a, b)
+    dist, path = pv.space.path_between(a, b)
     assert math.isfinite(dist)
     assert path[0] == a and path[-1] == b
     assert any(isinstance(e, Arc) for e in path)
 
 
-def test_filament_only_space_is_fiberwise(pv):
-    space = PsiPathspace(pv, filament_only=True)
-    a = Piece(fiber=0, i=2, j=3)
-    same, _ = space.path_between(a, Piece(fiber=0, i=1, j=4))
-    cross, path = space.path_between(a, Piece(fiber=1, i=2, j=3))
-    assert math.isfinite(same)
-    assert math.isinf(cross) and path == []
+def test_pieces_of_two_fibers_are_incomparable(pv):
+    # so every path between them climbs through an ample element
+    model = pv.model
+    pieces = [e for e in model.elements if isinstance(e, Piece)]
+    space = pv.space
+    for a in pieces[::7]:
+        for b in pieces:
+            if a.fiber != b.fiber:
+                assert not (model.leq(a, b) or model.leq(b, a))
+                i, j = model.index[a], model.index[b]
+                assert space.meet(i, j) == -1
+                assert isinstance(model.elements[space.join(i, j)], Arc)
+
+
+def test_join_and_meet_cases(pv):
+    model, space = pv.model, pv.space
+    idx = model.index
+
+    def join(a, b):
+        return model.elements[space.join(idx[a], idx[b])]
+
+    def meet(a, b):
+        got = space.meet(idx[a], idx[b])
+        return None if got < 0 else model.elements[got]
+
+    # one fiber: the link hull, the fiber itself when it spans [1, k]
+    assert join(Piece(1, 2, 3), Piece(1, 4, 5)) == Piece(1, 2, 5)
+    assert join(Piece(1, 1, 3), Piece(1, 2, 6)) == Arc(1, 1)
+    assert meet(Piece(1, 2, 4), Piece(1, 3, 5)) == Piece(1, 3, 4)
+    assert meet(Piece(1, 2, 3), Piece(1, 4, 5)) is None
+    # across the base: the shorter way round, which may wrap past 0
+    assert join(Piece(5, 1, 1), Arc(1, 2)) == Arc(5, 4)
+    assert join(Arc(0, 2), Arc(3, 2)) == Arc(0, 5)
+    assert join(Arc(0, 4), Arc(3, 4)) == model.whole
+    assert meet(Arc(4, 3), Piece(0, 2, 2)) == Piece(0, 2, 2)
+    # two arcs meeting at both ends: equal sizes, so the lower index
+    assert meet(Arc(0, 4), Arc(3, 4)) == Arc(0, 1)
+    assert meet(model.whole, Piece(2, 1, 2)) == Piece(2, 1, 2)
+    # nested pairs bend at an end, which the path drops
+    dist, path = space.path_between(Piece(2, 2, 3), Arc(1, 3))
+    assert path == [Piece(2, 2, 3), Arc(1, 3)]
+    assert space.path_between(Arc(1, 3), Arc(1, 3)) == (0.0, [Arc(1, 3)])
+
+
+@settings(max_examples=10, deadline=None)
+@given(SMALL_MODELS, st.booleans())
+def test_closed_form_matches_dijkstra(shape, normalized):
+    from scipy.sparse.csgraph import dijkstra
+    model = build_psi_model(*shape)
+    pv = normalize_to_psi0(model) if normalized else raw_values(model)
+    space = PsiPathspace(pv)
+    want = dijkstra(space.graph)
+    n = len(model.elements)
+    got = np.array([[space.distance(i, j) for j in range(n)]
+                    for i in range(n)])
+    assert np.abs(got - want).max() <= TOL
+    for i, a in enumerate(model.elements):
+        for j, b in enumerate(model.elements):
+            dist, path = space.path_between(a, b)
+            assert dist == got[i, j]
+            _assert_real_path(pv, path, a, b, dist)
 
 
 def test_path_distance_lower_bound(pv):
     # a geodesic can never be shorter than the direct value gap
     a = Piece(fiber=0, i=1, j=1)
     b = pv.model.whole
-    dist, path = order_arc_path(pv, a, b)
+    dist, path = pv.space.path_between(a, b)
     assert dist >= abs(pv.values[b] - pv.values[a]) - TOL
 
 
 def test_nested_pair_distance_is_value_gap(pv):
     a = Piece(fiber=2, i=2, j=3)
     b = Arc(start=2, length=1)
-    dist, path = order_arc_path(pv, a, b)
+    dist, path = pv.space.path_between(a, b)
     assert dist == pytest.approx(pv.values[b] - pv.values[a], abs=TOL)
     assert path == [a, b]
 
@@ -336,6 +411,16 @@ def test_curvature_triples_additive(pv):
     assert curvature_check(pv, trials=1000, seed=0,
                            tol=1e-15).degenerate == 220
     assert _oracle_degenerate_count(pv, 1000, 0, TOL) == 220
+
+
+@pytest.mark.parametrize("m, level, degenerate",
+                         [(6, 2, 220), (12, 2, 123), (24, 2, 120),
+                          (6, 3, 174)])
+def test_curvature_on_the_ladder(m, level, degenerate):
+    pv = normalize_to_psi0(build_psi_model(m=m, fiber_level=level))
+    rep = curvature_check(pv, trials=1000, seed=0)
+    assert (rep.degenerate, rep.additive) == (degenerate, degenerate)
+    assert rep.worst_defect <= 1e-12
 
 
 def test_curvature_deterministic_per_seed(pv):
