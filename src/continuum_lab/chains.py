@@ -15,10 +15,9 @@ return to k + 1 strictly in between.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -48,10 +47,6 @@ class Rect:
     def corners(self) -> List[Tuple[int, int]]:
         return [(self.c0, self.r0), (self.c0, self.r1),
                 (self.c1, self.r0), (self.c1, self.r1)]
-
-    @property
-    def n_cells(self) -> int:
-        return (self.c1 - self.c0) * (self.r1 - self.r0)
 
     def cells(self) -> Iterable[Cell]:
         for c in range(self.c0, self.c1):
@@ -98,16 +93,14 @@ def _rect_covered(r: Rect, cover: List[Rect]) -> bool:
 
 
 def rects_diameter(rects: Sequence[Rect], cell_size: float) -> float:
-    """Exact diameter of the closed union, from rect corner extremes."""
-    pts = np.array([c for r in rects for c in r.corners()], dtype=float)
-    if len(pts) > 8:
-        from scipy.spatial import ConvexHull
-        try:
-            pts = pts[ConvexHull(pts).vertices]
-        except Exception:
-            pass  # degenerate (collinear) input: brute force below
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max()) * cell_size
+    """Exact diameter of the closed union: the farthest pair of corners.
+
+    Corners are integers, so the squared distances are exact and the one
+    square root is correctly rounded.
+    """
+    pts = [c for r in rects for c in r.corners()]
+    far = max((a - c) ** 2 + (b - d) ** 2 for a, b in pts for c, d in pts)
+    return math.sqrt(far) * cell_size
 
 
 def rects_connected(rects: Sequence[Rect]) -> bool:

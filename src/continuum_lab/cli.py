@@ -55,10 +55,11 @@ def _vertex_set(text: str) -> frozenset:
 
 
 def _point(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
+    try:
+        x, y = (float(v) for v in text.split(","))
+    except ValueError:
         raise DomainError(f"bad point {text!r}; expected 'x,y'")
-    return (float(parts[0]), float(parts[1]))
+    return (x, y)
 
 
 def _element_json(e) -> Dict[str, int]:
@@ -69,15 +70,19 @@ def _element_json(e) -> Dict[str, int]:
 
 def _element_from_text(model, text: str):
     parts = text.split(":")
-    if parts[0] == "piece" and len(parts) == 4:
-        e = Piece(fiber=int(parts[1]), i=int(parts[2]), j=int(parts[3]))
-    elif parts[0] == "arc" and len(parts) == 3:
-        e = Arc(start=int(parts[1]), length=int(parts[2]))
-    elif len(parts) == 1:
+    if len(parts) == 1:
         try:
             return model.elements[int(parts[0])]
         except (ValueError, IndexError):
             raise DomainError(f"bad element index {text!r}")
+    try:
+        nums = [int(v) for v in parts[1:]]
+    except ValueError:
+        nums = None
+    if nums is not None and parts[0] == "piece" and len(nums) == 3:
+        e = Piece(*nums)
+    elif nums is not None and parts[0] == "arc" and len(nums) == 2:
+        e = Arc(*nums)
     else:
         raise DomainError(
             f"bad element {text!r}; use piece:F:I:J, arc:S:L, or an index")
@@ -87,18 +92,33 @@ def _element_from_text(model, text: str):
 
 
 def _pattern_from_args(args) -> RefinementPattern:
-    if args.pattern:
-        vals = tuple(int(v) for v in args.pattern.split(","))
-        return RefinementPattern(assignment=vals,
-                                 n_coarse=args.n or max(vals))
-    if args.infile:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            return pattern_from_json(fh.read())
-    return generate_crooked_pattern(args.n or 4)
+    """The pattern of ``--pattern`` or ``--infile`` (never both), else the
+    generated crooked pattern on ``--n`` (default 4) coarse links."""
+    if args.infile is not None:
+        if args.n is not None:
+            raise DomainError("--n does not apply to --infile; the file "
+                              "gives n_coarse")
+        try:
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                return pattern_from_json(fh.read())
+        except DomainError:
+            raise
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise DomainError(f"cannot read a pattern from {args.infile!r}: "
+                              f"{type(exc).__name__}: {exc}")
+    if args.pattern is not None:
+        try:
+            vals = tuple(int(v) for v in args.pattern.split(","))
+        except ValueError:
+            raise DomainError(f"bad pattern {args.pattern!r}; expected "
+                              f"comma-separated integers")
+        return RefinementPattern(
+            assignment=vals, n_coarse=max(vals) if args.n is None else args.n)
+    return generate_crooked_pattern(4 if args.n is None else args.n)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (result_dict, violations)
+# subcommand handlers: each returns (result_dict, violations, figure or None)
 
 
 def _cmd_chains_generate(args):
@@ -205,8 +225,7 @@ def _cmd_whitney_level(args):
     g = _continuum_from_args(args)
     mu = build_whitney_map(g, ordering_seed=args.seed)
     subs = enumerate_subcontinua(g)
-    members = whitney_level(mu, subs, args.t,
-                            tol=args.tol if args.tol_given else None)
+    members = whitney_level(mu, subs, args.t, tol=args.tol)
     return {"t": args.t,
             "members": sorted(sorted(s) for s in members)}, [], None
 
@@ -260,8 +279,7 @@ def _cmd_psi_levels(args):
     model = _psi_from_args(args)
     pv = normalize_to_psi0(model)
     t = args.t if args.t is not None else pv.l
-    rep = level_structure_report(pv, t,
-                                 tol=args.tol if args.tol_given else None)
+    rep = level_structure_report(pv, t, tol=args.tol)
     return {"t": t, "l": pv.l,
             "elements": [_element_json(e) for e in rep.elements],
             "components": [[_element_json(e) for e in comp]
@@ -286,7 +304,7 @@ def _cmd_psi_path(args):
 def _cmd_psi_curvature(args):
     model = _psi_from_args(args)
     pv = normalize_to_psi0(model)
-    rep = curvature_check(pv, trials=args.trials, seed=args.seed or 0,
+    rep = curvature_check(pv, trials=args.trials, seed=args.seed,
                           tol=args.tol)
     result = {"trials": rep.trials, "degenerate": rep.degenerate,
               "additive": rep.additive, "worst_defect": rep.worst_defect}
@@ -337,42 +355,51 @@ def _cmd_suite_all(args):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per verb, each with only the options its handler reads.
+
+    ``--out`` and ``--no-timings`` are on every verb; ``--svg`` is on the
+    verbs that draw a figure, ``--seed`` on those with a seeded choice and
+    ``--tol`` on those that compare sizes.  A ``--tol`` of ``None`` means
+    the automatic level tolerance.
+    """
     p = argparse.ArgumentParser(prog="continuum-lab", description=__doc__)
     top = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp):
+    def verb(group, name, fn):
+        sp = group.add_parser(name)
         sp.add_argument("--out", default=None, help="write JSON report here")
-        sp.add_argument("--svg", default=None, help="write SVG figure here")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--no-timings", action="store_true")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    def model_flags(sp, default_size=10):
+    def svg_flag(sp):
+        sp.add_argument("--svg", default=None, help="write SVG figure here")
+
+    def model_flags(sp):
         sp.add_argument("--model", default="path",
                         choices=["path", "cycle", "star", "cantor_fan"])
-        sp.add_argument("--size", type=int, default=default_size)
+        sp.add_argument("--size", type=int, default=10)
         sp.add_argument("--legs", type=int, default=3)
+
+    def pattern_flags(sp):
+        sp.add_argument("--n", type=int, default=None)
+        source = sp.add_mutually_exclusive_group()
+        source.add_argument("--pattern", default=None,
+                            help="comma-separated coarse assignment")
+        source.add_argument("--infile", default=None,
+                            help="pattern JSON file")
 
     chains_p = top.add_parser("chains").add_subparsers(dest="sub",
                                                        required=True)
-    sp = chains_p.add_parser("generate")
+    sp = verb(chains_p, "generate", _cmd_chains_generate)
     sp.add_argument("--n", type=int, required=True)
-    common(sp)
-    sp.set_defaults(fn=_cmd_chains_generate)
-    sp = chains_p.add_parser("verify")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--pattern", default=None,
-                    help="comma-separated coarse assignment")
-    sp.add_argument("--infile", default=None, help="pattern JSON file")
-    common(sp)
-    sp.set_defaults(fn=_cmd_chains_verify)
-    sp = chains_p.add_parser("tower")
+    pattern_flags(verb(chains_p, "verify", _cmd_chains_verify))
+    sp = verb(chains_p, "tower", _cmd_chains_tower)
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--levels", type=int, default=3)
     sp.add_argument("--x", default="0,0")
     sp.add_argument("--y", default="0.25,0")
-    common(sp)
-    sp.set_defaults(fn=_cmd_chains_tower)
+    svg_flag(sp)
 
     cont_p = top.add_parser("continuum").add_subparsers(dest="sub",
                                                         required=True)
@@ -380,14 +407,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      ("enumerate", _cmd_continuum_enumerate),
                      ("orderarcs", _cmd_continuum_orderarcs),
                      ("triod", _cmd_continuum_triod)):
-        sp = cont_p.add_parser(name)
+        sp = verb(cont_p, name, fn)
         model_flags(sp)
         if name == "orderarcs":
             sp.add_argument("--from", dest="frm", default=None)
             sp.add_argument("--to", default=None)
             sp.add_argument("--limit", type=int, default=20)
-        common(sp)
-        sp.set_defaults(fn=fn)
 
     whit_p = top.add_parser("whitney").add_subparsers(dest="sub",
                                                       required=True)
@@ -396,16 +421,18 @@ def _build_parser() -> argparse.ArgumentParser:
                      ("check", _cmd_whitney_check),
                      ("level", _cmd_whitney_level),
                      ("refine", _cmd_whitney_refine)):
-        sp = whit_p.add_parser(name)
+        sp = verb(whit_p, name, fn)
         model_flags(sp)
+        sp.add_argument("--seed", type=int, default=None,
+                        help="seeded enumeration order of the size map")
         if name == "eval":
             sp.add_argument("--set", required=True)
+        if name in ("level", "refine"):
+            sp.add_argument("--t", type=float, required=True)
+        if name == "check":
+            sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
         if name == "level":
-            sp.add_argument("--t", type=float, required=True)
-        if name == "refine":
-            sp.add_argument("--t", type=float, required=True)
-        common(sp)
-        sp.set_defaults(fn=fn)
+            sp.add_argument("--tol", type=float, default=None)
 
     psi_p = top.add_parser("psi").add_subparsers(dest="sub", required=True)
     for name, fn in (("build", _cmd_psi_build),
@@ -413,43 +440,39 @@ def _build_parser() -> argparse.ArgumentParser:
                      ("levels", _cmd_psi_levels),
                      ("path", _cmd_psi_path),
                      ("curvature", _cmd_psi_curvature)):
-        sp = psi_p.add_parser(name)
+        sp = verb(psi_p, name, fn)
         sp.add_argument("--m", type=int, default=6)
         sp.add_argument("--level", type=int, default=2)
         if name == "report":
             sp.add_argument("--normalize", action="store_true")
+            sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+            svg_flag(sp)
         if name == "levels":
             sp.add_argument("--t", type=float, default=None)
+            sp.add_argument("--tol", type=float, default=None)
         if name == "path":
             sp.add_argument("--from", dest="frm", required=True)
             sp.add_argument("--to", required=True)
         if name == "curvature":
             sp.add_argument("--trials", type=int, default=1000)
-        common(sp)
-        sp.set_defaults(fn=fn)
+            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     plot_p = top.add_parser("plot").add_subparsers(dest="sub", required=True)
-    sp = plot_p.add_parser("chain")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--pattern", default=None)
-    sp.add_argument("--infile", default=None)
-    common(sp)
-    sp.set_defaults(fn=_cmd_plot_chain)
-    sp = plot_p.add_parser("hyperspace")
+    sp = verb(plot_p, "chain", _cmd_plot_chain)
+    pattern_flags(sp)
+    svg_flag(sp)
+    sp = verb(plot_p, "hyperspace", _cmd_plot_hyperspace)
     model_flags(sp)
-    common(sp)
-    sp.set_defaults(fn=_cmd_plot_hyperspace)
-    sp = plot_p.add_parser("psi")
+    svg_flag(sp)
+    sp = verb(plot_p, "psi", _cmd_plot_psi)
     sp.add_argument("--m", type=int, default=6)
     sp.add_argument("--level", type=int, default=2)
-    common(sp)
-    sp.set_defaults(fn=_cmd_plot_psi)
+    svg_flag(sp)
 
     suite_p = top.add_parser("suite").add_subparsers(dest="sub",
                                                      required=True)
-    sp = suite_p.add_parser("all")
-    common(sp)
-    sp.set_defaults(fn=_cmd_suite_all)
+    verb(suite_p, "all", _cmd_suite_all)
     return p
 
 
@@ -463,9 +486,6 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    args.tol_given = args.tol is not None
-    if not args.tol_given:
-        args.tol = DEFAULT_TOL
     t0 = time.perf_counter()
     try:
         result, violations, svg = args.fn(args)
@@ -481,7 +501,7 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
               "result": result, "violations": violations, "artifacts": []}
     if not args.no_timings:
         report["timings"] = {"seconds": time.perf_counter() - t0}
-    if svg is not None and args.svg:
+    if svg is not None and args.svg is not None:
         write_svg(args.svg, svg)
         report["artifacts"].append(args.svg)
     if args.out:

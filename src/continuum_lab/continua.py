@@ -22,11 +22,10 @@ from .errors import DomainError, ResourceError
 
 MAX_ELEMENTS_ENV = "CONTINUUM_LAB_MAX_ELEMENTS"
 DEFAULT_MAX_ELEMENTS = 200_000
+MAX_ORDER_ARCS = 1_000_000
 
 
-def _max_elements(override: Optional[int] = None) -> int:
-    if override is not None:
-        return override
+def _max_elements() -> int:
     raw = os.environ.get(MAX_ELEMENTS_ENV)
     return int(raw) if raw else DEFAULT_MAX_ELEMENTS
 
@@ -178,15 +177,13 @@ def _cantor_fan(depth: int) -> GraphContinuum:
 # hyperspace enumeration
 
 
-def enumerate_subcontinua(g: GraphContinuum,
-                          max_elements: Optional[int] = None
-                          ) -> List[FrozenSet[int]]:
+def enumerate_subcontinua(g: GraphContinuum) -> List[FrozenSet[int]]:
     """All connected vertex sets, sorted by (size, sorted vertex tuple).
 
     Raises :class:`ResourceError` when the count would exceed the cap taken
-    from ``CONTINUUM_LAB_MAX_ELEMENTS`` (or the explicit override).
+    from ``CONTINUUM_LAB_MAX_ELEMENTS``.
     """
-    cap = _max_elements(max_elements)
+    cap = _max_elements()
     seen = set()
     frontier: List[FrozenSet[int]] = []
     for v in range(g.n):
@@ -213,13 +210,12 @@ def enumerate_subcontinua(g: GraphContinuum,
 
 
 def order_arcs_between(g: GraphContinuum, a: FrozenSet[int],
-                       b: FrozenSet[int],
-                       cap: int = 1_000_000
-                       ) -> List[Tuple[FrozenSet[int], ...]]:
+                       b: FrozenSet[int]) -> List[Tuple[FrozenSet[int], ...]]:
     """All discrete order arcs from a to b, growing one vertex per step.
 
     Each step stays connected, so every listed chain is a maximal chain of
-    subcontinua between the endpoints.
+    subcontinua between the endpoints.  More than ``MAX_ORDER_ARCS`` arcs
+    raise :class:`ResourceError`.
     """
     if not (g.is_connected(a) and g.is_connected(b)):
         raise DomainError("endpoints must be subcontinua")
@@ -231,8 +227,9 @@ def order_arcs_between(g: GraphContinuum, a: FrozenSet[int],
         top = chain[-1]
         if top == b:
             arcs.append(tuple(chain))
-            if len(arcs) > cap:
-                raise ResourceError("too many order arcs", achievable=cap)
+            if len(arcs) > MAX_ORDER_ARCS:
+                raise ResourceError("too many order arcs",
+                                    achievable=MAX_ORDER_ARCS)
             return
         for w in sorted(g.neighbors_of_set(top) & b):
             grow(chain + [top | {w}])

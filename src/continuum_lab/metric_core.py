@@ -47,7 +47,7 @@ class FinitePointSet:
     compatible only with subsets of the same root table.
     """
 
-    def __init__(self, points=None, matrix=None, tol: float = DEFAULT_TOL,
+    def __init__(self, points=None, matrix=None,
                  _parent: Optional["FinitePointSet"] = None,
                  _indices: Optional[np.ndarray] = None):
         if (points is None) == (matrix is None):
@@ -66,7 +66,7 @@ class FinitePointSet:
             self.matrix = None
         else:
             m = np.asarray(matrix, dtype=float)
-            _validate_distance_table(m, tol)
+            _validate_distance_table(m)
             self.points = None
             self.matrix = m
 
@@ -134,16 +134,18 @@ class FinitePointSet:
         return json.dumps(obj, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, tol: float = DEFAULT_TOL) -> "FinitePointSet":
+    def from_json(cls, text: str) -> "FinitePointSet":
         obj = json.loads(text)
         if "points" in obj:
             return cls(points=obj["points"])
         if "matrix" in obj:
-            return cls(matrix=obj["matrix"], tol=tol)
+            return cls(matrix=obj["matrix"])
         raise DomainError('JSON object must contain "points" or "matrix"')
 
 
-def _validate_distance_table(m: np.ndarray, tol: float) -> None:
+def _validate_distance_table(m: np.ndarray) -> None:
+    """A distance table, each axiom checked within ``DEFAULT_TOL``."""
+    tol = DEFAULT_TOL
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("distance table must be square")
     if m.shape[0] == 0:

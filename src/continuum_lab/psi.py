@@ -76,6 +76,7 @@ HyperElement = Union[Piece, Arc]
 
 FIBER_STICK = 0.35  # radial extent of one embedded fiber
 BASE_RADIUS = 1.0
+FIBER_LINKS = 4  # links of each fiber's level-1 chain
 ORDER_BLOCK_ROWS = 128  # rows of the containment order compared at once
 
 
@@ -203,17 +204,15 @@ def distinct_element_count(m: int, k: int) -> int:
     return m * (k * (k + 1) // 2 - 1) + m * (m - 1) + 1
 
 
-def build_psi_model(m: int = 6, fiber_level: int = 2,
-                    n_coarse_initial: int = 4,
-                    max_elements: Optional[int] = None) -> PsiModel:
+def build_psi_model(m: int = 6, fiber_level: int = 2) -> PsiModel:
     if m < 3:
         raise DomainError("need m >= 3 fibers")
     if fiber_level < 1:
         raise DomainError("fiber_level must be >= 1")
-    cap = _max_elements(max_elements)
+    cap = _max_elements()
     # Link counts grow with the level: refuse at the first level over the
     # cap, before any pattern is built (level 4 has ~10^11 links).
-    links = [n_coarse_initial]  # per fiber, at levels 1, 2, ...
+    links = [FIBER_LINKS]  # per fiber, at levels 1, 2, ...
     for level in range(1, fiber_level + 1):
         if level > 1:
             links.append(crooked_pattern_length(links[-1]))

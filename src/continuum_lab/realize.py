@@ -524,7 +524,7 @@ def _build_tower(n1: int, levels: int, x, y) -> ChainTower:
 # standalone realizations
 
 
-def realize_pattern(pattern: RefinementPattern, cell_size: float = 1.0
+def realize_pattern(pattern: RefinementPattern
                     ) -> Tuple[Chain, Chain, RefinementPattern]:
     """Realize one refinement pattern inside a straight row of columns.
 
@@ -533,6 +533,7 @@ def realize_pattern(pattern: RefinementPattern, cell_size: float = 1.0
     the first coarse link to the last.  A pattern the router cannot fit
     (some stutters, e.g. one in the last coarse link) raises a domain
     error, so every returned flag is true and the snake is a chain.
+    Both chains have unit cells.
     """
     p = pattern.assignment
     if p[0] != 1 or p[-1] != pattern.n_coarse:
@@ -540,8 +541,7 @@ def realize_pattern(pattern: RefinementPattern, cell_size: float = 1.0
                           f"{pattern.n_coarse}; got {p[0]} to {p[-1]}")
     chains, _ = _realize(pattern.n_coarse, [pattern])
     verified = _verified(chains, [pattern])[0]
-    coarse, fine = (Chain(links=links, cell_size=cell_size)
-                    for links in chains)
+    coarse, fine = (Chain(links=links) for links in chains)
     report = verify_chain(fine, math.inf)
     if not report.ok:
         raise DomainError(f"pattern {list(p)} does not realize as a chain: "
@@ -572,14 +572,15 @@ def chain_point_sets(chain: Chain) -> List[FinitePointSet]:
             for a, b in zip([0] + ends, ends)]
 
 
-def realize_planar(obj, cell_size: float = 1.0):
-    """Point-set realization of a chain, pattern, or tower per link."""
+def realize_planar(obj):
+    """Point-set realization of a chain, pattern (unit cells), or tower,
+    per link."""
     if isinstance(obj, ChainTower):
         return [chain_point_sets(level) for level in obj.levels]
     if isinstance(obj, Chain):
         return chain_point_sets(obj)
     if isinstance(obj, RefinementPattern):
-        _, fine, _ = realize_pattern(obj, cell_size)
+        _, fine, _ = realize_pattern(obj)
         return chain_point_sets(fine)
     raise DomainError("cannot realize this object")
 

@@ -189,10 +189,14 @@ def check_tower() -> CheckResult:
 # 6. classic hyperspace homeomorphisms
 
 
-def check_homeomorphisms(samples: int = 10_000) -> CheckResult:
+HOMEOMORPHISM_SAMPLES = 10_000
+
+
+def check_homeomorphisms() -> CheckResult:
     def run(d):
         rng = np.random.default_rng(7)
         worst = 0.0
+        samples = HOMEOMORPHISM_SAMPLES
         for a, b in zip(*np.sort(rng.uniform(0, 1, (2, samples)), axis=0)):
             u, v = interval_arc_to_triangle(a, b)
             a2, b2 = triangle_to_interval_arc(u, v)

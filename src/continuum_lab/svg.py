@@ -9,15 +9,18 @@ glance.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .chains import Chain, Rect
-from .continua import GraphContinuum
+from .continua import GraphContinuum, enumerate_subcontinua
 from .errors import DomainError
 from .realize import ChainTower
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#e377c2", "#7f7f7f", "#bcbd22"]
+# Pixel size of the longer side of a chain figure, and of the square plots.
+_CHAIN_SIZE = 800.0
+_PLOT_SIZE = 600.0
 
 
 def _rect_subpath(r: Rect, scale: float, pad: float) -> str:
@@ -43,19 +46,23 @@ def _document(body: List[str], width: float, height: float) -> str:
                      + body + ["</svg>"])
 
 
-def chain_svg(chain: Chain, target: float = 800.0) -> str:
-    """One translucent path per link, colors cycling along the chain."""
-    return chains_svg([chain], target)
-
-
-def chains_svg(levels: Sequence[Chain], target: float = 800.0) -> str:
+def chains_svg(levels: Sequence[Chain]) -> str:
     """Several chains on one grid; earlier (coarser) chains drawn lighter."""
+    return _chains_figure(levels, [])
+
+
+def tower_svg(tower: ChainTower) -> str:
+    """All levels of a tower, plus markers on the two endpoint cells."""
+    return _chains_figure(tower.levels, [tower.x_cell, tower.y_cell])
+
+
+def _chains_figure(levels: Sequence[Chain], marked: Sequence[tuple]) -> str:
     if not levels:
         raise DomainError("nothing to draw")
     c_max = max(r.c1 for c in levels for l in c.links for r in l.rects)
     r_max = max(r.r1 for c in levels for l in c.links for r in l.rects)
     pad = 10.0
-    scale = max((target - 2 * pad) / max(c_max, r_max), 1e-9)
+    scale = max((_CHAIN_SIZE - 2 * pad) / max(c_max, r_max), 1e-9)
     body = []
     depth = len(levels)
     for li, chain in enumerate(levels):
@@ -65,43 +72,27 @@ def chains_svg(levels: Sequence[Chain], target: float = 800.0) -> str:
             color = _PALETTE[(link.index - 1) % len(_PALETTE)]
             body.append(_link_path(link.rects, scale, pad, color,
                                    width, opacity))
+    for cell in marked:
+        cx = (cell[0] + 0.5) * scale + pad
+        cy = (cell[1] + 0.5) * scale + pad
+        body.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3" '
+                    f'fill="#000000" />')
     return _document(body, c_max * scale + 2 * pad, r_max * scale + 2 * pad)
 
 
-def tower_svg(tower: ChainTower, target: float = 800.0) -> str:
-    """All levels of a tower, plus markers on the two endpoint cells."""
-    svg = chains_svg(tower.levels, target)
-    c_max = max(r.c1 for c in tower.levels for l in c.links for r in l.rects)
-    r_max = max(r.r1 for c in tower.levels for l in c.links for r in l.rects)
-    pad = 10.0
-    scale = max((target - 2 * pad) / max(c_max, r_max), 1e-9)
-    dots = []
-    for cell, color in ((tower.x_cell, "#000000"), (tower.y_cell, "#000000")):
-        cx = (cell[0] + 0.5) * scale + pad
-        cy = (cell[1] + 0.5) * scale + pad
-        dots.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3" '
-                    f'fill="{color}" />')
-    return svg.replace("</svg>", "\n".join(dots) + "\n</svg>")
-
-
-def hyperspace_svg(continuum: GraphContinuum, values: Optional[dict] = None,
-                   target: float = 600.0) -> str:
-    """Scatter of all subcontinua: x = centroid position, y = size value.
-
-    ``values`` maps each subcontinuum (frozenset) to a height; by default
-    the normalized diameter-like count ``len(A) / n`` is used.
-    """
-    from .continua import enumerate_subcontinua
+def hyperspace_svg(continuum: GraphContinuum) -> str:
+    """Scatter of all subcontinua: x = centroid position, y = ``len(A) / n``,
+    the normalized diameter-like count."""
     subs = enumerate_subcontinua(continuum)
     n = continuum.n
     pad = 30.0
-    w = target
-    h = target * 0.75
+    w = _PLOT_SIZE
+    h = _PLOT_SIZE * 0.75
     body = []
     for sub in subs:
         idx = sorted(sub)
         x = (sum(idx) / len(idx)) / max(n - 1, 1)
-        y = values[sub] if values is not None else len(sub) / n
+        y = len(sub) / n
         cx = pad + x * (w - 2 * pad)
         cy = h - pad - y * (h - 2 * pad)
         color = _PALETTE[(len(sub) - 1) % len(_PALETTE)]
@@ -114,11 +105,10 @@ def hyperspace_svg(continuum: GraphContinuum, values: Optional[dict] = None,
     return _document(body, w, h)
 
 
-def psi_svg(model, values: Optional[dict] = None,
-            target: float = 600.0) -> str:
+def psi_svg(model) -> str:
     """The circular fiber model: embedded fiber points plus the base ring."""
     pad = 30.0
-    half = target / 2.0
+    half = _PLOT_SIZE / 2.0
     rad = half - pad
 
     def to_px(pt):
@@ -136,7 +126,7 @@ def psi_svg(model, values: Optional[dict] = None,
         for x, y in pts:
             body.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" '
                         f'fill="{color}" />')
-    return _document(body, target, target)
+    return _document(body, _PLOT_SIZE, _PLOT_SIZE)
 
 
 def write_svg(path: str, content: str) -> None:

@@ -114,25 +114,12 @@ def build_whitney_map(ambient,
 # the size metric
 
 
-def whitney_distance(mu: MuLike, a: FrozenSet[int], b: FrozenSet[int],
-                     mode: str = "2X",
-                     connected_check: Optional[Callable[[FrozenSet[int]], bool]] = None
-                     ) -> float:
-    """d_mu(A, B) from the size of the union.
-
-    In "CX" mode the union must stay connected (``connected_check``
-    required); the default "2X" mode evaluates mu on arbitrary unions.
-    """
+def whitney_distance(mu: MuLike, a: FrozenSet[int],
+                     b: FrozenSet[int]) -> float:
+    """d_mu(A, B) from the size of the union, in 2^X mode: mu is evaluated
+    on the union whether or not it is connected."""
     a, b = frozenset(a), frozenset(b)
-    u = a | b
-    if mode == "CX":
-        if connected_check is None:
-            raise DomainError("CX mode needs a connected_check predicate")
-        if not connected_check(u):
-            raise DomainError("union is disconnected; use 2X mode")
-    elif mode != "2X":
-        raise DomainError(f"unknown mode {mode!r}")
-    mu_u = mu(u)
+    mu_u = mu(a | b)
     return max(mu_u - mu(a), mu_u - mu(b))
 
 

@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +142,38 @@ def test_mesh_strictness():
     diam = 10 ** 0.5  # corner-to-corner of a 3 x 1 cell bar
     assert not verify_chain(chain, diam).ok  # diameter == eps is too big
     assert verify_chain(chain, diam + 0.01).ok
+
+
+# five rects, 20 corners, in a plus shape with a far stub: the diameter
+# runs between two corners that are not on one rect
+FIVE_RECTS = (Rect(0, 3, 4, 5), Rect(1, 2, 2, 9), Rect(-2, 1, 6, 7),
+              Rect(2, 6, 6, 7), Rect(7, 9, -3, -1))
+
+
+def test_mesh_of_many_rects_is_the_farthest_corner_pair():
+    corners = [c for r in FIVE_RECTS for c in r.corners()]
+    assert len(corners) == 20
+    chain = Chain(links=[Link(index=1, rects=FIVE_RECTS)], cell_size=0.3)
+    far = max(math.dist(p, q) for p in corners for q in corners)
+    assert chain.mesh() == far * 0.3
+
+
+def test_mesh_leaves_scipy_spatial_unloaded():
+    import continuum_lab
+    src = str(Path(list(continuum_lab.__path__)[0]).resolve().parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys\n"
+            "from continuum_lab.chains import Chain, Link, Rect\n"
+            f"rects = {FIVE_RECTS!r}\n"
+            "Chain(links=[Link(index=1, rects=rects)]).mesh()\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.spatial')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_rect_validation():

@@ -1,8 +1,12 @@
+import argparse
 import json
 from pathlib import Path
 
+import pytest
 
-from continuum_lab.cli import dispatch
+from continuum_lab.chains import generate_crooked_pattern, pattern_to_json
+from continuum_lab.cli import _build_parser, dispatch
+from continuum_lab.metric_core import DEFAULT_TOL
 
 
 def run(argv, capsys):
@@ -198,3 +202,144 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# -- malformed input: exit 2 with a JSON error, never a traceback ------------
+
+
+def _pattern_file(tmp_path, text):
+    path = tmp_path / "pattern.json"
+    path.write_text(text)
+    return str(path)
+
+
+MALFORMED = {
+    "tower-point": lambda tmp: ["chains", "tower", "--x=a,0"],
+    "pattern-letter": lambda tmp: ["chains", "verify", "--pattern", "1,x"],
+    "pattern-empty-entry": lambda tmp: ["chains", "verify", "--pattern",
+                                        "1,,2"],
+    "pattern-empty": lambda tmp: ["chains", "verify", "--pattern", ""],
+    "infile-missing": lambda tmp: ["chains", "verify", "--infile",
+                                   str(tmp / "missing.json")],
+    "infile-bad-json": lambda tmp: ["chains", "verify", "--infile",
+                                    _pattern_file(tmp, "{not json")],
+    "infile-no-pattern": lambda tmp: ["chains", "verify", "--infile",
+                                      _pattern_file(tmp, '{"n_coarse": 4}')],
+    "psi-piece-field": lambda tmp: ["psi", "path", "--from", "piece:a:1:2",
+                                    "--to", "0"],
+    "psi-arc-field": lambda tmp: ["psi", "path", "--from", "0", "--to",
+                                  "arc:1:b"],
+    "n-zero": lambda tmp: ["chains", "verify", "--n", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_two_with_json_error(case, tmp_path, capsys):
+    code, rep = run(MALFORMED[case](tmp_path) + ["--no-timings"], capsys)
+    assert code == 2
+    assert rep["status"] == "error" and rep["result"]["error"]
+
+
+# -- pattern sources ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("verb", [["chains", "verify"], ["plot", "chain"]])
+def test_pattern_and_infile_are_exclusive(verb, tmp_path, capsys):
+    path = _pattern_file(tmp_path, pattern_to_json(
+        generate_crooked_pattern(4)))
+    # argparse refuses the pair before any file is opened
+    assert dispatch(verb + ["--pattern", "1,2,3,4", "--infile",
+                            str(tmp_path / "missing.json")]) == 2
+    assert "not allowed with" in capsys.readouterr().err
+    # --n cannot resize a pattern whose file fixes n_coarse
+    code, rep = run(verb + ["--infile", path, "--n", "5", "--no-timings"],
+                    capsys)
+    assert code == 2 and "--infile" in rep["result"]["error"]
+    code, rep = run(verb + ["--infile", path, "--no-timings"], capsys)
+    assert code == 0
+
+
+# -- every option is read ----------------------------------------------------
+# A verb reads --tol: test_tol_is_read_in_both_spellings, and
+# test_psi_levels_honours_tol; --svg and --seed: the tests below.
+
+MODEL = {"--model", "--size", "--legs"}
+EXPECTED_OPTIONS = {
+    ("chains", "generate"): {"--n"},
+    ("chains", "verify"): {"--n", "--pattern", "--infile"},
+    ("chains", "tower"): {"--n", "--levels", "--x", "--y", "--svg"},
+    ("continuum", "build"): MODEL,
+    ("continuum", "enumerate"): MODEL,
+    ("continuum", "orderarcs"): MODEL | {"--from", "--to", "--limit"},
+    ("continuum", "triod"): MODEL,
+    ("whitney", "build"): MODEL | {"--seed"},
+    ("whitney", "eval"): MODEL | {"--seed", "--set"},
+    ("whitney", "check"): MODEL | {"--seed", "--tol"},
+    ("whitney", "level"): MODEL | {"--seed", "--t", "--tol"},
+    ("whitney", "refine"): MODEL | {"--seed", "--t"},
+    ("psi", "build"): {"--m", "--level"},
+    ("psi", "report"): {"--m", "--level", "--normalize", "--tol", "--svg"},
+    ("psi", "levels"): {"--m", "--level", "--t", "--tol"},
+    ("psi", "path"): {"--m", "--level", "--from", "--to"},
+    ("psi", "curvature"): {"--m", "--level", "--trials", "--seed", "--tol"},
+    ("plot", "chain"): {"--n", "--pattern", "--infile", "--svg"},
+    ("plot", "hyperspace"): MODEL | {"--svg"},
+    ("plot", "psi"): {"--m", "--level", "--svg"},
+    ("suite", "all"): set(),
+}
+
+
+def _subparsers(parser):
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+# None: the automatic level tolerance
+TOL_DEFAULTS = {("whitney", "check"): DEFAULT_TOL, ("whitney", "level"): None,
+                ("psi", "report"): DEFAULT_TOL, ("psi", "levels"): None,
+                ("psi", "curvature"): DEFAULT_TOL}
+
+
+def test_each_verb_registers_only_the_options_it_reads():
+    found, tol = {}, {}
+    for group, group_parser in _subparsers(_build_parser()).items():
+        for name, sp in _subparsers(group_parser).items():
+            found[(group, name)] = {s for a in sp._actions
+                                    for s in a.option_strings} - {"-h",
+                                                                  "--help"}
+            tol.update({(group, name): a.default for a in sp._actions
+                        if "--tol" in a.option_strings})
+    assert found == {verb: opts | {"--out", "--no-timings"}
+                     for verb, opts in EXPECTED_OPTIONS.items()}
+    assert tol == TOL_DEFAULTS
+
+
+@pytest.mark.parametrize("argv", [
+    ["chains", "generate", "--n", "4", "--svg", "x.svg"],
+    ["chains", "generate", "--n", "4", "--seed", "3"],
+    ["chains", "generate", "--n", "4", "--tol", "9"],
+    ["suite", "all", "--seed", "3"],
+    ["suite", "all", "--tol", "5"],
+    ["psi", "levels", "--svg", "x.svg"],
+], ids=lambda argv: "-".join(argv[:2] + [argv[-2].lstrip("-")]))
+def test_unread_option_exits_two(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(argv + ["--no-timings"]) == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_svg_is_written_and_listed(tmp_path, capsys):
+    svg = tmp_path / "psi.svg"
+    _, plain = run(["plot", "psi", "--no-timings"], capsys)
+    _, drawn = run(["plot", "psi", "--svg", str(svg), "--no-timings"],
+                   capsys)
+    assert plain["artifacts"] == [] and drawn["artifacts"] == [str(svg)]
+    assert svg.read_text().startswith("<svg")
+
+
+def test_seed_changes_the_size_map(capsys):
+    argv = ["whitney", "build", "--size", "5", "--no-timings"]
+    _, default = run(argv, capsys)
+    _, seeded = run(argv + ["--seed", "3"], capsys)
+    assert default["result"] != seeded["result"]

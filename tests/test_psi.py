@@ -119,9 +119,11 @@ def test_invalid_elements_rejected(model):
     assert Arc(start=0, length=1) in model.index
 
 
-def test_element_cap():
+def test_element_cap(monkeypatch):
+    monkeypatch.setenv("CONTINUUM_LAB_MAX_ELEMENTS", "50")
     with pytest.raises(ResourceError):
-        build_psi_model(max_elements=50)
+        build_psi_model()
+    monkeypatch.delenv("CONTINUUM_LAB_MAX_ELEMENTS")
     # level-4 fibers have about 10^11 links: the cap refuses them from the
     # link-count recurrence, before any pattern is generated
     with pytest.raises(ResourceError):

@@ -120,13 +120,10 @@ def test_distance_to_inner_point_is_size(path10):
                 <= DEFAULT_TOL
 
 
-def test_cx_mode_rejects_disconnected_union():
+def test_distance_of_disconnected_union():
+    # the union {0, 5} is not a subcontinuum; mu is evaluated on it anyway
     g = build_continuum("path", n=6)
     mu = build_whitney_map(g)
-    with pytest.raises(DomainError):
-        whitney_distance(mu, frozenset([0]), frozenset([5]), mode="CX",
-                         connected_check=g.is_connected)
-    # ... but the same pair is fine in the ambient-union mode
     assert whitney_distance(mu, frozenset([0]), frozenset([5])) > 0
 
 
