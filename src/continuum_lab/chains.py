@@ -7,9 +7,14 @@ cell, and a link's closure adds the one-cell dilation of its cells.
 
 A refinement pattern records, for each link of a fine chain, the index of
 the coarse link containing its closure.  Crookedness of the pattern is the
-combinatorial zigzag condition: whenever the fine chain runs from coarse
-link k to coarse link m with m >= k + 3, it must first reach m - 1 and then
-return to k + 1 strictly in between.
+combinatorial zigzag condition, in both directions: whenever the fine chain
+runs from coarse link k to coarse link m with |m - k| >= 3, it must first
+reach the neighbour of m and then return to the neighbour of k strictly in
+between (m - 1, then k + 1 on a run up; m + 1, then k - 1 on a run down).
+``is_crooked`` decides it from next-occurrence tables in
+O(n_coarse * len).  The minimal spanning search cuts a prefix as soon as
+it closes a run that misses the zigzag, and treats prefixes with the same
+summary of open runs as one.
 """
 
 from __future__ import annotations
@@ -264,43 +269,67 @@ class CrookednessReport:
 
 
 def is_crooked(pattern: RefinementPattern) -> CrookednessReport:
-    """Decide the zigzag condition; 1-based counterexample (k, m, i, j).
+    """Decide the zigzag condition in both directions; 1-based
+    counterexample (k, m, i, j).
 
     Requires every containment flag to hold (a pattern that fails condition
     (1) has no crookedness verdict).  For each coarse pair k, m with
-    m >= k + 3 and each fine pair i < j with assignment k at i and m at j,
-    there must be i < i* < i^ < j hitting m - 1 at i* and k + 1 at i^.
+    |m - k| >= 3 and each fine pair i < j with assignment k at i and m at j,
+    there must be i < i* < i^ < j hitting m -/+ 1 at i* and then k +/- 1 at
+    i^ (upper signs for an upward run, m > k).
+
+    Runs up are checked first, in the order (k, m, i) of a loop over
+    k < m and the positions i of k, and the first failure is reported with
+    the first j > i at m.  Then the same check runs on the reflected
+    pattern n_coarse + 1 - p, and a failure there is reported in the
+    original values, so k > m.  Cost O(n_coarse * len).
     """
     if not all(pattern.containment):
         raise DomainError("crookedness requires all containment flags true")
+    n = pattern.n_coarse
     p = pattern.assignment
+    bad = _first_upward_violation(p, n)
+    if bad is None:
+        bad = _first_upward_violation(tuple(n + 1 - v for v in p), n)
+        if bad is not None:
+            k, m, i, j = bad
+            bad = (n + 1 - k, n + 1 - m, i, j)
+    return CrookednessReport(ok=bad is None, counterexample=bad)
+
+
+def _first_upward_violation(p: Sequence[int], n_coarse: int
+                            ) -> Optional[Tuple[int, int, int, int]]:
+    """First (k, m, i, j), 1-based, of a run up from k to m >= k + 3 that
+    does not reach m - 1 and then k + 1 strictly in between, or None.
+
+    For a position i of k only the first j > i at m matters: a later j
+    keeps every witness of an earlier one.  With a the first m - 1 after
+    i and b the first k + 1 after a, that j fails exactly when j < b (no
+    a or no b counting as past the end).
+    """
     npat = len(p)
-    positions = {}
+    positions: List[List[int]] = [[] for _ in range(n_coarse + 1)]
     for idx, v in enumerate(p):
-        positions.setdefault(v, []).append(idx)
-    for k in range(1, pattern.n_coarse + 1):
-        for m in range(k + 3, pattern.n_coarse + 1):
-            pos_k = positions.get(k, [])
-            pos_m = positions.get(m, [])
-            for i in pos_k:
-                for j in pos_m:
-                    if j <= i:
-                        continue
-                    a = _first_at(p, m - 1, i + 1, npat)
-                    ok = False
-                    if a is not None and a < j:
-                        b = _first_at(p, k + 1, a + 1, npat)
-                        ok = b is not None and b < j
-                    if not ok:
-                        return CrookednessReport(
-                            ok=False, counterexample=(k, m, i + 1, j + 1))
-    return CrookednessReport(ok=True)
-
-
-def _first_at(p: Sequence[int], value: int, start: int, n: int) -> Optional[int]:
-    for idx in range(start, n):
-        if p[idx] == value:
-            return idx
+        positions[v].append(idx)
+    # nxt[v][s]: the first idx >= s with p[idx] == v, else npat
+    nxt: List[List[int]] = [[]]
+    for v in range(1, n_coarse + 1):
+        row = [npat] * (npat + 2)
+        start = 0
+        for idx in positions[v]:
+            row[start:idx + 1] = [idx] * (idx + 1 - start)
+            start = idx + 1
+        nxt.append(row)
+    for k in range(1, n_coarse - 2):
+        after_k = nxt[k + 1]
+        for m in range(k + 3, n_coarse + 1):
+            at_m, below_m = nxt[m], nxt[m - 1]
+            for i in positions[k]:
+                j = at_m[i + 1]
+                if j == npat:
+                    break  # no m after this or any later position of k
+                if j < after_k[below_m[i + 1] + 1]:
+                    return (k, m, i + 1, j + 1)
     return None
 
 
@@ -309,7 +338,8 @@ def generate_crooked_pattern(n_coarse: int) -> RefinementPattern:
 
     Recursive folding: a run from a to b first runs to b -/+ 1, doubles back
     to a +/- 1, then finishes; spans of at most three links are monotone.
-    Lengths grow 1, 2, 3, 6, 13, 30, ... and are minimal for n <= 4.
+    Lengths grow 1, 2, 3, 6, 13, 30, ...; for n <= 10 the pattern is the
+    one minimal spanning crooked pattern that the search finds.
     """
     if n_coarse < 1:
         raise DomainError("need n_coarse >= 1")
@@ -367,36 +397,97 @@ def minimal_spanning_crooked_length(n_coarse: int, max_len: int = 16
                                     ) -> Tuple[int, RefinementPattern]:
     """Exhaustive search for the shortest spanning crooked pattern.
 
-    Enumerates every adjacency-respecting sequence from 1 to n_coarse up to
+    Searches every adjacency-respecting sequence from 1 to n_coarse up to
     ``max_len`` entries and returns the first crooked spanning pattern of
-    minimal length.  Independent of the recursive generator.
+    minimal length, in the depth-first order of steps -1, 0, +1.
+    Independent of the recursive generator; the pattern returned is
+    certified by ``is_crooked``.
     """
-    for length in range(1, max_len + 1):
-        found = _search_patterns(n_coarse, length)
-        if found is not None:
-            return length, found
-    raise DomainError(f"no spanning crooked pattern of length <= {max_len}")
+    found = _search_patterns(n_coarse, max_len)
+    if found is None:
+        raise DomainError(
+            f"no spanning crooked pattern of length <= {max_len}")
+    pattern = RefinementPattern(assignment=found, n_coarse=n_coarse)
+    if not (pattern.spans and is_crooked(pattern).ok):
+        raise DomainError("internal: searched pattern is not crooked")
+    return len(found), pattern
 
 
-def _search_patterns(n_coarse: int, length: int) -> Optional[RefinementPattern]:
-    def rec(prefix: List[int]) -> Optional[RefinementPattern]:
-        if len(prefix) == length:
-            if prefix[-1] != n_coarse:
-                return None
-            pat = RefinementPattern(assignment=tuple(prefix),
-                                    n_coarse=n_coarse)
-            if pat.spans and is_crooked(pat).ok:
-                return pat
+# A walk's prefix, for the search, is its last value and one stage per
+# coarse pair (k, m) with |m - k| >= 3 of the run from the last k towards
+# m: 0 no k yet, 1 at k, 2 past the neighbour of m, 3 back at the
+# neighbour of k.  Prefixes with one summary have the same crooked
+# completions.
+
+_ZigzagState = Tuple[int, Tuple[int, ...]]
+
+
+def _zigzag_pairs(n_coarse: int) -> List[Tuple[int, int]]:
+    return [(k, m) for k in range(1, n_coarse + 1)
+            for m in range(1, n_coarse + 1) if abs(m - k) >= 3]
+
+
+def _zigzag_step(pairs: Sequence[Tuple[int, int]], state: _ZigzagState,
+                 x: int) -> Optional[_ZigzagState]:
+    """The summary after appending ``x``, or None when ``x`` closes a run
+    that missed the zigzag.  The empty walk is ``(0, (0,) * len(pairs))``.
+    """
+    stages = []
+    for (k, m), stage in zip(pairs, state[1]):
+        if x == m and stage in (1, 2):
             return None
-        last = prefix[-1]
-        for nxt in (last - 1, last, last + 1):
-            if 1 <= nxt <= n_coarse:
-                # prune: must still be able to reach n_coarse in time
-                remaining = length - len(prefix) - 1
-                if n_coarse - nxt <= remaining:
-                    got = rec(prefix + [nxt])
-                    if got is not None:
-                        return got
-        return None
+        toward = 1 if m > k else -1
+        if x == k:
+            stage = 1
+        elif stage == 1 and x == m - toward:
+            stage = 2
+        elif stage == 2 and x == k + toward:
+            stage = 3
+        stages.append(stage)
+    return (x, tuple(stages))
 
-    return rec([1])
+
+def _search_patterns(n_coarse: int, max_len: int
+                     ) -> Optional[Tuple[int, ...]]:
+    """First spanning crooked pattern of the least length <= ``max_len``,
+    depth first with steps -1, 0, +1 in that order, or None.
+
+    A prefix is cut as soon as its newest entry closes a run (up or down)
+    that misses the zigzag: the failure is decided by the prefix, so no
+    completion is crooked.  The search runs over prefix summaries: the
+    summaries reachable at each length, forwards until one ends at
+    n_coarse; backwards, the ones that still end there; then the first
+    step, in depth-first order, that stays among them.
+    """
+    pairs = _zigzag_pairs(n_coarse)
+    moves = {}
+
+    def children(state: _ZigzagState) -> List[Tuple[int, _ZigzagState]]:
+        if state not in moves:
+            here = state[0]
+            steps = [(x, _zigzag_step(pairs, state, x))
+                     for x in (here - 1, here, here + 1)
+                     if 1 <= x <= n_coarse]
+            moves[state] = [(x, nxt) for x, nxt in steps if nxt is not None]
+        return moves[state]
+
+    start = _zigzag_step(pairs, (0, (0,) * len(pairs)), 1)
+    layers = [{start}]
+    while len(layers) <= max_len:
+        if any(state[0] == n_coarse for state in layers[-1]):
+            break
+        layers.append({nxt for state in layers[-1]
+                       for _, nxt in children(state)})
+    else:
+        return None
+    alive = [{state for state in layers[-1] if state[0] == n_coarse}]
+    for layer in reversed(layers[:-1]):
+        alive.append({state for state in layer
+                      if any(nxt in alive[-1] for _, nxt in children(state))})
+    alive.reverse()
+    walk, state = [1], start
+    for depth in range(1, len(layers)):
+        x, state = next((x, nxt) for x, nxt in children(state)
+                        if nxt in alive[depth])
+        walk.append(x)
+    return tuple(walk)

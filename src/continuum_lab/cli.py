@@ -166,6 +166,8 @@ def _cmd_continuum_enumerate(args):
 
 
 def _cmd_continuum_orderarcs(args):
+    if args.limit < 0:
+        raise DomainError(f"--limit must be >= 0, got {args.limit}")
     g = _continuum_from_args(args)
     a = _vertex_set(args.frm) if args.frm else frozenset([0])
     b = _vertex_set(args.to) if args.to else frozenset(range(g.n))

@@ -52,6 +52,19 @@ def test_failing_check_exits_one_with_witness(capsys):
     assert rep["result"]["counterexample"] == [1, 4, 1, 4]
 
 
+@pytest.mark.parametrize("pattern, witness", [
+    ("4,3,2,1", [4, 1, 1, 4]),
+    # spanning, but with a straight descent 4 -> 3 -> 2 -> 1 at links 6..9
+    ("1,2,3,2,3,4,3,2,1,2,3,2,3,4", [4, 1, 6, 9]),
+])
+def test_downward_run_is_not_crooked(pattern, witness, capsys):
+    code, rep = run(["chains", "verify", "--pattern", pattern,
+                     "--no-timings"], capsys)
+    assert code == 1
+    assert rep["status"] == "fail" and rep["result"]["crooked"] is False
+    assert rep["result"]["counterexample"] == witness
+
+
 def test_domain_error_exits_two(capsys):
     code, rep = run(["whitney", "eval", "--model", "path", "--size", "5",
                      "--set", "0,2", "--no-timings"], capsys)
@@ -230,6 +243,9 @@ MALFORMED = {
     "psi-arc-field": lambda tmp: ["psi", "path", "--from", "0", "--to",
                                   "arc:1:b"],
     "n-zero": lambda tmp: ["chains", "verify", "--n", "0"],
+    "limit-negative": lambda tmp: ["continuum", "orderarcs", "--size", "4",
+                                   "--from", "1", "--to", "0,1,2",
+                                   "--limit", "-1"],
 }
 
 
