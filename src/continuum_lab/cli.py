@@ -9,6 +9,7 @@ argv and seed; timings are dropped with ``--no-timings``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -315,6 +316,10 @@ def _cmd_psi_curvature(args):
         violations.append(
             f"{rep.degenerate - rep.additive} degenerate triples "
             f"broke additivity")
+    if rep.triangle_breaks:
+        violations.append(
+            f"{rep.triangle_breaks} sampled triples broke the triangle "
+            f"inequality by more than {args.tol}")
     return result, violations, None
 
 
@@ -356,13 +361,15 @@ def _cmd_suite_all(args):
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """One subparser per verb, each with only the options its handler reads.
 
     ``--out`` and ``--no-timings`` are on every verb; ``--svg`` is on the
     verbs that draw a figure, ``--seed`` on those with a seeded choice and
     ``--tol`` on those that compare sizes.  A ``--tol`` of ``None`` means
-    the automatic level tolerance.
+    the automatic level tolerance.  The tree is built once per process, on
+    the first dispatch; every parse fills a fresh namespace.
     """
     p = argparse.ArgumentParser(prog="continuum-lab", description=__doc__)
     top = p.add_subparsers(dest="verb", required=True)

@@ -145,23 +145,25 @@ class PsiModel:
 
     def leq(self, a: HyperElement, b: HyperElement) -> bool:
         """Scalar containment test; :attr:`strict_order` is its batch form."""
-        if isinstance(a, Piece):
-            if isinstance(b, Piece):
-                return a.fiber == b.fiber and b.i <= a.i and a.j <= b.j
-            return a.fiber in self.fibers_of(b)
-        if isinstance(b, Piece):
-            return False
-        return self.fibers_of(a) <= self.fibers_of(b)
+        sa, la, loa, hia = self.shape(a)
+        sb, lb, lob, hib = self.shape(b)
+        return ((lb >= self.m or (sa - sb) % self.m + la <= lb)
+                and lob <= loa and hia <= hib)
 
-    @cached_property
-    def shapes(self) -> List[Tuple[int, int, int, int]]:
-        """(base start, base length, first link, last link) per element.
+    def shape(self, e: HyperElement) -> Tuple[int, int, int, int]:
+        """(base start, base length, first link, last link) of ``e``.
 
         Every element is a cyclic base interval of fibers with a link
         interval; an arc holds all links [1, k].
         """
-        return [(e.fiber, 1, e.i, e.j) if isinstance(e, Piece)
-                else (e.start, e.length, 1, self.k) for e in self.elements]
+        if isinstance(e, Piece):
+            return (e.fiber, 1, e.i, e.j)
+        return (e.start, e.length, 1, self.k)
+
+    @cached_property
+    def shapes(self) -> List[Tuple[int, int, int, int]]:
+        """:meth:`shape` per element, in element order."""
+        return [self.shape(e) for e in self.elements]
 
     @cached_property
     def strict_order(self) -> csr_matrix:
@@ -582,6 +584,7 @@ class CurvatureReport:
     degenerate: int
     additive: int
     worst_defect: float
+    triangle_breaks: int  # triples breaking the triangle inequality
 
     @property
     def all_additive(self) -> bool:
@@ -600,10 +603,12 @@ def curvature_check(pv: PsiValues, trials: int = 1000,
     taken.  On it the two shorter sides sum to the third within ``tol`` by
     definition, so ``additive`` equals ``degenerate`` and ``worst_defect``
     is the largest such gap.  Each side is one closed-form distance.
+    ``triangle_breaks`` counts the triples whose longest side exceeds the
+    sum of the other two by more than ``tol``; it is 0 for a metric.
     """
     if trials <= 0:
         return CurvatureReport(trials=trials, degenerate=0, additive=0,
-                               worst_defect=0.0)
+                               worst_defect=0.0, triangle_breaks=0)
     rng = np.random.default_rng(seed)
     space = pv.space
     n = len(space.v)
@@ -612,10 +617,12 @@ def curvature_check(pv: PsiValues, trials: int = 1000,
                       for x, y, z in (rng.choice(n, size=3, replace=False)
                                       .tolist() for _ in range(trials))])
     xy, xz, yz = sides.T
-    gap = np.min([np.abs(xy - xz - yz), np.abs(xz - xy - yz),
-                  np.abs(yz - xy - xz)], axis=0)
+    excess = np.array([xy - xz - yz, xz - xy - yz, yz - xy - xz])
+    gap = np.abs(excess).min(axis=0)
     flat = gap[gap <= tol]
     degenerate = int(flat.size)
     worst = float(flat.max()) if degenerate else 0.0
     return CurvatureReport(trials=trials, degenerate=degenerate,
-                           additive=degenerate, worst_defect=worst)
+                           additive=degenerate, worst_defect=worst,
+                           triangle_breaks=int((excess.max(axis=0) > tol)
+                                               .sum()))

@@ -19,7 +19,11 @@ width of the lanes the level-(n+1) routing needs, and each meet window is
 as wide as the slots and stubs the finer level puts into it, so all cell
 counts are fixed by the patterns alone; the physical cell size then
 follows from the requested endpoints.  Meshes, adjacency, closures, and
-containment are all verified on the grid after construction.
+containment are all verified on the grid after construction.  A closure is
+the 3x3 dilation of a level's cell mask, taken in numpy; the Hausdorff
+distance between consecutive levels reads scipy.ndimage's exact Euclidean
+distance transform, which is imported on the first tower with two or more
+levels and never by importing this module.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from .chains import (Chain, Link, Rect, RefinementPattern,
                      generate_crooked_pattern, is_crooked, rects_contain,
@@ -406,13 +409,23 @@ def _mask(rect_lists: Sequence[Sequence[Rect]], shape) -> np.ndarray:
 
 
 def _grid_hausdorff(a: np.ndarray, b: np.ndarray, cell: float) -> float:
+    # scipy.ndimage is imported here: only towers of 2 or more levels get here
+    from scipy import ndimage
     da = ndimage.distance_transform_edt(~a)
     db = ndimage.distance_transform_edt(~b)
     return float(max(da[b].max(initial=0.0), db[a].max(initial=0.0))) * cell
 
 
 def _closure_mask(m: np.ndarray) -> np.ndarray:
-    return ndimage.binary_dilation(m, structure=np.ones((3, 3), bool))
+    """The cells of ``m`` and their 8 neighbours: the OR of the nine
+    shifted windows of a zero-padded copy."""
+    rows, cols = m.shape
+    padded = np.pad(m, 1)
+    out = np.zeros_like(m)
+    for dr in range(3):
+        for dc in range(3):
+            out |= padded[dr:dr + rows, dc:dc + cols]
+    return out
 
 
 def build_tower(n_coarse_initial: int, levels: int,

@@ -1,9 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -345,27 +341,17 @@ def test_mesh_of_many_rects_is_the_farthest_corner_pair():
     assert chain.mesh() == far * 0.3
 
 
-def test_mesh_leaves_scipy_spatial_unloaded():
-    import continuum_lab
-    src = str(Path(list(continuum_lab.__path__)[0]).resolve().parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+def test_mesh_leaves_scipy_spatial_unloaded(loaded_modules):
     # the crookedness kernels too: chains loads neither numpy nor scipy
-    code = ("import sys\n"
-            "from continuum_lab.chains import (Chain, Link, Rect,\n"
+    code = ("from continuum_lab.chains import (Chain, Link, Rect,\n"
             "    generate_crooked_pattern, is_crooked,\n"
             "    minimal_spanning_crooked_length)\n"
             f"rects = {FIVE_RECTS!r}\n"
             "Chain(links=[Link(index=1, rects=rects)]).mesh()\n"
             "is_crooked(generate_crooked_pattern(6))\n"
-            "minimal_spanning_crooked_length(5)\n"
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('numpy', 'scipy')))\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+            "minimal_spanning_crooked_length(5)\n")
+    assert not {m for m in loaded_modules(code)
+                if m.split(".")[0] in ("numpy", "scipy")}
 
 
 def test_rect_validation():

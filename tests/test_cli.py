@@ -197,24 +197,17 @@ def test_non_finite_endpoint_exits_two(capsys):
         assert "endpoints must be finite" in rep["result"]["error"]
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
-    import os
-    import subprocess
-    import sys
-
-    import continuum_lab
-    src = str(Path(list(continuum_lab.__path__)[0]).resolve().parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ("import sys, continuum_lab.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] == ['scipy', 'spatial'] "
-            "or m.split('.')[:3] == ['scipy', 'sparse', 'csgraph']))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+def test_cli_import_leaves_scipy_spatial_unloaded(loaded_modules):
+    loaded = loaded_modules("import continuum_lab.cli")
+    assert not {m for m in loaded
+                if m.split(".")[:2] in (["scipy", "spatial"],
+                                        ["scipy", "ndimage"])
+                or m.split(".")[:3] == ["scipy", "sparse", "csgraph"]}
+    # the verbs that need no distance transform never load scipy.ndimage
+    for argv in (["whitney", "check"], ["chains", "tower", "--levels", "1"]):
+        code = ("from continuum_lab.cli import dispatch\n"
+                f"dispatch({argv + ['--no-timings']!r})\n")
+        assert "scipy.ndimage" not in loaded_modules(code)
 
 
 # -- malformed input: exit 2 with a JSON error, never a traceback ------------
@@ -359,3 +352,64 @@ def test_seed_changes_the_size_map(capsys):
     _, default = run(argv, capsys)
     _, seeded = run(argv + ["--seed", "3"], capsys)
     assert default["result"] != seeded["result"]
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def test_parser_is_built_once_and_survives_errors_and_help(capsys):
+    assert _build_parser() is _build_parser()
+    _, expected = run(["chains", "generate", "--n", "4", "--no-timings"],
+                      capsys)
+    for bad in (["chains", "generate", "--n", "x"], ["chains", "generate"],
+                ["chains", "generate", "--n", "4", "--help"]):
+        assert dispatch(bad) == (0 if "--help" in bad else 2)
+        capsys.readouterr()
+        assert run(["chains", "generate", "--n", "4", "--no-timings"],
+                   capsys) == (0, expected)
+
+
+def test_each_parse_gets_its_own_defaults(monkeypatch, capsys):
+    from continuum_lab import cli
+
+    seen = []
+
+    def spy(real):
+        def wrapped(*args, tol):
+            seen.append(tol)
+            return real(*args, tol=tol)
+        return wrapped
+
+    monkeypatch.setattr(cli, "whitney_level", spy(cli.whitney_level))
+    monkeypatch.setattr(cli, "check_whitney_axioms",
+                        spy(cli.check_whitney_axioms))
+    for verb in ("level", "check", "level", "check"):
+        extra = ["--t", "2"] if verb == "level" else []
+        assert dispatch(["whitney", verb, "--size", "5", "--no-timings",
+                         *extra]) == 0
+    capsys.readouterr()
+    assert seen == [None, DEFAULT_TOL, None, DEFAULT_TOL]
+
+
+def test_curvature_fails_on_a_broken_metric(monkeypatch, capsys):
+    from continuum_lab.psi import PsiPathspace
+
+    def larger_join(self, a, b):
+        # the larger of the two candidate base arcs: a wrong join, so some
+        # distances come out longer than a path around a third element
+        m, k, at, v, whole = self.m, self.k, self.at, self.v, self.whole
+        sa, la, loa, hia = self.shapes[a]
+        sb, lb, lob, hib = self.shapes[b]
+        if la == lb == 1 and sa == sb:
+            return at[sa, 1, min(loa, lob), max(hia, hib)]
+        x = at.get((sa, max(la, (sb - sa) % m + lb), 1, k), whole)
+        y = at.get((sb, max(lb, (sa - sb) % m + la), 1, k), whole)
+        return y if v[x] < v[y] or (v[x] == v[y] and x < y) else x
+
+    argv = ["psi", "curvature", "--no-timings"]
+    code, good = run(argv, capsys)
+    assert (code, good["violations"]) == (0, [])
+    monkeypatch.setattr(PsiPathspace, "join", larger_join)
+    code, bad = run(argv, capsys)
+    assert (code, bad["status"]) == (1, "fail")
+    assert any("triangle inequality" in v for v in bad["violations"])

@@ -135,21 +135,41 @@ def test_element_cap(monkeypatch):
 SMALL_MODELS = st.tuples(st.integers(3, 8), st.sampled_from([1, 2]))
 
 
+def reference_leq(model, a, b):
+    """Containment as sets: a piece lies in one fiber, an arc is the set of
+    fibers it covers (:meth:`PsiModel.fibers_of`)."""
+    if isinstance(a, Piece):
+        if isinstance(b, Piece):
+            return a.fiber == b.fiber and b.i <= a.i and a.j <= b.j
+        return a.fiber in model.fibers_of(b)
+    if isinstance(b, Piece):
+        return False
+    return model.fibers_of(a) <= model.fibers_of(b)
+
+
+@pytest.mark.parametrize("m, level", [(3, 1), (6, 2), (3, 3)])
+def test_leq_matches_reference_on_every_pair(m, level):
+    model = build_psi_model(m=m, fiber_level=level)
+    els = model.elements
+    assert [[model.leq(a, b) for b in els] for a in els] == \
+        [[reference_leq(model, a, b) for b in els] for a in els]
+
+
 def _leq_matrix(model):
-    """Strict order from the scalar reference ``PsiModel.leq``."""
-    return np.array([[a != b and model.leq(a, b) for b in model.elements]
-                     for a in model.elements])
+    """Strict order from the scalar set reference ``reference_leq``."""
+    return np.array([[a != b and reference_leq(model, a, b)
+                      for b in model.elements] for a in model.elements])
 
 
 def _reference_graph(pv):
-    """Comparability graph from a pair loop over ``PsiModel.leq``."""
+    """Comparability graph from a pair loop over ``reference_leq``."""
     model = pv.model
     nodes = model.elements
     rows, cols, data = [], [], []
     for i, a in enumerate(nodes):
         for j in range(i + 1, len(nodes)):
             b = nodes[j]
-            if model.leq(a, b) or model.leq(b, a):
+            if reference_leq(model, a, b) or reference_leq(model, b, a):
                 w = abs(pv.values[a] - pv.values[b])
                 rows += [i, j]
                 cols += [j, i]

@@ -6,11 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from continuum_lab.chains import (RefinementPattern, generate_crooked_pattern,
                                   is_crooked, repeat_pattern, verify_chain)
 from continuum_lab.errors import DomainError, ResourceError
-from continuum_lab.realize import (build_tower, chain_point_sets,
+from continuum_lab.realize import (_closure_mask, build_tower,
+                                   chain_point_sets,
                                    pattern_runs, realize_pattern,
                                    realize_planar, tower_to_json)
 from continuum_lab.svg import chains_svg, tower_svg
@@ -21,6 +25,25 @@ X, Y = (0.0, 0.0), (0.25, 0.0)
 @pytest.fixture(scope="module")
 def tower():
     return build_tower(4, 3, X, Y)
+
+
+MASKS = st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+    lambda shape: arrays(bool, shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(MASKS)
+@example(np.zeros((1, 1), bool))
+@example(np.ones((1, 1), bool))
+@example(np.array([[False, True, False, False, True]]))
+@example(np.zeros((4, 6), bool))
+@example(np.ones((4, 6), bool))
+@example(np.eye(5, dtype=bool)[::-1])
+def test_closure_mask_is_the_3x3_dilation(mask):
+    from scipy import ndimage
+    want = ndimage.binary_dilation(mask, structure=np.ones((3, 3), bool))
+    got = _closure_mask(mask)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_pattern_runs_decomposition():
