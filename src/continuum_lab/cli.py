@@ -41,8 +41,12 @@ def _continuum_from_args(args) -> "GraphContinuum":
     if kind in ("path", "cycle"):
         return build_continuum(kind, n=args.size)
     if kind == "star":
-        return build_continuum("star", legs=args.legs,
-                               leg_length=max(args.size // args.legs, 1))
+        # the center and k vertices per leg; the builder refuses legs < 3
+        k, rest = divmod(args.size - 1, max(args.legs, 1))
+        if k < 1 or rest:
+            raise DomainError(f"star size must be 1 + legs * k with k >= 1, "
+                              f"got {args.size} with {args.legs} legs")
+        return build_continuum("star", legs=args.legs, leg_length=k)
     if kind == "cantor_fan":
         return build_continuum("cantor_fan", depth=args.size)
     raise DomainError(f"unknown model {kind!r}")

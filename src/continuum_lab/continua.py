@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,7 +51,7 @@ class GraphContinuum:
         if not self.is_connected(frozenset(range(self.n))):
             raise DomainError("graph must be connected")
 
-    @property
+    @cached_property
     def adjacency(self) -> Dict[int, FrozenSet[int]]:
         adj: Dict[int, set] = {v: set() for v in range(self.n)}
         for u, v in self.edges:
@@ -59,19 +60,16 @@ class GraphContinuum:
         return {v: frozenset(nb) for v, nb in adj.items()}
 
     def is_connected(self, vertices: FrozenSet[int]) -> bool:
+        """Whether ``vertices`` spans a connected subgraph; an id that is no
+        vertex has no neighbors, so it is connected only on its own."""
         if not vertices:
             return False
-        adj: Dict[int, set] = {v: set() for v in vertices}
-        for u, v in self.edges:
-            if u in adj and v in adj:
-                adj[u].add(v)
-                adj[v].add(u)
         start = min(vertices)
         seen = {start}
         stack = [start]
         while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
+            for w in self.adjacency.get(stack.pop(), ()):
+                if w in vertices and w not in seen:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == len(vertices)

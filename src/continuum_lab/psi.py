@@ -32,7 +32,7 @@ kernel, :class:`PsiPathspace`, computes J and M for both metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
@@ -294,11 +294,9 @@ class PsiValues:
         return PsiPathspace(self)
 
     def distance(self, a: HyperElement, b: HyperElement) -> float:
-        """Join metric max(v(J) - v(a), v(J) - v(b)), J the join of a, b."""
-        i, j = self.model.index[a], self.model.index[b]
-        v = self.space.v
-        top = v[self.space.join(i, j)]
-        return max(top - v[i], top - v[j])
+        """Join metric of two elements (:meth:`PsiPathspace.join_distance`)."""
+        return self.space.join_distance(self.model.index[a],
+                                        self.model.index[b])
 
 
 def raw_values(model: PsiModel) -> PsiValues:
@@ -346,6 +344,10 @@ class LevelReport:
     components: List[List[HyperElement]]
     is_cycle: bool
     component_fibers: List[FrozenSet[int]]
+    # the elements' join distances, infinite on the diagonal; the nerve and
+    # component_cyclic_arrangement read it
+    distances: Optional[np.ndarray] = field(default=None, compare=False,
+                                            repr=False)
 
 
 def level_structure_report(pv: PsiValues, t: float,
@@ -357,124 +359,80 @@ def level_structure_report(pv: PsiValues, t: float,
     fiber contributes); the nerve radius is the smallest value making each
     fiber's shell connected.  At and above l the level is the per-rotation
     closest shell of base arcs and the nerve radius is the largest
-    second-nearest-neighbor distance, which closes the base cycle.
+    second-nearest-neighbor distance, which closes the base cycle.  Every
+    step reads one table of the shell pairs' join distances.
     """
     model = pv.model
     if t <= 0:
         raise DomainError("level parameter must be positive")
-    if t < pv.l - DEFAULT_TOL:
-        pieces = [e for e in model.elements if isinstance(e, Piece)]
-        errs = {e: abs(pv.values[e] - t) for e in pieces}
-        if tol is None:
-            tol = max(min(errs[e] for e in pieces if e.fiber == a)
-                      for a in range(model.m))
-        shells = [e for e in pieces if errs[e] <= tol + DEFAULT_TOL]
-        eps = _per_fiber_connect_radius(pv, shells)
+    below = t < pv.l - DEFAULT_TOL
+    cands = [i for i, e in enumerate(model.elements)
+             if isinstance(e, Piece) == below]
+    errs = [abs(pv.space.v[i] - t) for i in cands]
+    if tol is None:  # the largest best error of a fiber or rotation
+        best = [math.inf] * model.m
+        for i, err in zip(cands, errs):
+            start, length = model.shapes[i][:2]  # the whole: every rotation
+            for g in range(model.m) if length == model.m else [start]:
+                best[g] = min(best[g], err)
+        tol = max(best)
+    idx = [i for i, err in zip(cands, errs) if err <= tol + DEFAULT_TOL]
+    n = len(idx)
+    d = np.full((n, n), np.inf)
+    for r in range(n - 1):
+        d[r, r + 1:] = d[r + 1:, r] = [pv.space.join_distance(idx[r], j)
+                                       for j in idx[r + 1:]]
+    if below:
+        fiber = np.array([model.shapes[i][0] for i in idx], dtype=int)
+        eps = max([_bottleneck(d[np.ix_(fiber == a, fiber == a)])
+                   for a in np.unique(fiber)], default=0.0)
     else:
-        arcs = [e for e in model.elements if isinstance(e, Arc)]
-        errs = {e: abs(pv.values[e] - t) for e in arcs}
-        if tol is None:
-            tol = max(min(errs[e] for e in arcs
-                          if e.length == model.m or e.start == s)
-                      for s in range(model.m))
-        shells = [e for e in arcs if errs[e] <= tol + DEFAULT_TOL]
-        eps = _second_neighbor_radius(pv, shells)
-    return _nerve_report(pv, t, tol, eps, shells)
+        eps = float(np.sort(d)[:, 1].max()) if n >= 3 else 0.0
+    adj = d <= eps + DEFAULT_TOL
+    label = np.full(n, -1)  # the first member of each element's component
+    for s in range(n):
+        front = (np.arange(n) == s) & (label < 0)
+        while front.any():
+            label[front] = s
+            front = adj[front].any(axis=0) & (label < 0)
+    shells = [model.elements[i] for i in idx]
+    components = [[shells[r] for r in np.flatnonzero(label == s)]
+                  for s in np.unique(label)]
+    is_cycle = bool(len(components) == 1 and n >= 3
+                    and (adj.sum(axis=1) == 2).all())
+    comp_fibers = [frozenset().union(*(model.fibers_of(e) for e in g))
+                   for g in components]
+    return LevelReport(t=t, tol=tol, epsilon=eps, elements=shells,
+                       components=components, is_cycle=is_cycle,
+                       component_fibers=comp_fibers, distances=d)
 
 
-def _per_fiber_connect_radius(pv: PsiValues,
-                              shells: List[HyperElement]) -> float:
-    eps = 0.0
-    for a in range(pv.model.m):
-        sub = [e for e in shells if isinstance(e, Piece) and e.fiber == a]
-        if len(sub) > 1:
-            eps = max(eps, _mst_max_edge(pv, sub))
-    return eps
-
-
-def _second_neighbor_radius(pv: PsiValues,
-                            shells: List[HyperElement]) -> float:
-    if len(shells) < 3:
-        return 0.0
-    eps = 0.0
-    for e in shells:
-        ds = sorted(pv.distance(e, f) for f in shells if f != e)
-        eps = max(eps, ds[1] if len(ds) > 1 else ds[0])
-    return eps
-
-
-def _mst_max_edge(pv: PsiValues, nodes: List[HyperElement]) -> float:
-    n = len(nodes)
-    d = np.array([[pv.distance(a, b) for b in nodes] for a in nodes])
-    in_tree = [0]
-    best = d[0].copy()
-    worst = 0.0
-    while len(in_tree) < n:
-        best[in_tree] = np.inf
+def _bottleneck(d: np.ndarray) -> float:
+    """Largest edge of a minimum spanning tree (Prim) of distance table d."""
+    best, worst, done = d[0].copy(), 0.0, np.arange(len(d)) == 0
+    for _ in range(len(d) - 1):
+        best[done] = np.inf
         nxt = int(np.argmin(best))
         worst = max(worst, float(best[nxt]))
-        in_tree.append(nxt)
+        done[nxt] = True
         best = np.minimum(best, d[nxt])
     return worst
 
 
-def _nerve_report(pv: PsiValues, t, tol, eps, shells) -> LevelReport:
-    n = len(shells)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    degree = [0] * n
-    edge_count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pv.distance(shells[i], shells[j]) <= eps + DEFAULT_TOL:
-                degree[i] += 1
-                degree[j] += 1
-                edge_count += 1
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: Dict[int, List[HyperElement]] = {}
-    for i, e in enumerate(shells):
-        groups.setdefault(find(i), []).append(e)
-    components = sorted(groups.values(),
-                        key=lambda g: min(pv.model.index[e] for e in g))
-    is_cycle = (len(components) == 1 and n >= 3 and
-                all(deg == 2 for deg in degree) and edge_count == n)
-    comp_fibers = [frozenset().union(*(pv.model.fibers_of(e) for e in g))
-                   for g in components]
-    return LevelReport(t=t, tol=tol, epsilon=eps, elements=shells,
-                       components=components, is_cycle=is_cycle,
-                       component_fibers=comp_fibers)
-
-
 def component_cyclic_arrangement(pv: PsiValues, report: LevelReport) -> bool:
-    """Each component's two nearest other components are its base neighbors."""
+    """Each component's two nearest other components (by the least entry of
+    the report's distance table between them) are its base neighbors."""
     m = pv.model.m
-    comps = report.components
-    if len(comps) != m:
+    fiber_of = [min(f) for f in report.component_fibers if len(f) == 1]
+    if len(fiber_of) != m or len(report.components) != m:
         return False
-    fiber_of = {}
-    for idx, fibers in enumerate(report.component_fibers):
-        if len(fibers) != 1:
-            return False
-        fiber_of[idx] = next(iter(fibers))
+    row = {e: r for r, e in enumerate(report.elements)}
+    rows = [[row[e] for e in comp] for comp in report.components]
     for i in range(m):
-        dists = []
-        for j in range(m):
-            if i == j:
-                continue
-            d = min(pv.distance(a, b) for a in comps[i] for b in comps[j])
-            dists.append((d, fiber_of[j]))
-        dists.sort()
-        near = {f for _, f in dists[:2]}
-        want = {(fiber_of[i] + 1) % m, (fiber_of[i] - 1) % m}
-        if near != want:
+        near = sorted((report.distances[np.ix_(rows[i], rows[j])].min(),
+                       fiber_of[j]) for j in range(m) if j != i)
+        if ({f for _, f in near[:2]}
+                != {(fiber_of[i] + 1) % m, (fiber_of[i] - 1) % m}):
             return False
     return True
 
@@ -520,6 +478,12 @@ class PsiPathspace:
         x = at.get((sa, max(la, (sb - sa) % m + lb), 1, k), whole)
         y = at.get((sb, max(lb, (sa - sb) % m + la), 1, k), whole)
         return x if v[x] < v[y] or (v[x] == v[y] and x < y) else y
+
+    def join_distance(self, a: int, b: int) -> float:
+        """Join metric max(v(J) - v(a), v(J) - v(b)), J the join of a, b."""
+        v = self.v
+        top = v[self.join(a, b)]
+        return max(top - v[a], top - v[b])
 
     def meet(self, a: int, b: int) -> int:
         """Greatest common lower bound, or -1 when a and b are disjoint.

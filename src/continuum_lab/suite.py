@@ -28,7 +28,7 @@ from .psi import (Arc, Piece, build_psi_model,
                   level_structure_report, normalize_to_psi0, planck_report)
 from .realize import build_tower
 from .whitney import (build_whitney_map, check_whitney_axioms,
-                      whitney_distance, whitney_distance_matrix)
+                      whitney_distance_matrix)
 
 TOL = DEFAULT_TOL
 
@@ -123,18 +123,18 @@ def check_size_metric() -> CheckResult:
         triangle_ok = tri >= -TOL
         d["triples"] = k * (k - 1) * (k - 2) // 6
         d["worst_triangle_defect"] = max(-tri, 0.0)
-        point_ok = all(
-            abs(whitney_distance(mu, a, frozenset([x])) - mu(a)) <= TOL
-            for a in subs for x in a)
+        at = {s: i for i, s in enumerate(subs)}  # rows of dist
+        point_ok = all(abs(dist[at[a], at[frozenset([x])]] - mu(a)) <= TOL
+                       for a in subs for x in a)
         iso_ok = True
         for x in range(g.n):
             for arc in order_arcs_between(g, frozenset([x]),
                                           frozenset(range(g.n))):
-                for i in range(len(arc)):
-                    for j in range(i + 1, len(arc)):
-                        lhs = whitney_distance(mu, arc[i], arc[j])
-                        if lhs != mu(arc[j]) - mu(arc[i]):
-                            iso_ok = False
+                rows = np.array([at[s] for s in arc])
+                size = np.array([mu(s) for s in arc])
+                i, j = np.triu_indices(len(arc), k=1)
+                same = dist[rows[i], rows[j]] == size[j] - size[i]
+                iso_ok &= bool(same.all())
         d["positivity"] = bool(pos)
         d["point_distance_ok"] = point_ok
         d["order_arc_isometry_ok"] = iso_ok

@@ -22,7 +22,7 @@ import numpy as np
 
 from .continua import GraphContinuum, enumerate_subcontinua
 from .errors import DomainError
-from .metric_core import DEFAULT_TOL, FinitePointSet
+from .metric_core import DEFAULT_TOL, FinitePointSet, _pair_distances
 
 MuLike = Callable[[FrozenSet[int]], float]
 
@@ -49,7 +49,8 @@ class WhitneyMap:
 
     def __init__(self, ambient, ordering_seed: Optional[int] = None):
         if isinstance(ambient, GraphContinuum):
-            dist = _vertex_distances(ambient)
+            pts = np.array(ambient.pos, dtype=float)
+            dist = _pair_distances(pts, pts)
             order = _bfs_order(ambient)
         elif isinstance(ambient, FinitePointSet):
             dist = ambient.distances_to(ambient)
@@ -83,12 +84,6 @@ class WhitneyMap:
         val = math.fsum((self.weights * span).tolist())
         self._cache[a] = val
         return val
-
-
-def _vertex_distances(g: GraphContinuum) -> np.ndarray:
-    """Euclidean distances between the embedded vertices of ``g``."""
-    pts = np.array(g.pos, dtype=float)
-    return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
 
 
 def _bfs_order(g: GraphContinuum) -> List[int]:
@@ -306,7 +301,8 @@ def hyperspace_distance_matrices(g: GraphContinuum, mu: MuLike,
                                  ) -> Tuple[np.ndarray, np.ndarray]:
     """(d_H, d_mu) matrices over the family, using the planar embedding."""
     members = [sorted(s) for s in family]
-    d = _vertex_distances(g)
+    pts = np.array(g.pos, dtype=float)
+    d = _pair_distances(pts, pts)
     near = np.empty((len(d), len(members)))  # near[x, j] = d(x, F_j)
     for j, m in enumerate(members):
         near[:, j] = d[:, m].min(axis=1)

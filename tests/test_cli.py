@@ -165,6 +165,19 @@ def test_whitney_check_matches_golden_output(capsys):
         assert capsys.readouterr().out == case["stdout"], case["argv"]
 
 
+PSI_LEVELS_GOLDEN = Path(__file__).parent / "golden" / "psi_levels.json"
+
+
+def test_psi_levels_match_golden_output(capsys):
+    # 84 `psi levels` runs recorded from the four-loop level section: m 3, 6
+    # and 12 at levels 1 and 2 plus (6, 3), t at 0.2 .. 0.999 l and the
+    # default l, automatic tolerance and 0.001
+    for case in json.loads(PSI_LEVELS_GOLDEN.read_text()):
+        code = dispatch(case["argv"])
+        assert code == case["exit"], case["argv"]
+        assert capsys.readouterr().out == case["stdout"], case["argv"]
+
+
 def test_plot_chain_pattern_spans_its_own_maximum(capsys):
     code, rep = run(["plot", "chain", "--pattern", "1,2,3", "--no-timings"],
                     capsys)
@@ -240,6 +253,44 @@ MALFORMED = {
                                    "--from", "1", "--to", "0,1,2",
                                    "--limit", "-1"],
 }
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 12])
+def test_star_size_off_the_rule_exits_two(size, capsys):
+    # 3 legs take sizes 1 + 3k with k >= 1; any other size is refused
+    code, rep = run(["continuum", "build", "--model", "star", "--size",
+                     str(size), "--no-timings"], capsys)
+    assert code == 2 and rep["status"] == "error"
+    assert "1 + legs * k" in rep["result"]["error"]
+
+
+@pytest.mark.parametrize("size, legs", [(4, 3), (7, 3), (10, 3), (9, 4)])
+def test_star_size_is_the_vertex_count(size, legs, capsys):
+    code, rep = run(["continuum", "build", "--model", "star", "--size",
+                     str(size), "--legs", str(legs), "--no-timings"], capsys)
+    assert code == 0
+    assert rep["result"]["n"] == size
+    assert rep["result"]["kind"] == f"star-{legs}x{(size - 1) // legs}"
+
+
+def test_star_with_too_few_legs_exits_two(capsys):
+    # --legs 0 once divided by zero
+    for legs, size in (("0", "10"), ("2", "5"), ("-3", "10")):
+        code, rep = run(["continuum", "build", "--model", "star", "--legs",
+                         legs, "--size", size, "--no-timings"], capsys)
+        assert code == 2 and "legs >= 3" in rep["result"]["error"]
+
+
+def test_whitney_eval_of_ids_outside_the_graph(capsys):
+    code, rep = run(["whitney", "eval", "--set", "99", "--no-timings"],
+                    capsys)
+    assert code == 2
+    assert rep["result"]["error"] == \
+        "set contains vertices outside the ambient"
+    code, rep = run(["whitney", "eval", "--set", "5,99", "--no-timings"],
+                    capsys)
+    assert code == 2
+    assert rep["result"]["error"] == "the set is not a subcontinuum"
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

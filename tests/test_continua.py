@@ -66,6 +66,20 @@ def test_star_reads_leg_length_and_rejects_unknown_parameters():
         build_continuum("disk", n=4)
 
 
+def test_adjacency_is_built_once_and_read_by_connectivity():
+    g = build_continuum("star", legs=3, leg_length=2)
+    assert g.adjacency is g.adjacency
+    assert g.adjacency[0] == frozenset({1, 3, 5})
+    assert g == build_continuum("star", legs=3, leg_length=2)
+    assert g.is_connected(frozenset({0, 1, 2}))
+    assert not g.is_connected(frozenset({1, 3}))
+    assert g.neighbors_of_set(frozenset({0, 1})) == frozenset({2, 3, 5})
+    # an id that is no vertex has no neighbors
+    assert g.is_connected(frozenset({99}))
+    assert not g.is_connected(frozenset({5, 99}))
+    assert not g.is_connected(frozenset())
+
+
 def test_star_contains_triod_witness():
     g = build_continuum("star", legs=3, leg_length=2)
     w = detect_triod(g)

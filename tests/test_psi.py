@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from continuum_lab.errors import DomainError, ResourceError
-from continuum_lab.psi import (Arc, Piece, PsiPathspace, build_psi_model,
+from continuum_lab.metric_core import DEFAULT_TOL
+from continuum_lab.psi import (Arc, LevelReport, Piece, PsiPathspace,
+                               build_psi_model,
                                closed_form_element_count,
                                component_cyclic_arrangement, curvature_check,
                                distinct_element_count, level_structure_report,
@@ -295,6 +298,188 @@ def test_level_structure_on_the_ladder(m, level):
     assert set(at.elements) == fibers and at.is_cycle
     above = level_structure_report(pv, pv.values[Arc(start=0, length=2)])
     assert len(above.components) == 1 and above.is_cycle
+
+
+# The level section as it stood before the one-table rewrite: four pair loops
+# over pv.distance, kept as the reference for the differential tests.
+
+
+def reference_level_report(pv, t, tol=None):
+    model = pv.model
+    if t <= 0:
+        raise DomainError("level parameter must be positive")
+    if t < pv.l - DEFAULT_TOL:
+        pieces = [e for e in model.elements if isinstance(e, Piece)]
+        errs = {e: abs(pv.values[e] - t) for e in pieces}
+        if tol is None:
+            tol = max(min(errs[e] for e in pieces if e.fiber == a)
+                      for a in range(model.m))
+        shells = [e for e in pieces if errs[e] <= tol + DEFAULT_TOL]
+        eps = 0.0
+        for a in range(model.m):
+            sub = [e for e in shells if e.fiber == a]
+            if len(sub) > 1:
+                eps = max(eps, _reference_mst_max_edge(pv, sub))
+    else:
+        arcs = [e for e in model.elements if isinstance(e, Arc)]
+        errs = {e: abs(pv.values[e] - t) for e in arcs}
+        if tol is None:
+            tol = max(min(errs[e] for e in arcs
+                          if e.length == model.m or e.start == s)
+                      for s in range(model.m))
+        shells = [e for e in arcs if errs[e] <= tol + DEFAULT_TOL]
+        eps = 0.0
+        if len(shells) >= 3:
+            for e in shells:
+                ds = sorted(pv.distance(e, f) for f in shells if f != e)
+                eps = max(eps, ds[1])
+    return _reference_nerve_report(pv, t, tol, eps, shells)
+
+
+def _reference_mst_max_edge(pv, nodes):
+    n = len(nodes)
+    d = np.array([[pv.distance(a, b) for b in nodes] for a in nodes])
+    in_tree = [0]
+    best = d[0].copy()
+    worst = 0.0
+    while len(in_tree) < n:
+        best[in_tree] = np.inf
+        nxt = int(np.argmin(best))
+        worst = max(worst, float(best[nxt]))
+        in_tree.append(nxt)
+        best = np.minimum(best, d[nxt])
+    return worst
+
+
+def _reference_nerve_report(pv, t, tol, eps, shells):
+    n = len(shells)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    degree = [0] * n
+    edge_count = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if pv.distance(shells[i], shells[j]) <= eps + DEFAULT_TOL:
+                degree[i] += 1
+                degree[j] += 1
+                edge_count += 1
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i, e in enumerate(shells):
+        groups.setdefault(find(i), []).append(e)
+    components = sorted(groups.values(),
+                        key=lambda g: min(pv.model.index[e] for e in g))
+    is_cycle = (len(components) == 1 and n >= 3 and
+                all(deg == 2 for deg in degree) and edge_count == n)
+    comp_fibers = [frozenset().union(*(pv.model.fibers_of(e) for e in g))
+                   for g in components]
+    return LevelReport(t=t, tol=tol, epsilon=eps, elements=shells,
+                       components=components, is_cycle=is_cycle,
+                       component_fibers=comp_fibers)
+
+
+def reference_cyclic_arrangement(pv, report):
+    m = pv.model.m
+    comps = report.components
+    if len(comps) != m:
+        return False
+    fiber_of = {}
+    for idx, fibers in enumerate(report.component_fibers):
+        if len(fibers) != 1:
+            return False
+        fiber_of[idx] = next(iter(fibers))
+    for i in range(m):
+        dists = []
+        for j in range(m):
+            if i == j:
+                continue
+            d = min(pv.distance(a, b) for a in comps[i] for b in comps[j])
+            dists.append((d, fiber_of[j]))
+        dists.sort()
+        near = {f for _, f in dists[:2]}
+        want = {(fiber_of[i] + 1) % m, (fiber_of[i] - 1) % m}
+        if near != want:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _values(m, level, normalized=True):
+    model = build_psi_model(m=m, fiber_level=level)
+    return normalize_to_psi0(model) if normalized else raw_values(model)
+
+
+@st.composite
+def level_queries(draw):
+    """(pv, t, tol): raw or normalized sizes, t in (0, 1.2 l] or an arc
+    size, tol automatic or drawn."""
+    pv = _values(draw(st.integers(3, 8)), draw(st.sampled_from([1, 2])),
+                 draw(st.booleans()))
+    arc_sizes = sorted({pv.values[e] for e in pv.model.elements
+                        if isinstance(e, Arc)})
+    t = draw(st.one_of(
+        st.floats(0.0, 1.2 * pv.l, exclude_min=True),
+        st.sampled_from(arc_sizes)))
+    tol = draw(st.one_of(st.none(), st.floats(0.0, 0.02)))
+    return pv, t, tol
+
+
+@settings(max_examples=120, deadline=None)
+@given(level_queries())
+def test_level_report_matches_reference(query):
+    pv, t, tol = query
+    got = level_structure_report(pv, t, tol=tol)
+    want = reference_level_report(pv, t, tol=tol)
+    for name in ("t", "tol", "epsilon", "elements", "components",
+                 "is_cycle", "component_fibers"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert component_cyclic_arrangement(pv, got) == \
+        reference_cyclic_arrangement(pv, want)
+
+
+@pytest.mark.parametrize("m, level, normalized",
+                         [(3, 1, True), (6, 2, True), (12, 2, True),
+                          (6, 3, True), (6, 2, False), (8, 1, False)])
+def test_level_report_matches_reference_on_fixed_levels(m, level,
+                                                        normalized):
+    pv = _values(m, level, normalized)
+    ts = [f * pv.l for f in (0.05, 0.3, 0.5, 0.75, 0.999)]
+    ts += sorted({pv.values[e] for e in pv.model.elements
+                  if isinstance(e, Arc)})
+    for t in ts:
+        for tol in (None, 0.001):
+            got = level_structure_report(pv, t, tol=tol)
+            want = reference_level_report(pv, t, tol=tol)
+            assert got == want, (t, tol)
+            assert component_cyclic_arrangement(pv, got) == \
+                reference_cyclic_arrangement(pv, want), (t, tol)
+
+
+@pytest.mark.parametrize("frac", [0.4, 1.0, 1.5])
+def test_level_report_evaluates_each_shell_pair_once(frac, monkeypatch):
+    pv = normalize_to_psi0(build_psi_model())
+    calls = []
+    join = PsiPathspace.join
+
+    def counted(self, a, b):
+        calls.append(frozenset((a, b)))
+        return join(self, a, b)
+
+    monkeypatch.setattr(PsiPathspace, "join", counted)
+    rep = level_structure_report(pv, frac * pv.l)
+    n = len(rep.elements)
+    assert n >= 6
+    assert len(calls) == len(set(calls)) == n * (n - 1) // 2
+    component_cyclic_arrangement(pv, rep)
+    assert len(calls) == n * (n - 1) // 2
 
 
 # -- paths and curvature ----------------------------------------------------

@@ -14,6 +14,27 @@ from continuum_lab.whitney import (build_whitney_map, check_whitney_axioms,
                                    whitney_distance, whitney_level)
 
 
+def reference_vertex_distances(g):
+    """Embedded vertex distances by the broadcast formula whitney once had."""
+    pts = np.array(g.pos, dtype=float)
+    return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("path", {"n": 16}), ("cycle", {"n": 13}),
+    ("star", {"legs": 5, "leg_length": 3}), ("cantor_fan", {"depth": 2})])
+def test_size_table_uses_the_planar_distance_kernel(kind, params):
+    g = build_continuum(kind, **params)
+    mu = build_whitney_map(g)
+    d = reference_vertex_distances(g)
+    assert np.array_equal(mu.F, 1.0 / (1.0 + d[mu.order, :]))
+    fam = enumerate_subcontinua(g)[:40]
+    d_h = hyperspace_distance_matrices(g, mu, fam)[0]
+    near = np.array([[d[sorted(a)][:, sorted(b)].min(axis=1).max()
+                      for b in fam] for a in fam])
+    assert np.array_equal(d_h, np.maximum(near, near.T))
+
+
 def reference_axioms(mu, family, tol):
     """The Whitney axiom checks as plain nested loops over the family."""
     fam = [frozenset(s) for s in family]
