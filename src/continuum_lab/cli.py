@@ -195,8 +195,10 @@ def _cmd_continuum_triod(args):
 def _cmd_whitney_build(args):
     g = _continuum_from_args(args)
     mu = build_whitney_map(g, ordering_seed=args.seed)
-    subs = sorted(enumerate_subcontinua(g), key=lambda s: (len(s), sorted(s)))
-    return {"values": [{"set": sorted(s), "mu": mu(s)} for s in subs]}, [], None
+    subs = enumerate_subcontinua(g)
+    sizes = mu.sizes(subs).tolist()
+    return {"values": [{"set": sorted(s), "mu": v}
+                       for s, v in zip(subs, sizes)]}, [], None
 
 
 def _cmd_whitney_eval(args):

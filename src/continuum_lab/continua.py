@@ -24,6 +24,8 @@ from .errors import DomainError, ResourceError
 MAX_ELEMENTS_ENV = "CONTINUUM_LAB_MAX_ELEMENTS"
 DEFAULT_MAX_ELEMENTS = 200_000
 MAX_ORDER_ARCS = 1_000_000
+# detect_triod compares this many candidate sets F_j with the family at once.
+TRIOD_BLOCK_ROWS = 64
 
 
 def _max_elements() -> int:
@@ -215,7 +217,8 @@ def order_arcs_between(g: GraphContinuum, a: FrozenSet[int],
     subcontinua between the endpoints.  More than ``MAX_ORDER_ARCS`` arcs
     raise :class:`ResourceError`.
     """
-    if not (g.is_connected(a) and g.is_connected(b)):
+    if (not (g.is_connected(a) and g.is_connected(b))
+            or min(a | b) < 0 or max(a | b) >= g.n):
         raise DomainError("endpoints must be subcontinua")
     if not a <= b:
         raise DomainError("need a contained in b")
@@ -263,23 +266,46 @@ def detect_triod(g: GraphContinuum,
 
     Returns a witness (A, B, C, K) with K = A&B = B&C = A&C a subcontinuum
     proper and non-empty in each of A, B, C; or None when no triple exists.
+    The witness is the first in the order of the family's index triples
+    i < j < l.
+
+    The search counts on the 0/1 incidence table of the family.  For each
+    i the candidate j come from the row |F_i & F_l|: the core K = F_i & F_j
+    must be non-empty and proper in both.  For a block of candidate j, one
+    integer product gives X[j, l] = |K & F_l| + (V + 1) |(F_j - F_i) & F_l|
+    with V the vertex count, so X[j, l] = |K| exactly when K <= F_l and
+    F_j & F_l <= F_i, that is when F_j & F_l = K.  With |F_i & F_l| = |K|
+    too, and |F_l| > |K|, the sets form a triod if K is connected, which is
+    checked only for these candidates.
     """
     if family is None:
         family = enumerate_subcontinua(g)
     fam = list(family)
-    # group candidates by their pairwise-intersection core
     n = len(fam)
-    for i in range(n):
-        for j in range(i + 1, n):
-            core = fam[i] & fam[j]
-            if not core or core == fam[i] or core == fam[j]:
-                continue
-            if not g.is_connected(frozenset(core)):
-                continue
-            for l in range(j + 1, n):
-                c = fam[l]
-                if core < c and (fam[i] & c) == core and (fam[j] & c) == core:
-                    return Triod(a=fam[i], b=fam[j], c=c, core=frozenset(core))
+    verts = {v: c for c, v in enumerate(sorted(set().union(*fam)))}
+    inc = np.zeros((n, len(verts)), dtype=np.int64)
+    inc[np.repeat(np.arange(n), [len(s) for s in fam]),
+        [verts[v] for s in fam for v in s]] = 1
+    card = inc.sum(axis=1)
+    far = len(verts) + 1
+    for i in range(n - 2):
+        meet = inc @ inc[i]  # |F_i & F_l|
+        cand = np.flatnonzero((meet > 0) & (meet < card[i]) & (meet < card))
+        cand = cand[cand > i]
+        weight = np.where(inc[i] > 0, 1, far)
+        for lo in range(0, len(cand), TRIOD_BLOCK_ROWS):
+            js = cand[lo:lo + TRIOD_BLOCK_ROWS]
+            first = js[0] + 1  # columns l > min(js)
+            k = meet[js][:, None]
+            x = (inc[js] * weight) @ inc[first:].T
+            hit = ((x == k) & (meet[first:] == k) & (card[first:] > k)
+                   & (np.arange(first, n) > js[:, None]))
+            for b in np.flatnonzero(hit.any(axis=1)).tolist():
+                core = fam[i] & fam[js[b]]
+                if g.is_connected(frozenset(core)):
+                    l = first + int(np.flatnonzero(hit[b])[0])
+                    return Triod(a=fam[i], b=fam[js[b]], c=fam[l],
+                                 core=frozenset(core))
     return None
 
 

@@ -96,8 +96,9 @@ class PsiModel:
         self.elements = elements
         self.index = {e: i for i, e in enumerate(elements)}
         self._vsets: Dict[HyperElement, FrozenSet[int]] = {}
-        self.mu: Dict[HyperElement, float] = {
-            e: mu_base(self.vertices(e)) for e in elements}
+        sizes = mu_base.sizes([self.vertices(e) for e in elements])
+        self.mu: Dict[HyperElement, float] = dict(zip(elements,
+                                                      sizes.tolist()))
         fibers = [Arc(start=a, length=1) for a in range(m)]
         self.l = min(self.mu[f] for f in fibers)
         self.L = max(self.mu[f] for f in fibers)
@@ -316,8 +317,8 @@ def normalize_to_psi0(model: PsiModel) -> PsiValues:
     base = build_continuum("cycle", n=model.m)
     w = build_whitney_map(base)
     m = model.m
-    arc_size = {length: float(np.mean(
-        [w(frozenset((s + o) % m for o in range(length))) for s in range(m)]))
+    arc_size = {length: float(np.mean(w.sizes(
+        [frozenset((s + o) % m for o in range(length)) for s in range(m)])))
         for length in range(2, m + 1)}
     values: Dict[HyperElement, float] = {}
     for e in model.elements:

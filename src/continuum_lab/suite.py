@@ -131,7 +131,7 @@ def check_size_metric() -> CheckResult:
             for arc in order_arcs_between(g, frozenset([x]),
                                           frozenset(range(g.n))):
                 rows = np.array([at[s] for s in arc])
-                size = np.array([mu(s) for s in arc])
+                size = mu.sizes(arc)
                 i, j = np.triu_indices(len(arc), k=1)
                 same = dist[rows[i], rows[j]] == size[j] - size[i]
                 iso_ok &= bool(same.all())

@@ -9,13 +9,16 @@ d_mu(A, B) = max(mu(A | B) - mu(A), mu(A | B) - mu(B)), axiom checkers for
 the monotone/subadditive characterisation of Whitney maps, level sets, and
 equal-level refinements of decompositions.  The axiom checks and the
 distance matrices read from one union-size table U[i, j] = mu(F_i | F_j)
-per family.
+per family.  Family-level callers take their sizes from one batch kernel,
+:meth:`WhitneyMap.sizes`, through :func:`_sizes`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +32,13 @@ MuLike = Callable[[FrozenSet[int]], float]
 # The difference-monotonicity check compares this many nested pairs at a
 # time, so its working memory stays at DIFF_BLOCK_ROWS x len(family) floats.
 DIFF_BLOCK_ROWS = 64
+# WhitneyMap.sizes gathers the F columns of sets of one cardinality in blocks
+# of at most this many floats (sets x members x enumeration points), or of
+# one set when its own columns hold more.
+SIZE_BLOCK_FLOATS = 1 << 16
+# The union-size table and the subadditivity meets pass at most this many
+# sets to one sizes call.
+PAIR_BLOCK_SETS = 1024
 
 
 class WhitneyMap:
@@ -71,19 +81,51 @@ class WhitneyMap:
 
     def __call__(self, a: FrozenSet[int]) -> float:
         a = frozenset(a)
-        if not a:
-            raise DomainError("mu is defined on non-empty sets")
         got = self._cache.get(a)
         if got is not None:
             return got
-        idx = np.fromiter(a, dtype=int)
-        if idx.min() < 0 or idx.max() >= self.n_points:
-            raise DomainError("set contains vertices outside the ambient")
-        cols = self.F[:, idx]
-        span = cols.max(axis=1) - cols.min(axis=1)
-        val = math.fsum((self.weights * span).tolist())
-        self._cache[a] = val
-        return val
+        self._fill([a])
+        return self._cache[a]
+
+    def sizes(self, sets: Sequence[FrozenSet[int]]) -> np.ndarray:
+        """mu of each set, read from the memo or computed in one batch.
+
+        Each distinct set the memo lacks is computed once and memoised;
+        values already in the memo are returned as they are.
+        """
+        sets = list(map(frozenset, sets))
+        vals = list(map(self._cache.get, sets))
+        if None in vals:
+            self._fill({s for s, v in zip(sets, vals) if v is None})
+            vals = list(map(self._cache.get, sets))
+        return np.array(vals, dtype=float)
+
+    def _fill(self, misses) -> None:
+        """Memoise mu of the given distinct sets, grouped by cardinality.
+
+        The spans of a group come from one gather of F's columns, in blocks
+        of at most SIZE_BLOCK_FLOATS floats, and each set's size is the
+        ``math.fsum`` of its float64 terms ``weights * span``.
+        """
+        by_card: Dict[int, List[FrozenSet[int]]] = {}
+        for s in misses:
+            if not s:
+                raise DomainError("mu is defined on non-empty sets")
+            by_card.setdefault(len(s), []).append(s)
+        ft = self.F.T  # ft[i, k] = f_{x_k}(p_i)
+        for card, group in by_card.items():
+            idx = np.fromiter(chain.from_iterable(group), dtype=int,
+                              count=card * len(group)).reshape(-1, card)
+            if idx.min() < 0 or idx.max() >= self.n_points:
+                raise DomainError("set contains vertices outside the ambient")
+            rows = max(1, SIZE_BLOCK_FLOATS // (card * self.n_points))
+            for lo in range(0, len(group), rows):
+                cols = ft[idx[lo:lo + rows]]  # sets x members x enumeration
+                terms = cols.max(axis=1)
+                terms -= cols.min(axis=1)  # the spans
+                terms *= self.weights
+                self._cache.update(zip(group[lo:lo + rows], map(
+                    math.fsum, map(np.ndarray.tolist, terms))))
 
 
 def _bfs_order(g: GraphContinuum) -> List[int]:
@@ -118,11 +160,33 @@ def whitney_distance(mu: MuLike, a: FrozenSet[int],
     return max(mu_u - mu(a), mu_u - mu(b))
 
 
+def _sizes(mu: MuLike, sets: Sequence[FrozenSet[int]]) -> np.ndarray:
+    """mu of each set: one batch for a WhitneyMap, one call per set for a
+    plain size function."""
+    if isinstance(mu, WhitneyMap):
+        return mu.sizes(sets)
+    return np.array([mu(s) for s in sets], dtype=float)
+
+
+def _pair_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]], ii: np.ndarray,
+                jj: np.ndarray, op: Callable) -> np.ndarray:
+    """mu(op(F_i, F_j)) for each index pair, PAIR_BLOCK_SETS sets at a time."""
+    out = np.empty(len(ii))
+    for lo in range(0, len(ii), PAIR_BLOCK_SETS):
+        hi = lo + PAIR_BLOCK_SETS
+        out[lo:hi] = _sizes(mu, [op(fam[i], fam[j]) for i, j in
+                                 zip(ii[lo:hi].tolist(), jj[lo:hi].tolist())])
+    return out
+
+
 def _union_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]]) -> np.ndarray:
-    """U[i, j] = mu(F_i | F_j), one mu call per unordered pair i <= j."""
-    u = np.empty((len(fam), len(fam)))
-    for i, a in enumerate(fam):
-        u[i, i:] = u[i:, i] = [mu(a | b) for b in fam[i:]]
+    """U[i, j] = mu(F_i | F_j), over the unordered pairs i <= j."""
+    k = len(fam)
+    ii, jj = np.triu_indices(k)
+    vals = _pair_sizes(mu, fam, ii, jj, operator.or_)
+    u = np.empty((k, k))
+    u[ii, jj] = vals
+    u[jj, ii] = vals
     return u
 
 
@@ -204,8 +268,7 @@ def check_whitney_axioms(mu: MuLike, family: Sequence[FrozenSet[int]],
                                   for i, j in zip(*np.nonzero(bad))]
 
     ii, jj = np.nonzero(np.triu(meet > 0))
-    s_meet = np.array([mu(fam[i] & fam[j]) for i, j in zip(ii, jj)],
-                      dtype=float)
+    s_meet = _pair_sizes(mu, fam, ii, jj, operator.and_)
     bad = u[ii, jj] > s[ii] + s[jj] - s_meet + tol
     report.subadd_violations = [(fam[ii[p]], fam[jj[p]])
                                 for p in np.flatnonzero(bad)]
@@ -233,7 +296,7 @@ def min_value_gap(values: Sequence[float]) -> float:
 def default_level_tolerance(mu: MuLike,
                             family: Sequence[FrozenSet[int]]) -> float:
     """Half the minimal gap between distinct mu-values in the family."""
-    return min_value_gap([mu(s) for s in family]) / 2.0
+    return min_value_gap(_sizes(mu, family).tolist()) / 2.0
 
 
 def whitney_level(mu: MuLike, family: Sequence[FrozenSet[int]], t: float,
@@ -241,7 +304,8 @@ def whitney_level(mu: MuLike, family: Sequence[FrozenSet[int]], t: float,
     """Family members whose size is within ``tol`` of ``t``."""
     if tol is None:
         tol = default_level_tolerance(mu, family)
-    return [s for s in family if abs(mu(s) - t) <= tol]
+    sizes = _sizes(mu, family).tolist()
+    return [s for s, v in zip(family, sizes) if abs(v - t) <= tol]
 
 
 @dataclass
@@ -279,10 +343,10 @@ def equal_level_refinement(g: GraphContinuum, mu: MuLike,
         raise DomainError(
             f"t0 = {t0} exceeds the smallest member size {min_size}")
     subs = enumerate_subcontinua(g)
+    errs = dict(zip(subs, [abs(v - t0) for v in _sizes(mu, subs).tolist()]))
     out: List[RefinementPiece] = []
     for m in members:
         cands = [c for c in subs if c <= m]
-        errs = {c: abs(mu(c) - t0) for c in cands}
         tol = 0.0
         for v in m:
             best = min(errs[c] for c in cands if v in c)

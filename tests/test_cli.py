@@ -293,6 +293,15 @@ def test_whitney_eval_of_ids_outside_the_graph(capsys):
     assert rep["result"]["error"] == "the set is not a subcontinuum"
 
 
+@pytest.mark.parametrize("ids", ["99", "-1"])
+def test_orderarcs_of_ids_outside_the_graph(ids, capsys):
+    code, rep = run(["continuum", "orderarcs", "--model", "path", "--size",
+                     "10", "--from", ids, "--to", ids, "--no-timings"],
+                    capsys)
+    assert code == 2
+    assert rep["result"]["error"] == "endpoints must be subcontinua"
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_two_with_json_error(case, tmp_path, capsys):
     code, rep = run(MALFORMED[case](tmp_path) + ["--no-timings"], capsys)

@@ -4,13 +4,83 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from continuum_lab.continua import (build_continuum, circle_arc_to_disk,
-                                    detect_triod, disk_to_circle_arc,
+from continuum_lab.continua import (GraphContinuum, Triod, build_continuum,
+                                    circle_arc_to_disk, detect_triod,
+                                    disk_to_circle_arc,
                                     enumerate_subcontinua,
                                     interval_arc_to_triangle, is_terminal,
                                     order_arcs_between,
                                     triangle_to_interval_arc)
 from continuum_lab.errors import DomainError
+
+
+def reference_triod(g, family):
+    """The triod search as the plain triple loop over the family."""
+    fam = list(family)
+    n = len(fam)
+    for i in range(n):
+        for j in range(i + 1, n):
+            core = fam[i] & fam[j]
+            if not core or core == fam[i] or core == fam[j]:
+                continue
+            if not g.is_connected(frozenset(core)):
+                continue
+            for l in range(j + 1, n):
+                c = fam[l]
+                if core < c and (fam[i] & c) == core and (fam[j] & c) == core:
+                    return Triod(a=fam[i], b=fam[j], c=c, core=frozenset(core))
+    return None
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random tree on up to 8 vertices plus some extra edges."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v)
+             for v in range(1, n)}
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=6)))
+    return GraphContinuum(n=n, edges=tuple(sorted(edges)),
+                          pos=tuple((float(v), 0.0) for v in range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(), st.randoms(use_true_random=False))
+def test_triod_search_matches_the_triple_loop(g, rnd):
+    fam = enumerate_subcontinua(g)
+    assert detect_triod(g, fam) == reference_triod(g, fam)
+    rnd.shuffle(fam)
+    assert detect_triod(g, fam) == reference_triod(g, fam)
+
+
+def test_triod_search_skips_disconnected_cores():
+    # a theta graph: three arcs from 0 to 1 pairwise meet in {0, 1}
+    g = GraphContinuum(n=5, edges=((0, 2), (2, 1), (0, 3), (3, 1), (0, 4),
+                                   (4, 1)),
+                       pos=tuple((float(v), 0.0) for v in range(5)))
+    arcs = [frozenset({0, 1, v}) for v in (2, 3, 4)]
+    assert detect_triod(g, arcs) is None
+    legs = [frozenset({0, v}) for v in (2, 3, 4)]
+    w = detect_triod(g, arcs + legs)
+    assert w == reference_triod(g, arcs + legs)
+    assert w.core == frozenset({0})
+
+
+@pytest.mark.parametrize("kind, params", [
+    *[("path", {"n": n}) for n in range(1, 17)],
+    *[("cycle", {"n": n}) for n in range(3, 17)],
+    *[("star", {"legs": legs, "leg_length": k})
+      for legs in (3, 4, 5) for k in (1, 2)],
+    ("cantor_fan", {"depth": 1}), ("cantor_fan", {"depth": 2})])
+def test_triod_search_matches_the_triple_loop_on_models(kind, params):
+    g = build_continuum(kind, **params)
+    fam = enumerate_subcontinua(g)
+    got = detect_triod(g, fam)
+    assert got == reference_triod(g, fam)
+    # these models are arcs, circles or fans of arcs: a triod needs a branch
+    branch = max(len(nb) for nb in g.adjacency.values()) >= 3
+    assert (got is not None) == branch
 
 
 def test_subcontinua_counts_match_brute_force():
@@ -47,6 +117,9 @@ def test_order_arcs_validate_endpoints():
         order_arcs_between(g, frozenset([0, 2]), frozenset(range(4)))
     with pytest.raises(DomainError):
         order_arcs_between(g, frozenset([3]), frozenset([0, 1]))
+    for ids in ([99], [-1]):
+        with pytest.raises(DomainError, match="endpoints must be"):
+            order_arcs_between(g, frozenset(ids), frozenset(ids))
 
 
 def test_no_triod_in_path_or_cycle():

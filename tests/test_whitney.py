@@ -1,17 +1,127 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from continuum_lab import whitney
 from continuum_lab.continua import build_continuum, enumerate_subcontinua
 from continuum_lab.errors import DomainError
 from continuum_lab.metric_core import DEFAULT_TOL
+from continuum_lab.psi import build_psi_model
 from continuum_lab.suite import _convex_size, _noise_size
-from continuum_lab.whitney import (build_whitney_map, check_whitney_axioms,
+from continuum_lab.whitney import (PAIR_BLOCK_SETS, WhitneyMap,
+                                   build_whitney_map, check_whitney_axioms,
                                    continuity_modulus_table,
                                    equal_level_refinement,
                                    hyperspace_distance_matrices,
                                    whitney_distance, whitney_level)
+
+
+def reference_mu(mu, a):
+    """One set's size as WhitneyMap once computed it, without the memo."""
+    a = frozenset(a)
+    if not a:
+        raise DomainError("mu is defined on non-empty sets")
+    idx = np.fromiter(a, dtype=int)
+    if idx.min() < 0 or idx.max() >= mu.n_points:
+        raise DomainError("set contains vertices outside the ambient")
+    cols = mu.F[:, idx]
+    span = cols.max(axis=1) - cols.min(axis=1)
+    return math.fsum((mu.weights * span).tolist())
+
+
+SIZE_MODELS = [("path", {"n": n}) for n in (10, 16, 22)] + \
+    [("cycle", {"n": n}) for n in (8, 12, 16)] + \
+    [("star", {"legs": 5, "leg_length": 2}), ("cantor_fan", {"depth": 2})]
+
+
+@pytest.mark.parametrize("kind, params", SIZE_MODELS)
+def test_batch_sizes_equal_the_per_set_sizes(kind, params):
+    g = build_continuum(kind, **params)
+    subs = enumerate_subcontinua(g)
+    for seed in (None, 5):
+        mu = build_whitney_map(g, ordering_seed=seed)
+        got = mu.sizes(subs)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, [reference_mu(mu, s) for s in subs])
+
+
+def test_batch_sizes_of_unions_equal_the_per_set_sizes():
+    g = build_continuum("path", n=16)
+    subs = enumerate_subcontinua(g)
+    unions = [a | b for i, a in enumerate(subs) for b in subs[i:]]
+    mu = build_whitney_map(g)
+    assert np.array_equal(mu.sizes(unions),
+                          [reference_mu(mu, s) for s in unions])
+
+
+@pytest.mark.parametrize("m, level", [(6, 2), (12, 2), (6, 3)])
+def test_psi_element_sizes_equal_the_per_set_sizes(m, level):
+    model = build_psi_model(m=m, fiber_level=level)
+    fresh = WhitneyMap(model.points)
+    assert np.array_equal(
+        [model.mu[e] for e in model.elements],
+        [reference_mu(fresh, model.vertices(e)) for e in model.elements])
+
+
+def test_batch_sizes_honour_and_fill_the_memo():
+    g = build_continuum("path", n=8)
+    mu = build_whitney_map(g)
+    a, b, c = frozenset([1, 2]), frozenset([2, 3, 4]), frozenset([0, 7])
+    mu._cache[a] = 0.5
+    got = mu.sizes([a, b, c, b])
+    assert got.tolist() == [0.5, reference_mu(mu, b), reference_mu(mu, c),
+                            reference_mu(mu, b)]
+    assert set(mu._cache) == {a, b, c}
+    assert mu(b) == mu._cache[b] and mu(a) == 0.5
+    mu.F = np.zeros_like(mu.F)  # memo hits read nothing else
+    assert mu.sizes([c, b]).tolist() == got[[2, 1]].tolist()
+    assert mu.sizes([]).shape == (0,)
+
+
+@pytest.mark.parametrize("sets, message", [
+    ([frozenset()], "mu is defined on non-empty sets"),
+    ([frozenset([0, 1]), frozenset()], "mu is defined on non-empty sets"),
+    ([frozenset([99])], "set contains vertices outside the ambient"),
+    ([frozenset([0]), frozenset([5, 99])],
+     "set contains vertices outside the ambient"),
+    ([frozenset([-1, 0])], "set contains vertices outside the ambient"),
+])
+def test_batch_sizes_refuse_what_a_single_call_refuses(sets, message):
+    mu = build_whitney_map(build_continuum("path", n=10))
+    with pytest.raises(DomainError, match=message):
+        mu.sizes(sets)
+    with pytest.raises(DomainError, match=message):
+        for s in sets:
+            mu(s)
+    with pytest.raises(DomainError, match=message):
+        reference_mu(mu, sets[-1])
+
+
+def test_union_table_and_meets_pass_bounded_batches(monkeypatch):
+    g = build_continuum("path", n=16)
+    subs = enumerate_subcontinua(g)
+    mu = build_whitney_map(g)
+    calls = []
+    sizes = WhitneyMap.sizes
+
+    def spy(self, sets):
+        calls.append(len(sets))
+        return sizes(self, sets)
+    monkeypatch.setattr(WhitneyMap, "sizes", spy)
+    u = whitney._union_sizes(mu, subs)
+    k = len(subs)
+    assert sum(calls) == k * (k + 1) // 2 and len(calls) > 1
+    assert max(calls) <= PAIR_BLOCK_SETS
+    assert np.array_equal(u, [[reference_mu(mu, a | b) for b in subs]
+                              for a in subs])
+    calls.clear()
+    assert check_whitney_axioms(mu, subs).all_ok
+    meets = sum(1 for i, a in enumerate(subs) for b in subs[i:] if a & b)
+    assert sum(calls) == k * (k + 1) // 2 + meets
+    assert max(calls) <= PAIR_BLOCK_SETS
 
 
 def reference_vertex_distances(g):
