@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError, _max_elements
 
 Cell = Tuple[int, int]
 
@@ -46,8 +46,9 @@ class Rect:
         return (self.c0 < other.c1 and other.c0 < self.c1 and
                 self.r0 < other.r1 and other.r0 < self.r1)
 
-    def dilate(self, pad: int = 1) -> "Rect":
-        return Rect(self.c0 - pad, self.c1 + pad, self.r0 - pad, self.r1 + pad)
+    def dilate(self) -> "Rect":
+        """The rectangle grown by one cell on every side."""
+        return Rect(self.c0 - 1, self.c1 + 1, self.r0 - 1, self.r1 + 1)
 
     def corners(self) -> List[Tuple[int, int]]:
         return [(self.c0, self.r0), (self.c0, self.r1),
@@ -118,7 +119,7 @@ def rects_connected(rects: Sequence[Rect]) -> bool:
     while stack:
         i = stack.pop()
         for j in range(n):
-            if j not in seen and rects[i].dilate(1).intersects(rects[j]):
+            if j not in seen and rects[i].dilate().intersects(rects[j]):
                 a, b = rects[i], rects[j]
                 col_touch = a.c0 <= b.c1 and b.c0 <= a.c1
                 row_touch = a.r0 <= b.r1 and b.r0 <= a.r1
@@ -339,10 +340,15 @@ def generate_crooked_pattern(n_coarse: int) -> RefinementPattern:
     Recursive folding: a run from a to b first runs to b -/+ 1, doubles back
     to a +/- 1, then finishes; spans of at most three links are monotone.
     Lengths grow 1, 2, 3, 6, 13, 30, ...; for n <= 10 the pattern is the
-    one minimal spanning crooked pattern that the search finds.
+    one minimal spanning crooked pattern that the search finds.  A pattern
+    over the element cap is refused before any of it is built.
     """
-    if n_coarse < 1:
-        raise DomainError("need n_coarse >= 1")
+    cap = _max_elements()
+    # lengths are at least 2^(n-2), so a larger n needs no recurrence
+    if (n_coarse > cap.bit_length() + 1
+            or crooked_pattern_length(n_coarse) > cap):
+        raise ResourceError(f"crooked pattern on {n_coarse} coarse links "
+                            f"has more than {cap} links")
 
     def fold(a: int, b: int) -> List[int]:
         if abs(b - a) <= 2:

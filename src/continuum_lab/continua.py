@@ -12,25 +12,17 @@ and triod detection, and the two classic hyperspace homeomorphisms
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, _max_elements
 
-MAX_ELEMENTS_ENV = "CONTINUUM_LAB_MAX_ELEMENTS"
-DEFAULT_MAX_ELEMENTS = 200_000
 MAX_ORDER_ARCS = 1_000_000
 # detect_triod compares this many candidate sets F_j with the family at once.
 TRIOD_BLOCK_ROWS = 64
-
-
-def _max_elements() -> int:
-    raw = os.environ.get(MAX_ELEMENTS_ENV)
-    return int(raw) if raw else DEFAULT_MAX_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -251,6 +243,16 @@ def is_terminal(k: FrozenSet[int], family: Sequence[FrozenSet[int]]) -> bool:
     return True
 
 
+def incidence_table(family: Sequence[FrozenSet[int]]) -> np.ndarray:
+    """The 0/1 int64 table [member, vertex] of a family of vertex sets, one
+    column per vertex of their union, in sorted order."""
+    verts = {v: c for c, v in enumerate(sorted(set().union(*family)))}
+    inc = np.zeros((len(family), len(verts)), dtype=np.int64)
+    inc[np.repeat(np.arange(len(family)), [len(s) for s in family]),
+        [verts[v] for s in family for v in s]] = 1
+    return inc
+
+
 @dataclass(frozen=True)
 class Triod:
     a: FrozenSet[int]
@@ -282,12 +284,9 @@ def detect_triod(g: GraphContinuum,
         family = enumerate_subcontinua(g)
     fam = list(family)
     n = len(fam)
-    verts = {v: c for c, v in enumerate(sorted(set().union(*fam)))}
-    inc = np.zeros((n, len(verts)), dtype=np.int64)
-    inc[np.repeat(np.arange(n), [len(s) for s in fam]),
-        [verts[v] for s in fam for v in s]] = 1
+    inc = incidence_table(fam)
     card = inc.sum(axis=1)
-    far = len(verts) + 1
+    far = inc.shape[1] + 1
     for i in range(n - 2):
         meet = inc @ inc[i]  # |F_i & F_l|
         cand = np.flatnonzero((meet > 0) & (meet < card[i]) & (meet < card))
@@ -313,27 +312,25 @@ def detect_triod(g: GraphContinuum,
 # classic hyperspace homeomorphisms
 
 
-def interval_arc_to_triangle(a: float, b: float, lo: float = 0.0,
-                             hi: float = 1.0) -> Tuple[float, float]:
-    """Map a subinterval [a, b] of [lo, hi] to (midpoint, length).
+def interval_arc_to_triangle(a: float, b: float) -> Tuple[float, float]:
+    """Map a subinterval [a, b] of [0, 1] to (midpoint, length).
 
     The image of all subintervals is the triangle with vertices
-    (lo, 0), (hi, 0), ((lo + hi) / 2, hi - lo); degenerate intervals land on
-    the base.
+    (0, 0), (1, 0), (1/2, 1); degenerate intervals land on the base.
     """
-    if not (lo <= a <= b <= hi):
-        raise DomainError("need lo <= a <= b <= hi")
+    if not (0.0 <= a <= b <= 1.0):
+        raise DomainError("need 0 <= a <= b <= 1")
     return ((a + b) / 2.0, b - a)
 
 
-def triangle_to_interval_arc(u: float, v: float, lo: float = 0.0,
-                             hi: float = 1.0) -> Tuple[float, float]:
+def triangle_to_interval_arc(u: float, v: float) -> Tuple[float, float]:
+    """Inverse of :func:`interval_arc_to_triangle`, within 1e-9."""
     a = u - v / 2.0
     b = u + v / 2.0
-    tol = 1e-9 * max(1.0, abs(hi - lo))
-    if v < -tol or a < lo - tol or b > hi + tol:
+    tol = 1e-9
+    if v < -tol or a < -tol or b > 1.0 + tol:
         raise DomainError("point lies outside the triangle image")
-    return (max(a, lo), min(b, hi))
+    return (max(a, 0.0), min(b, 1.0))
 
 
 TWO_PI = 2.0 * math.pi

@@ -3,8 +3,19 @@
 Domain errors signal invalid mathematical input (mismatched ambient spaces,
 malformed distance tables, out-of-range parameters).  Resource errors signal
 requests that exceed configured enumeration or grid limits; they carry the
-achievable maximum so callers can retry with a smaller request.
+achievable maximum so callers can retry with a smaller request.  The cap on
+enumerated elements, psi model elements and crooked pattern links is read
+from ``CONTINUUM_LAB_MAX_ELEMENTS``.
 """
+
+import os
+
+MAX_ELEMENTS_ENV = "CONTINUUM_LAB_MAX_ELEMENTS"
+DEFAULT_MAX_ELEMENTS = 200_000
+
+
+def _max_elements() -> int:
+    return int(os.environ.get(MAX_ELEMENTS_ENV) or DEFAULT_MAX_ELEMENTS)
 
 
 class DomainError(ValueError):

@@ -1,9 +1,9 @@
 """Finite metric spaces, Hausdorff distance, and closed neighborhoods.
 
 A :class:`FinitePointSet` is either a set of planar points or a set of
-abstract points carrying a validated distance table.  Subsets created with
-:meth:`FinitePointSet.subset` remember their parent so that operations can
-reject pairs drawn from unrelated ambient spaces.
+abstract points carrying a validated distance table.  A planar subset is an
+ordinary planar set; a table-backed one keeps its root table and its indices
+into that root, so pairs drawn from unrelated tables are refused.
 
 Planar distances are ``sqrt(dx*dx + dy*dy)`` in numpy float64.
 :func:`hausdorff_distance` evaluates that formula densely up to
@@ -47,13 +47,12 @@ class FinitePointSet:
     compatible only with subsets of the same root table.
     """
 
-    def __init__(self, points=None, matrix=None,
-                 _parent: Optional["FinitePointSet"] = None,
-                 _indices: Optional[np.ndarray] = None):
+    def __init__(self, points=None, matrix=None):
         if (points is None) == (matrix is None):
             raise DomainError("provide exactly one of points= or matrix=")
-        self._parent = _parent
-        self._indices = _indices
+        # a table-backed subset's root set and its indices into the root
+        self._root: Optional["FinitePointSet"] = None
+        self._idx: Optional[np.ndarray] = None
         if points is not None:
             pts = np.asarray(points, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 2:
@@ -82,10 +81,7 @@ class FinitePointSet:
         return self.points is not None
 
     def root(self) -> "FinitePointSet":
-        node = self
-        while node._parent is not None:
-            node = node._parent
-        return node
+        return self if self._root is None else self._root
 
     def subset(self, indices: Sequence[int]) -> "FinitePointSet":
         """Restrict to the given point indices (kept in the given order)."""
@@ -95,23 +91,16 @@ class FinitePointSet:
         if idx.min() < 0 or idx.max() >= len(self):
             raise DomainError("subset index out of range")
         if self.points is not None:
-            sub = FinitePointSet(points=self.points[idx],
-                                 _parent=self, _indices=idx)
-        else:
-            sub = object.__new__(FinitePointSet)
-            sub.points = None
-            sub.matrix = self.matrix[np.ix_(idx, idx)]
-            sub._parent = self
-            sub._indices = idx
+            return FinitePointSet(points=self.points[idx])
+        sub = object.__new__(FinitePointSet)
+        sub.points = None
+        sub.matrix = self.matrix[np.ix_(idx, idx)]
+        sub._root = self.root()
+        sub._idx = self._root_indices()[idx]
         return sub
 
     def _root_indices(self) -> np.ndarray:
-        idx = np.arange(len(self))
-        node = self
-        while node._parent is not None:
-            idx = node._indices[idx]
-            node = node._parent
-        return idx
+        return np.arange(len(self)) if self._idx is None else self._idx
 
     def distances_to(self, other: "FinitePointSet") -> np.ndarray:
         """Pairwise distance matrix between self and other (same ambient)."""
@@ -286,17 +275,19 @@ def closed_neighborhood(K: FinitePointSet, eps: float,
 
 
 def _require_subset(K: FinitePointSet, ambient: FinitePointSet) -> None:
+    """Planar points match by coordinate equality (so -0.0 is 0.0), each
+    pair read as one complex number; table points by root index."""
     if K.is_planar and ambient.is_planar:
-        amb = {(float(x), float(y)) for x, y in ambient.points}
-        for x, y in K.points:
-            if (float(x), float(y)) not in amb:
-                raise DomainError(f"point ({x}, {y}) is not in the ambient set")
+        k_pts, amb_pts = (np.ascontiguousarray(s.points).view(np.complex128)
+                          for s in (K, ambient))
+        missing = np.flatnonzero(~np.isin(k_pts, amb_pts))
+        if missing.size:
+            x, y = K.points[missing[0]]
+            raise DomainError(f"point ({x}, {y}) is not in the ambient set")
         return
     if K.is_planar != ambient.is_planar:
         raise DomainError("cannot mix planar and table-backed point sets")
     if K.root() is not ambient.root():
         raise DomainError("K is not drawn from the ambient distance table")
-    amb_idx = set(ambient._root_indices().tolist())
-    for i in K._root_indices().tolist():
-        if i not in amb_idx:
-            raise DomainError("K contains points outside the ambient set")
+    if not np.isin(K._root_indices(), ambient._root_indices()).all():
+        raise DomainError("K contains points outside the ambient set")

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 import numpy as np
@@ -41,8 +42,8 @@ from scipy.sparse import csr_matrix, vstack
 
 from .chains import (RefinementPattern, crooked_pattern_length,
                      generate_crooked_pattern, is_crooked)
-from .continua import _max_elements, build_continuum
-from .errors import DomainError, ResourceError
+from .continua import build_continuum
+from .errors import DomainError, ResourceError, _max_elements
 from .metric_core import DEFAULT_TOL, FinitePointSet
 from .whitney import WhitneyMap, build_whitney_map
 
@@ -95,7 +96,6 @@ class PsiModel:
         self.mu_base = mu_base
         self.elements = elements
         self.index = {e: i for i, e in enumerate(elements)}
-        self._vsets: Dict[HyperElement, FrozenSet[int]] = {}
         sizes = mu_base.sizes([self.vertices(e) for e in elements])
         self.mu: Dict[HyperElement, float] = dict(zip(elements,
                                                       sizes.tolist()))
@@ -111,18 +111,12 @@ class PsiModel:
         return fiber * self.k + (link - 1)
 
     def vertices(self, e: HyperElement) -> FrozenSet[int]:
-        got = self._vsets.get(e)
-        if got is not None:
-            return got
-        if isinstance(e, Piece):
-            vs = frozenset(self.vertex_id(e.fiber, t)
-                           for t in range(e.i, e.j + 1))
-        else:
-            vs = frozenset(self.vertex_id((e.start + off) % self.m, t)
-                           for off in range(e.length)
-                           for t in range(1, self.k + 1))
-        self._vsets[e] = vs
-        return vs
+        """One embedded point id per link of every fiber of ``e``."""
+        start, length, lo, hi = self.shape(e)
+        return frozenset(chain.from_iterable(
+            range(self.vertex_id(f % self.m, lo),
+                  self.vertex_id(f % self.m, hi) + 1)
+            for f in range(start, start + length)))
 
     def closed_vertices(self, e: HyperElement) -> FrozenSet[int]:
         """Overlap-faithful vertex set on a doubled grid per fiber.
@@ -133,16 +127,15 @@ class PsiModel:
         center point per link for metric purposes.
         """
         span = 2 * self.k + 1
-        if isinstance(e, Piece):
-            return frozenset(e.fiber * span + g
-                             for g in range(2 * e.i - 1, 2 * e.j + 2))
-        return frozenset(f * span + g for f in self.fibers_of(e)
-                         for g in range(1, span + 1))
+        start, length, lo, hi = self.shape(e)
+        return frozenset(chain.from_iterable(
+            range(f % self.m * span + 2 * lo - 1,
+                  f % self.m * span + 2 * hi + 2)
+            for f in range(start, start + length)))
 
     def fibers_of(self, e: HyperElement) -> FrozenSet[int]:
-        if isinstance(e, Piece):
-            return frozenset([e.fiber])
-        return frozenset((e.start + off) % self.m for off in range(e.length))
+        start, length, _, _ = self.shape(e)
+        return frozenset(f % self.m for f in range(start, start + length))
 
     def leq(self, a: HyperElement, b: HyperElement) -> bool:
         """Scalar containment test; :attr:`strict_order` is its batch form."""
@@ -571,9 +564,8 @@ def curvature_check(pv: PsiValues, trials: int = 1000,
     ``triangle_breaks`` counts the triples whose longest side exceeds the
     sum of the other two by more than ``tol``; it is 0 for a metric.
     """
-    if trials <= 0:
-        return CurvatureReport(trials=trials, degenerate=0, additive=0,
-                               worst_defect=0.0, triangle_breaks=0)
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     space = pv.space
     n = len(space.v)

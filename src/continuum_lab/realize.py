@@ -35,8 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .chains import (Chain, Link, Rect, RefinementPattern,
-                     generate_crooked_pattern, is_crooked, rects_contain,
-                     verify_chain)
+                     generate_crooked_pattern, is_crooked, pattern_to_json,
+                     rects_contain, verify_chain)
 from .errors import DomainError, ResourceError
 from .metric_core import FinitePointSet
 
@@ -351,7 +351,7 @@ def _verified(chains: Sequence[Sequence[Link]],
     """Each pattern with its containment flags checked on the grid."""
     out = []
     for coarse, fine, q in zip(chains, chains[1:], patterns):
-        flags = tuple(rects_contain([r.dilate(1) for r in link.rects],
+        flags = tuple(rects_contain([r.dilate() for r in link.rects],
                                     coarse[a - 1].rects)
                       for link, a in zip(fine, q.assignment))
         if not all(flags):
@@ -499,8 +499,7 @@ def _build_tower(n1: int, levels: int, x, y) -> ChainTower:
 
     # verify chains, patterns, containment
     diags: List[LevelDiagnostics] = []
-    prev_mask = None
-    prev_mesh = None
+    prev_closure = prev_mesh = None
     for n, lc in enumerate(level_chains, start=1):
         eps = 2.0 ** (-n)
         report = verify_chain(lc, eps)
@@ -514,13 +513,14 @@ def _build_tower(n1: int, levels: int, x, y) -> ChainTower:
         mask = _mask([l.rects for l in lc.links], shape)
         diag = LevelDiagnostics(level=n, mesh=report.mesh, eps=eps,
                                 chain_ok=report.ok)
-        if prev_mask is not None:
-            closure = _closure_mask(prev_mask)
-            diag.nested_in_previous = bool((mask & ~closure).sum() == 0)
-            diag.hausdorff_to_previous = _grid_hausdorff(
-                _closure_mask(mask), closure, cell)
+        # the finer closure of this step and the coarser one of the next
+        closure = _closure_mask(mask) if levels > 1 else None
+        if prev_closure is not None:
+            diag.nested_in_previous = bool((mask & ~prev_closure).sum() == 0)
+            diag.hausdorff_to_previous = _grid_hausdorff(closure, prev_closure,
+                                                         cell)
             diag.hausdorff_bound = prev_mesh
-        prev_mask, prev_mesh = mask, report.mesh
+        prev_closure, prev_mesh = closure, report.mesh
         diags.append(diag)
 
     verified = _verified(chains, patterns)
@@ -599,7 +599,6 @@ def realize_planar(obj):
 
 
 def tower_to_json(tower: ChainTower) -> dict:
-    from .chains import pattern_to_json
     return {
         "levels": [c.to_json() for c in tower.levels],
         "patterns": [pattern_to_json(p) for p in tower.patterns],

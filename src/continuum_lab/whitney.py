@@ -23,7 +23,8 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .continua import GraphContinuum, enumerate_subcontinua
+from .continua import (GraphContinuum, enumerate_subcontinua,
+                       incidence_table)
 from .errors import DomainError
 from .metric_core import DEFAULT_TOL, FinitePointSet, _pair_distances
 
@@ -249,10 +250,7 @@ def check_whitney_axioms(mu: MuLike, family: Sequence[FrozenSet[int]],
     """
     fam = [frozenset(s) for s in family]
     report = AxiomReport()
-    verts = {v: j for j, v in enumerate(sorted(set().union(*fam)))}
-    inc = np.zeros((len(fam), len(verts)), dtype=np.int64)
-    for i, a in enumerate(fam):
-        inc[i, [verts[v] for v in a]] = 1
+    inc = incidence_table(fam)
     meet = inc @ inc.T  # |F_i & F_j|
     card = np.diag(meet)
     subset = meet == card[:, None]  # F_i <= F_j

@@ -12,7 +12,7 @@ from continuum_lab.chains import (Chain, Link, Rect, RefinementPattern,
                                   minimal_spanning_crooked_length,
                                   pattern_from_json, pattern_to_json,
                                   repeat_pattern, verify_chain)
-from continuum_lab.errors import DomainError
+from continuum_lab.errors import DomainError, ResourceError
 
 
 # -- independent references ---------------------------------------------------
@@ -365,3 +365,21 @@ def test_rect_validation():
 @given(st.integers(min_value=1, max_value=5))
 def test_generator_output_passes_exhaustive_verifier(n):
     assert is_crooked(generate_crooked_pattern(n)).ok
+
+
+def test_pattern_lengths_at_least_double():
+    # the generator's cap test skips the recurrence past this bound
+    assert all(crooked_pattern_length(n) >= 2 ** (n - 2)
+               for n in range(1, 60))
+
+
+@pytest.mark.parametrize("cap, largest", [(1, 1), (2, 2), (5, 3),
+                                          (100, 7), (170, 8)])
+def test_generator_refuses_patterns_over_the_cap(cap, largest,
+                                                 monkeypatch):
+    monkeypatch.setenv("CONTINUUM_LAB_MAX_ELEMENTS", str(cap))
+    assert len(generate_crooked_pattern(largest)) <= cap
+    for n in (largest + 1, largest + 40):
+        with pytest.raises(ResourceError,
+                           match=f"has more than {cap} links"):
+            generate_crooked_pattern(n)

@@ -252,7 +252,47 @@ MALFORMED = {
     "limit-negative": lambda tmp: ["continuum", "orderarcs", "--size", "4",
                                    "--from", "1", "--to", "0,1,2",
                                    "--limit", "-1"],
+    "tol-negative-psi-report": lambda tmp: ["psi", "report", "--normalize",
+                                            "--tol", "-1"],
+    "tol-negative-psi-curvature": lambda tmp: ["psi", "curvature",
+                                               "--trials", "50",
+                                               "--tol", "-1"],
+    "tol-negative-psi-levels": lambda tmp: ["psi", "levels", "--tol", "-1"],
+    "tol-negative-whitney-level": lambda tmp: ["whitney", "level",
+                                               "--t", "0.1", "--tol", "-1"],
+    "tol-nan-psi-levels": lambda tmp: ["psi", "levels", "--tol", "nan"],
+    "trials-negative": lambda tmp: ["psi", "curvature", "--trials", "-5"],
+    "trials-zero": lambda tmp: ["psi", "curvature", "--trials", "0"],
 }
+
+
+def test_negative_tol_is_refused_before_any_model_is_built(capsys):
+    code, rep = run(["psi", "levels", "--m", "24", "--level", "3", "--tol",
+                     "-1", "--no-timings"], capsys)
+    assert code == 2
+    assert rep["result"]["error"] == "--tol must be >= 0, got -1.0"
+
+
+@pytest.mark.parametrize("argv", [["chains", "generate"],
+                                  ["chains", "verify"],
+                                  ["plot", "chain"],
+                                  ["chains", "tower", "--levels", "2"],
+                                  ["chains", "tower", "--levels", "3"]])
+def test_crooked_patterns_over_the_cap_exit_two(argv, monkeypatch, capsys):
+    # under a cap of 100 links n = 7 (71 links) fits and n = 8 (170) does not
+    monkeypatch.setenv("CONTINUUM_LAB_MAX_ELEMENTS", "100")
+    code, rep = run(argv + ["--n", "8", "--no-timings"], capsys)
+    assert code == 2
+    assert rep["result"]["error"] == \
+        "crooked pattern on 8 coarse links has more than 100 links"
+    if argv[0:2] == ["chains", "tower"]:
+        # a tower names a level count it can build, never the generator's n
+        assert rep["result"]["achievable"] == 1
+    else:
+        assert "achievable" not in rep["result"]
+    if argv[1] != "tower" or argv[-1] == "2":
+        code, rep = run(argv + ["--n", "7", "--no-timings"], capsys)
+        assert code == 0, rep
 
 
 @pytest.mark.parametrize("size", [2, 3, 5, 12])

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from continuum_lab.continua import (GraphContinuum, Triod, build_continuum,
                                     circle_arc_to_disk, detect_triod,
                                     disk_to_circle_arc,
-                                    enumerate_subcontinua,
+                                    enumerate_subcontinua, incidence_table,
                                     interval_arc_to_triangle, is_terminal,
                                     order_arcs_between,
                                     triangle_to_interval_arc)
@@ -30,6 +31,36 @@ def reference_triod(g, family):
                 if core < c and (fam[i] & c) == core and (fam[j] & c) == core:
                     return Triod(a=fam[i], b=fam[j], c=c, core=frozenset(core))
     return None
+
+
+def reference_incidence(family):
+    """The axiom checker's row loop: one assignment per member."""
+    fam = [frozenset(s) for s in family]
+    verts = {v: j for j, v in enumerate(sorted(set().union(*fam)))}
+    inc = np.zeros((len(fam), len(verts)), dtype=np.int64)
+    for i, a in enumerate(fam):
+        inc[i, [verts[v] for v in a]] = 1
+    return inc
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("path", {"n": 12}), ("cycle", {"n": 9}),
+    ("star", {"legs": 4, "leg_length": 2}), ("cantor_fan", {"depth": 2})])
+def test_incidence_table_matches_the_row_loop_on_models(kind, params):
+    fam = enumerate_subcontinua(build_continuum(kind, **params))
+    got = incidence_table(fam)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_incidence(fam))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.frozensets(st.integers(-5, 40), max_size=8), max_size=10))
+def test_incidence_table_matches_the_row_loop(family):
+    # arbitrary ids, empty members and the empty family included
+    got = incidence_table(family)
+    ref = reference_incidence(family)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got, ref)
 
 
 @st.composite

@@ -231,3 +231,159 @@ def test_five_link_two_level_tower_step_equals_dense_reference():
                              FinitePointSet(points=Q))
     assert (rep.value, rep.witness, rep.direction) == dense_reference(P, Q)
     assert tree_report(P, Q) == dense_reference(P, Q)
+
+
+# -- flat subsets against the set-loop reference ------------------------------
+
+
+def reference_require_subset(K, ambient, k_rows=None, amb_rows=None):
+    """The set-loop subset check.  A table-backed set is given with its
+    ``(root table, indices into the root)``, tracked outside the class."""
+    if K.is_planar and ambient.is_planar:
+        amb = {(float(x), float(y)) for x, y in ambient.points}
+        for x, y in K.points:
+            if (float(x), float(y)) not in amb:
+                raise DomainError(f"point ({x}, {y}) is not in the ambient set")
+        return
+    if K.is_planar != ambient.is_planar:
+        raise DomainError("cannot mix planar and table-backed point sets")
+    if k_rows[0] is not amb_rows[0]:
+        raise DomainError("K is not drawn from the ambient distance table")
+    amb_idx = set(amb_rows[1].tolist())
+    for i in k_rows[1].tolist():
+        if i not in amb_idx:
+            raise DomainError("K contains points outside the ambient set")
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except DomainError as exc:
+        return "error", str(exc)
+
+
+def _layout(pts, how):
+    """The same float64 points as a contiguous, strided, Fortran-ordered or
+    column-reversed array; ``FinitePointSet`` keeps each as given."""
+    a = np.array(pts, dtype=float).reshape(-1, 2)
+    if how == "strided":
+        wide = np.full((2 * len(a), 2), 99.0)
+        wide[::2] = a
+        return wide[::2]
+    if how == "fortran":
+        return np.asfortranarray(a)
+    if how == "reversed":
+        return np.ascontiguousarray(a[:, ::-1])[:, ::-1]
+    return a
+
+
+# -0.0 and 0.0 are one point, as they are for the set loop
+grid_coords = st.sampled_from([0.0, -0.0, 0.5, -1.25, 3.0, 1e-300, 7.75])
+layouts = st.sampled_from(["contiguous", "strided", "fortran", "reversed"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(grid_coords, grid_coords), min_size=1,
+                max_size=12),
+       st.lists(st.integers(0, 99), max_size=10),
+       st.lists(st.tuples(grid_coords, grid_coords), max_size=3),
+       st.booleans(), layouts, layouts,
+       st.sampled_from([0.0, 0.5, 2.0, 10.0]))
+def test_planar_subset_check_matches_the_set_loop(amb_pts, picks, extra,
+                                                  flip_zeros, amb_layout,
+                                                  k_layout, eps):
+    k_pts = [amb_pts[i % len(amb_pts)] for i in picks] + extra
+    k = _layout(k_pts or amb_pts[:1], k_layout)
+    if flip_zeros:
+        k = np.where(k == 0.0, -k, k)
+    amb = FinitePointSet(points=_layout(amb_pts, amb_layout))
+    K = FinitePointSet(points=k)
+    got = _outcome(metric_core._require_subset, K, amb)
+    assert got == _outcome(reference_require_subset, K, amb)
+    kind, nb = _outcome(closed_neighborhood, K, eps, amb)
+    assert kind == got[0]
+    if kind == "ok":
+        near = metric_core._pair_distances(amb.points, K.points).min(axis=1)
+        assert nb.is_planar
+        assert np.array_equal(nb.points, amb.points[near <= eps])
+    else:
+        assert nb == got[1]
+
+
+def _metric_table(rng, n):
+    pts = rng.uniform(-3, 3, (n, 2))
+    return FinitePointSet(matrix=metric_core._pair_distances(pts, pts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(1, 6),
+       st.sampled_from([0.0, 0.7, 2.5]))
+def test_table_subsets_match_the_set_loop(seed, n, steps, eps):
+    """Subsets of subsets, siblings and two roots: the root table, the
+    indices into it, distances, the subset check and the neighborhood."""
+    rng = np.random.default_rng(seed)
+    roots = [_metric_table(rng, n), _metric_table(rng, n)]
+    nodes = [(r, r, np.arange(n)) for r in roots]  # (set, root, indices)
+    for _ in range(steps):
+        parent, root, idx = nodes[rng.integers(len(nodes))]
+        pick = rng.integers(0, len(parent), rng.integers(1, len(parent) + 1))
+        nodes.append((parent.subset(pick), root, idx[pick]))
+    for s, root, idx in nodes:
+        assert s.root() is root
+        assert np.array_equal(s._root_indices(), idx)
+        assert np.array_equal(s.matrix, root.matrix[np.ix_(idx, idx)])
+    for (K, k_root, k_idx), (A, a_root, a_idx) in \
+            [(nodes[i], nodes[j]) for i in range(len(nodes))
+             for j in range(len(nodes))]:
+        got = _outcome(metric_core._require_subset, K, A)
+        assert got == _outcome(reference_require_subset, K, A,
+                               (k_root, k_idx), (a_root, a_idx))
+        if k_root is a_root:
+            assert np.array_equal(K.distances_to(A),
+                                  k_root.matrix[np.ix_(k_idx, a_idx)])
+        kind, nb = _outcome(closed_neighborhood, K, eps, A)
+        assert kind == got[0]
+        if kind == "ok":
+            keep = a_idx[a_root.matrix[np.ix_(a_idx, k_idx)].min(axis=1)
+                         <= eps]
+            assert nb.root() is a_root
+            assert np.array_equal(nb._root_indices(), keep)
+            assert np.array_equal(nb.matrix, a_root.matrix[np.ix_(keep, keep)])
+        else:
+            assert nb == got[1]
+
+
+def test_subset_of_a_subset_slices_the_root_table():
+    rng = np.random.default_rng(3)
+    root = _metric_table(rng, 8)
+    a = root.subset([7, 1, 4, 4, 0])
+    b = a.subset([3, 0, 4])          # root points 4, 7, 0
+    c = root.subset([2, 4])
+    assert np.array_equal(b._root_indices(), [4, 7, 0])
+    assert np.array_equal(b.distances_to(c),
+                          root.matrix[np.ix_([4, 7, 0], [2, 4])])
+    assert np.array_equal(c.distances_to(a),
+                          root.matrix[np.ix_([2, 4], [7, 1, 4, 4, 0])])
+
+
+def test_planar_subset_is_an_ordinary_planar_set():
+    amb = FinitePointSet(points=[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    sub = amb.subset([2, 0]).subset([1])
+    assert sub.root() is sub
+    assert np.array_equal(sub.points, [[0.0, 0.0]])
+    # planar sets are compatible with any planar set, subset or not
+    assert closed_neighborhood(sub, 1.0, amb).points.tolist() == \
+        [[0.0, 0.0], [1.0, 0.0]]
+
+
+def test_subset_check_names_the_first_missing_point():
+    amb = FinitePointSet(points=[(0.0, 0.0), (1.0, 0.0)])
+    k = FinitePointSet(points=[(1.0, 0.0), (0.5, 0.0), (2.0, 0.0)])
+    with pytest.raises(DomainError,
+                       match=r"^point \(0\.5, 0\.0\) is not in the ambient"):
+        closed_neighborhood(k, 1.0, amb)
+    table = FinitePointSet(matrix=[[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(DomainError, match="mix planar"):
+        closed_neighborhood(table, 1.0, amb)
+    with pytest.raises(DomainError, match="outside the ambient set"):
+        closed_neighborhood(table.subset([0]), 1.0, table.subset([1]))

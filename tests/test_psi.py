@@ -158,6 +158,54 @@ def test_leq_matches_reference_on_every_pair(m, level):
         [[reference_leq(model, a, b) for b in els] for a in els]
 
 
+# -- element sets from the shape ---------------------------------------------
+
+
+def reference_vertices(model, e):
+    """One point id per link, a branch per element kind."""
+    if isinstance(e, Piece):
+        return frozenset(model.vertex_id(e.fiber, t)
+                         for t in range(e.i, e.j + 1))
+    return frozenset(model.vertex_id((e.start + off) % model.m, t)
+                     for off in range(e.length)
+                     for t in range(1, model.k + 1))
+
+
+def reference_closed_vertices(model, e):
+    """Doubled-grid points, a branch per element kind."""
+    span = 2 * model.k + 1
+    if isinstance(e, Piece):
+        return frozenset(e.fiber * span + g
+                         for g in range(2 * e.i - 1, 2 * e.j + 2))
+    return frozenset(f * span + g for f in reference_fibers_of(model, e)
+                     for g in range(1, span + 1))
+
+
+def reference_fibers_of(model, e):
+    if isinstance(e, Piece):
+        return frozenset([e.fiber])
+    return frozenset((e.start + off) % model.m for off in range(e.length))
+
+
+def _assert_element_sets_match(model):
+    for e in model.elements:
+        assert model.vertices(e) == reference_vertices(model, e), e
+        assert model.closed_vertices(e) == \
+            reference_closed_vertices(model, e), e
+        assert model.fibers_of(e) == reference_fibers_of(model, e), e
+
+
+@pytest.mark.parametrize("m, level", [(3, 1), (6, 2), (6, 3), (12, 2)])
+def test_element_sets_match_the_per_kind_reference(m, level):
+    _assert_element_sets_match(build_psi_model(m=m, fiber_level=level))
+
+
+@settings(max_examples=12, deadline=None)
+@given(SMALL_MODELS)
+def test_element_sets_match_the_per_kind_reference_on_small_models(mk):
+    _assert_element_sets_match(build_psi_model(m=mk[0], fiber_level=mk[1]))
+
+
 def _leq_matrix(model):
     """Strict order from the scalar set reference ``reference_leq``."""
     return np.array([[a != b and reference_leq(model, a, b)
@@ -635,6 +683,12 @@ def test_curvature_deterministic_per_seed(pv):
     b = curvature_check(pv, trials=200, seed=5)
     assert (a.degenerate, a.additive, a.worst_defect) == \
         (b.degenerate, b.additive, b.worst_defect)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_curvature_refuses_fewer_than_one_trial(pv, trials):
+    with pytest.raises(DomainError, match="trials must be >= 1"):
+        curvature_check(pv, trials=trials)
 
 
 # -- terminality granularity ------------------------------------------------

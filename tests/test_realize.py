@@ -207,7 +207,7 @@ def test_realize_pattern_realizes_or_refuses_every_small_pattern():
         for link, a in zip(fine.links, p):
             (col,) = coarse.links[a - 1].rects
             for r in link.rects:
-                d = r.dilate(1)
+                d = r.dilate()
                 assert (col.c0 <= d.c0 and d.c1 <= col.c1 and
                         col.r0 <= d.r0 and d.r1 <= col.r1), (p, link.index)
     assert seen == 1290
