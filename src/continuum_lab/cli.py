@@ -503,9 +503,8 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.perf_counter()
     try:
-        # --tol below 0 is refused, except as whitney check's strict mode
         tol = getattr(args, "tol", None)
-        if not (tol is None or tol >= 0 or args.fn is _cmd_whitney_check):
+        if not (tol is None or tol >= 0):
             raise DomainError(f"--tol must be >= 0, got {tol}")
         result, violations, svg = args.fn(args)
         status = "pass" if not violations else "fail"

@@ -12,8 +12,9 @@ KD-tree (Bentley, CACM 1975), and only the points whose tree minimum lies
 within a few ulps of the larger directed maximum are re-checked with the
 dense formula, ``BLOCK_PAIRS`` pairs at a time.  Results are therefore the
 dense results bit for bit, ties going to the lowest index, whatever the
-tree's rounding.  :func:`closed_neighborhood` and table-backed sets use the
-dense distance matrix.  The default comparison tolerance is ``1e-12``.
+tree's rounding.  :func:`closed_neighborhood` takes the same dense minima
+in row blocks, and table-backed sets read their distance table.  The
+default comparison tolerance is ``1e-12``.
 """
 
 from __future__ import annotations
@@ -270,7 +271,8 @@ def closed_neighborhood(K: FinitePointSet, eps: float,
     if eps < 0:
         raise DomainError("neighborhood radius must be non-negative")
     _require_subset(K, ambient)
-    near = ambient.distances_to(K).min(axis=1)
+    near = (_dense_minima(ambient.points, K.points) if K.is_planar
+            else ambient.distances_to(K).min(axis=1))
     return ambient.subset(np.flatnonzero(near <= eps))
 
 

@@ -35,10 +35,9 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
-from scipy.sparse import csr_matrix, vstack
 
 from .chains import (RefinementPattern, crooked_pattern_length,
                      generate_crooked_pattern, is_crooked)
@@ -78,7 +77,33 @@ HyperElement = Union[Piece, Arc]
 FIBER_STICK = 0.35  # radial extent of one embedded fiber
 BASE_RADIUS = 1.0
 FIBER_LINKS = 4  # links of each fiber's level-1 chain
-ORDER_BLOCK_ROWS = 128  # rows of the containment order compared at once
+
+
+class Order(NamedTuple):
+    """A strict order by rows: a < b iff b is one of
+    ``indices[indptr[a]:indptr[a + 1]]``, each row ascending."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of every pair a < b, row by row."""
+        counts = np.diff(self.indptr)
+        rows = np.arange(len(counts), dtype=self.indices.dtype)
+        return np.repeat(rows, counts), self.indices
+
+
+class Edges(NamedTuple):
+    """Edges ``rows[e]`` -> ``cols[e]`` of cost ``weights[e]``."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        """The number of edges; a comparable pair gives two."""
+        return len(self.rows)
 
 
 class PsiModel:
@@ -160,25 +185,41 @@ class PsiModel:
         return [self.shape(e) for e in self.elements]
 
     @cached_property
-    def strict_order(self) -> csr_matrix:
-        """Strict containment order as a bool CSR matrix: [a, b] iff a < b.
+    def strict_order(self) -> Order:
+        """Strict containment order (a < b iff a != b and ``leq(a, b)``),
+        built from index runs in time linear in its pairs.
 
-        a <= b iff b's cyclic base interval of fibers holds a's and b's link
-        interval holds a's (see :attr:`shapes`).  Rows are compared
-        ``ORDER_BLOCK_ROWS`` at a time and only their nonzeros are kept, so
-        memory grows with the comparable pairs, never with n^2.
+        Elements lie as :func:`build_psi_model` lists them: pieces by
+        ``(fiber, i, j)``, arcs by ``(length, start)``, the whole.  Above
+        piece ``(f, i, j)`` lie, for each i' <= i, the pieces
+        ``(f, i', j..k)``.  Above base interval [s - L + 1, s] (L = 1 for
+        a piece) lie, for each longer length L', the arcs starting in
+        [s - L' + L, s]: one run, or two where it wraps.  Then the whole.
         """
-        n, m = len(self.elements), self.m
-        start, length, lo, hi = np.array(self.shapes, dtype=np.int32).T.copy()
-        blocks = []
-        for r0 in range(0, n, ORDER_BLOCK_ROWS):
-            r = np.arange(r0, min(r0 + ORDER_BLOCK_ROWS, n))
-            offset = (start[r, None] - start) % m
-            below = (((length == m) | (offset + length[r, None] <= length))
-                     & (lo <= lo[r, None]) & (hi[r, None] <= hi))
-            below[np.arange(len(r)), r] = False
-            blocks.append(csr_matrix(below))
-        return vstack(blocks, format="csr")
+        m, k, n = self.m, self.k, len(self.elements)
+        s, ln, lo, hi = np.array(self.shapes, dtype=np.int64).T[..., None]
+        piece = (lo > 1) | (hi < k)
+        width = np.arange(k, 0, -1)  # pieces (f, i, i..k) of each i
+        width[0] -= 1  # (1, k) is the fiber arc
+        i, q = np.arange(1, k + 1), int(width.sum())
+        last = i == lo
+        # piece (f, i, j) sits at f * q + (pieces of rows before i) + j - i
+        p_head = s * q + np.cumsum(width) - width + hi - i + last
+        p_count = np.where(piece & (i <= lo), k - hi + 1 - last - (i == 1), 0)
+        L = np.arange(1, m)
+        w = np.where(L >= ln + ~piece, L - ln + 1, 0)  # arcs of length L
+        block = m * q + (L - 1) * m  # arc (start, L) sits at block + start
+        a_count, b_count = np.minimum(w, s + 1), np.maximum(w - s - 1, 0)
+        arcs = np.dstack([block + s + 1 - a_count, block + m - b_count,
+                          a_count, b_count]).reshape(n, -1, 2, 2)
+        head = np.hstack([p_head, arcs[:, :, 0].reshape(n, -1),
+                          np.full((n, 1), n - 1)]).ravel()
+        count = np.hstack([p_count, arcs[:, :, 1].reshape(n, -1), ln < m])
+        indptr = np.r_[0, np.cumsum(count.sum(axis=1))]
+        count = count.ravel()
+        indices = np.repeat(head - np.cumsum(count) + count, count)
+        indices += np.arange(indptr[-1])
+        return Order(indptr=indptr, indices=indices.astype(np.int32))
 
     def classify(self, e: HyperElement) -> str:
         return "filament" if isinstance(e, Piece) else "ample"
@@ -259,17 +300,44 @@ class PlanckReport:
     fiber_values: List[float]
 
 
-def planck_report(model: PsiModel) -> PlanckReport:
-    """Boundary = ample elements covering some filament element.
+def filament_covers(model: PsiModel
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(filament, ample, covers)``: element indices of each kind, and
+    ``covers[r, c]`` iff ample element ``ample[c]`` covers ``filament[r]``.
 
-    b covers a iff S[a, b] and not (S @ S)[a, b], for S the strict order.
+    b covers a iff a < b and no c has a < c < b.  From the order's pairs:
+    ``up`` is each element's set of ample elements above it; elements with
+    equal ``up`` rows form one class, and the ample elements above some
+    c > a are the union of the classes of the elements above a.
     """
-    order = model.strict_order
-    filament = np.array([isinstance(e, Piece) for e in model.elements])
-    below = order[np.flatnonzero(filament)]
-    ample = np.flatnonzero(~filament)
-    covers = below[:, ample] > (below @ order)[:, ample]
-    boundary = [model.elements[i] for i in ample[covers.getnnz(axis=0) > 0]]
+    rows, cols = model.strict_order.pairs()
+    is_piece = np.array([isinstance(e, Piece) for e in model.elements])
+    filament, ample = np.flatnonzero(is_piece), np.flatnonzero(~is_piece)
+    # ample elements' columns, and a spare last column for the pieces
+    col = np.where(is_piece, len(ample), np.cumsum(~is_piece) - 1)
+    up = np.zeros((len(is_piece), len(ample) + 1), dtype=bool)
+    up[rows, col[cols]] = True
+    up = up[:, :-1]
+    classes, cls = _row_classes(up)
+    above = np.zeros((len(is_piece), len(classes)), dtype=bool)
+    above[rows, cls[cols]] = True
+    groups, grp = _row_classes(above[filament])
+    reach = np.array([classes[g].any(axis=0) for g in groups])
+    return filament, ample, up[filament] & ~reach[grp]
+
+
+def _row_classes(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a bool table, and each row's index among them."""
+    keys = np.packbits(table, axis=1)
+    _, first, cls = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
+                              return_index=True, return_inverse=True)
+    return table[first], cls.ravel()
+
+
+def planck_report(model: PsiModel) -> PlanckReport:
+    """Boundary = ample elements covering some filament element."""
+    _, ample, covers = filament_covers(model)
+    boundary = [model.elements[i] for i in ample[covers.any(axis=0)]]
     fibers = [Arc(start=a, length=1) for a in range(model.m)]
     return PlanckReport(l=model.l, L=model.L, boundary=boundary,
                         fiber_values=[model.mu[f] for f in fibers])
@@ -524,16 +592,14 @@ class PsiPathspace:
         return dist, path
 
     @cached_property
-    def graph(self) -> csr_matrix:
-        """Comparable pairs, weighted by their size gap."""
-        order = self.pv.model.strict_order
-        comparable = order + order.T
-        comparable.sort_indices()
+    def graph(self) -> Edges:
+        """Comparable pairs in both directions, weighted by their size gap."""
+        below, above = self.pv.model.strict_order.pairs()
         v = np.array(self.v)
-        rows = np.repeat(np.arange(len(v)), np.diff(comparable.indptr))
-        return csr_matrix((np.abs(v[rows] - v[comparable.indices]),
-                           comparable.indices, comparable.indptr),
-                          shape=comparable.shape)
+        gap = np.abs(v[below] - v[above])
+        return Edges(rows=np.concatenate([below, above]),
+                     cols=np.concatenate([above, below]),
+                     weights=np.concatenate([gap, gap]))
 
 
 @dataclass

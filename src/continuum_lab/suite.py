@@ -302,7 +302,7 @@ def _geodesic_certificate(pv, d) -> bool:
     most that distance.  Together they prove it without Dijkstra.
     """
     model, space = pv.model, pv.space
-    edges = space.graph.tocoo()
+    edges = space.graph
     els = model.elements
     sources = np.random.default_rng(0).choice(len(els), 16, replace=False)
     paths_ok, worst = True, math.inf
@@ -318,7 +318,7 @@ def _geodesic_certificate(pv, d) -> bool:
                                  for x, y in steps)
                          and abs(length - dist[b]) <= TOL)
         paths_ok &= dist[a] == 0.0
-        slack = dist[edges.row] + edges.data - dist[edges.col]
+        slack = dist[edges.rows] + edges.weights - dist[edges.cols]
         worst = min(worst, float(slack.min()))
     d["edges_checked"] = len(sources) * edges.nnz
     d["worst_slack"] = worst
@@ -336,7 +336,7 @@ def check_psi_paths() -> CheckResult:
                                      in itertools.combinations(pieces, 2))
         fiber = np.array([e.fiber if isinstance(e, Piece) else -1
                           for e in model.elements])
-        rows, cols = model.strict_order.nonzero()
+        rows, cols = model.strict_order.pairs()
         cross = np.flatnonzero((fiber[rows] >= 0) & (fiber[cols] >= 0)
                                & (fiber[rows] != fiber[cols]))
         if cross.size:

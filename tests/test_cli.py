@@ -157,8 +157,9 @@ GOLDEN = Path(__file__).parent / "golden" / "whitney_check.json"
 
 
 def test_whitney_check_matches_golden_output(capsys):
-    # recorded from the nested-loop axiom checker; a negative or a large
-    # tolerance makes every list of violations non-empty somewhere
+    # recorded from the nested-loop axiom checker; a large tolerance makes
+    # the monotone list non-empty (the negative-tolerance runs are library
+    # calls in test_whitney.py, since the CLI refuses a negative --tol)
     for case in json.loads(GOLDEN.read_text()):
         code = dispatch(case["argv"])
         assert code == case["exit"], case["argv"]
@@ -210,17 +211,27 @@ def test_non_finite_endpoint_exits_two(capsys):
         assert "endpoints must be finite" in rep["result"]["error"]
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded(loaded_modules):
-    loaded = loaded_modules("import continuum_lab.cli")
-    assert not {m for m in loaded
-                if m.split(".")[:2] in (["scipy", "spatial"],
-                                        ["scipy", "ndimage"])
-                or m.split(".")[:3] == ["scipy", "sparse", "csgraph"]}
-    # the verbs that need no distance transform never load scipy.ndimage
-    for argv in (["whitney", "check"], ["chains", "tower", "--levels", "1"]):
+def test_cli_import_and_light_verbs_load_no_scipy(loaded_modules):
+    # importing the CLI loads numpy only; scipy.ndimage comes with towers of
+    # 2 or more levels, scipy.spatial with planar Hausdorff steps over
+    # 50,000 point pairs
+    def scipy_modules(code):
+        return {m for m in loaded_modules(code) if m.split(".")[0] == "scipy"}
+    assert not scipy_modules("import continuum_lab.cli")
+    for argv in (["psi", "report"], ["psi", "levels"],
+                 ["psi", "path", "--from", "piece:0:1:2", "--to", "arc:3:2"],
+                 ["psi", "curvature"], ["whitney", "check"],
+                 ["continuum", "triod"], ["chains", "tower", "--levels", "1"],
+                 ["chains", "tower", "--levels", "2"]):
         code = ("from continuum_lab.cli import dispatch\n"
-                f"dispatch({argv + ['--no-timings']!r})\n")
-        assert "scipy.ndimage" not in loaded_modules(code)
+                f"assert dispatch({argv + ['--no-timings']!r}) == 0\n")
+        loaded = scipy_modules(code)
+        if argv[-1] == "2":
+            assert "scipy.ndimage" in loaded
+            assert not {m for m in loaded if m.split(".")[:2]
+                        in (["scipy", "sparse"], ["scipy", "spatial"])}
+        else:
+            assert not loaded, argv
 
 
 # -- malformed input: exit 2 with a JSON error, never a traceback ------------
@@ -260,6 +271,8 @@ MALFORMED = {
     "tol-negative-psi-levels": lambda tmp: ["psi", "levels", "--tol", "-1"],
     "tol-negative-whitney-level": lambda tmp: ["whitney", "level",
                                                "--t", "0.1", "--tol", "-1"],
+    "tol-negative-whitney-check": lambda tmp: ["whitney", "check",
+                                               "--tol=-1e-9"],
     "tol-nan-psi-levels": lambda tmp: ["psi", "levels", "--tol", "nan"],
     "trials-negative": lambda tmp: ["psi", "curvature", "--trials", "-5"],
     "trials-zero": lambda tmp: ["psi", "curvature", "--trials", "0"],

@@ -387,3 +387,19 @@ def test_subset_check_names_the_first_missing_point():
         closed_neighborhood(table, 1.0, amb)
     with pytest.raises(DomainError, match="outside the ambient set"):
         closed_neighborhood(table.subset([0]), 1.0, table.subset([1]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("block", [1, 7, 1 << 17])
+def test_planar_neighborhood_from_row_blocks_equals_the_dense_one(
+        seed, block, monkeypatch):
+    # the minima come BLOCK_PAIRS pairs at a time, and per point they are
+    # the dense matrix's minima; eps on a grid distance hits exact ties
+    monkeypatch.setattr(metric_core, "BLOCK_PAIRS", block)
+    rng = np.random.default_rng(seed)
+    amb = FinitePointSet(points=rng.integers(-20, 20, (300, 2)) / 8)
+    K = amb.subset(rng.choice(300, 25, replace=False))
+    near = metric_core._pair_distances(amb.points, K.points).min(axis=1)
+    for eps in (0.0, 0.625, float(np.sort(near)[150])):
+        nb = closed_neighborhood(K, eps, amb)
+        assert np.array_equal(nb.points, amb.points[near <= eps])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 
 from continuum_lab.errors import DomainError, ResourceError
 from continuum_lab.metric_core import DEFAULT_TOL
@@ -14,8 +14,9 @@ from continuum_lab.psi import (Arc, LevelReport, Piece, PsiPathspace,
                                build_psi_model,
                                closed_form_element_count,
                                component_cyclic_arrangement, curvature_check,
-                               distinct_element_count, level_structure_report,
-                               normalize_to_psi0, planck_report, raw_values)
+                               distinct_element_count, filament_covers,
+                               level_structure_report, normalize_to_psi0,
+                               planck_report, raw_values)
 
 TOL = 1e-12
 
@@ -228,11 +229,90 @@ def _reference_graph(pv):
     return csr_matrix((data, (rows, cols)), shape=(len(nodes), len(nodes)))
 
 
+ORDER_BLOCK_ROWS = 128
+
+
+def reference_order(model):
+    """The strict order as a scipy CSR matrix from shape comparisons,
+    ``ORDER_BLOCK_ROWS`` rows at a time (the construction index runs
+    replaced)."""
+    n, m = len(model.elements), model.m
+    start, length, lo, hi = np.array(model.shapes, dtype=np.int32).T.copy()
+    blocks = []
+    for r0 in range(0, n, ORDER_BLOCK_ROWS):
+        r = np.arange(r0, min(r0 + ORDER_BLOCK_ROWS, n))
+        offset = (start[r, None] - start) % m
+        below = (((length == m) | (offset + length[r, None] <= length))
+                 & (lo <= lo[r, None]) & (hi[r, None] <= hi))
+        below[np.arange(len(r)), r] = False
+        blocks.append(csr_matrix(below))
+    return vstack(blocks, format="csr")
+
+
+def order_csr(model):
+    """:attr:`PsiModel.strict_order` as a bool scipy CSR matrix."""
+    order = model.strict_order
+    n = len(order.indptr) - 1
+    return csr_matrix((np.ones(len(order.indices), dtype=bool),
+                       order.indices, order.indptr), shape=(n, n))
+
+
+def graph_csr(graph, n):
+    """:class:`Edges` as a scipy CSR matrix with sorted indices."""
+    out = csr_matrix((graph.weights, (graph.rows, graph.cols)), shape=(n, n))
+    assert out.nnz == graph.nnz  # no pair listed twice
+    out.sort_indices()
+    return out
+
+
+def csr_graph(pv, order):
+    """Comparability graph of a CSR order, weighted by size gaps."""
+    comparable = order + order.T
+    comparable.sort_indices()
+    v = np.array([pv.values[e] for e in pv.model.elements])
+    rows = np.repeat(np.arange(len(v)), np.diff(comparable.indptr))
+    return csr_matrix((np.abs(v[rows] - v[comparable.indices]),
+                       comparable.indices, comparable.indptr),
+                      shape=comparable.shape)
+
+
+def _assert_order_matches_reference(model):
+    want = reference_order(model)
+    got = model.strict_order
+    # pair for pair, each row ascending
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(got.pairs(), want.nonzero()))
+    filament, ample, covers = filament_covers(model)
+    is_piece = np.array([isinstance(e, Piece) for e in model.elements])
+    assert np.array_equal(filament, np.flatnonzero(is_piece))
+    assert np.array_equal(ample, np.flatnonzero(~is_piece))
+    below = want[filament]
+    assert np.array_equal(
+        covers, (below[:, ample] > (below @ want)[:, ample]).toarray())
+    for pv in (raw_values(model), normalize_to_psi0(model)):
+        graph = graph_csr(pv.space.graph, len(is_piece))
+        ref = csr_graph(pv, want)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(graph, name), getattr(ref, name))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.tuples(st.integers(3, 8), st.sampled_from([1, 2, 3])))
+def test_order_covers_and_graph_match_the_block_reference(shape):
+    _assert_order_matches_reference(build_psi_model(*shape))
+
+
+def test_order_covers_and_graph_match_the_block_reference_at_24_2():
+    _assert_order_matches_reference(build_psi_model(24, 2))
+
+
 @settings(max_examples=12, deadline=None)
 @given(SMALL_MODELS)
 def test_strict_order_matches_scalar_leq(shape):
     model = build_psi_model(*shape)
-    order = model.strict_order
+    order = order_csr(model)
     assert order.dtype == bool
     assert (order.toarray() == _leq_matrix(model)).all()
 
@@ -247,7 +327,7 @@ def test_covers_match_transitive_reduction(shape):
     dag.add_edges_from((int(a), int(b))
                        for a, b in zip(*np.nonzero(_leq_matrix(model))))
     reduction = set(nx.transitive_reduction(dag).edges())
-    order = model.strict_order
+    order = order_csr(model)
     covers = order > order @ order
     assert {(int(a), int(b)) for a, b in zip(*covers.nonzero())} == reduction
     els = model.elements
@@ -261,7 +341,7 @@ def test_covers_match_transitive_reduction(shape):
 def test_pathspace_csr_matches_pair_loop(shape, normalized):
     model = build_psi_model(*shape)
     pv = normalize_to_psi0(model) if normalized else raw_values(model)
-    got = PsiPathspace(pv).graph
+    got = graph_csr(PsiPathspace(pv).graph, len(model.elements))
     want = _reference_graph(pv)
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
@@ -603,7 +683,7 @@ def test_closed_form_matches_dijkstra(shape, normalized):
     model = build_psi_model(*shape)
     pv = normalize_to_psi0(model) if normalized else raw_values(model)
     space = PsiPathspace(pv)
-    want = dijkstra(space.graph)
+    want = dijkstra(graph_csr(space.graph, len(model.elements)))
     n = len(model.elements)
     got = np.array([[space.distance(i, j) for j in range(n)]
                     for i in range(n)])

@@ -403,3 +403,29 @@ def test_axioms_hold_on_the_ladder(model, n, members):
     subs = enumerate_subcontinua(g)
     assert len(subs) == members
     assert check_whitney_axioms(build_whitney_map(g), subs).all_ok
+
+
+F = frozenset
+
+
+# Formerly `whitney check --seed 3 --tol=-1e-9` golden runs, now that the CLI
+# refuses a negative --tol: a negative slack makes every axiom test strict,
+# so zero-size singletons and the equality cases of subadditivity and of
+# the difference axiom fail.  The CLI listed the first five of each.
+@pytest.mark.parametrize("model, n, subadd", [
+    ("path", 10, [(F({0}), F({0})), (F({0}), F({0, 1})),
+                  (F({0}), F({0, 1, 2})), (F({0}), F({0, 1, 2, 3})),
+                  (F({0}), F({0, 1, 2, 3, 4}))]),
+    ("cycle", 8, [(F({0}), F({0})), (F({0}), F({0, 1})),
+                  (F({0}), F({0, 7})), (F({0}), F({0, 1, 2})),
+                  (F({0}), F({0, 1, 7}))]),
+])
+def test_negative_tolerance_makes_every_axiom_strict(model, n, subadd):
+    g = build_continuum(model, n=n)
+    mu = build_whitney_map(g, ordering_seed=3)
+    rep = check_whitney_axioms(mu, enumerate_subcontinua(g), tol=-1e-9)
+    assert rep.singleton_violations[:5] == [F({v}) for v in range(5)]
+    assert rep.monotone_violations == []
+    assert rep.subadd_violations[:5] == subadd
+    assert rep.diff_violations[:5] == [(F({0}), F({0}), F({v}))
+                                       for v in range(5)]
