@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from typing import Dict, List, Optional
@@ -382,6 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def verb(group, name, fn):
         sp = group.add_parser(name)
+        # argparse's own matcher takes -1e-9 and -1,0 for options
+        sp._negative_number_matcher = re.compile(r"^-\.?\d")
         sp.add_argument("--out", default=None, help="write JSON report here")
         sp.add_argument("--no-timings", action="store_true")
         sp.set_defaults(fn=fn)

@@ -44,7 +44,8 @@ from .chains import (RefinementPattern, crooked_pattern_length,
 from .continua import build_continuum
 from .errors import DomainError, ResourceError, _max_elements
 from .metric_core import DEFAULT_TOL, FinitePointSet
-from .whitney import WhitneyMap, build_whitney_map
+from .whitney import (SIZE_BLOCK_FLOATS, WhitneyMap, build_whitney_map,
+                      fsum_rows)
 
 
 @dataclass(frozen=True, order=True)
@@ -121,12 +122,11 @@ class PsiModel:
         self.mu_base = mu_base
         self.elements = elements
         self.index = {e: i for i, e in enumerate(elements)}
-        sizes = mu_base.sizes([self.vertices(e) for e in elements])
+        self.sizes = _envelope_sizes(self)
         self.mu: Dict[HyperElement, float] = dict(zip(elements,
-                                                      sizes.tolist()))
-        fibers = [Arc(start=a, length=1) for a in range(m)]
-        self.l = min(self.mu[f] for f in fibers)
-        self.L = max(self.mu[f] for f in fibers)
+                                                      self.sizes.tolist()))
+        self.fiber_sizes = [self.mu[Arc(start=a, length=1)] for a in range(m)]
+        self.l, self.L = min(self.fiber_sizes), max(self.fiber_sizes)
         self.whole = Arc(start=0, length=m)
 
     # -- structure ---------------------------------------------------------
@@ -216,13 +216,49 @@ class PsiModel:
                           np.full((n, 1), n - 1)]).ravel()
         count = np.hstack([p_count, arcs[:, :, 1].reshape(n, -1), ln < m])
         indptr = np.r_[0, np.cumsum(count.sum(axis=1))]
-        count = count.ravel()
-        indices = np.repeat(head - np.cumsum(count) + count, count)
-        indices += np.arange(indptr[-1])
-        return Order(indptr=indptr, indices=indices.astype(np.int32))
+        count = count.ravel()  # int32 temporaries: indices are below n
+        indices = np.repeat((head - np.cumsum(count) + count).astype(np.int32),
+                            count)
+        indices += np.arange(indptr[-1], dtype=np.int32)
+        return Order(indptr=indptr, indices=indices)
 
     def classify(self, e: HyperElement) -> str:
         return "filament" if isinstance(e, Piece) else "ample"
+
+
+def _envelope_sizes(model: PsiModel) -> np.ndarray:
+    """mu of each element's vertex set from F's row envelopes: a run of d
+    links (an arc of L fibers) has the max of its first d - 1 (L - 1) and
+    its last; max and min are exact, so the terms are the vertex sets'."""
+    m, k, mu = model.m, model.k, model.mu_base
+    first = np.r_[0, np.cumsum(m * np.arange(k, 0, -1))]  # by run length
+    s, ln, lo, hi = np.array(model.shapes, dtype=np.int64).reshape(-1, 4).T
+    row = np.where(ln == 1, first[hi - lo] + s * (k - hi + lo) + lo - 1,
+                   first[-1] + (ln - 2) * m + s)
+    rows = first[-1] + (m - 1) * m
+    step = max(1, SIZE_BLOCK_FLOATS // (2 * rows))  # envelopes of F and -F
+
+    def envelope(g):  # g[n, fiber, link]: the max of each run, by row
+        env = np.empty((len(g), rows))
+        env[:, :m * k], prev = g.reshape(len(g), -1), g
+        for d in range(1, k):  # runs of d + 1 links
+            run = env[:, first[d]:first[d + 1]].reshape(-1, m, k - d)
+            prev = np.maximum(prev[:, :, :-1], g[:, :, d:], out=run)
+        ring = np.hstack([prev[:, :, 0]] * 2)
+        prev = ring[:, :m]
+        for length in range(1, m):  # arcs of length + 1 fibers
+            run = env[:, first[-1] + (length - 1) * m:first[-1] + length * m]
+            prev = np.maximum(prev, ring[:, length:length + m], out=run)
+        return env
+
+    def blocks():
+        for c in range(0, mu.n_points, step):
+            g = mu.F[c:c + step].reshape(-1, m, k)
+            top, bottom = np.split(envelope(np.vstack([g, -g])), 2)
+            top += bottom  # top - min, as min = -bottom
+            yield np.multiply(top, mu.weights[c:c + step, None], out=top)
+
+    return fsum_rows(blocks, rows)[row]
 
 
 def closed_form_element_count(m: int, k: int) -> int:
@@ -305,42 +341,54 @@ def filament_covers(model: PsiModel
     """``(filament, ample, covers)``: element indices of each kind, and
     ``covers[r, c]`` iff ample element ``ample[c]`` covers ``filament[r]``.
 
-    b covers a iff a < b and no c has a < c < b.  From the order's pairs:
-    ``up`` is each element's set of ample elements above it; elements with
-    equal ``up`` rows form one class, and the ample elements above some
-    c > a are the union of the classes of the elements above a.
+    b covers a iff a < b and no c has a < c < b.  From the order's rows:
+    ``up`` is each element's set of ample elements above it (as bits);
+    elements with equal ``up`` rows form one class, and the ample elements
+    above some c > a are the union of the classes of the elements above a.
     """
-    rows, cols = model.strict_order.pairs()
     is_piece = np.array([isinstance(e, Piece) for e in model.elements])
     filament, ample = np.flatnonzero(is_piece), np.flatnonzero(~is_piece)
     # ample elements' columns, and a spare last column for the pieces
     col = np.where(is_piece, len(ample), np.cumsum(~is_piece) - 1)
-    up = np.zeros((len(is_piece), len(ample) + 1), dtype=bool)
-    up[rows, col[cols]] = True
-    up = up[:, :-1]
-    classes, cls = _row_classes(up)
-    above = np.zeros((len(is_piece), len(classes)), dtype=bool)
-    above[rows, cls[cols]] = True
-    groups, grp = _row_classes(above[filament])
-    reach = np.array([classes[g].any(axis=0) for g in groups])
-    return filament, ample, up[filament] & ~reach[grp]
+    up = _bit_rows(model.strict_order, col, len(ample))
+    first, cls = _row_classes(up)
+    above = _bit_rows(model.strict_order, cls, len(first))[filament]
+    groups, grp = _row_classes(above)
+    bits = np.unpackbits(above[groups], axis=1, count=len(first)).view(bool)
+    reach = np.array([np.bitwise_or.reduce(up[first[g]]) for g in bits])
+    return filament, ample, np.unpackbits(
+        up[filament] & ~reach[grp], axis=1, count=len(ample)).view(bool)
 
 
-def _row_classes(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a bool table, and each row's index among them."""
-    keys = np.packbits(table, axis=1)
+def _bit_rows(order: Order, col: np.ndarray, width: int) -> np.ndarray:
+    """Row a packs the bits ``col[b]`` (those below ``width``) of the b
+    above a, built SIZE_BLOCK_FLOATS table cells at a time."""
+    col, out = col.astype(np.int32), []
+    step = max(1, SIZE_BLOCK_FLOATS // (width + 1))
+    for r in range(0, len(order.indptr) - 1, step):
+        ptr = order.indptr[r:r + step + 1]
+        table = np.zeros((len(ptr) - 1, width + 1), dtype=bool)
+        cell = col[order.indices[ptr[0]:ptr[-1]]]
+        cell += np.repeat(np.arange(0, table.size, width + 1, dtype=np.int32),
+                          np.diff(ptr))
+        table.ravel()[cell] = True
+        out.append(np.packbits(table[:, :width], axis=1))
+    return np.vstack(out)
+
+
+def _row_classes(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The first of each distinct uint8 row, and each row's class."""
     _, first, cls = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
                               return_index=True, return_inverse=True)
-    return table[first], cls.ravel()
+    return first, cls.ravel()
 
 
 def planck_report(model: PsiModel) -> PlanckReport:
     """Boundary = ample elements covering some filament element."""
     _, ample, covers = filament_covers(model)
     boundary = [model.elements[i] for i in ample[covers.any(axis=0)]]
-    fibers = [Arc(start=a, length=1) for a in range(model.m)]
     return PlanckReport(l=model.l, L=model.L, boundary=boundary,
-                        fiber_values=[model.mu[f] for f in fibers])
+                        fiber_values=list(model.fiber_sizes))
 
 
 @dataclass
@@ -375,21 +423,17 @@ def normalize_to_psi0(model: PsiModel) -> PsiValues:
     Whitney maps is again one), so arcs of equal length get equal size and
     the rotational symmetry of the model survives normalization.
     """
-    base = build_continuum("cycle", n=model.m)
-    w = build_whitney_map(base)
-    m = model.m
-    arc_size = {length: float(np.mean(w.sizes(
-        [frozenset((s + o) % m for o in range(length)) for s in range(m)])))
-        for length in range(2, m + 1)}
-    values: Dict[HyperElement, float] = {}
-    for e in model.elements:
-        if isinstance(e, Piece):
-            scale = model.l / model.mu[Arc(start=e.fiber, length=1)]
-            values[e] = model.mu[e] * scale
-        elif e.length == 1:
-            values[e] = model.l
-        else:
-            values[e] = model.l + arc_size[e.length]
+    m, k, l = model.m, model.k, model.l
+    w = build_whitney_map(build_continuum("cycle", n=m))
+    arc_size = np.zeros(m + 1)  # by base length; fibers get l + 0 = l
+    for length in range(2, m + 1):
+        arc_size[length] = np.mean(w.sizes(
+            [frozenset((s + o) % m for o in range(length)) for s in range(m)]))
+    s, ln, lo, hi = np.array(model.shapes, dtype=np.int64).reshape(-1, 4).T
+    full = (lo == 1) & (hi == k)  # all links: a fiber or a longer arc
+    scale = l / np.array(model.fiber_sizes)[s]
+    v = np.where(full, l + arc_size[ln], model.sizes * scale)
+    values = dict(zip(model.elements, v.tolist()))
     return PsiValues(model=model, values=values, l=model.l)
 
 

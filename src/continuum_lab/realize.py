@@ -417,14 +417,14 @@ def _grid_hausdorff(a: np.ndarray, b: np.ndarray, cell: float) -> float:
 
 
 def _closure_mask(m: np.ndarray) -> np.ndarray:
-    """The cells of ``m`` and their 8 neighbours: the OR of the nine
-    shifted windows of a zero-padded copy."""
-    rows, cols = m.shape
-    padded = np.pad(m, 1)
-    out = np.zeros_like(m)
-    for dr in range(3):
-        for dc in range(3):
-            out |= padded[dr:dr + rows, dc:dc + cols]
+    """The cells of ``m`` and their 8 neighbours: the 3 x 3 dilation, as
+    one OR of row shifts, then one of column shifts."""
+    rows = m.copy()
+    rows[1:] |= m[:-1]
+    rows[:-1] |= m[1:]
+    out = rows.copy()
+    out[:, 1:] |= rows[:, :-1]
+    out[:, :-1] |= rows[:, 1:]
     return out
 
 

@@ -33,9 +33,8 @@ MuLike = Callable[[FrozenSet[int]], float]
 # The difference-monotonicity check compares this many nested pairs at a
 # time, so its working memory stays at DIFF_BLOCK_ROWS x len(family) floats.
 DIFF_BLOCK_ROWS = 64
-# WhitneyMap.sizes gathers the F columns of sets of one cardinality in blocks
-# of at most this many floats (sets x members x enumeration points), or of
-# one set when its own columns hold more.
+# Working blocks hold at most this many floats or table cells, or one row: the
+# size terms of a run of enumeration points, or rows of psi's bit tables.
 SIZE_BLOCK_FLOATS = 1 << 16
 # The union-size table and the subadditivity meets pass at most this many
 # sets to one sizes call.
@@ -51,10 +50,10 @@ class WhitneyMap:
     ``ordering_seed`` applies a seeded permutation instead.
 
     Sizes do not depend on the platform: the weights are powers of two, so
-    every term ``w_n * span_n`` is exact, and ``math.fsum`` returns the
-    correctly rounded sum of those float64 terms whatever the BLAS.  The
-    promise is bit-exactness with respect to this float64 term table, not
-    to the real-valued series: the table itself carries the rounding of
+    every term ``w_n * span_n`` is exact, and :func:`fsum_rows` returns the
+    correctly rounded sum of those float64 terms (``math.fsum``'s) whatever
+    the BLAS.  The promise is bit-exactness with respect to this term table,
+    not to the real-valued series: the table itself carries the rounding of
     the distances and of ``1 / (1 + d)``.
     """
 
@@ -102,31 +101,59 @@ class WhitneyMap:
         return np.array(vals, dtype=float)
 
     def _fill(self, misses) -> None:
-        """Memoise mu of the given distinct sets, grouped by cardinality.
-
-        The spans of a group come from one gather of F's columns, in blocks
-        of at most SIZE_BLOCK_FLOATS floats, and each set's size is the
-        ``math.fsum`` of its float64 terms ``weights * span``.
-        """
+        """Memoise mu of the given distinct sets in one :func:`fsum_rows`:
+        row i of an index table lists set i, padded by repeating a member
+        (max and min ignore repeats), and a block of points gathers it."""
         by_card: Dict[int, List[FrozenSet[int]]] = {}
         for s in misses:
             if not s:
                 raise DomainError("mu is defined on non-empty sets")
             by_card.setdefault(len(s), []).append(s)
-        ft = self.F.T  # ft[i, k] = f_{x_k}(p_i)
-        for card, group in by_card.items():
-            idx = np.fromiter(chain.from_iterable(group), dtype=int,
-                              count=card * len(group)).reshape(-1, card)
-            if idx.min() < 0 or idx.max() >= self.n_points:
-                raise DomainError("set contains vertices outside the ambient")
-            rows = max(1, SIZE_BLOCK_FLOATS // (card * self.n_points))
-            for lo in range(0, len(group), rows):
-                cols = ft[idx[lo:lo + rows]]  # sets x members x enumeration
-                terms = cols.max(axis=1)
-                terms -= cols.min(axis=1)  # the spans
-                terms *= self.weights
-                self._cache.update(zip(group[lo:lo + rows], map(
-                    math.fsum, map(np.ndarray.tolist, terms))))
+        width = np.arange(max(by_card))
+        idx = np.vstack([np.fromiter(chain.from_iterable(g), dtype=int,
+                                     count=card * len(g)).reshape(-1, card)[
+            :, np.minimum(width, card - 1)] for card, g in by_card.items()])
+        if idx.min() < 0 or idx.max() >= self.n_points:
+            raise DomainError("set contains vertices outside the ambient")
+        step = max(1, SIZE_BLOCK_FLOATS // idx.size)
+
+        def blocks():
+            for lo in range(0, self.n_points, step):
+                cols = self.F[lo:lo + step][:, idx.T]  # points, members, sets
+                spans = cols.max(axis=1) - cols.min(axis=1)
+                yield spans * self.weights[lo:lo + step, None]
+
+        sets = list(chain.from_iterable(by_card.values()))
+        self._cache.update(zip(sets, fsum_rows(blocks, len(sets)).tolist()))
+
+
+def fsum_rows(blocks: Callable, rows: int) -> np.ndarray:
+    """``math.fsum`` of each row of a table of finite non-negative terms,
+    bit for bit; ``blocks()`` yields its columns as (columns, rows) arrays.
+
+    Sum2 (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005) on all rows
+    at once: a running TwoSum gives sigma and the sum q of its errors, and
+    (r, rho) = TwoSum(sigma, q) is within 2 gamma_{n-1}^2 r of the exact sum.
+    r is its rounding when |rho| plus that bound is below half the gap down
+    from r, or r = 0; other rows read ``blocks()`` again for ``math.fsum``.
+    """
+    sigma, q, n = np.zeros(rows), np.zeros(rows), 0
+    for block in blocks():
+        n += len(block)
+        run = np.vstack([sigma, block])
+        for i in range(len(block)):  # the running float sums
+            np.add(run[i], run[i + 1], out=run[i + 1])
+        part = run[1:] - run[:-1]  # TwoSum of each step: the part of x kept
+        q += ((run[:-1] - (run[1:] - part)) + (block - part)).sum(axis=0)
+        sigma = run[-1]
+    r = sigma + q  # |q| <= sigma: TwoSum(sigma, q) = (r, q - (r - sigma))
+    gamma = (n - 1) * 2.0 ** -53 / (1 - (n - 1) * 2.0 ** -53)
+    slack = np.abs(q - (r - sigma)) + 2 * gamma * gamma * r
+    bad = np.flatnonzero((slack >= (r - np.nextafter(r, 0)) / 2) & (r != 0))
+    if bad.size:
+        terms = np.vstack([block[:, bad] for block in blocks()]).T
+        r[bad] = [math.fsum(row) for row in terms.tolist()]
+    return r
 
 
 def _bfs_order(g: GraphContinuum) -> List[int]:

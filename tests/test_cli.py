@@ -279,6 +279,20 @@ MALFORMED = {
 }
 
 
+@pytest.mark.parametrize("verb, flag, value", [
+    (["whitney", "check"], "--tol", "-1e-9"),
+    (["psi", "levels"], "--t", "-1e-3"),
+    (["chains", "tower"], "--x", "-1,0"),
+])
+def test_negative_value_after_a_space_reads_as_after_equals(verb, flag,
+                                                            value, capsys):
+    spaced = run(verb + [flag, value, "--no-timings"], capsys)
+    joined = run(verb + [f"{flag}={value}", "--no-timings"], capsys)
+    assert spaced[0] == joined[0] == 2
+    assert spaced[1]["status"] == "error" and spaced[1]["result"]["error"]
+    assert spaced[1]["result"] == joined[1]["result"]
+
+
 def test_negative_tol_is_refused_before_any_model_is_built(capsys):
     code, rep = run(["psi", "levels", "--m", "24", "--level", "3", "--tol",
                      "-1", "--no-timings"], capsys)

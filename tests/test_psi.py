@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix, vstack
 
+from continuum_lab.continua import build_continuum
+from continuum_lab import psi
 from continuum_lab.errors import DomainError, ResourceError
 from continuum_lab.metric_core import DEFAULT_TOL
+from continuum_lab.whitney import build_whitney_map
 from continuum_lab.psi import (Arc, LevelReport, Piece, PsiPathspace,
                                build_psi_model,
                                closed_form_element_count,
@@ -132,6 +135,44 @@ def test_element_cap(monkeypatch):
     # link-count recurrence, before any pattern is generated
     with pytest.raises(ResourceError):
         build_psi_model(fiber_level=4)
+
+
+def reference_normalize(model):
+    """normalize_to_psi0's values by the per-element loop it once ran."""
+    w = build_whitney_map(build_continuum("cycle", n=model.m))
+    m = model.m
+    arc_size = {length: float(np.mean(w.sizes(
+        [frozenset((s + o) % m for o in range(length)) for s in range(m)])))
+        for length in range(2, m + 1)}
+    values = {}
+    for e in model.elements:
+        if isinstance(e, Piece):
+            scale = model.l / model.mu[Arc(start=e.fiber, length=1)]
+            values[e] = model.mu[e] * scale
+        elif e.length == 1:
+            values[e] = model.l
+        else:
+            values[e] = model.l + arc_size[e.length]
+    return values
+
+
+def _assert_normalized_like_the_loop(model):
+    got, want = normalize_to_psi0(model).values, reference_normalize(model)
+    assert list(got) == list(want)
+    assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+    assert all(type(v) is float for v in got.values())
+
+
+@pytest.mark.parametrize("m, level", [(3, 1), (6, 2), (12, 2), (6, 3),
+                                      (24, 2)])
+def test_normalize_matches_the_per_element_loop(m, level):
+    _assert_normalized_like_the_loop(build_psi_model(m=m, fiber_level=level))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.tuples(st.integers(3, 8), st.sampled_from([1, 2])))
+def test_normalize_matches_the_loop_on_small_models(shape):
+    _assert_normalized_like_the_loop(build_psi_model(*shape))
 
 
 # -- containment-order kernel -----------------------------------------------
@@ -306,6 +347,23 @@ def test_order_covers_and_graph_match_the_block_reference(shape):
 
 def test_order_covers_and_graph_match_the_block_reference_at_24_2():
     _assert_order_matches_reference(build_psi_model(24, 2))
+
+
+@pytest.mark.parametrize("block", [1, 7, 100])
+@pytest.mark.parametrize("m, level", [(5, 2), (3, 3)])
+def test_covers_and_sizes_do_not_depend_on_the_block(m, level, block,
+                                                     monkeypatch):
+    whole = build_psi_model(m, level)
+    _, _, want = filament_covers(whole)
+    monkeypatch.setattr(psi, "SIZE_BLOCK_FLOATS", block)
+    model = build_psi_model(m, level)
+    assert model.sizes.tolist() == whole.sizes.tolist()
+    filament, ample, covers = filament_covers(model)
+    assert covers.dtype == bool and np.array_equal(covers, want)
+    order = reference_order(model)[filament]
+    assert np.array_equal(
+        covers, (order[:, ample] > (order @ reference_order(model))[:, ample])
+        .toarray())
 
 
 @settings(max_examples=12, deadline=None)

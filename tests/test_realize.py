@@ -46,6 +46,39 @@ def test_closure_mask_is_the_3x3_dilation(mask):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def reference_closure_mask(m):
+    """The closure as realize once computed it: the OR of the nine shifted
+    windows of a zero-padded copy."""
+    rows, cols = m.shape
+    padded = np.pad(m, 1)
+    out = np.zeros_like(m)
+    for dr in range(3):
+        for dc in range(3):
+            out |= padded[dr:dr + rows, dc:dc + cols]
+    return out
+
+
+BORDER = np.zeros((5, 7), bool)
+BORDER[0, 0] = BORDER[-1, 3] = BORDER[2, -1] = True
+
+
+@settings(max_examples=300, deadline=None)
+@given(MASKS)
+@example(np.zeros((1, 1), bool))
+@example(np.ones((1, 1), bool))
+@example(np.array([[True, False, False, False, False, False, True]]))
+@example(np.array([[False], [True], [False]]))
+@example(np.zeros((3, 8), bool))
+@example(np.ones((6, 2), bool))
+@example(BORDER)
+def test_closure_mask_equals_the_nine_window_or(mask):
+    before = mask.copy()
+    got = _closure_mask(mask)
+    assert np.array_equal(mask, before)
+    assert got.dtype == mask.dtype
+    assert np.array_equal(got, reference_closure_mask(mask))
+
+
 def test_pattern_runs_decomposition():
     runs = pattern_runs((1, 2, 3, 2, 3, 4))
     assert [(r.start, r.end, r.direction) for r in runs] == \

@@ -14,7 +14,7 @@ from continuum_lab.suite import _convex_size, _noise_size
 from continuum_lab.whitney import (PAIR_BLOCK_SETS, WhitneyMap,
                                    build_whitney_map, check_whitney_axioms,
                                    continuity_modulus_table,
-                                   equal_level_refinement,
+                                   equal_level_refinement, fsum_rows,
                                    hyperspace_distance_matrices,
                                    whitney_distance, whitney_level)
 
@@ -48,6 +48,16 @@ def test_batch_sizes_equal_the_per_set_sizes(kind, params):
         assert np.array_equal(got, [reference_mu(mu, s) for s in subs])
 
 
+@pytest.mark.parametrize("block", [1, 5, 300])
+def test_batch_sizes_do_not_depend_on_the_block(block, monkeypatch):
+    g = build_continuum("cycle", n=9)
+    subs = enumerate_subcontinua(g)
+    sets = subs + [a | b for a in subs[:20] for b in subs[-20:]]
+    monkeypatch.setattr(whitney, "SIZE_BLOCK_FLOATS", block)
+    mu = build_whitney_map(g)
+    assert np.array_equal(mu.sizes(sets), [reference_mu(mu, s) for s in sets])
+
+
 def test_batch_sizes_of_unions_equal_the_per_set_sizes():
     g = build_continuum("path", n=16)
     subs = enumerate_subcontinua(g)
@@ -57,13 +67,92 @@ def test_batch_sizes_of_unions_equal_the_per_set_sizes():
                           [reference_mu(mu, s) for s in unions])
 
 
-@pytest.mark.parametrize("m, level", [(6, 2), (12, 2), (6, 3)])
+@pytest.mark.parametrize("m, level", [(3, 1), (6, 2), (12, 2), (6, 3),
+                                      (24, 2), (12, 3), (24, 3)])
 def test_psi_element_sizes_equal_the_per_set_sizes(m, level):
     model = build_psi_model(m=m, fiber_level=level)
     fresh = WhitneyMap(model.points)
     assert np.array_equal(
         [model.mu[e] for e in model.elements],
         [reference_mu(fresh, model.vertices(e)) for e in model.elements])
+
+
+def sum_rows(table, parts=1):
+    """fsum_rows over a 2-D table split into ``parts`` column blocks; also
+    returns how often the kernel read the blocks."""
+    reads = []
+
+    def blocks():
+        reads.append(1)
+        return np.array_split(np.asarray(table, dtype=float).T, parts)
+    return fsum_rows(blocks, len(table)), len(reads)
+
+
+# non-negative float64 terms from 1 down into the subnormals
+TERMS = st.one_of(
+    st.floats(0.0, 1.0, allow_subnormal=True).map(abs),
+    st.integers(0, 1100).map(lambda e: 2.0 ** -e),
+    st.sampled_from([0.0, 5e-324, 2.0 ** -1022, 1.0, 2.0 ** -53]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda rows: st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.lists(TERMS, min_size=n, max_size=n),
+                       min_size=rows, max_size=rows))),
+       st.integers(1, 3))
+def test_fsum_rows_equals_fsum_on_drawn_terms(table, parts):
+    got, _ = sum_rows(table, parts)
+    assert got.dtype == np.float64
+    assert got.tolist() == [math.fsum(row) for row in table]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 720), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1.0, 2.0 ** -1000, 2.0 ** -1070]))
+def test_fsum_rows_equals_fsum_row_by_row(rows, n, parts, seed, scale):
+    # terms spread over 60 binades, some zero, some rows all zero; scaled
+    # to 2^-1070 they are subnormal
+    rng = np.random.default_rng(seed)
+    table = rng.random((rows, n)) * 2.0 ** -rng.integers(0, 60, (rows, n))
+    table[rng.random((rows, n)) < 0.2] = 0.0
+    table[rng.random(rows) < 0.2] = 0.0
+    table *= scale
+    assert sum_rows(table, parts)[0].tolist() == \
+        [math.fsum(row) for row in table.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 60)),
+                min_size=1, max_size=40))
+def test_fsum_rows_on_two_term_rows(pairs):
+    # x, x * 2^-e: rounding ties and near-ties are common
+    table = [[x, x * 2.0 ** -e] for x, e in pairs]
+    assert sum_rows(table)[0].tolist() == [math.fsum(r) for r in table]
+
+
+def test_fsum_rows_falls_back_to_fsum_on_a_tie():
+    tie = [1.0, 2.0 ** -53]  # 1 + 2^-53 lies halfway between two floats
+    assert math.fsum(tie) == 1.0 and 1.0 + 2.0 ** -53 == 1.0
+    got, reads = sum_rows([tie, [0.5, 0.25], [0.0, 0.0]], parts=2)
+    assert got.tolist() == [1.0, 0.75, 0.0] and reads == 2
+    assert sum_rows([[1.0, 2.0 ** -52], [0.5, 0.25]])[1] == 1
+    # sigma = 1 - 2^-53 and the float error sum q = 2^-54 put sigma + q on
+    # the tie below 1, a power of two; the exact error sum is 2^-109 less,
+    # so the true sum rounds down, which only the lower gap's test sees
+    below = [1 - 2.0 ** -53, 2.0 ** -55, 2.0 ** -55 - 2.0 ** -108, 2.0 ** -109]
+    got, reads = sum_rows([below])
+    assert got.tolist() == [math.fsum(below)] == [1 - 2.0 ** -53]
+    assert reads == 2
+    above = [1.0, 2.0 ** -53, 2.0 ** -105]  # just past the tie: rounds up
+    assert sum_rows([above])[0].tolist() == [math.fsum(above)] == \
+        [1.0 + 2.0 ** -52]
+
+
+def test_fsum_rows_of_no_rows_and_no_columns():
+    assert fsum_rows(lambda: [np.zeros((3, 0))], 0).shape == (0,)
+    assert fsum_rows(lambda: [], 2).tolist() == [0.0, 0.0]
+    assert sum_rows([[5e-324]])[0].tolist() == [5e-324]
 
 
 def test_batch_sizes_honour_and_fill_the_memo():
