@@ -179,6 +179,19 @@ def test_psi_levels_match_golden_output(capsys):
         assert capsys.readouterr().out == case["stdout"], case["argv"]
 
 
+PSI_VERBS_GOLDEN = Path(__file__).parent / "golden" / "psi_verbs.json"
+
+
+def test_psi_verbs_match_golden_output(capsys):
+    # 23 runs recorded before the element layout moved into PsiModel: psi
+    # build, report (raw and normalized), curvature, path by index and by
+    # name (refusals included) and plot psi, at (3, 1) up to (12, 2)
+    for case in json.loads(PSI_VERBS_GOLDEN.read_text()):
+        code = dispatch(case["argv"])
+        assert code == case["exit"], case["argv"]
+        assert capsys.readouterr().out == case["stdout"], case["argv"]
+
+
 def test_plot_chain_pattern_spans_its_own_maximum(capsys):
     code, rep = run(["plot", "chain", "--pattern", "1,2,3", "--no-timings"],
                     capsys)
