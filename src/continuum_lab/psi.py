@@ -108,25 +108,31 @@ class Edges(NamedTuple):
 
 
 class PsiModel:
-    """The element family, sizes, and containment order of the model."""
+    """The element family, sizes, and containment order of the model,
+    each store read by the element ids that :func:`_layout` lays out."""
 
     def __init__(self, m: int, k: int, fiber_level: int,
                  patterns: List[RefinementPattern],
-                 points: FinitePointSet, mu_base: WhitneyMap,
-                 elements: List[HyperElement]):
+                 points: FinitePointSet, mu_base: WhitneyMap):
         self.m = m
         self.k = k
         self.fiber_level = fiber_level
         self.patterns = patterns
         self.points = points
         self.mu_base = mu_base
-        self.elements = elements
-        self.index = {e: i for i, e in enumerate(elements)}
+        self.q = k * (k + 1) // 2 - 1  # pieces per fiber: all but [1, k]
+        self.shapes = _layout(m, k)
+        rows = self.shapes.tolist()
+        pieces = m * self.q  # the pieces are the ids below this
+        self.elements: List[HyperElement] = (
+            [Piece(s, lo, hi) for s, _, lo, hi in rows[:pieces]]
+            + [Arc(s, ln) for s, ln, _, _ in rows[pieces:]])
+        self.index = {e: t for t, e in enumerate(self.elements)}
+        self.at = {tuple(shape): t for t, shape in enumerate(rows)}
         self.sizes = _envelope_sizes(self)
-        self.mu: Dict[HyperElement, float] = dict(zip(elements,
-                                                      self.sizes.tolist()))
-        self.fiber_sizes = [self.mu[Arc(start=a, length=1)] for a in range(m)]
-        self.l, self.L = min(self.fiber_sizes), max(self.fiber_sizes)
+        self.fiber_sizes = self.sizes[pieces:pieces + m]
+        self.l = float(self.fiber_sizes.min())
+        self.L = float(self.fiber_sizes.max())
         self.whole = Arc(start=0, length=m)
 
     # -- structure ---------------------------------------------------------
@@ -135,21 +141,13 @@ class PsiModel:
         """Embedded point id of 1-based ``link`` in ``fiber``."""
         return fiber * self.k + (link - 1)
 
-    def vertices(self, e: HyperElement) -> FrozenSet[int]:
-        """One embedded point id per link of every fiber of ``e``."""
-        start, length, lo, hi = self.shape(e)
-        return frozenset(chain.from_iterable(
-            range(self.vertex_id(f % self.m, lo),
-                  self.vertex_id(f % self.m, hi) + 1)
-            for f in range(start, start + length)))
-
     def closed_vertices(self, e: HyperElement) -> FrozenSet[int]:
         """Overlap-faithful vertex set on a doubled grid per fiber.
 
         Link t covers grid points 2t-1 .. 2t+1, so consecutive links share
         a point, exactly as overlapping chain links do.  Use this for
-        intersection questions (terminality); :meth:`vertices` keeps one
-        center point per link for metric purposes.
+        intersection questions (terminality); the sizes keep one center
+        point per link for metric purposes.
         """
         span = 2 * self.k + 1
         start, length, lo, hi = self.shape(e)
@@ -180,31 +178,24 @@ class PsiModel:
         return (e.start, e.length, 1, self.k)
 
     @cached_property
-    def shapes(self) -> List[Tuple[int, int, int, int]]:
-        """:meth:`shape` per element, in element order."""
-        return [self.shape(e) for e in self.elements]
-
-    @cached_property
     def strict_order(self) -> Order:
         """Strict containment order (a < b iff a != b and ``leq(a, b)``),
         built from index runs in time linear in its pairs.
 
-        Elements lie as :func:`build_psi_model` lists them: pieces by
+        Elements lie as :func:`_layout` lists them: pieces by
         ``(fiber, i, j)``, arcs by ``(length, start)``, the whole.  Above
         piece ``(f, i, j)`` lie, for each i' <= i, the pieces
         ``(f, i', j..k)``.  Above base interval [s - L + 1, s] (L = 1 for
         a piece) lie, for each longer length L', the arcs starting in
         [s - L' + L, s]: one run, or two where it wraps.  Then the whole.
         """
-        m, k, n = self.m, self.k, len(self.elements)
-        s, ln, lo, hi = np.array(self.shapes, dtype=np.int64).T[..., None]
+        m, k, q, n = self.m, self.k, self.q, len(self.elements)
+        s, ln, lo, hi = self.shapes.T[..., None]
         piece = (lo > 1) | (hi < k)
-        width = np.arange(k, 0, -1)  # pieces (f, i, i..k) of each i
-        width[0] -= 1  # (1, k) is the fiber arc
-        i, q = np.arange(1, k + 1), int(width.sum())
+        i = np.arange(1, k + 1)
         last = i == lo
-        # piece (f, i, j) sits at f * q + (pieces of rows before i) + j - i
-        p_head = s * q + np.cumsum(width) - width + hi - i + last
+        # piece (f, i, j) sits at f * q + (row i's first piece) + j - i
+        p_head = s * q + np.searchsorted(self.shapes[:q, 2], i) + hi - i + last
         p_count = np.where(piece & (i <= lo), k - hi + 1 - last - (i == 1), 0)
         L = np.arange(1, m)
         w = np.where(L >= ln + ~piece, L - ln + 1, 0)  # arcs of length L
@@ -226,13 +217,27 @@ class PsiModel:
         return "filament" if isinstance(e, Piece) else "ample"
 
 
+def _layout(m: int, k: int) -> np.ndarray:
+    """Element shapes (start, length, first link, last link), one row per
+    element id: pieces by (fiber, i, j) without the fiber arc (1, k), then
+    arcs by (length, start), then the whole."""
+    i, j = np.triu_indices(k)  # link intervals by (i, j)
+    keep = (i > 0) | (j < k - 1)  # [1, k] is the fiber arc
+    i, j = i[keep] + 1, j[keep] + 1
+    length, start = np.divmod(np.arange(m, m * m + 1), m)  # m * m: whole
+    return np.stack([np.r_[np.repeat(np.arange(m), len(i)), start],
+                     np.r_[np.ones(m * len(i), dtype=int), length],
+                     np.r_[np.tile(i, m), np.ones_like(start)],
+                     np.r_[np.tile(j, m), np.full_like(start, k)]], axis=1)
+
+
 def _envelope_sizes(model: PsiModel) -> np.ndarray:
     """mu of each element's vertex set from F's row envelopes: a run of d
     links (an arc of L fibers) has the max of its first d - 1 (L - 1) and
     its last; max and min are exact, so the terms are the vertex sets'."""
     m, k, mu = model.m, model.k, model.mu_base
     first = np.r_[0, np.cumsum(m * np.arange(k, 0, -1))]  # by run length
-    s, ln, lo, hi = np.array(model.shapes, dtype=np.int64).reshape(-1, 4).T
+    s, ln, lo, hi = model.shapes.T
     row = np.where(ln == 1, first[hi - lo] + s * (k - hi + lo) + lo - 1,
                    first[-1] + (ln - 2) * m + s)
     rows = first[-1] + (m - 1) * m
@@ -306,20 +311,9 @@ def build_psi_model(m: int = 6, fiber_level: int = 2) -> PsiModel:
             r = BASE_RADIUS + FIBER_STICK * t / max(k - 1, 1)
             pts.append((r * math.cos(ang), r * math.sin(ang)))
     points = FinitePointSet(points=pts)
-    mu_base = build_whitney_map(points)
-    elements: List[HyperElement] = []
-    for a in range(m):
-        for i in range(1, k + 1):
-            for j in range(i, k + 1):
-                if (i, j) != (1, k):
-                    elements.append(Piece(fiber=a, i=i, j=j))
-    for length in range(1, m):
-        for s in range(m):
-            elements.append(Arc(start=s, length=length))
-    elements.append(Arc(start=0, length=m))
     model = PsiModel(m=m, k=k, fiber_level=fiber_level, patterns=patterns,
-                     points=points, mu_base=mu_base, elements=elements)
-    if not (0 < model.l <= model.L < model.mu[model.whole]):
+                     points=points, mu_base=build_whitney_map(points))
+    if not (0 < model.l <= model.L < model.sizes[-1]):
         raise DomainError("internal: Planck interval out of order")
     return model
 
@@ -346,7 +340,7 @@ def filament_covers(model: PsiModel
     elements with equal ``up`` rows form one class, and the ample elements
     above some c > a are the union of the classes of the elements above a.
     """
-    is_piece = np.array([isinstance(e, Piece) for e in model.elements])
+    is_piece = np.arange(len(model.elements)) < model.m * model.q
     filament, ample = np.flatnonzero(is_piece), np.flatnonzero(~is_piece)
     # ample elements' columns, and a spare last column for the pieces
     col = np.where(is_piece, len(ample), np.cumsum(~is_piece) - 1)
@@ -388,16 +382,21 @@ def planck_report(model: PsiModel) -> PlanckReport:
     _, ample, covers = filament_covers(model)
     boundary = [model.elements[i] for i in ample[covers.any(axis=0)]]
     return PlanckReport(l=model.l, L=model.L, boundary=boundary,
-                        fiber_values=list(model.fiber_sizes))
+                        fiber_values=model.fiber_sizes.tolist())
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: v is an array
 class PsiValues:
-    """A size assignment on the element family (raw or normalized)."""
+    """A size assignment on the element family (raw or normalized): ``v``
+    holds the value of each element id."""
 
     model: PsiModel
-    values: Dict[HyperElement, float]
+    v: np.ndarray
     l: float
+
+    @cached_property
+    def values(self) -> Dict[HyperElement, float]:
+        return dict(zip(self.model.elements, self.v.tolist()))
 
     @cached_property
     def space(self) -> "PsiPathspace":
@@ -410,7 +409,7 @@ class PsiValues:
 
 
 def raw_values(model: PsiModel) -> PsiValues:
-    return PsiValues(model=model, values=dict(model.mu), l=model.l)
+    return PsiValues(model=model, v=model.sizes, l=model.l)
 
 
 def normalize_to_psi0(model: PsiModel) -> PsiValues:
@@ -429,12 +428,11 @@ def normalize_to_psi0(model: PsiModel) -> PsiValues:
     for length in range(2, m + 1):
         arc_size[length] = np.mean(w.sizes(
             [frozenset((s + o) % m for o in range(length)) for s in range(m)]))
-    s, ln, lo, hi = np.array(model.shapes, dtype=np.int64).reshape(-1, 4).T
+    s, ln, lo, hi = model.shapes.T
     full = (lo == 1) & (hi == k)  # all links: a fiber or a longer arc
-    scale = l / np.array(model.fiber_sizes)[s]
+    scale = l / model.fiber_sizes[s]
     v = np.where(full, l + arc_size[ln], model.sizes * scale)
-    values = dict(zip(model.elements, v.tolist()))
-    return PsiValues(model=model, values=values, l=model.l)
+    return PsiValues(model=model, v=v, l=l)
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +466,17 @@ def level_structure_report(pv: PsiValues, t: float,
     second-nearest-neighbor distance, which closes the base cycle.  Every
     step reads one table of the shell pairs' join distances.
     """
-    model = pv.model
+    model, space = pv.model, pv.space
     if t <= 0:
         raise DomainError("level parameter must be positive")
     below = t < pv.l - DEFAULT_TOL
-    cands = [i for i, e in enumerate(model.elements)
-             if isinstance(e, Piece) == below]
-    errs = [abs(pv.space.v[i] - t) for i in cands]
+    pieces = model.m * model.q
+    cands = range(pieces) if below else range(pieces, len(space.v))
+    errs = [abs(space.v[i] - t) for i in cands]
     if tol is None:  # the largest best error of a fiber or rotation
         best = [math.inf] * model.m
         for i, err in zip(cands, errs):
-            start, length = model.shapes[i][:2]  # the whole: every rotation
+            start, length = space.shapes[i][:2]  # the whole: every rotation
             for g in range(model.m) if length == model.m else [start]:
                 best[g] = min(best[g], err)
         tol = max(best)
@@ -486,10 +484,10 @@ def level_structure_report(pv: PsiValues, t: float,
     n = len(idx)
     d = np.full((n, n), np.inf)
     for r in range(n - 1):
-        d[r, r + 1:] = d[r + 1:, r] = [pv.space.join_distance(idx[r], j)
+        d[r, r + 1:] = d[r + 1:, r] = [space.join_distance(idx[r], j)
                                        for j in idx[r + 1:]]
     if below:
-        fiber = np.array([model.shapes[i][0] for i in idx], dtype=int)
+        fiber = model.shapes[idx, 0]
         eps = max([_bottleneck(d[np.ix_(fiber == a, fiber == a)])
                    for a in np.unique(fiber)], default=0.0)
     else:
@@ -562,11 +560,10 @@ class PsiPathspace:
     def __init__(self, pv: PsiValues):
         self.pv = pv
         model = pv.model
-        self.m, self.k = model.m, model.k
-        self.shapes = model.shapes
-        self.at = {shape: i for i, shape in enumerate(self.shapes)}
-        self.whole = self.at[0, self.m, 1, self.k]
-        self.v = [pv.values[e] for e in model.elements]
+        self.m, self.k, self.at = model.m, model.k, model.at
+        # Python scalars: join and meet unpack rows one pair at a time
+        self.shapes, self.v = model.shapes.tolist(), pv.v.tolist()
+        self.whole = len(self.v) - 1
 
     def join(self, a: int, b: int) -> int:
         """Least common upper bound.
@@ -639,8 +636,7 @@ class PsiPathspace:
     def graph(self) -> Edges:
         """Comparable pairs in both directions, weighted by their size gap."""
         below, above = self.pv.model.strict_order.pairs()
-        v = np.array(self.v)
-        gap = np.abs(v[below] - v[above])
+        gap = np.abs(self.pv.v[below] - self.pv.v[above])
         return Edges(rows=np.concatenate([below, above]),
                      cols=np.concatenate([above, below]),
                      weights=np.concatenate([gap, gap]))
@@ -662,7 +658,10 @@ class CurvatureReport:
 def curvature_check(pv: PsiValues, trials: int = 1000,
                     seed: int = 0, tol: float = DEFAULT_TOL
                     ) -> CurvatureReport:
-    """Exact additivity on degenerate geodesic triangles.
+    """Sampled triangle inequality, and a count of degenerate triples.
+
+    Not a certificate of curvature >= 0: (1+3)-point comparisons on this
+    metric fail with an angle excess of pi (a geodesic branches).
 
     Samples seeded random element triples; a triple is degenerate when its
     third element lies on *some* geodesic between the other two, that is

@@ -331,11 +331,11 @@ def check_psi_paths() -> CheckResult:
         pv = normalize_to_psi0(model)
         # Pieces of two fibers need an ample element between them exactly
         # when no pair of them is comparable.
-        pieces = [e for e in model.elements if isinstance(e, Piece)]
+        pieces = model.elements[:model.m * model.q]
         d["cross_fiber_pairs"] = sum(a.fiber != b.fiber for a, b
                                      in itertools.combinations(pieces, 2))
-        fiber = np.array([e.fiber if isinstance(e, Piece) else -1
-                          for e in model.elements])
+        fiber = np.where(np.arange(len(model.elements)) < len(pieces),
+                         model.shapes[:, 0], -1)
         rows, cols = model.strict_order.pairs()
         cross = np.flatnonzero((fiber[rows] >= 0) & (fiber[cols] >= 0)
                                & (fiber[rows] != fiber[cols]))

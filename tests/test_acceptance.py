@@ -17,6 +17,7 @@ from continuum_lab.suite import (check_crookedness, check_homeomorphisms,
                                  check_size_metric,
                                  check_subadditivity_agreement,
                                  check_tower, check_triods_terminal)
+from test_psi import reference_vertices
 
 
 def test_1_size_axioms_exhaustive_on_arc():
@@ -95,8 +96,9 @@ def test_7_psi_model_element_census_closed_form():
     assert r.details["elements"] == 151
     assert r.details["closed_form"] - r.details["elements"] == model.m
     # independent count: distinct vertex sets of the element family
-    assert len({model.vertices(e) for e in model.elements}) == 151
-    full = {model.vertices(Arc(start=s, length=1)) for s in range(model.m)}
+    assert len({reference_vertices(model, e) for e in model.elements}) == 151
+    full = {reference_vertices(model, Arc(start=s, length=1))
+            for s in range(model.m)}
     assert full == {frozenset(model.vertex_id(s, t)
                               for t in range(1, model.k + 1))
                     for s in range(model.m)}

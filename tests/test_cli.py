@@ -272,6 +272,10 @@ MALFORMED = {
                                     "--to", "0"],
     "psi-arc-field": lambda tmp: ["psi", "path", "--from", "0", "--to",
                                   "arc:1:b"],
+    "psi-index-negative": lambda tmp: ["psi", "path", "--from", "-1",
+                                       "--to", "0"],
+    "psi-index-negative-joined": lambda tmp: ["psi", "path", "--from=-2",
+                                              "--to", "0"],
     "n-zero": lambda tmp: ["chains", "verify", "--n", "0"],
     "limit-negative": lambda tmp: ["continuum", "orderarcs", "--size", "4",
                                    "--from", "1", "--to", "0,1,2",

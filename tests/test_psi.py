@@ -60,7 +60,7 @@ def _exact_size(model, e):
     Each term is w_n * (max - min) of row n of F over the element's
     vertices; the Fraction sum has no rounding until the final float().
     """
-    cols = model.mu_base.F[:, sorted(model.vertices(e))]
+    cols = model.mu_base.F[:, sorted(reference_vertices(model, e))]
     spans = cols.max(axis=1) - cols.min(axis=1)
     return float(sum(Fraction(float(w)) * Fraction(float(s))
                      for w, s in zip(model.mu_base.weights, spans)))
@@ -77,13 +77,13 @@ def test_golden_size_constants(model):
     """
     assert model.l == 0.03357443549393839
     assert model.L == 0.2284301695440301
-    assert model.mu[model.whole] == 0.7068619848690658
-    assert 0.0 < model.l <= model.L < model.mu[model.whole]
+    assert model.sizes[-1] == 0.7068619848690658
+    assert 0.0 < model.l <= model.L < model.sizes[-1]
     fibers = [Arc(start=s, length=1) for s in range(model.m)]
     exact = [_exact_size(model, f) for f in fibers]
     assert model.l == min(exact)
     assert model.L == max(exact)
-    assert model.mu[model.whole] == _exact_size(model, model.whole)
+    assert model.sizes[-1] == _exact_size(model, model.whole)
 
 
 def test_containment_order(model):
@@ -101,7 +101,8 @@ def test_strict_size_monotonicity(model):
     for a in model.elements:
         for b in model.elements:
             if a != b and model.leq(a, b):
-                assert model.mu[a] < model.mu[b]
+                assert (model.sizes[model.index[a]]
+                        < model.sizes[model.index[b]])
 
 
 def test_classification_split(model):
@@ -147,8 +148,9 @@ def reference_normalize(model):
     values = {}
     for e in model.elements:
         if isinstance(e, Piece):
-            scale = model.l / model.mu[Arc(start=e.fiber, length=1)]
-            values[e] = model.mu[e] * scale
+            fiber = model.index[Arc(start=e.fiber, length=1)]
+            scale = model.l / model.sizes[fiber]
+            values[e] = float(model.sizes[model.index[e]] * scale)
         elif e.length == 1:
             values[e] = model.l
         else:
@@ -200,6 +202,48 @@ def test_leq_matches_reference_on_every_pair(m, level):
         [[reference_leq(model, a, b) for b in els] for a in els]
 
 
+# -- element layout ---------------------------------------------------------
+
+
+def reference_elements(m, k):
+    """The element list by the nested loops that once built it."""
+    elements = []
+    for a in range(m):
+        for i in range(1, k + 1):
+            for j in range(i, k + 1):
+                if (i, j) != (1, k):
+                    elements.append(Piece(fiber=a, i=i, j=j))
+    for length in range(1, m):
+        for s in range(m):
+            elements.append(Arc(start=s, length=length))
+    elements.append(Arc(start=0, length=m))
+    return elements
+
+
+def _assert_layout_matches_the_loops(model):
+    els = model.elements
+    assert els == reference_elements(model.m, model.k)
+    assert [tuple(row) for row in model.shapes.tolist()] == \
+        [model.shape(e) for e in els]
+    assert all(model.at[model.shape(e)] == model.index[e] == t
+               for t, e in enumerate(els))
+    assert len(model.at) == len(model.index) == len(els)
+    assert [t for t, e in enumerate(els) if isinstance(e, Piece)] == \
+        list(range(model.m * model.q))
+
+
+@pytest.mark.parametrize("m, level", [(6, 3), (24, 3)])
+def test_layout_matches_the_nested_loops(m, level):
+    _assert_layout_matches_the_loops(build_psi_model(m=m, fiber_level=level))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(st.integers(3, 12), st.sampled_from([1, 2])))
+def test_layout_matches_the_nested_loops_on_small_models(mk):
+    _assert_layout_matches_the_loops(build_psi_model(m=mk[0],
+                                                     fiber_level=mk[1]))
+
+
 # -- element sets from the shape ---------------------------------------------
 
 
@@ -231,7 +275,6 @@ def reference_fibers_of(model, e):
 
 def _assert_element_sets_match(model):
     for e in model.elements:
-        assert model.vertices(e) == reference_vertices(model, e), e
         assert model.closed_vertices(e) == \
             reference_closed_vertices(model, e), e
         assert model.fibers_of(e) == reference_fibers_of(model, e), e
@@ -442,7 +485,7 @@ def test_level_set_at_l_is_the_boundary(pv):
 
 def test_raw_values_match_model(model):
     rv = raw_values(model)
-    assert rv.values[model.whole] == model.mu[model.whole]
+    assert rv.values[model.whole] == model.sizes[model.index[model.whole]]
     assert rv.l == model.l
 
 

@@ -17,6 +17,7 @@ from continuum_lab.whitney import (PAIR_BLOCK_SETS, WhitneyMap,
                                    equal_level_refinement, fsum_rows,
                                    hyperspace_distance_matrices,
                                    whitney_distance, whitney_level)
+from test_psi import reference_vertices
 
 
 def reference_mu(mu, a):
@@ -73,8 +74,9 @@ def test_psi_element_sizes_equal_the_per_set_sizes(m, level):
     model = build_psi_model(m=m, fiber_level=level)
     fresh = WhitneyMap(model.points)
     assert np.array_equal(
-        [model.mu[e] for e in model.elements],
-        [reference_mu(fresh, model.vertices(e)) for e in model.elements])
+        model.sizes,
+        [reference_mu(fresh, reference_vertices(model, e))
+         for e in model.elements])
 
 
 def sum_rows(table, parts=1):
