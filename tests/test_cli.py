@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from continuum_lab import cli, suite
 from continuum_lab.chains import generate_crooked_pattern, pattern_to_json
 from continuum_lab.cli import _build_parser, dispatch
 from continuum_lab.metric_core import DEFAULT_TOL
@@ -190,6 +191,26 @@ def test_psi_verbs_match_golden_output(capsys):
         code = dispatch(case["argv"])
         assert code == case["exit"], case["argv"]
         assert capsys.readouterr().out == case["stdout"], case["argv"]
+
+
+SUITE_ALL_GOLDEN = Path(__file__).parent / "golden" / "suite_all.json"
+
+
+def test_suite_all_matches_golden_output(capsys, monkeypatch):
+    # recorded before the psi metric moved to array passes; the report
+    # names only a failing check's details, so each check's details (the
+    # size metric's defect, the homeomorphism round trips, the geodesic
+    # certificate's slack, the curvature sample) are pinned beside it
+    seen = []
+    monkeypatch.setattr(cli, "run_all",
+                        lambda: seen.extend(suite.run_all()) or seen)
+    for case in json.loads(SUITE_ALL_GOLDEN.read_text()):
+        seen.clear()
+        code = dispatch(case["argv"])
+        assert code == case["exit"], case["argv"]
+        assert capsys.readouterr().out == case["stdout"], case["argv"]
+        details = json.loads(json.dumps({r.name: r.details for r in seen}))
+        assert details == case["details"], case["argv"]
 
 
 def test_plot_chain_pattern_spans_its_own_maximum(capsys):
