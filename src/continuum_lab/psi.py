@@ -26,7 +26,8 @@ sets no longer have canonical sizes).  Paths along the containment order
 are measured by their total size variation; a shortest one bends once, at
 the join or at the meet M, so its length is the closed form
 min(2 mu(J) - mu(A) - mu(B), mu(A) + mu(B) - 2 mu(M)).  One index-based
-kernel, :class:`PsiPathspace`, computes J and M for both metrics.
+kernel, :class:`PsiPathspace`, computes J and M for both metrics, one pair
+at a time for single queries and over index arrays for batches.
 """
 
 from __future__ import annotations
@@ -122,6 +123,8 @@ class PsiModel:
         self.mu_base = mu_base
         self.q = k * (k + 1) // 2 - 1  # pieces per fiber: all but [1, k]
         self.shapes = _layout(m, k)
+        # row[i]: the offset in a fiber of its first piece with first link i
+        self.row = np.searchsorted(self.shapes[:self.q, 2], range(k + 1))
         rows = self.shapes.tolist()
         pieces = m * self.q  # the pieces are the ids below this
         self.elements: List[HyperElement] = (
@@ -194,8 +197,8 @@ class PsiModel:
         piece = (lo > 1) | (hi < k)
         i = np.arange(1, k + 1)
         last = i == lo
-        # piece (f, i, j) sits at f * q + (row i's first piece) + j - i
-        p_head = s * q + np.searchsorted(self.shapes[:q, 2], i) + hi - i + last
+        # piece (f, i, j) sits at f * q + row[i] + j - i
+        p_head = s * q + self.row[i] + hi - i + last
         p_count = np.where(piece & (i <= lo), k - hi + 1 - last - (i == 1), 0)
         L = np.arange(1, m)
         w = np.where(L >= ln + ~piece, L - ln + 1, 0)  # arcs of length L
@@ -464,28 +467,28 @@ def level_structure_report(pv: PsiValues, t: float,
     fiber's shell connected.  At and above l the level is the per-rotation
     closest shell of base arcs and the nerve radius is the largest
     second-nearest-neighbor distance, which closes the base cycle.  Every
-    step reads one table of the shell pairs' join distances.
+    step reads one table of the shell pairs' join distances (row blocks).
     """
     model, space = pv.model, pv.space
     if t <= 0:
         raise DomainError("level parameter must be positive")
     below = t < pv.l - DEFAULT_TOL
-    pieces = model.m * model.q
-    cands = range(pieces) if below else range(pieces, len(space.v))
-    errs = [abs(space.v[i] - t) for i in cands]
+    m, pieces = model.m, model.m * model.q
+    cands = np.arange(pieces) if below else np.arange(pieces, len(pv.v))
+    errs = np.abs(pv.v[cands] - t)
     if tol is None:  # the largest best error of a fiber or rotation
-        best = [math.inf] * model.m
-        for i, err in zip(cands, errs):
-            start, length = space.shapes[i][:2]  # the whole: every rotation
-            for g in range(model.m) if length == model.m else [start]:
-                best[g] = min(best[g], err)
-        tol = max(best)
-    idx = [i for i, err in zip(cands, errs) if err <= tol + DEFAULT_TOL]
+        best = (errs.reshape(m, -1).min(axis=1) if below  # q per fiber
+                else np.minimum(errs[:-1].reshape(-1, m).min(axis=0),
+                                errs[-1]))  # the whole: every rotation
+        tol = float(best.max())
+    idx = cands[errs <= tol + DEFAULT_TOL]
     n = len(idx)
     d = np.full((n, n), np.inf)
-    for r in range(n - 1):
-        d[r, r + 1:] = d[r + 1:, r] = [space.join_distance(idx[r], j)
-                                       for j in idx[r + 1:]]
+    step = max(1, SIZE_BLOCK_FLOATS // max(n, 1))  # rows, under n pairs each
+    for r0 in range(0, n, step):  # the pairs r < c of rows r0 .. r0 + step
+        r, c = np.triu_indices(min(step, n - r0), r0 + 1, n)
+        r += r0
+        d[r, c] = d[c, r] = space.join_distances(idx[r], idx[c])
     if below:
         fiber = model.shapes[idx, 0]
         eps = max([_bottleneck(d[np.ix_(fiber == a, fiber == a)])
@@ -499,7 +502,7 @@ def level_structure_report(pv: PsiValues, t: float,
         while front.any():
             label[front] = s
             front = adj[front].any(axis=0) & (label < 0)
-    shells = [model.elements[i] for i in idx]
+    shells = [model.elements[i] for i in idx.tolist()]
     components = [[shells[r] for r in np.flatnonzero(label == s)]
                   for s in np.unique(label)]
     is_cycle = bool(len(components) == 1 and n >= 3
@@ -553,14 +556,17 @@ class PsiPathspace:
     so a shortest path bends once: up to the join J (least common upper
     bound) and down, or down to the meet M (greatest common lower bound)
     and up, d(a, b) = min(2 v(J) - v(a) - v(b), v(a) + v(b) - 2 v(M)).
-    :meth:`join`, :meth:`meet` and :meth:`distance` take element indices;
-    :attr:`graph` is the comparability graph, kept for checks and tests.
+    :meth:`join`, :meth:`meet` and :meth:`join_distance` take two element
+    indices, for single queries such as :meth:`path_between`; their batch
+    form :meth:`joins`, :meth:`meets`, :meth:`geodesics` and
+    :meth:`join_distances` takes index arrays.  :attr:`graph` is the
+    comparability graph, kept for checks and tests.
     """
 
     def __init__(self, pv: PsiValues):
         self.pv = pv
         model = pv.model
-        self.m, self.k, self.at = model.m, model.k, model.at
+        self.m, self.k, self.q, self.at = model.m, model.k, model.q, model.at
         # Python scalars: join and meet unpack rows one pair at a time
         self.shapes, self.v = model.shapes.tolist(), pv.v.tolist()
         self.whole = len(self.v) - 1
@@ -618,8 +624,61 @@ class PsiPathspace:
             return (v[a] - v[low]) + (v[b] - v[low]), low
         return up, top
 
-    def distance(self, a: int, b: int) -> float:
-        return self._geodesic(a, b)[0]
+    # -- batch form: int id arrays in, arrays out ---------------------------
+
+    def _ids(self, s, ln, lo, hi) -> np.ndarray:
+        """Ids of shapes: all k links make an arc, of length m or more the
+        whole; piece (f, i, j) sits at f * q + row[i] + j - i."""
+        m, q = self.m, self.q
+        arc = np.where(ln < m, m * q + (ln - 1) * m + s, self.whole)
+        return np.where((lo == 1) & (hi == self.k), arc,
+                        s * q + self.pv.model.row[lo] + hi - lo)
+
+    def _pick(self, x, y, larger: bool) -> np.ndarray:
+        """x or y, whichever is smaller (larger) by size, then lower id."""
+        vx, vy = self.pv.v[x], self.pv.v[y]
+        return np.where(((vx > vy) if larger else (vx < vy))
+                        | ((vx == vy) & (x < y)), x, y)
+
+    def joins(self, a, b) -> np.ndarray:
+        """:meth:`join` of each pair (a[t], b[t])."""
+        m, k = self.m, self.k
+        sa, la, loa, hia = self.pv.model.shapes[a].T
+        sb, lb, lob, hib = self.pv.model.shapes[b].T
+        hull = self._ids(sa, 1, np.minimum(loa, lob), np.maximum(hia, hib))
+        x = self._ids(sa, np.maximum(la, (sb - sa) % m + lb), 1, k)
+        y = self._ids(sb, np.maximum(lb, (sa - sb) % m + la), 1, k)
+        return np.where((la == 1) & (lb == 1) & (sa == sb), hull,
+                        self._pick(x, y, larger=False))
+
+    def meets(self, a, b) -> np.ndarray:
+        """:meth:`meet` of each pair (a[t], b[t]), -1 where disjoint."""
+        m = self.m
+        sa, la, loa, hia = self.pv.model.shapes[a].T
+        sb, lb, lob, hib = self.pv.model.shapes[b].T
+        lo, hi = np.maximum(loa, lob), np.minimum(hia, hib)
+        off = (sb - sa) % m  # b's start, counted from a's
+        x = np.where((lo <= hi) & (off < la),
+                     self._ids(sb, np.minimum(la - off, lb), lo, hi), -1)
+        y = np.where((lo <= hi) & (off + lb > m),
+                     self._ids(sa, np.minimum(la, off + lb - m), lo, hi), -1)
+        low = np.where((x < 0) | (y < 0), np.maximum(x, y),
+                       self._pick(x, y, larger=True))
+        return np.where(la == m, b, np.where(lb == m, a, low))
+
+    def geodesics(self, a, b) -> Tuple[np.ndarray, np.ndarray]:
+        """(lengths, bends) of :meth:`_geodesic` for each pair."""
+        v = self.pv.v
+        top, low = self.joins(a, b), self.meets(a, b)
+        up = (v[top] - v[a]) + (v[top] - v[b])
+        down = (v[a] - v[low]) + (v[b] - v[low])  # low = -1 masked below
+        take = (low >= 0) & (down < up)
+        return np.where(take, down, up), np.where(take, low, top)
+
+    def join_distances(self, a, b) -> np.ndarray:
+        """:meth:`join_distance` of each pair."""
+        v, top = self.pv.v, self.pv.v[self.joins(a, b)]
+        return np.maximum(top - v[a], top - v[b])
 
     def path_between(self, a: HyperElement, b: HyperElement
                      ) -> Tuple[float, List[HyperElement]]:
@@ -669,20 +728,18 @@ def curvature_check(pv: PsiValues, trials: int = 1000,
     This reading does not depend on which of several shortest paths is
     taken.  On it the two shorter sides sum to the third within ``tol`` by
     definition, so ``additive`` equals ``degenerate`` and ``worst_defect``
-    is the largest such gap.  Each side is one closed-form distance.
+    is the largest such gap.  All sides are closed-form distances from
+    one :meth:`PsiPathspace.geodesics` call.
     ``triangle_breaks`` counts the triples whose longest side exceeds the
     sum of the other two by more than ``tol``; it is 0 for a metric.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    space = pv.space
-    n = len(space.v)
-    sides = np.array([(space.distance(x, y), space.distance(x, z),
-                       space.distance(y, z))
-                      for x, y, z in (rng.choice(n, size=3, replace=False)
-                                      .tolist() for _ in range(trials))])
-    xy, xz, yz = sides.T
+    x, y, z = np.array([rng.choice(len(pv.v), size=3, replace=False)
+                        for _ in range(trials)]).T
+    sides, _ = pv.space.geodesics(np.r_[x, x, y], np.r_[y, z, z])
+    xy, xz, yz = sides.reshape(3, trials)
     excess = np.array([xy - xz - yz, xz - xy - yz, yz - xy - xz])
     gap = np.abs(excess).min(axis=0)
     flat = gap[gap <= tol]

@@ -126,13 +126,15 @@ def check_size_metric() -> CheckResult:
         at = {s: i for i, s in enumerate(subs)}  # rows of dist
         point_ok = all(abs(dist[at[a], at[frozenset([x])]] - mu(a)) <= TOL
                        for a in subs for x in a)
-        iso_ok = True
+        iso_ok, pairs = True, {}  # the pairs i < j of each arc length
         for x in range(g.n):
             for arc in order_arcs_between(g, frozenset([x]),
                                           frozenset(range(g.n))):
                 rows = np.array([at[s] for s in arc])
                 size = mu.sizes(arc)
-                i, j = np.triu_indices(len(arc), k=1)
+                if len(arc) not in pairs:
+                    pairs[len(arc)] = np.triu_indices(len(arc), k=1)
+                i, j = pairs[len(arc)]
                 same = dist[rows[i], rows[j]] == size[j] - size[i]
                 iso_ok &= bool(same.all())
         d["positivity"] = bool(pos)
@@ -197,14 +199,16 @@ def check_homeomorphisms() -> CheckResult:
         rng = np.random.default_rng(7)
         worst = 0.0
         samples = HOMEOMORPHISM_SAMPLES
-        for a, b in zip(*np.sort(rng.uniform(0, 1, (2, samples)), axis=0)):
+        # Python floats: the same IEEE arithmetic, without numpy scalars
+        for a, b in zip(*np.sort(rng.uniform(0, 1, (2, samples)),
+                                 axis=0).tolist()):
             u, v = interval_arc_to_triangle(a, b)
             a2, b2 = triangle_to_interval_arc(u, v)
             worst = max(worst, abs(a2 - a), abs(b2 - b))
         d["interval_roundtrip"] = worst
         worst_c = 0.0
-        alphas = rng.uniform(-math.pi, math.pi, samples)
-        widths = rng.uniform(0, 2 * math.pi, samples)
+        alphas = rng.uniform(-math.pi, math.pi, samples).tolist()
+        widths = rng.uniform(0, 2 * math.pi, samples).tolist()
         for alpha, width in zip(alphas, widths):
             x, y = circle_arc_to_disk(alpha, alpha + width)
             a2, b2 = disk_to_circle_arc(x, y)
@@ -291,33 +295,38 @@ def check_psi_levels() -> CheckResult:
 # 9. geodesics must pass through ample elements
 
 
+def _leq(model, a, b) -> np.ndarray:
+    """``model.leq`` of each pair of element ids (a[t], b[t])."""
+    sa, la, loa, hia = model.shapes[a].T
+    sb, lb, lob, hib = model.shapes[b].T
+    return (((lb >= model.m) | ((sa - sb) % model.m + la <= lb))
+            & (lob <= loa) & (hia <= hib))
+
+
 def _geodesic_certificate(pv, d) -> bool:
     """Closed-form geodesics are real paths that no graph edge shortens.
 
-    From each of 16 seeded sources a, ``path_between`` must give, for
-    every b, a chain of comparable elements from a to b whose size gaps sum
-    to d(a, b); so d(a, .) is at least the shortest-path distance.  Every
-    edge (c, b) of the comparability graph must satisfy
+    From each of 16 seeded sources a, ``PsiPathspace.geodesics`` gives for
+    every b the length d(a, b) and bend c of a path [a, c, b], whose steps
+    must join comparable elements and whose size gaps must sum to d(a, b);
+    so d(a, .) is at least the shortest-path distance.  Every edge (c, b)
+    of the comparability graph must satisfy
     d(a, b) <= d(a, c) + |v(b) - v(c)|, and d(a, a) = 0; so d(a, .) is at
     most that distance.  Together they prove it without Dijkstra.
     """
-    model, space = pv.model, pv.space
-    edges = space.graph
-    els = model.elements
-    sources = np.random.default_rng(0).choice(len(els), 16, replace=False)
+    model, v, edges = pv.model, pv.v, pv.space.graph
+    ids = np.arange(len(v))
+    sources = np.random.default_rng(0).choice(len(v), 16, replace=False)
     paths_ok, worst = True, math.inf
     for a in sources.tolist():
-        dist = np.empty(len(els))
-        for b, target in enumerate(els):
-            dist[b], path = space.path_between(els[a], target)
-            steps = list(zip(path, path[1:]))
-            length = math.fsum(abs(pv.values[y] - pv.values[x])
-                               for x, y in steps)
-            paths_ok &= (path[0] == els[a] and path[-1] == target
-                         and all(model.leq(x, y) or model.leq(y, x)
-                                 for x, y in steps)
-                         and abs(length - dist[b]) <= TOL)
-        paths_ok &= dist[a] == 0.0
+        src = np.full(len(v), a)
+        dist, bend = pv.space.geodesics(src, ids)
+        # a two-term float sum is correctly rounded, as math.fsum is
+        length = np.abs(v[bend] - v[a]) + np.abs(v - v[bend])
+        steps = all((_leq(model, x, y) | _leq(model, y, x)).all()
+                    for x, y in ((src, bend), (bend, ids)))
+        paths_ok &= bool(steps and (np.abs(length - dist) <= TOL).all()
+                         and dist[a] == 0.0)
         slack = dist[edges.rows] + edges.weights - dist[edges.cols]
         worst = min(worst, float(slack.min()))
     d["edges_checked"] = len(sources) * edges.nnz

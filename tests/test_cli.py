@@ -2,6 +2,7 @@ import argparse
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from continuum_lab import cli, suite
@@ -574,7 +575,8 @@ def test_curvature_fails_on_a_broken_metric(monkeypatch, capsys):
     argv = ["psi", "curvature", "--no-timings"]
     code, good = run(argv, capsys)
     assert (code, good["violations"]) == (0, [])
-    monkeypatch.setattr(PsiPathspace, "join", larger_join)
+    monkeypatch.setattr(PsiPathspace, "joins", lambda self, a, b: np.array(
+        [larger_join(self, x, y) for x, y in zip(a.tolist(), b.tolist())]))
     code, bad = run(argv, capsys)
     assert (code, bad["status"]) == (1, "fail")
     assert any("triangle inequality" in v for v in bad["violations"])

@@ -694,21 +694,66 @@ def test_level_report_matches_reference_on_fixed_levels(m, level,
 
 @pytest.mark.parametrize("frac", [0.4, 1.0, 1.5])
 def test_level_report_evaluates_each_shell_pair_once(frac, monkeypatch):
+    # in the default row blocks, in one-row blocks and in blocks of <= 40 pairs
     pv = normalize_to_psi0(build_psi_model())
-    calls = []
-    join = PsiPathspace.join
+    want = level_structure_report(pv, frac * pv.l)
+    n = len(want.elements)
+    assert n >= 6
+    joins = PsiPathspace.joins
 
     def counted(self, a, b):
-        calls.append(frozenset((a, b)))
-        return join(self, a, b)
+        assert len(a) <= max(psi.SIZE_BLOCK_FLOATS, n - 1)
+        calls.extend(map(frozenset, zip(a.tolist(), b.tolist())))
+        return joins(self, a, b)
 
-    monkeypatch.setattr(PsiPathspace, "join", counted)
-    rep = level_structure_report(pv, frac * pv.l)
-    n = len(rep.elements)
-    assert n >= 6
-    assert len(calls) == len(set(calls)) == n * (n - 1) // 2
-    component_cyclic_arrangement(pv, rep)
-    assert len(calls) == n * (n - 1) // 2
+    monkeypatch.setattr(PsiPathspace, "joins", counted)
+    for block in (psi.SIZE_BLOCK_FLOATS, 1, 40):
+        monkeypatch.setattr(psi, "SIZE_BLOCK_FLOATS", block)
+        calls = []
+        rep = level_structure_report(pv, frac * pv.l)
+        assert rep == want and (rep.distances == want.distances).all()
+        assert len(calls) == len(set(calls)) == n * (n - 1) // 2
+        assert all(len(pair) == 2 for pair in calls)
+        component_cyclic_arrangement(pv, rep)
+        assert len(calls) == n * (n - 1) // 2
+
+
+def _assert_batch_matches_scalar(space, a, b):
+    """joins, meets, geodesics and join_distances equal the one-pair
+    kernel on each pair (a[t], b[t])."""
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert space.joins(a, b).tolist() == [space.join(x, y) for x, y in pairs]
+    assert space.meets(a, b).tolist() == [space.meet(x, y) for x, y in pairs]
+    lengths, bends = space.geodesics(a, b)
+    assert list(zip(lengths.tolist(), bends.tolist())) == \
+        [space._geodesic(x, y) for x, y in pairs]
+    assert space.join_distances(a, b).tolist() == \
+        [space.join_distance(x, y) for x, y in pairs]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(3, 8), st.sampled_from([1, 2, 3]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_batch_kernel_matches_the_scalar_kernel(m, level, normalized, seed):
+    # every pair at levels 1 and 2; at level 3 (over 1,300 elements) every
+    # pair among the arcs, the whole and 120 drawn pieces
+    pv = _values(m, level, normalized)
+    ids = np.arange(len(pv.v))
+    if level == 3:
+        pieces = pv.model.m * pv.model.q
+        ids = np.r_[np.random.default_rng(seed).choice(pieces, 120, False),
+                    ids[pieces:]]
+    a, b = (x.ravel() for x in np.meshgrid(ids, ids))
+    _assert_batch_matches_scalar(pv.space, a, b)
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+@pytest.mark.parametrize("m, level", [(24, 2), (6, 3)])
+def test_batch_kernel_matches_the_scalar_kernel_on_random_pairs(m, level,
+                                                                normalized):
+    pv = _values(m, level, normalized)
+    a, b = np.random.default_rng(0).integers(0, len(pv.v), (2, 20_000))
+    _assert_batch_matches_scalar(pv.space, a, b)
 
 
 # -- paths and curvature ----------------------------------------------------
@@ -786,8 +831,7 @@ def test_closed_form_matches_dijkstra(shape, normalized):
     space = PsiPathspace(pv)
     want = dijkstra(graph_csr(space.graph, len(model.elements)))
     n = len(model.elements)
-    got = np.array([[space.distance(i, j) for j in range(n)]
-                    for i in range(n)])
+    got = space.geodesics(*np.divmod(np.arange(n * n), n))[0].reshape(n, n)
     assert np.abs(got - want).max() <= TOL
     for i, a in enumerate(model.elements):
         for j, b in enumerate(model.elements):
@@ -870,6 +914,67 @@ def test_curvature_deterministic_per_seed(pv):
 def test_curvature_refuses_fewer_than_one_trial(pv, trials):
     with pytest.raises(DomainError, match="trials must be >= 1"):
         curvature_check(pv, trials=trials)
+
+
+# (1+3)-point comparison: curvature >= 0 asks, for every p, x1, x2, x3, that
+# the three comparison angles at p sum to at most 2 pi (Alexander, Kapovitch
+# and Petrunin, arXiv:1903.08539).  Flat comparison triangles put arccos at
+# +-1, where rounding alone gives up to about 3e-7; real excesses here start
+# near 6e-5.
+ANGLE_TOL = 1e-5
+
+
+def one_plus_three_excess(dp, dx):
+    """Angle sum at p minus 2 pi of each quadruple (p, x1, x2, x3), from
+    ``dp[:, i] = |p x_i|`` and ``dx[:, i] = |x_i x_(i+1)|`` (i mod 3): the
+    comparison angle at p between x_i and x_j is that of the Euclidean
+    triangle with sides |p x_i|, |p x_j| and |x_i x_j|."""
+    a, b = dp, np.roll(dp, -1, axis=1)
+    cos = (a * a + b * b - dx * dx) / (2 * a * b)
+    return np.arccos(np.clip(cos, -1.0, 1.0)).sum(axis=1) - 2 * math.pi
+
+
+def _psi_quadruple_excess(pv, count, seed):
+    """The excess of ``count`` seeded quadruples of distinct elements,
+    their six distances from one ``geodesics`` call."""
+    rng = np.random.default_rng(seed)
+    p, x1, x2, x3 = np.array([rng.choice(len(pv.v), 4, replace=False)
+                              for _ in range(count)]).T
+    d, _ = pv.space.geodesics(np.r_[p, p, p, x1, x2, x3],
+                              np.r_[x1, x2, x3, x2, x3, x1])
+    d = d.reshape(6, count).T
+    return one_plus_three_excess(d[:, :3], d[:, 3:])
+
+
+def test_one_plus_three_oracle_passes_euclidean_samples():
+    rng = np.random.default_rng(0)
+    planar = rng.normal(size=(10_000, 4, 2))
+    collinear = (rng.normal(size=(10_000, 1, 3))
+                 + rng.normal(size=(10_000, 4, 1))
+                 * rng.normal(size=(10_000, 1, 3)))
+    for pts in (planar, collinear):
+        dp = np.linalg.norm(pts[:, 1:] - pts[:, :1], axis=-1)
+        dx = np.linalg.norm(pts[:, 1:] - np.roll(pts[:, 1:], -1, axis=1),
+                            axis=-1)
+        excess = one_plus_three_excess(dp, dx)
+        assert excess.max() <= ANGLE_TOL
+        assert excess.max() > -ANGLE_TOL  # the sum reaches 2 pi
+
+
+def test_one_plus_three_oracle_rejects_a_tripod():
+    # p the centre of a star, x_i on leg i: every comparison angle is pi
+    dp = np.random.default_rng(0).uniform(0.1, 1.0, (1000, 3))
+    excess = one_plus_three_excess(dp, dp + np.roll(dp, -1, axis=1))
+    assert (excess > ANGLE_TOL).all()
+    assert excess == pytest.approx(math.pi, abs=ANGLE_TOL)
+
+
+def test_one_plus_three_excess_of_the_psi_metric():
+    # the path metric branches, so many quadruples fail (1+3)-point
+    # comparison, the worst by a full pi
+    excess = _psi_quadruple_excess(_values(6, 2), 20_000, seed=0)
+    assert int((excess > ANGLE_TOL).sum()) == 1656
+    assert excess.max() == pytest.approx(math.pi, abs=ANGLE_TOL)
 
 
 # -- terminality granularity ------------------------------------------------
