@@ -161,7 +161,9 @@ GOLDEN = Path(__file__).parent / "golden" / "whitney_check.json"
 def test_whitney_check_matches_golden_output(capsys):
     # recorded from the nested-loop axiom checker; a large tolerance makes
     # the monotone list non-empty (the negative-tolerance runs are library
-    # calls in test_whitney.py, since the CLI refuses a negative --tol)
+    # calls in test_whitney.py, since the CLI refuses a negative --tol).
+    # The star, cantor_fan and cycle-12 runs, recorded from the per-pair
+    # set tables, cover branching families and meets that are two arcs
     for case in json.loads(GOLDEN.read_text()):
         code = dispatch(case["argv"])
         assert code == case["exit"], case["argv"]
