@@ -9,8 +9,13 @@ d_mu(A, B) = max(mu(A | B) - mu(A), mu(A | B) - mu(B)), axiom checkers for
 the monotone/subadditive characterisation of Whitney maps, level sets, and
 equal-level refinements of decompositions.  The axiom checks and the
 distance matrices read from one union-size table U[i, j] = mu(F_i | F_j)
-per family.  Family-level callers take their sizes from one batch kernel,
-:meth:`WhitneyMap.sizes`, through :func:`_sizes`.
+per family.  For a WhitneyMap the table comes from the members' envelopes,
+hi[n, i] = max F[n, F_i] and lo[n, i] = min F[n, F_i]: the span of a union
+is max(hi_i, hi_j) - min(lo_i, lo_j), exactly, so no union set is built.
+The subadditivity meets are sized the same way, once per distinct meet.
+These tables read F alone, not the memo; a plain size function is called
+once per set.  Level queries take their sizes from the memoised batch
+kernel :meth:`WhitneyMap.sizes`, through :func:`_sizes`.
 """
 
 from __future__ import annotations
@@ -30,15 +35,10 @@ from .metric_core import DEFAULT_TOL, FinitePointSet, _pair_distances
 
 MuLike = Callable[[FrozenSet[int]], float]
 
-# The difference-monotonicity check compares this many nested pairs at a
-# time, so its working memory stays at DIFF_BLOCK_ROWS x len(family) floats.
-DIFF_BLOCK_ROWS = 64
 # Working blocks hold at most this many floats or table cells, or one row: the
-# size terms of a run of enumeration points, or rows of psi's bit tables.
+# size terms of a run of enumeration points, gathered envelope cells, nested
+# pairs of the difference check, or rows of psi's bit tables.
 SIZE_BLOCK_FLOATS = 1 << 16
-# The union-size table and the subadditivity meets pass at most this many
-# sets to one sizes call.
-PAIR_BLOCK_SETS = 1024
 
 
 class WhitneyMap:
@@ -198,12 +198,71 @@ def _sizes(mu: MuLike, sets: Sequence[FrozenSet[int]]) -> np.ndarray:
 
 def _pair_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]], ii: np.ndarray,
                 jj: np.ndarray, op: Callable) -> np.ndarray:
-    """mu(op(F_i, F_j)) for each index pair, PAIR_BLOCK_SETS sets at a time."""
+    """mu(op(F_i, F_j)) for each index pair, one call per set."""
+    return np.fromiter((mu(op(fam[i], fam[j])) for i, j in
+                        zip(ii.tolist(), jj.tolist())), dtype=float,
+                       count=len(ii))
+
+
+def _gather_index(flat: np.ndarray, card: np.ndarray) -> np.ndarray:
+    """The (sets, largest set) index of sets listed back to back in ``flat``,
+    set i holding the next card[i] >= 1 entries; each row is padded by
+    repeating its last entry (max and min ignore repeats)."""
+    pos = np.minimum(np.arange(card.max(initial=1)), card[:, None] - 1)
+    return flat[(np.cumsum(card) - card)[:, None] + pos]
+
+
+def _member_index(fam: Sequence[FrozenSet[int]], n_points: int) -> np.ndarray:
+    """:func:`_gather_index` of the family's vertex sets; refuses what
+    :meth:`WhitneyMap.sizes` refuses."""
+    card = np.fromiter(map(len, fam), dtype=np.int64, count=len(fam))
+    if not card.all():
+        raise DomainError("mu is defined on non-empty sets")
+    flat = np.fromiter(chain.from_iterable(fam), dtype=np.int64,
+                       count=int(card.sum()))
+    if flat.size and (flat.min() < 0 or flat.max() >= n_points):
+        raise DomainError("set contains vertices outside the ambient")
+    return _gather_index(flat, card)
+
+
+def _reduce_over(table: np.ndarray, idx: np.ndarray, op) -> np.ndarray:
+    """out[r, i] = op over table[r, idx[i]], for every row r of the table:
+    gathered in row blocks of at most SIZE_BLOCK_FLOATS cells, or one row."""
+    out = np.empty((len(table), len(idx)))
+    step = max(1, SIZE_BLOCK_FLOATS // max(idx.size, 1))
+    for lo in range(0, len(table), step):  # (rows, width, sets) blocks
+        op.reduce(np.take(table[lo:lo + step], idx.T, axis=1), axis=1,
+                  out=out[lo:lo + step])
+    return out
+
+
+def _span_sizes(mu: WhitneyMap, idx: np.ndarray, ii: np.ndarray,
+                jj: np.ndarray) -> np.ndarray:
+    """mu(S_i | S_j) for each index pair over the sets of a gather index.
+
+    The envelopes hi[n, i] = max F[n, S_i] and lo[n, i] = min F[n, S_i] are
+    taken once; the span of a union is max(hi_i, hi_j) - min(lo_i, lo_j),
+    so every term w_n * span_n is the one of the union's own size, and
+    :func:`fsum_rows` sums them.  A block of points gathers four
+    (points, pairs) envelope tables, which together hold at most
+    SIZE_BLOCK_FLOATS cells, or one point's.
+    """
+    hi = _reduce_over(mu.F, idx, np.maximum)
+    lo = _reduce_over(mu.F, idx, np.minimum)
     out = np.empty(len(ii))
-    for lo in range(0, len(ii), PAIR_BLOCK_SETS):
-        hi = lo + PAIR_BLOCK_SETS
-        out[lo:hi] = _sizes(mu, [op(fam[i], fam[j]) for i, j in
-                                 zip(ii[lo:hi].tolist(), jj[lo:hi].tolist())])
+    cells = max(1, SIZE_BLOCK_FLOATS // 4)
+    for p in range(0, len(ii), cells):
+        a, b = ii[p:p + cells], jj[p:p + cells]
+        step = max(1, cells // len(a))
+
+        def blocks():
+            for n in range(0, mu.n_points, step):
+                h, l = hi[n:n + step], lo[n:n + step]
+                spans = np.maximum(h.take(a, axis=1), h.take(b, axis=1)) - \
+                    np.minimum(l.take(a, axis=1), l.take(b, axis=1))
+                yield spans * mu.weights[n:n + step, None]
+
+        out[p:p + len(a)] = fsum_rows(blocks, len(a))
     return out
 
 
@@ -211,7 +270,10 @@ def _union_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]]) -> np.ndarray:
     """U[i, j] = mu(F_i | F_j), over the unordered pairs i <= j."""
     k = len(fam)
     ii, jj = np.triu_indices(k)
-    vals = _pair_sizes(mu, fam, ii, jj, operator.or_)
+    if isinstance(mu, WhitneyMap):
+        vals = _span_sizes(mu, _member_index(fam, mu.n_points), ii, jj)
+    else:
+        vals = _pair_sizes(mu, fam, ii, jj, operator.or_)
     u = np.empty((k, k))
     u[ii, jj] = vals
     u[jj, ii] = vals
@@ -293,18 +355,41 @@ def check_whitney_axioms(mu: MuLike, family: Sequence[FrozenSet[int]],
                                   for i, j in zip(*np.nonzero(bad))]
 
     ii, jj = np.nonzero(np.triu(meet > 0))
-    s_meet = _pair_sizes(mu, fam, ii, jj, operator.and_)
+    s_meet = _meet_sizes(mu, fam, inc, ii, jj)
     bad = u[ii, jj] > s[ii] + s[jj] - s_meet + tol
     report.subadd_violations = [(fam[ii[p]], fam[jj[p]])
                                 for p in np.flatnonzero(bad)]
 
     na, nb = np.nonzero(subset)
-    for lo in range(0, len(na), DIFF_BLOCK_ROWS):
-        a, b = na[lo:lo + DIFF_BLOCK_ROWS], nb[lo:lo + DIFF_BLOCK_ROWS]
+    rows = max(1, SIZE_BLOCK_FLOATS // max(len(fam), 1))
+    for lo in range(0, len(na), rows):
+        a, b = na[lo:lo + rows], nb[lo:lo + rows]
         bad = u[b] - u[a] > (s[b] - s[a] + tol)[:, None]
-        report.diff_violations.extend((fam[a[p]], fam[b[p]], fam[c])
-                                      for p, c in zip(*np.nonzero(bad)))
+        if bad.any():
+            report.diff_violations.extend((fam[a[p]], fam[b[p]], fam[c])
+                                          for p, c in zip(*np.nonzero(bad)))
     return report
+
+
+def _meet_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]], inc: np.ndarray,
+                ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """mu(F_i & F_j) for each intersecting index pair.  For a WhitneyMap each
+    pair's meet is its packed incidence row inc[i] & inc[j]; the distinct
+    rows, keyed as bytes, are sized once by :func:`_span_sizes`."""
+    if not isinstance(mu, WhitneyMap):
+        return _pair_sizes(mu, fam, ii, jj, operator.and_)
+    if not len(ii):
+        return np.empty(0)
+    bits = np.packbits(inc.astype(bool), axis=1)
+    keys = (bits[ii] & bits[jj]).view(np.dtype((np.void, bits.shape[1])))
+    uniq, back = np.unique(keys.ravel(), return_inverse=True)
+    rows, cols = np.nonzero(np.unpackbits(
+        uniq.view(np.uint8).reshape(len(uniq), -1), axis=1,
+        count=inc.shape[1]))
+    verts = np.array(sorted(set().union(*fam)), dtype=np.int64)
+    idx = _gather_index(verts[cols], np.bincount(rows, minlength=len(uniq)))
+    every = np.arange(len(uniq))
+    return _span_sizes(mu, idx, every, every)[back]
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +474,12 @@ def hyperspace_distance_matrices(g: GraphContinuum, mu: MuLike,
                                  family: Sequence[FrozenSet[int]]
                                  ) -> Tuple[np.ndarray, np.ndarray]:
     """(d_H, d_mu) matrices over the family, using the planar embedding."""
-    members = [sorted(s) for s in family]
     pts = np.array(g.pos, dtype=float)
-    d = _pair_distances(pts, pts)
-    near = np.empty((len(d), len(members)))  # near[x, j] = d(x, F_j)
-    for j, m in enumerate(members):
-        near[:, j] = d[:, m].min(axis=1)
-    # h[i, j] = max_{x in F_i} d(x, F_j), zero on the diagonal as d(x, x) is
-    h = np.empty((len(members), len(members)))
-    for i, m in enumerate(members):
-        h[i] = near[m].max(axis=0)
+    idx = _member_index([frozenset(s) for s in family], len(pts))
+    # near[x, j] = d(x, F_j)
+    near = _reduce_over(_pair_distances(pts, pts), idx, np.minimum)
+    # h[j, i] = max_{x in F_i} d(x, F_j), zero on the diagonal as d(x, x) is
+    h = _reduce_over(np.ascontiguousarray(near.T), idx, np.maximum)
     return np.maximum(h, h.T), whitney_distance_matrix(mu, family)
 
 

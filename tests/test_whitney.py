@@ -6,17 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from continuum_lab import whitney
-from continuum_lab.continua import build_continuum, enumerate_subcontinua
+from continuum_lab.continua import (build_continuum, enumerate_subcontinua,
+                                    incidence_table)
 from continuum_lab.errors import DomainError
 from continuum_lab.metric_core import DEFAULT_TOL
 from continuum_lab.psi import build_psi_model
 from continuum_lab.suite import _convex_size, _noise_size
-from continuum_lab.whitney import (PAIR_BLOCK_SETS, WhitneyMap,
+from continuum_lab.whitney import (SIZE_BLOCK_FLOATS, WhitneyMap,
                                    build_whitney_map, check_whitney_axioms,
                                    continuity_modulus_table,
                                    equal_level_refinement, fsum_rows,
                                    hyperspace_distance_matrices,
-                                   whitney_distance, whitney_level)
+                                   whitney_distance, whitney_distance_matrix,
+                                   whitney_level)
 from test_psi import reference_vertices
 
 
@@ -195,24 +197,109 @@ def test_union_table_and_meets_pass_bounded_batches(monkeypatch):
     g = build_continuum("path", n=16)
     subs = enumerate_subcontinua(g)
     mu = build_whitney_map(g)
-    calls = []
-    sizes = WhitneyMap.sizes
+    cells, sums = [], []
 
-    def spy(self, sets):
-        calls.append(len(sets))
-        return sizes(self, sets)
-    monkeypatch.setattr(WhitneyMap, "sizes", spy)
+    def spy(blocks, rows):
+        def seen():
+            for block in blocks():
+                cells.append(block.size)
+                yield block
+        sums.append(rows)
+        return fsum_rows(seen, rows)
+    monkeypatch.setattr(whitney, "fsum_rows", spy)
     u = whitney._union_sizes(mu, subs)
-    k = len(subs)
-    assert sum(calls) == k * (k + 1) // 2 and len(calls) > 1
-    assert max(calls) <= PAIR_BLOCK_SETS
+    assert sum(sums) == len(subs) * (len(subs) + 1) // 2
+    assert len(cells) > 1 and max(cells) <= SIZE_BLOCK_FLOATS
     assert np.array_equal(u, [[reference_mu(mu, a | b) for b in subs]
                               for a in subs])
-    calls.clear()
+    cells.clear()
     assert check_whitney_axioms(mu, subs).all_ok
-    meets = sum(1 for i, a in enumerate(subs) for b in subs[i:] if a & b)
-    assert sum(calls) == k * (k + 1) // 2 + meets
-    assert max(calls) <= PAIR_BLOCK_SETS
+    assert len(cells) > 1 and max(cells) <= SIZE_BLOCK_FLOATS
+
+
+def test_family_tables_read_the_size_table_not_the_memo():
+    g = build_continuum("path", n=8)
+    subs = enumerate_subcontinua(g)
+    mu = build_whitney_map(g)
+    u = whitney._union_sizes(mu, subs)
+    assert mu._cache == {}
+    mu._cache[subs[3]] = 0.0
+    assert np.array_equal(whitney._union_sizes(mu, subs), u)
+
+
+@pytest.mark.parametrize("block", [1, 5, 300])
+def test_family_tables_do_not_depend_on_the_block(block, monkeypatch):
+    g = build_continuum("cycle", n=9)
+    fam = enumerate_subcontinua(g)[::3] + [frozenset([0, 4]),
+                                          frozenset([1, 5, 8])]
+    mu = build_whitney_map(g)
+    want = whitney._union_sizes(mu, fam)
+    dists = hyperspace_distance_matrices(g, mu, fam)
+    report = check_whitney_axioms(mu, fam, tol=0.02)
+    monkeypatch.setattr(whitney, "SIZE_BLOCK_FLOATS", block)
+    assert np.array_equal(whitney._union_sizes(mu, fam), want)
+    assert all(map(np.array_equal, hyperspace_distance_matrices(g, mu, fam),
+                   dists))
+    assert check_whitney_axioms(mu, fam, tol=0.02) == report
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([frozenset()], "mu is defined on non-empty sets"),
+    ([frozenset([99])], "set contains vertices outside the ambient"),
+    ([frozenset([-1, 0])], "set contains vertices outside the ambient"),
+    ([frozenset([10]), frozenset()], "mu is defined on non-empty sets"),
+])
+@pytest.mark.parametrize("table", [
+    lambda g, mu, fam: check_whitney_axioms(mu, fam),
+    lambda g, mu, fam: whitney_distance_matrix(mu, fam),
+    hyperspace_distance_matrices,
+], ids=["axioms", "distances", "hyperspace"])
+def test_family_tables_refuse_what_sizes_refuses(bad, message, table):
+    g = build_continuum("path", n=10)
+    mu = build_whitney_map(g)
+    subs = enumerate_subcontinua(g)
+    fam = subs[:5] + bad + subs[5:8]
+    with pytest.raises(DomainError, match=message):
+        mu.sizes(fam)
+    with pytest.raises(DomainError, match=message):
+        table(g, mu, fam)
+
+
+@st.composite
+def envelope_families(draw):
+    """A Whitney map and a family on a path, cycle, star or cantor fan:
+    subcontinua shuffled and subsampled, plus a few arbitrary non-empty
+    vertex sets (mostly not connected)."""
+    kind = draw(st.sampled_from(["path", "cycle", "star", "cantor_fan"]))
+    if kind == "path":
+        g = build_continuum("path", n=draw(st.integers(1, 19)))
+    elif kind == "cycle":
+        g = build_continuum("cycle", n=draw(st.integers(3, 10)))
+    elif kind == "star":
+        g = build_continuum("star", legs=draw(st.integers(3, 5)),
+                            leg_length=draw(st.integers(1, 3)))
+    else:
+        g = build_continuum("cantor_fan", depth=draw(st.integers(1, 2)))
+    subs = draw(st.permutations(enumerate_subcontinua(g)))
+    fam = subs[:draw(st.integers(0, min(len(subs), 30)))]
+    fam += draw(st.lists(st.frozensets(st.integers(0, g.n - 1), min_size=1),
+                         max_size=6))
+    fam = draw(st.permutations(fam))
+    seed = draw(st.none() | st.integers(min_value=0, max_value=10**6))
+    return build_whitney_map(g, ordering_seed=seed), fam
+
+
+@settings(max_examples=80, deadline=None)
+@given(envelope_families())
+def test_union_and_meet_tables_equal_the_per_set_sizes(case):
+    mu, fam = case
+    assert np.array_equal(whitney._union_sizes(mu, fam).reshape(-1),
+                          [reference_mu(mu, a | b) for a in fam for b in fam])
+    inc = incidence_table(fam)
+    ii, jj = np.nonzero(np.triu(inc @ inc.T > 0))
+    assert np.array_equal(whitney._meet_sizes(mu, fam, inc, ii, jj),
+                          [reference_mu(mu, fam[i] & fam[j])
+                           for i, j in zip(ii.tolist(), jj.tolist())])
 
 
 def reference_vertex_distances(g):
@@ -435,9 +522,15 @@ def sized_families(draw):
     if kind == "perturbed":
         target = subs[draw(st.integers(min_value=0, max_value=len(subs) - 1))]
         value = mu(target)
-        mu._cache[target] = draw(st.sampled_from(
-            [0.0, value - 0.05, value - 1e-3, value + 1e-3, value + 0.05]))
+        return g, subs, perturbed(mu, target, draw(st.sampled_from(
+            [0.0, value - 0.05, value - 1e-3, value + 1e-3, value + 0.05])))
     return g, subs, mu
+
+
+def perturbed(mu, target, value):
+    """mu with the size of one set replaced, as a plain size function: the
+    family tables of a WhitneyMap read its size table, not its memo."""
+    return lambda a: value if frozenset(a) == target else mu(a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -467,7 +560,7 @@ def test_equal_sizes_violate_strict_monotonicity():
     subs = enumerate_subcontinua(g)
     mu = build_whitney_map(g)
     a, b = frozenset([2, 3]), frozenset([2, 3, 4])
-    mu._cache[a] = mu(b)
+    mu = perturbed(mu, a, mu(b))
     rep = check_whitney_axioms(mu, subs, tol=0.0)
     assert (a, b) in rep.monotone_violations
     assert rep.monotone_violations == reference_axioms(mu, subs, 0.0)[1]
