@@ -170,6 +170,19 @@ def test_whitney_check_matches_golden_output(capsys):
         assert capsys.readouterr().out == case["stdout"], case["argv"]
 
 
+TRIOD_GOLDEN = Path(__file__).parent / "golden" / "continuum_triod.json"
+
+
+def test_continuum_triod_matches_golden_output(capsys):
+    # 41 runs recorded from the per-row block search: path 1-16, cycle
+    # 3-16, star 3-5 legs of length 1-3 and cantor_fan 1-2, so witnesses
+    # near the front of the family and whole atriodic searches alike
+    for case in json.loads(TRIOD_GOLDEN.read_text()):
+        code = dispatch(case["argv"])
+        assert code == case["exit"], case["argv"]
+        assert capsys.readouterr().out == case["stdout"], case["argv"]
+
+
 PSI_LEVELS_GOLDEN = Path(__file__).parent / "golden" / "psi_levels.json"
 
 
