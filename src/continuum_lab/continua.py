@@ -21,8 +21,11 @@ import numpy as np
 from .errors import DomainError, ResourceError, _max_elements
 
 MAX_ORDER_ARCS = 1_000_000
-# detect_triod compares this many candidate sets F_j with the family at once.
-TRIOD_BLOCK_ROWS = 64
+# Working blocks hold at most this many floats or table cells, or one row: the
+# size terms of a run of enumeration points, gathered envelope cells, nested
+# pairs of the difference check, rows of psi's bit tables, or the triod
+# search's core words and partner pairs.
+SIZE_BLOCK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -253,6 +256,28 @@ def incidence_table(family: Sequence[FrozenSet[int]]) -> np.ndarray:
     return inc
 
 
+def packed_rows(inc: np.ndarray) -> np.ndarray:
+    """The rows of a 0/1 table as (rows, words) little-endian uint64 words;
+    bit b of word w is column 64 w + b, and the bits past the table are 0."""
+    bits = np.zeros((len(inc), -(-inc.shape[1] // 64) * 8), dtype=np.uint8)
+    bits[:, :(inc.shape[1] + 7) // 8] = np.packbits(inc, axis=1,
+                                                   bitorder="little")
+    return bits.view("<u8")
+
+
+def row_groups(keys: np.ndarray, *lead: np.ndarray):
+    """Stable sort of the rows of a (rows, words) key table by (lead...,
+    words): returns ``order`` and ``edge``, True where a sorted row starts a
+    run of equal (lead..., words)."""
+    order = np.lexsort([*keys.T[::-1], *lead[::-1]])
+    edge = np.zeros(len(order), dtype=bool)
+    edge[:1] = True
+    for col in (*lead, *keys.T):
+        c = col[order]
+        edge[1:] |= c[1:] != c[:-1]
+    return order, edge
+
+
 @dataclass(frozen=True)
 class Triod:
     a: FrozenSet[int]
@@ -271,40 +296,54 @@ def detect_triod(g: GraphContinuum,
     The witness is the first in the order of the family's index triples
     i < j < l.
 
-    The search counts on the 0/1 incidence table of the family.  For each
-    i the candidate j come from the row |F_i & F_l|: the core K = F_i & F_j
-    must be non-empty and proper in both.  For a block of candidate j, one
-    integer product gives X[j, l] = |K & F_l| + (V + 1) |(F_j - F_i) & F_l|
-    with V the vertex count, so X[j, l] = |K| exactly when K <= F_l and
-    F_j & F_l <= F_i, that is when F_j & F_l = K.  With |F_i & F_l| = |K|
-    too, and |F_l| > |K|, the sets form a triod if K is connected, which is
-    checked only for these candidates.
+    The search joins the members' :func:`packed_rows`.  A block of rows i
+    lists the pairs i < j whose core K = F_i & F_j is non-empty and proper
+    in both, grouped by (i, K) with :func:`row_groups`: (i, j, l) is then a
+    triod exactly when j < l lie in one group, F_j & F_l = K, and K is
+    connected, which is checked only for these hits, in (i, j) order.
+    Members of fewer than two vertices hold no proper core and are left
+    out; blocks start at one row and double, so early witnesses stay cheap.
     """
     if family is None:
         family = enumerate_subcontinua(g)
     fam = list(family)
-    n = len(fam)
     inc = incidence_table(fam)
-    card = inc.sum(axis=1)
-    far = inc.shape[1] + 1
-    for i in range(n - 2):
-        meet = inc @ inc[i]  # |F_i & F_l|
-        cand = np.flatnonzero((meet > 0) & (meet < card[i]) & (meet < card))
-        cand = cand[cand > i]
-        weight = np.where(inc[i] > 0, 1, far)
-        for lo in range(0, len(cand), TRIOD_BLOCK_ROWS):
-            js = cand[lo:lo + TRIOD_BLOCK_ROWS]
-            first = js[0] + 1  # columns l > min(js)
-            k = meet[js][:, None]
-            x = (inc[js] * weight) @ inc[first:].T
-            hit = ((x == k) & (meet[first:] == k) & (card[first:] > k)
-                   & (np.arange(first, n) > js[:, None]))
-            for b in np.flatnonzero(hit.any(axis=1)).tolist():
-                core = fam[i] & fam[js[b]]
-                if g.is_connected(frozenset(core)):
-                    l = first + int(np.flatnonzero(hit[b])[0])
-                    return Triod(a=fam[i], b=fam[js[b]], c=fam[l],
-                                 core=frozenset(core))
+    keep = np.flatnonzero(inc.sum(axis=1) > 1)
+    w = packed_rows(inc)[keep]
+    n, width = w.shape
+    lo, rows = 0, 1
+    while lo < n:
+        blk, rest = w[lo:lo + rows, None], w[lo:]
+        core = blk & rest  # (rows i, members j >= i, words)
+        ii, jj = np.nonzero(np.triu(core.any(axis=2) & (core != blk).any(
+            axis=2) & (core != rest).any(axis=2), 1))
+        order, edge = row_groups(core[ii, jj], ii)
+        k, ii, jj = core[ii, jj][order], ii[order] + lo, jj[order] + lo
+        lo, rows = lo + len(blk), min(2 * rows, max(
+            1, SIZE_BLOCK_FLOATS // (n * width)))
+        stop = np.append(np.flatnonzero(edge)[1:], len(ii))[
+            np.cumsum(edge) - 1]
+        cnt = stop - np.arange(len(ii)) - 1  # the later pairs of its group
+        end = np.cumsum(cnt)  # partner lists laid end to end
+        if not end[-1:].any():  # no group holds two pairs
+            continue
+        begin = end - cnt
+        best = np.full(len(ii), len(ii))  # each pair's first triod partner
+        p = 0
+        while p < len(ii):  # pairs whose partners fill a block, or one pair
+            q = max(p + 1, int(np.searchsorted(
+                end, begin[p] + SIZE_BLOCK_FLOATS // width, "right")))
+            a = np.repeat(np.arange(p, q), cnt[p:q])
+            b = a + 1 + np.arange(begin[p], end[q - 1]) - begin[a]
+            hit = ((w[jj[a]] & w[jj[b]]) == k[a]).all(axis=1)
+            np.minimum.at(best, a[hit], b[hit])
+            p = q
+        found = np.flatnonzero(best < len(ii))
+        for x in found[np.lexsort((jj[found], ii[found]))].tolist():
+            f_i, f_j = fam[keep[ii[x]]], fam[keep[jj[x]]]
+            if g.is_connected(frozenset(f_i & f_j)):
+                return Triod(a=f_i, b=f_j, c=fam[keep[jj[best[x]]]],
+                             core=frozenset(f_i & f_j))
     return None
 
 

@@ -28,17 +28,13 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .continua import (GraphContinuum, enumerate_subcontinua,
-                       incidence_table)
+from .continua import (SIZE_BLOCK_FLOATS, GraphContinuum,
+                       enumerate_subcontinua, incidence_table, packed_rows,
+                       row_groups)
 from .errors import DomainError
 from .metric_core import DEFAULT_TOL, FinitePointSet, _pair_distances
 
 MuLike = Callable[[FrozenSet[int]], float]
-
-# Working blocks hold at most this many floats or table cells, or one row: the
-# size terms of a run of enumeration points, gathered envelope cells, nested
-# pairs of the difference check, or rows of psi's bit tables.
-SIZE_BLOCK_FLOATS = 1 << 16
 
 
 class WhitneyMap:
@@ -374,21 +370,24 @@ def check_whitney_axioms(mu: MuLike, family: Sequence[FrozenSet[int]],
 def _meet_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]], inc: np.ndarray,
                 ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     """mu(F_i & F_j) for each intersecting index pair.  For a WhitneyMap each
-    pair's meet is its packed incidence row inc[i] & inc[j]; the distinct
-    rows, keyed as bytes, are sized once by :func:`_span_sizes`."""
+    pair's meet is the AND of the members' :func:`packed_rows`; the distinct
+    meets, found by :func:`row_groups`, are sized once by
+    :func:`_span_sizes`."""
     if not isinstance(mu, WhitneyMap):
         return _pair_sizes(mu, fam, ii, jj, operator.and_)
     if not len(ii):
         return np.empty(0)
-    bits = np.packbits(inc.astype(bool), axis=1)
-    keys = (bits[ii] & bits[jj]).view(np.dtype((np.void, bits.shape[1])))
-    uniq, back = np.unique(keys.ravel(), return_inverse=True)
+    words = packed_rows(inc)
+    keys = words[ii] & words[jj]
+    order, edge = row_groups(keys)
+    back = np.empty(len(keys), dtype=np.int64)
+    back[order] = np.cumsum(edge) - 1
     rows, cols = np.nonzero(np.unpackbits(
-        uniq.view(np.uint8).reshape(len(uniq), -1), axis=1,
-        count=inc.shape[1]))
+        keys[order[edge]].view(np.uint8), axis=1, count=inc.shape[1],
+        bitorder="little"))
     verts = np.array(sorted(set().union(*fam)), dtype=np.int64)
-    idx = _gather_index(verts[cols], np.bincount(rows, minlength=len(uniq)))
-    every = np.arange(len(uniq))
+    idx = _gather_index(verts[cols], np.bincount(rows, minlength=edge.sum()))
+    every = np.arange(len(idx))
     return _span_sizes(mu, idx, every, every)[back]
 
 

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from continuum_lab import continua
 from continuum_lab.continua import (GraphContinuum, Triod, build_continuum,
                                     circle_arc_to_disk, detect_triod,
                                     disk_to_circle_arc,
                                     enumerate_subcontinua, incidence_table,
                                     interval_arc_to_triangle, is_terminal,
-                                    order_arcs_between,
-                                    triangle_to_interval_arc)
+                                    order_arcs_between, packed_rows,
+                                    row_groups, triangle_to_interval_arc)
 from continuum_lab.errors import DomainError
 
 
@@ -112,6 +113,108 @@ def test_triod_search_matches_the_triple_loop_on_models(kind, params):
     # these models are arcs, circles or fans of arcs: a triod needs a branch
     branch = max(len(nb) for nb in g.adjacency.values()) >= 3
     assert (got is not None) == branch
+
+
+# Six 22-vertex runs of a 132-vertex path: members built from them span three
+# 64-bit words, and two cores can share their first word and differ later.
+RUNS = [frozenset(range(22 * t, 22 * t + 22)) for t in range(6)]
+LONG_PATH = build_continuum("path", n=132)
+
+
+def runs(*ts):
+    return frozenset().union(*(RUNS[t] for t in ts))
+
+
+@st.composite
+def run_families(draw):
+    """Unions of runs, some with a stray vertex: empty, disconnected and
+    repeated members included."""
+    member = st.builds(lambda ts, extra: runs(*ts) | extra,
+                       st.sets(st.integers(0, 5)),
+                       st.frozensets(st.integers(0, 131), max_size=1))
+    return draw(st.lists(member, max_size=14))
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_families(), st.randoms(use_true_random=False))
+def test_triod_search_matches_the_triple_loop_on_multiword_families(fam,
+                                                                     rnd):
+    assert detect_triod(LONG_PATH, fam) == reference_triod(LONG_PATH, fam)
+    rnd.shuffle(fam)
+    assert detect_triod(LONG_PATH, fam) == reference_triod(LONG_PATH, fam)
+
+
+@pytest.mark.parametrize("fam, want", [
+    # F_0 & F_1 = run 0 while F_0 & F_2 adds run 4 (second word): only
+    # F_3 completes the triod
+    ([runs(0, 1, 4), runs(0, 2), runs(0, 3, 4), runs(0, 5)], (0, 1, 3)),
+    # pair (0, 1) finds its partner after pair (0, 2) does: the witness
+    # goes by (i, j), not by l
+    ([runs(0, 1), runs(0, 2, 3), runs(0, 3), runs(0, 2, 4), runs(0, 5)],
+     (0, 1, 4))])
+def test_triod_witness_on_cores_past_the_first_word(fam, want):
+    got = detect_triod(LONG_PATH, fam)
+    assert got == reference_triod(LONG_PATH, fam)
+    assert got == Triod(*(fam[x] for x in want), core=RUNS[0])
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_triod_search_in_small_blocks(monkeypatch, block):
+    # one-row blocks and partner lists cut to a few pairs keep the witness
+    monkeypatch.setattr(continua, "SIZE_BLOCK_FLOATS", block)
+    rnd = np.random.default_rng(block)
+    for kind, params in [("cycle", {"n": 8}), ("star", {"legs": 4,
+                          "leg_length": 2}), ("cantor_fan", {"depth": 2})]:
+        g = build_continuum(kind, **params)
+        fam = enumerate_subcontinua(g)
+        fam = [fam[x] for x in rnd.permutation(len(fam))]
+        assert detect_triod(g, fam) == reference_triod(g, fam)
+
+
+@pytest.mark.parametrize("kind, n", [("path", 40), ("cycle", 30)])
+def test_long_arcs_and_circles_are_atriodic(kind, n):
+    # 820 and 871 subcontinua searched in full
+    assert detect_triod(build_continuum(kind, n=n)) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 150), max_size=12), max_size=12))
+def test_packed_rows_hold_one_bit_per_column(family):
+    inc = incidence_table(family)
+    words = packed_rows(inc)
+    assert words.dtype == np.dtype("<u8")
+    assert words.shape == (len(family), -(-inc.shape[1] // 64))
+    cols = np.arange(inc.shape[1])
+    bits = (words[:, cols // 64] >> (cols % 64).astype(np.uint64)) & 1
+    assert np.array_equal(bits, inc)
+    assert not np.unpackbits(words.view(np.uint8), axis=1,
+                             bitorder="little")[:, inc.shape[1]:].any()
+
+
+word = st.sampled_from([0, 1, 2, 2 ** 63, 2 ** 64 - 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda width: st.lists(
+    st.lists(word, min_size=width, max_size=width), min_size=1,
+    max_size=30)), st.data())
+def test_row_groups_equal_unique_rows(rows, data):
+    keys = np.array(rows, dtype=np.uint64)
+    order, edge = row_groups(keys)
+    back = np.empty(len(keys), dtype=np.int64)
+    back[order] = np.cumsum(edge) - 1
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    assert np.array_equal(keys[order[edge]], uniq)
+    assert np.array_equal(back, inverse.ravel())
+    # a leading key sorts first; equal keys keep their order
+    lead = np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(keys),
+                                       max_size=len(keys))))
+    order, edge = row_groups(keys, lead)
+    want = sorted(range(len(keys)), key=lambda r: (lead[r], rows[r]))
+    assert order.tolist() == want
+    assert edge.tolist() == [p == 0 or (lead[want[p]], rows[want[p]]) !=
+                             (lead[want[p - 1]], rows[want[p - 1]])
+                             for p in range(len(want))]
 
 
 def test_subcontinua_counts_match_brute_force():
