@@ -171,12 +171,6 @@ def test_triod_search_in_small_blocks(monkeypatch, block):
         assert detect_triod(g, fam) == reference_triod(g, fam)
 
 
-@pytest.mark.parametrize("kind, n", [("path", 40), ("cycle", 30)])
-def test_long_arcs_and_circles_are_atriodic(kind, n):
-    # 820 and 871 subcontinua searched in full
-    assert detect_triod(build_continuum(kind, n=n)) is None
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.frozensets(st.integers(0, 150), max_size=12), max_size=12))
 def test_packed_rows_hold_one_bit_per_column(family):
@@ -259,6 +253,9 @@ def test_order_arcs_validate_endpoints():
 def test_no_triod_in_path_or_cycle():
     assert detect_triod(build_continuum("path", n=6)) is None
     assert detect_triod(build_continuum("cycle", n=6)) is None
+    # 820 and 871 subcontinua searched in full
+    assert detect_triod(build_continuum("path", n=40)) is None
+    assert detect_triod(build_continuum("cycle", n=30)) is None
 
 
 def test_star_reads_leg_length_and_rejects_unknown_parameters():
