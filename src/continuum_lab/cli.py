@@ -55,7 +55,7 @@ def _continuum_from_args(args) -> "GraphContinuum":
 
 def _vertex_set(text: str) -> frozenset:
     try:
-        return frozenset(int(v) for v in text.split(",") if v != "")
+        return frozenset(int(v) for v in text.split(","))
     except ValueError:
         raise DomainError(f"bad vertex list {text!r}")
 
@@ -177,8 +177,8 @@ def _cmd_continuum_orderarcs(args):
     if args.limit < 0:
         raise DomainError(f"--limit must be >= 0, got {args.limit}")
     g = _continuum_from_args(args)
-    a = _vertex_set(args.frm) if args.frm else frozenset([0])
-    b = _vertex_set(args.to) if args.to else frozenset(range(g.n))
+    a = frozenset([0]) if args.frm is None else _vertex_set(args.frm)
+    b = frozenset(range(g.n)) if args.to is None else _vertex_set(args.to)
     arcs = order_arcs_between(g, a, b)
     return {"count": len(arcs),
             "arcs": [[sorted(s) for s in arc] for arc in arcs[:args.limit]],

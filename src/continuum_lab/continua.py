@@ -217,20 +217,34 @@ def order_arcs_between(g: GraphContinuum, a: FrozenSet[int],
         raise DomainError("endpoints must be subcontinua")
     if not a <= b:
         raise DomainError("need a contained in b")
+    if a == b:
+        return [(a,)]
     arcs: List[Tuple[FrozenSet[int], ...]] = []
+    kids: Dict[FrozenSet[int], List[FrozenSet[int]]] = {}
 
-    def grow(chain):
-        top = chain[-1]
-        if top == b:
-            arcs.append(tuple(chain))
+    def children(top):
+        got = kids.get(top)
+        if got is None:
+            got = kids[top] = [top | {w} for w in
+                               sorted(g.neighbors_of_set(top) & b)]
+        return iter(got)
+
+    # depth first, children in vertex order: chain[i] is the set whose
+    # remaining children todo[i] holds
+    chain, todo = [a], [children(a)]
+    while todo:
+        top = next(todo[-1], None)
+        if top is None:
+            todo.pop()
+            chain.pop()
+        elif top == b:
+            arcs.append((*chain, top))
             if len(arcs) > MAX_ORDER_ARCS:
                 raise ResourceError("too many order arcs",
                                     achievable=MAX_ORDER_ARCS)
-            return
-        for w in sorted(g.neighbors_of_set(top) & b):
-            grow(chain + [top | {w}])
-
-    grow([a])
+        else:
+            chain.append(top)
+            todo.append(children(top))
     return arcs
 
 
@@ -351,25 +365,28 @@ def detect_triod(g: GraphContinuum,
 # classic hyperspace homeomorphisms
 
 
-def interval_arc_to_triangle(a: float, b: float) -> Tuple[float, float]:
+def interval_arc_to_triangle(a, b):
     """Map a subinterval [a, b] of [0, 1] to (midpoint, length).
 
     The image of all subintervals is the triangle with vertices
     (0, 0), (1, 0), (1/2, 1); degenerate intervals land on the base.
+    Elementwise on arrays, which must all be subintervals.
     """
-    if not (0.0 <= a <= b <= 1.0):
+    if not np.all((0.0 <= a) & (a <= b) & (b <= 1.0)):
         raise DomainError("need 0 <= a <= b <= 1")
     return ((a + b) / 2.0, b - a)
 
 
-def triangle_to_interval_arc(u: float, v: float) -> Tuple[float, float]:
-    """Inverse of :func:`interval_arc_to_triangle`, within 1e-9."""
+def triangle_to_interval_arc(u, v):
+    """Inverse of :func:`interval_arc_to_triangle`, within 1e-9; elementwise
+    on arrays, with floats for scalars."""
     a = u - v / 2.0
     b = u + v / 2.0
     tol = 1e-9
-    if v < -tol or a < -tol or b > 1.0 + tol:
+    if np.any((v < -tol) | (a < -tol) | (b > 1.0 + tol)):
         raise DomainError("point lies outside the triangle image")
-    return (max(a, 0.0), min(b, 1.0))
+    lo, hi = np.maximum(a, 0.0), np.minimum(b, 1.0)
+    return (lo, hi) if np.ndim(lo) else (float(lo), float(hi))
 
 
 TWO_PI = 2.0 * math.pi

@@ -428,9 +428,9 @@ def normalize_to_psi0(model: PsiModel) -> PsiValues:
     m, k, l = model.m, model.k, model.l
     w = build_whitney_map(build_continuum("cycle", n=m))
     arc_size = np.zeros(m + 1)  # by base length; fibers get l + 0 = l
-    for length in range(2, m + 1):
-        arc_size[length] = np.mean(w.sizes(
-            [frozenset((s + o) % m for o in range(length)) for s in range(m)]))
+    arc_size[2:] = w.sizes([frozenset((s + o) % m for o in range(length))
+                            for length in range(2, m + 1)
+                            for s in range(m)]).reshape(m - 1, m).mean(axis=1)
     s, ln, lo, hi = model.shapes.T
     full = (lo == 1) & (hi == k)  # all links: a fiber or a longer arc
     scale = l / model.fiber_sizes[s]

@@ -124,19 +124,22 @@ def check_size_metric() -> CheckResult:
         d["triples"] = k * (k - 1) * (k - 2) // 6
         d["worst_triangle_defect"] = max(-tri, 0.0)
         at = {s: i for i, s in enumerate(subs)}  # rows of dist
-        point_ok = all(abs(dist[at[a], at[frozenset([x])]] - mu(a)) <= TOL
-                       for a in subs for x in a)
-        iso_ok, pairs = True, {}  # the pairs i < j of each arc length
-        for x in range(g.n):
-            for arc in order_arcs_between(g, frozenset([x]),
-                                          frozenset(range(g.n))):
-                rows = np.array([at[s] for s in arc])
-                size = mu.sizes(arc)
-                if len(arc) not in pairs:
-                    pairs[len(arc)] = np.triu_indices(len(arc), k=1)
-                i, j = pairs[len(arc)]
-                same = dist[rows[i], rows[j]] == size[j] - size[i]
-                iso_ok &= bool(same.all())
+        size = mu.sizes(subs)
+        point = np.array([at[frozenset([x])] for x in range(g.n)])
+        owner = np.repeat(np.arange(k), [len(s) for s in subs])
+        xs = np.fromiter(itertools.chain.from_iterable(subs), dtype=np.int64)
+        point_ok = bool((np.abs(dist[owner, point[xs]] - size[owner])
+                         <= TOL).all())
+        # every order arc from a point to the whole grows through g.n sets:
+        # one (arcs, g.n) table of rows of dist, checked at its pairs i < j
+        whole = frozenset(range(g.n))
+        arcs = [arc for x in range(g.n)
+                for arc in order_arcs_between(g, frozenset([x]), whole)]
+        rows = np.fromiter(map(at.__getitem__, itertools.chain.from_iterable(
+            arcs)), dtype=np.int64).reshape(len(arcs), g.n)
+        i, j = np.triu_indices(g.n, k=1)
+        iso_ok = bool((dist[rows[:, i], rows[:, j]]
+                       == size[rows[:, j]] - size[rows[:, i]]).all())
         d["positivity"] = bool(pos)
         d["point_distance_ok"] = point_ok
         d["order_arc_isometry_ok"] = iso_ok
@@ -197,14 +200,10 @@ HOMEOMORPHISM_SAMPLES = 10_000
 def check_homeomorphisms() -> CheckResult:
     def run(d):
         rng = np.random.default_rng(7)
-        worst = 0.0
         samples = HOMEOMORPHISM_SAMPLES
-        # Python floats: the same IEEE arithmetic, without numpy scalars
-        for a, b in zip(*np.sort(rng.uniform(0, 1, (2, samples)),
-                                 axis=0).tolist()):
-            u, v = interval_arc_to_triangle(a, b)
-            a2, b2 = triangle_to_interval_arc(u, v)
-            worst = max(worst, abs(a2 - a), abs(b2 - b))
+        a, b = np.sort(rng.uniform(0, 1, (2, samples)), axis=0)
+        a2, b2 = triangle_to_interval_arc(*interval_arc_to_triangle(a, b))
+        worst = float(max(np.abs(a2 - a).max(), np.abs(b2 - b).max()))
         d["interval_roundtrip"] = worst
         worst_c = 0.0
         alphas = rng.uniform(-math.pi, math.pi, samples).tolist()
@@ -306,29 +305,29 @@ def _leq(model, a, b) -> np.ndarray:
 def _geodesic_certificate(pv, d) -> bool:
     """Closed-form geodesics are real paths that no graph edge shortens.
 
-    From each of 16 seeded sources a, ``PsiPathspace.geodesics`` gives for
-    every b the length d(a, b) and bend c of a path [a, c, b], whose steps
-    must join comparable elements and whose size gaps must sum to d(a, b);
-    so d(a, .) is at least the shortest-path distance.  Every edge (c, b)
-    of the comparability graph must satisfy
-    d(a, b) <= d(a, c) + |v(b) - v(c)|, and d(a, a) = 0; so d(a, .) is at
-    most that distance.  Together they prove it without Dijkstra.
+    One ``PsiPathspace.geodesics`` call gives, from each of 16 seeded
+    sources a to every b, the length d(a, b) and bend c of a path [a, c, b],
+    whose steps must join comparable elements and whose size gaps must sum
+    to d(a, b); so d(a, .) is at least the shortest-path distance.  Every
+    edge (c, b) of the comparability graph must satisfy
+    d(a, b) <= d(a, c) + |v(b) - v(c)|, one (sources, edges) slack table,
+    and d(a, a) = 0; so d(a, .) is at most that distance.  Together they
+    prove it without Dijkstra.
     """
     model, v, edges = pv.model, pv.v, pv.space.graph
-    ids = np.arange(len(v))
     sources = np.random.default_rng(0).choice(len(v), 16, replace=False)
-    paths_ok, worst = True, math.inf
-    for a in sources.tolist():
-        src = np.full(len(v), a)
-        dist, bend = pv.space.geodesics(src, ids)
-        # a two-term float sum is correctly rounded, as math.fsum is
-        length = np.abs(v[bend] - v[a]) + np.abs(v - v[bend])
-        steps = all((_leq(model, x, y) | _leq(model, y, x)).all()
-                    for x, y in ((src, bend), (bend, ids)))
-        paths_ok &= bool(steps and (np.abs(length - dist) <= TOL).all()
-                         and dist[a] == 0.0)
-        slack = dist[edges.rows] + edges.weights - dist[edges.cols]
-        worst = min(worst, float(slack.min()))
+    src = np.repeat(sources, len(v))
+    ids = np.tile(np.arange(len(v)), len(sources))
+    dist, bend = pv.space.geodesics(src, ids)
+    # a two-term float sum is correctly rounded, as math.fsum is
+    length = np.abs(v[bend] - v[src]) + np.abs(v[ids] - v[bend])
+    steps = all((_leq(model, x, y) | _leq(model, y, x)).all()
+                for x, y in ((src, bend), (bend, ids)))
+    dist = dist.reshape(len(sources), len(v))
+    paths_ok = bool(steps and (np.abs(length - dist.ravel()) <= TOL).all()
+                    and (dist[np.arange(len(sources)), sources] == 0.0).all())
+    slack = dist[:, edges.rows] + edges.weights - dist[:, edges.cols]
+    worst = float(slack.min())
     d["edges_checked"] = len(sources) * edges.nnz
     d["worst_slack"] = worst
     return paths_ok and worst >= -TOL

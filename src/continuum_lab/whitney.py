@@ -76,51 +76,38 @@ class WhitneyMap:
         self._cache: Dict[FrozenSet[int], float] = {}
 
     def __call__(self, a: FrozenSet[int]) -> float:
+        """mu of one set; a miss gathers its columns of F once and sums the
+        terms with ``math.fsum``, the value :func:`fsum_rows` certifies."""
         a = frozenset(a)
         got = self._cache.get(a)
         if got is not None:
             return got
-        self._fill([a])
-        return self._cache[a]
+        if not a:
+            raise DomainError("mu is defined on non-empty sets")
+        if min(a) < 0 or max(a) >= self.n_points:
+            raise DomainError("set contains vertices outside the ambient")
+        cols = self.F[:, list(a)]
+        terms = (cols.max(axis=1) - cols.min(axis=1)) * self.weights
+        got = self._cache[a] = math.fsum(terms.tolist())
+        return got
 
     def sizes(self, sets: Sequence[FrozenSet[int]]) -> np.ndarray:
         """mu of each set, read from the memo or computed in one batch.
 
-        Each distinct set the memo lacks is computed once and memoised;
-        values already in the memo are returned as they are.
+        Each distinct set the memo lacks is computed once, as the span of
+        its own envelope by :func:`_span_sizes`, and memoised; values
+        already in the memo are returned as they are.
         """
         sets = list(map(frozenset, sets))
         vals = list(map(self._cache.get, sets))
         if None in vals:
-            self._fill({s for s, v in zip(sets, vals) if v is None})
+            misses = list({s for s, v in zip(sets, vals) if v is None})
+            every = np.arange(len(misses))
+            self._cache.update(zip(misses, _span_sizes(
+                self, _member_index(misses, self.n_points), every,
+                every).tolist()))
             vals = list(map(self._cache.get, sets))
         return np.array(vals, dtype=float)
-
-    def _fill(self, misses) -> None:
-        """Memoise mu of the given distinct sets in one :func:`fsum_rows`:
-        row i of an index table lists set i, padded by repeating a member
-        (max and min ignore repeats), and a block of points gathers it."""
-        by_card: Dict[int, List[FrozenSet[int]]] = {}
-        for s in misses:
-            if not s:
-                raise DomainError("mu is defined on non-empty sets")
-            by_card.setdefault(len(s), []).append(s)
-        width = np.arange(max(by_card))
-        idx = np.vstack([np.fromiter(chain.from_iterable(g), dtype=int,
-                                     count=card * len(g)).reshape(-1, card)[
-            :, np.minimum(width, card - 1)] for card, g in by_card.items()])
-        if idx.min() < 0 or idx.max() >= self.n_points:
-            raise DomainError("set contains vertices outside the ambient")
-        step = max(1, SIZE_BLOCK_FLOATS // idx.size)
-
-        def blocks():
-            for lo in range(0, self.n_points, step):
-                cols = self.F[lo:lo + step][:, idx.T]  # points, members, sets
-                spans = cols.max(axis=1) - cols.min(axis=1)
-                yield spans * self.weights[lo:lo + step, None]
-
-        sets = list(chain.from_iterable(by_card.values()))
-        self._cache.update(zip(sets, fsum_rows(blocks, len(sets)).tolist()))
 
 
 def fsum_rows(blocks: Callable, rows: int) -> np.ndarray:

@@ -11,6 +11,8 @@ the model, the closed form or any other clause of the check changes.
 
 import numpy as np
 
+from continuum_lab import suite
+from continuum_lab.continua import triangle_to_interval_arc
 from continuum_lab.psi import Arc, PsiPathspace, build_psi_model
 from continuum_lab.suite import (check_crookedness, check_homeomorphisms,
                                  check_psi_levels, check_psi_model,
@@ -18,6 +20,7 @@ from continuum_lab.suite import (check_crookedness, check_homeomorphisms,
                                  check_size_metric,
                                  check_subadditivity_agreement,
                                  check_tower, check_triods_terminal)
+from continuum_lab.whitney import whitney_distance_matrix
 from test_psi import reference_vertices
 
 
@@ -50,6 +53,23 @@ def test_3_size_metric_on_hyperspace_of_arc():
     assert r.ok and r.seconds < 5.0
 
 
+def test_3_order_arc_isometry_fails_on_a_shifted_distance(monkeypatch):
+    def shifted(mu, family):
+        """One nested pair of intervals, neither a point, moved by 1e-6."""
+        dm = whitney_distance_matrix(mu, family)
+        i, j = family.index(frozenset([3, 4])), family.index(
+            frozenset([2, 3, 4, 5]))
+        dm[i, j] += 1e-6
+        dm[j, i] += 1e-6
+        return dm
+
+    monkeypatch.setattr(suite, "whitney_distance_matrix", shifted)
+    r = check_size_metric()
+    assert r.details["point_distance_ok"]
+    assert not r.details["order_arc_isometry_ok"]
+    assert not r.ok
+
+
 def test_4_crooked_generation_verified_independently():
     r = check_crookedness()
     assert r.details["lengths"] == [1, 2, 3, 6, 13]
@@ -72,6 +92,18 @@ def test_6_classic_homeomorphisms_roundtrip():
     assert r.details["circle_roundtrip"] < 1e-9
     assert r.details["special_values_exact"]
     assert r.ok and r.seconds < 2.0
+
+
+def test_6_interval_roundtrip_fails_on_a_shifted_inverse(monkeypatch):
+    def shifted(u, v):
+        a, b = triangle_to_interval_arc(u, v)
+        return a + 1e-6, b
+
+    monkeypatch.setattr(suite, "triangle_to_interval_arc", shifted)
+    r = check_homeomorphisms()
+    assert r.details["interval_roundtrip"] > 1e-9
+    assert r.details["circle_roundtrip"] < 1e-9
+    assert not r.ok
 
 
 def test_7_psi_model_structure():
@@ -147,6 +179,19 @@ def test_9_geodesic_certificate_fails_on_a_corrupted_join(monkeypatch):
     r = check_psi_paths()
     assert r.details["all_need_ample"]
     assert r.details["worst_slack"] < -1e-12
+    assert not r.ok
+
+
+def test_9_geodesic_certificate_fails_on_one_wrong_length(monkeypatch):
+    def one_longer(self, a, b):
+        dist, bend = geodesics(self, a, b)
+        dist[1] += 1e-6
+        return dist, bend
+
+    geodesics = PsiPathspace.geodesics
+    monkeypatch.setattr(PsiPathspace, "geodesics", one_longer)
+    r = check_psi_paths()
+    assert r.details["all_need_ample"]
     assert not r.ok
 
 

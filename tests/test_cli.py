@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +232,26 @@ def test_suite_all_matches_golden_output(capsys, monkeypatch):
         assert details == case["details"], case["argv"]
 
 
+@pytest.mark.parametrize("argv, exit_code", [
+    (["suite", "all"], 1),
+    (["psi", "report", "--normalize", "--m", "8"], 0),
+])
+def test_reports_do_not_depend_on_the_hash_seed(argv, exit_code):
+    # batched sizes compute their misses in set order, which must not leak
+    src = str(Path(cli.__file__).resolve().parents[1])
+    seen = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-m", "continuum_lab.cli"]
+                              + argv + ["--no-timings"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        seen.append((proc.returncode, proc.stdout))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == exit_code and json.loads(seen[0][1])["result"]
+
+
 def test_plot_chain_pattern_spans_its_own_maximum(capsys):
     code, rep = run(["plot", "chain", "--pattern", "1,2,3", "--no-timings"],
                     capsys)
@@ -317,6 +340,13 @@ MALFORMED = {
     "limit-negative": lambda tmp: ["continuum", "orderarcs", "--size", "4",
                                    "--from", "1", "--to", "0,1,2",
                                    "--limit", "-1"],
+    "orderarcs-from-empty": lambda tmp: ["continuum", "orderarcs", "--from",
+                                         "", "--to", ""],
+    "orderarcs-to-empty": lambda tmp: ["continuum", "orderarcs", "--to", ""],
+    "orderarcs-from-empty-entry": lambda tmp: ["continuum", "orderarcs",
+                                               "--from", "1,,2"],
+    "whitney-set-empty-entry": lambda tmp: ["whitney", "eval", "--set",
+                                            "0,,1"],
     "tol-negative-psi-report": lambda tmp: ["psi", "report", "--normalize",
                                             "--tol", "-1"],
     "tol-negative-psi-curvature": lambda tmp: ["psi", "curvature",
@@ -412,6 +442,17 @@ def test_whitney_eval_of_ids_outside_the_graph(capsys):
                     capsys)
     assert code == 2
     assert rep["result"]["error"] == "the set is not a subcontinuum"
+
+
+@pytest.mark.parametrize("argv", [
+    ["continuum", "orderarcs", "--from", "", "--to", ""],
+    ["continuum", "orderarcs", "--from", "1,,2"],
+    ["whitney", "eval", "--set", ""],
+])
+def test_empty_vertex_entries_are_a_bad_vertex_list(argv, capsys):
+    code, rep = run(argv + ["--no-timings"], capsys)
+    assert code == 2
+    assert rep["result"]["error"].startswith("bad vertex list")
 
 
 @pytest.mark.parametrize("ids", ["99", "-1"])

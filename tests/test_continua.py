@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from continuum_lab.continua import (GraphContinuum, Triod, build_continuum,
                                     interval_arc_to_triangle, is_terminal,
                                     order_arcs_between, packed_rows,
                                     row_groups, triangle_to_interval_arc)
-from continuum_lab.errors import DomainError
+from continuum_lab.errors import DomainError, ResourceError
 
 
 def reference_triod(g, family):
@@ -239,6 +240,63 @@ def test_order_arcs_have_unit_steps():
     assert len(arcs) == math.comb(4, 2)
 
 
+def reference_order_arcs(g, a, b):
+    """The order arcs from a to b by plain recursion, one list per chain."""
+    arcs = []
+
+    def grow(chain):
+        top = chain[-1]
+        if top == b:
+            arcs.append(tuple(chain))
+            if len(arcs) > continua.MAX_ORDER_ARCS:
+                raise ResourceError("too many order arcs",
+                                    achievable=continua.MAX_ORDER_ARCS)
+            return
+        for w in sorted(g.neighbors_of_set(top) & b):
+            grow(chain + [top | {w}])
+
+    grow([a])
+    return arcs
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("path", {"n": 1}), ("path", {"n": 7}), ("cycle", {"n": 3}),
+    ("cycle", {"n": 6}), ("star", {"legs": 3, "leg_length": 1}),
+    ("star", {"legs": 3, "leg_length": 2}), ("cantor_fan", {"depth": 1}),
+])
+def test_order_arcs_match_the_recursion(kind, params):
+    g = build_continuum(kind, **params)
+    subs = enumerate_subcontinua(g)
+    pairs = [(a, b) for a in subs for b in subs if a <= b]
+    for a, b in pairs:
+        assert order_arcs_between(g, a, b) == reference_order_arcs(g, a, b)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("path", {"n": 8}), ("cycle", {"n": 6}),
+    ("star", {"legs": 3, "leg_length": 2}), ("cantor_fan", {"depth": 1}),
+])
+def test_order_arcs_refuse_where_the_recursion_does(kind, params,
+                                                    monkeypatch):
+    g = build_continuum(kind, **params)
+    a, b = frozenset([0]), frozenset(range(g.n))
+    count = len(reference_order_arcs(g, a, b))
+    monkeypatch.setattr(continua, "MAX_ORDER_ARCS", count)
+    assert order_arcs_between(g, a, b) == reference_order_arcs(g, a, b)
+    monkeypatch.setattr(continua, "MAX_ORDER_ARCS", count - 1)
+    for search in (order_arcs_between, reference_order_arcs):
+        with pytest.raises(ResourceError) as err:
+            search(g, a, b)
+        assert err.value.achievable == count - 1
+
+
+def test_order_arcs_grow_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    g = build_continuum("path", n=n)
+    arcs = order_arcs_between(g, frozenset([0]), frozenset(range(n)))
+    assert arcs == [tuple(frozenset(range(i + 1)) for i in range(n))]
+
+
 def test_order_arcs_validate_endpoints():
     g = build_continuum("path", n=4)
     with pytest.raises(DomainError):
@@ -335,6 +393,33 @@ def test_circle_point_arcs_on_boundary():
 
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+def test_interval_maps_of_floats_return_floats():
+    for pair in (interval_arc_to_triangle(0.2, 0.8),
+                 triangle_to_interval_arc(0.5, 0.6),
+                 triangle_to_interval_arc(np.float64(0.5), np.float64(1.0))):
+        assert all(type(x) is float for x in pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(unit, unit), min_size=1, max_size=50))
+def test_interval_maps_of_arrays_equal_the_scalar_calls(pairs):
+    a, b = np.sort(np.array(pairs).T, axis=0)
+    u, v = interval_arc_to_triangle(a, b)
+    a2, b2 = triangle_to_interval_arc(u, v)
+    want = [(*interval_arc_to_triangle(x, y),
+             *triangle_to_interval_arc(*interval_arc_to_triangle(x, y)))
+            for x, y in zip(a.tolist(), b.tolist())]
+    got = np.array([u, v, a2, b2]).T
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_interval_maps_of_arrays_refuse_one_bad_element():
+    with pytest.raises(DomainError):
+        interval_arc_to_triangle(np.array([0.1, 0.5]), np.array([0.2, 0.4]))
+    with pytest.raises(DomainError):
+        triangle_to_interval_arc(np.array([0.5, 0.0]), np.array([0.2, 0.5]))
 
 
 @settings(max_examples=200, deadline=None)

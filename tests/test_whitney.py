@@ -9,7 +9,7 @@ from continuum_lab import whitney
 from continuum_lab.continua import (build_continuum, enumerate_subcontinua,
                                     incidence_table)
 from continuum_lab.errors import DomainError
-from continuum_lab.metric_core import DEFAULT_TOL
+from continuum_lab.metric_core import DEFAULT_TOL, FinitePointSet
 from continuum_lab.psi import build_psi_model
 from continuum_lab.suite import _convex_size, _noise_size
 from continuum_lab.whitney import (SIZE_BLOCK_FLOATS, WhitneyMap,
@@ -191,6 +191,63 @@ def test_batch_sizes_refuse_what_a_single_call_refuses(sets, message):
             mu(s)
     with pytest.raises(DomainError, match=message):
         reference_mu(mu, sets[-1])
+
+
+@st.composite
+def single_set_cases(draw):
+    """A Whitney map on a graph or a planar point set, and a non-empty
+    vertex set: a subcontinuum of the graph, or any set of vertices."""
+    kind = draw(st.sampled_from(["path", "cycle", "star", "cantor_fan",
+                                 "points"]))
+    if kind == "points":
+        pts = draw(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
+                            min_size=1, max_size=14))
+        ambient, n, subs = FinitePointSet(points=pts), len(pts), []
+    else:
+        params = {"path": {"n": draw(st.integers(1, 16))},
+                  "cycle": {"n": draw(st.integers(3, 12))},
+                  "star": {"legs": 3, "leg_length": draw(st.integers(1, 3))},
+                  "cantor_fan": {"depth": draw(st.integers(1, 2))}}[kind]
+        ambient = build_continuum(kind, **params)
+        n, subs = ambient.n, enumerate_subcontinua(ambient)
+    sets = st.frozensets(st.integers(0, n - 1), min_size=1)
+    s = draw(st.sampled_from(subs) | sets if subs else sets)
+    seed = draw(st.none() | st.integers(min_value=0, max_value=10**6))
+    return ambient, seed, s
+
+
+@settings(max_examples=150, deadline=None)
+@given(single_set_cases())
+def test_a_single_miss_equals_the_batch_and_the_reference(case):
+    ambient, seed, s = case
+    mu = build_whitney_map(ambient, ordering_seed=seed)
+    got = mu(s)
+    assert type(got) is float and mu._cache == {s: got}
+    batch = build_whitney_map(ambient, ordering_seed=seed).sizes([s])
+    assert batch.tolist() == [got] == [reference_mu(mu, s)]
+
+
+def test_a_single_miss_equals_the_batch_on_a_tie(monkeypatch):
+    # terms 1 and 2^-53 of the set {0, 1}: the sum is a rounding tie, which
+    # fsum_rows cannot certify, so the batch reads its blocks again
+    def tied():
+        mu = build_whitney_map(FinitePointSet(points=[(0, 0), (1, 0),
+                                                      (2, 0)]))
+        mu.F = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        mu.weights = np.array([1.0, 2.0 ** -53, 0.0])
+        return mu
+    reads = []
+
+    def spy(blocks, rows):
+        def seen():
+            reads.append(rows)
+            yield from blocks()
+        return fsum_rows(seen, rows)
+    monkeypatch.setattr(whitney, "fsum_rows", spy)
+    s = frozenset([0, 1])
+    assert tied().sizes([s]).tolist() == [1.0] and len(reads) == 2
+    assert tied()(s) == 1.0 == math.fsum([1.0, 2.0 ** -53])
+    assert reference_mu(tied(), s) == 1.0
 
 
 def test_union_table_and_meets_pass_bounded_batches(monkeypatch):
