@@ -76,36 +76,38 @@ class WhitneyMap:
         self._cache: Dict[FrozenSet[int], float] = {}
 
     def __call__(self, a: FrozenSet[int]) -> float:
-        """mu of one set; a miss gathers its columns of F once and sums the
-        terms with ``math.fsum``, the value :func:`fsum_rows` certifies."""
         a = frozenset(a)
         got = self._cache.get(a)
         if got is not None:
             return got
-        if not a:
-            raise DomainError("mu is defined on non-empty sets")
-        if min(a) < 0 or max(a) >= self.n_points:
-            raise DomainError("set contains vertices outside the ambient")
-        cols = self.F[:, list(a)]
-        terms = (cols.max(axis=1) - cols.min(axis=1)) * self.weights
-        got = self._cache[a] = math.fsum(terms.tolist())
-        return got
+        self.sizes([a])
+        return self._cache[a]
 
     def sizes(self, sets: Sequence[FrozenSet[int]]) -> np.ndarray:
         """mu of each set, read from the memo or computed in one batch.
 
-        Each distinct set the memo lacks is computed once, as the span of
-        its own envelope by :func:`_span_sizes`, and memoised; values
-        already in the memo are returned as they are.
+        Each distinct set the memo lacks is computed once and memoised;
+        values already in the memo are returned as they are.  A block of
+        at most SIZE_BLOCK_FLOATS gathered cells, or one point's, takes the
+        span of each miss over its :func:`_member_index` row, so no whole
+        envelope table is held, and :func:`fsum_rows` sums the terms.
         """
         sets = list(map(frozenset, sets))
         vals = list(map(self._cache.get, sets))
         if None in vals:
             misses = list({s for s, v in zip(sets, vals) if v is None})
-            every = np.arange(len(misses))
-            self._cache.update(zip(misses, _span_sizes(
-                self, _member_index(misses, self.n_points), every,
-                every).tolist()))
+            cols = _member_index(misses, self.n_points).T.copy()
+            step = max(1, SIZE_BLOCK_FLOATS // cols.size)
+
+            def blocks():
+                for lo in range(0, self.n_points, step):
+                    # (points, members, sets); max and min ignore padding
+                    got = self.F[lo:lo + step].take(cols, axis=1)
+                    yield (got.max(axis=1) - got.min(axis=1)) * \
+                        self.weights[lo:lo + step, None]
+
+            self._cache.update(zip(misses, fsum_rows(
+                blocks, len(misses)).tolist()))
             vals = list(map(self._cache.get, sets))
         return np.array(vals, dtype=float)
 
@@ -212,9 +214,10 @@ def _reduce_over(table: np.ndarray, idx: np.ndarray, op) -> np.ndarray:
     """out[r, i] = op over table[r, idx[i]], for every row r of the table:
     gathered in row blocks of at most SIZE_BLOCK_FLOATS cells, or one row."""
     out = np.empty((len(table), len(idx)))
+    cols = np.ascontiguousarray(idx.T)  # take copies a strided index per call
     step = max(1, SIZE_BLOCK_FLOATS // max(idx.size, 1))
     for lo in range(0, len(table), step):  # (rows, width, sets) blocks
-        op.reduce(np.take(table[lo:lo + step], idx.T, axis=1), axis=1,
+        op.reduce(np.take(table[lo:lo + step], cols, axis=1), axis=1,
                   out=out[lo:lo + step])
     return out
 

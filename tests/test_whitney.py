@@ -274,6 +274,26 @@ def test_union_table_and_meets_pass_bounded_batches(monkeypatch):
     assert len(cells) > 1 and max(cells) <= SIZE_BLOCK_FLOATS
 
 
+def test_batch_sizes_gather_bounded_point_blocks(monkeypatch):
+    # path 40: 820 sets padded to 40 members, so two points per gather
+    g = build_continuum("path", n=40)
+    subs = enumerate_subcontinua(g)
+    mu = build_whitney_map(g)
+    points = []
+
+    def spy(blocks, rows):
+        def seen():
+            for block in blocks():
+                points.append(len(block))
+                yield block
+        return fsum_rows(seen, rows)
+    monkeypatch.setattr(whitney, "fsum_rows", spy)
+    got = mu.sizes(subs)
+    assert sum(points) == 40 and max(points) * 40 * len(subs) <= \
+        SIZE_BLOCK_FLOATS
+    assert np.array_equal(got, [reference_mu(mu, s) for s in subs])
+
+
 def test_family_tables_read_the_size_table_not_the_memo():
     g = build_continuum("path", n=8)
     subs = enumerate_subcontinua(g)
