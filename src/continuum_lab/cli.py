@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 import time
@@ -505,8 +506,8 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
     t0 = time.perf_counter()
     try:
         tol = getattr(args, "tol", None)
-        if not (tol is None or tol >= 0):
-            raise DomainError(f"--tol must be >= 0, got {tol}")
+        if not (tol is None or 0 <= tol < math.inf):
+            raise DomainError(f"--tol must be finite and >= 0, got {tol}")
         result, violations, svg = args.fn(args)
         status = "pass" if not violations else "fail"
     except (DomainError, ResourceError) as exc:

@@ -377,6 +377,11 @@ def interval_arc_to_triangle(a, b):
     return ((a + b) / 2.0, b - a)
 
 
+def _floats(x, y):
+    """A pair of arrays as given, or of 0-d results as Python floats."""
+    return (x, y) if np.ndim(x) else (float(x), float(y))
+
+
 def triangle_to_interval_arc(u, v):
     """Inverse of :func:`interval_arc_to_triangle`, within 1e-9; elementwise
     on arrays, with floats for scalars."""
@@ -385,45 +390,58 @@ def triangle_to_interval_arc(u, v):
     tol = 1e-9
     if np.any((v < -tol) | (a < -tol) | (b > 1.0 + tol)):
         raise DomainError("point lies outside the triangle image")
-    lo, hi = np.maximum(a, 0.0), np.minimum(b, 1.0)
-    return (lo, hi) if np.ndim(lo) else (float(lo), float(hi))
+    return _floats(np.maximum(a, 0.0), np.minimum(b, 1.0))
 
 
 TWO_PI = 2.0 * math.pi
 
 
-def circle_arc_to_disk(alpha: float, beta: float) -> Tuple[float, float]:
+def _by_math(fn, *args) -> np.ndarray:
+    """``fn`` from :mod:`math` element by element over broadcast arrays.
+
+    numpy's own transcendentals round differently from :mod:`math`
+    (``np.arctan2`` on 7.8% of inputs), so the maps below call :mod:`math`.
+    """
+    cols = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    out = np.fromiter(map(fn, *(c.ravel().tolist() for c in cols)), float,
+                      cols[0].size)
+    return out.reshape(cols[0].shape)
+
+
+def circle_arc_to_disk(alpha, beta):
     """Map a circular arc [alpha, beta] (radians, beta - alpha in [0, 2pi])
     to the closed unit disk.
 
     Radius encodes the co-length (full circle -> center), angle encodes the
     arc midpoint.  Injective for arcs with midpoint taken mod 2pi; every full
-    circle maps to the origin.
+    circle maps to the origin.  Elementwise on arrays, which must all be
+    such arcs, with floats for scalars.
     """
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
     width = beta - alpha
-    if width < 0 or width > TWO_PI + 1e-12:
+    if np.any((width < 0) | (width > TWO_PI + 1e-12)):
         raise DomainError("need 0 <= beta - alpha <= 2*pi")
-    # full circles must hit the center exactly, also when beta - alpha
-    # misses 2*pi by a rounding ulp
-    if width >= TWO_PI - 1e-12:
-        return (0.0, 0.0)
     r = 1.0 - width / TWO_PI
     mid = (alpha + beta) / 2.0
-    return (r * math.cos(mid), r * math.sin(mid))
+    # full circles must hit the center exactly, also when beta - alpha
+    # misses 2*pi by a rounding ulp
+    full = width >= TWO_PI - 1e-12
+    return _floats(np.where(full, 0.0, r * _by_math(math.cos, mid)),
+                   np.where(full, 0.0, r * _by_math(math.sin, mid)))
 
 
-def disk_to_circle_arc(x: float, y: float) -> Tuple[float, float]:
+def disk_to_circle_arc(x, y):
     """Inverse of :func:`circle_arc_to_disk` with canonical midpoint.
 
     Returns (alpha, beta) with midpoint in (-pi, pi]; the origin maps to the
-    full circle with midpoint 0.
+    full circle with midpoint 0.  Elementwise on arrays, which must all lie
+    in the disk, with floats for scalars.
     """
-    r = math.hypot(x, y)
-    if r > 1.0 + 1e-12:
+    r = _by_math(math.hypot, x, y)
+    if np.any(r > 1.0 + 1e-12):
         raise DomainError("point lies outside the unit disk")
-    r = min(r, 1.0)
+    r = np.minimum(r, 1.0)
     width = TWO_PI * (1.0 - r)
-    mid = math.atan2(y, x) if r > 0 else 0.0
-    if mid <= -math.pi:
-        mid = math.pi
-    return (mid - width / 2.0, mid + width / 2.0)
+    mid = np.where(r > 0, _by_math(math.atan2, y, x), 0.0)
+    mid = np.where(mid <= -math.pi, math.pi, mid)
+    return _floats(mid - width / 2.0, mid + width / 2.0)

@@ -7,10 +7,13 @@ into that root, so pairs drawn from unrelated tables are refused.
 
 Planar distances are ``sqrt(dx*dx + dy*dy)`` in numpy float64.
 :func:`hausdorff_distance` evaluates that formula densely up to
-``TREE_MIN_PAIRS`` point pairs.  Above it the per-point minima come from a
-KD-tree (Bentley, CACM 1975), and only the points whose tree minimum lies
-within a few ulps of the larger directed maximum are re-checked with the
-dense formula, ``BLOCK_PAIRS`` pairs at a time.  Results are therefore the
+``TREE_MIN_PAIRS`` point pairs.  Above it the per-point minima are taken
+over distinct points: a point that also lies in the other set is at exactly
+0.0, as the dense formula gives, and the rest ask one sliding-midpoint
+KD-tree (Bentley, CACM 1975; Maneewongvatana & Mount 1999) over the other
+set's distinct points.  Only the points whose tree minimum lies within a
+few ulps of the larger directed maximum are re-checked with the dense
+formula, ``BLOCK_PAIRS`` pairs at a time.  Results are therefore the
 dense results bit for bit, ties going to the lowest index, whatever the
 tree's rounding.  :func:`closed_neighborhood` takes the same dense minima
 in row blocks, and table-backed sets read their distance table.  The
@@ -201,10 +204,29 @@ def _dense_minima(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+def _point_keys(X: np.ndarray) -> np.ndarray:
+    """Each planar point as one complex number, so ``==`` is coordinate
+    equality (-0.0 is 0.0)."""
+    return np.ascontiguousarray(X).view(np.complex128).ravel()
+
+
 def _tree_minima(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Nearest distances from A to B by a KD-tree, within a few ulps."""
-    from scipy.spatial import cKDTree
-    return cKDTree(B).query(A)[0]
+    """Nearest distances from A to B, within a few ulps.
+
+    Per distinct point: one that also lies in B is at exactly 0.0, as the
+    dense formula gives; the rest ask one sliding-midpoint KD-tree over B's
+    distinct points.  Every row reads its point's minimum.
+    """
+    a_keys, a_first, a_row = np.unique(_point_keys(A), return_index=True,
+                                       return_inverse=True)
+    b_keys, b_first = np.unique(_point_keys(B), return_index=True)
+    out = np.zeros(len(a_keys))
+    rest = np.flatnonzero(~np.isin(a_keys, b_keys, assume_unique=True))
+    if rest.size:
+        from scipy.spatial import cKDTree
+        tree = cKDTree(B[b_first], balanced_tree=False, compact_nodes=False)
+        out[rest] = tree.query(A[a_first[rest]])[0]
+    return out[a_row]
 
 
 def _recheck_floor(x: float) -> float:
@@ -268,8 +290,9 @@ def closed_neighborhood(K: FinitePointSet, eps: float,
     sets, by table membership otherwise).  The boundary is included: points at
     distance exactly ``eps`` belong to the neighborhood.
     """
-    if eps < 0:
-        raise DomainError("neighborhood radius must be non-negative")
+    if not eps >= 0:
+        raise DomainError(f"neighborhood radius must be non-negative, "
+                          f"got {eps}")
     _require_subset(K, ambient)
     near = (_dense_minima(ambient.points, K.points) if K.is_planar
             else ambient.distances_to(K).min(axis=1))
@@ -280,9 +303,8 @@ def _require_subset(K: FinitePointSet, ambient: FinitePointSet) -> None:
     """Planar points match by coordinate equality (so -0.0 is 0.0), each
     pair read as one complex number; table points by root index."""
     if K.is_planar and ambient.is_planar:
-        k_pts, amb_pts = (np.ascontiguousarray(s.points).view(np.complex128)
-                          for s in (K, ambient))
-        missing = np.flatnonzero(~np.isin(k_pts, amb_pts))
+        missing = np.flatnonzero(~np.isin(_point_keys(K.points),
+                                          _point_keys(ambient.points)))
         if missing.size:
             x, y = K.points[missing[0]]
             raise DomainError(f"point ({x}, {y}) is not in the ambient set")

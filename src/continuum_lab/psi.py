@@ -470,8 +470,9 @@ def level_structure_report(pv: PsiValues, t: float,
     step reads one table of the shell pairs' join distances (row blocks).
     """
     model, space = pv.model, pv.space
-    if t <= 0:
-        raise DomainError("level parameter must be positive")
+    if not 0 < t < math.inf:
+        raise DomainError(f"level parameter must be positive and finite, "
+                          f"got {t}")
     below = t < pv.l - DEFAULT_TOL
     m, pieces = model.m, model.m * model.q
     cands = np.arange(pieces) if below else np.arange(pieces, len(pv.v))

@@ -401,6 +401,8 @@ def default_level_tolerance(mu: MuLike,
 def whitney_level(mu: MuLike, family: Sequence[FrozenSet[int]], t: float,
                   tol: Optional[float] = None) -> List[FrozenSet[int]]:
     """Family members whose size is within ``tol`` of ``t``."""
+    if not math.isfinite(t):
+        raise DomainError(f"level parameter must be finite, got {t}")
     if tol is None:
         tol = default_level_tolerance(mu, family)
     sizes = _sizes(mu, family).tolist()
@@ -435,8 +437,8 @@ def equal_level_refinement(g: GraphContinuum, mu: MuLike,
         allv |= m
     if allv != set(range(g.n)):
         raise DomainError("decomposition must cover the vertex set")
-    if t0 <= 0:
-        raise DomainError("t0 must be positive")
+    if not t0 > 0:
+        raise DomainError(f"t0 must be positive, got {t0}")
     min_size = min(mu(m) for m in members)
     if t0 > min_size + DEFAULT_TOL:
         raise DomainError(

@@ -358,9 +358,35 @@ MALFORMED = {
     "tol-negative-whitney-check": lambda tmp: ["whitney", "check",
                                                "--tol=-1e-9"],
     "tol-nan-psi-levels": lambda tmp: ["psi", "levels", "--tol", "nan"],
+    "tol-inf-psi-curvature": lambda tmp: ["psi", "curvature",
+                                          "--trials", "50", "--tol", "inf"],
+    "tol-inf-whitney-check": lambda tmp: ["whitney", "check", "--tol", "inf"],
+    "level-nan-psi-levels": lambda tmp: ["psi", "levels", "--t", "nan"],
+    "level-inf-psi-levels": lambda tmp: ["psi", "levels", "--t", "inf"],
+    "level-nan-whitney-level": lambda tmp: ["whitney", "level", "--t", "nan"],
+    "level-inf-whitney-level": lambda tmp: ["whitney", "level", "--t", "inf"],
+    "level-nan-whitney-refine": lambda tmp: ["whitney", "refine",
+                                             "--t", "nan"],
     "trials-negative": lambda tmp: ["psi", "curvature", "--trials", "-5"],
     "trials-zero": lambda tmp: ["psi", "curvature", "--trials", "0"],
 }
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["psi", "levels", "--t", "nan"],
+     "level parameter must be positive and finite, got nan"),
+    (["whitney", "level", "--t", "nan"],
+     "level parameter must be finite, got nan"),
+    (["whitney", "refine", "--t", "nan"], "t0 must be positive, got nan"),
+    (["psi", "curvature", "--tol", "inf"],
+     "--tol must be finite and >= 0, got inf"),
+])
+def test_non_finite_levels_and_tolerances_are_named(argv, error, capsys):
+    code = dispatch(argv + ["--no-timings"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert json.loads(out)["result"] == {"error": error}
+    assert "NaN" not in out and "Infinity" not in out
 
 
 @pytest.mark.parametrize("verb, flag, value", [
@@ -381,7 +407,7 @@ def test_negative_tol_is_refused_before_any_model_is_built(capsys):
     code, rep = run(["psi", "levels", "--m", "24", "--level", "3", "--tol",
                      "-1", "--no-timings"], capsys)
     assert code == 2
-    assert rep["result"]["error"] == "--tol must be >= 0, got -1.0"
+    assert rep["result"]["error"] == "--tol must be finite and >= 0, got -1.0"
 
 
 @pytest.mark.parametrize("argv", [["chains", "generate"],

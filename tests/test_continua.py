@@ -422,6 +422,78 @@ def test_interval_maps_of_arrays_refuse_one_bad_element():
         triangle_to_interval_arc(np.array([0.5, 0.0]), np.array([0.2, 0.5]))
 
 
+# The circle maps as they stood before they took arrays: pure math on
+# floats, kept as the reference for the array form.
+
+
+def reference_circle_arc_to_disk(alpha, beta):
+    width = beta - alpha
+    if width < 0 or width > 2.0 * math.pi + 1e-12:
+        raise DomainError("need 0 <= beta - alpha <= 2*pi")
+    if width >= 2.0 * math.pi - 1e-12:
+        return (0.0, 0.0)
+    r = 1.0 - width / (2.0 * math.pi)
+    mid = (alpha + beta) / 2.0
+    return (r * math.cos(mid), r * math.sin(mid))
+
+
+def reference_disk_to_circle_arc(x, y):
+    r = math.hypot(x, y)
+    if r > 1.0 + 1e-12:
+        raise DomainError("point lies outside the unit disk")
+    r = min(r, 1.0)
+    width = 2.0 * math.pi * (1.0 - r)
+    mid = math.atan2(y, x) if r > 0 else 0.0
+    if mid <= -math.pi:
+        mid = math.pi
+    return (mid - width / 2.0, mid + width / 2.0)
+
+
+def _circle_samples():
+    """10,000 seeded arcs and disk points, then the edge cases: full circles
+    within an ulp of 2*pi, point arcs, the centre with either zero sign, the
+    negative real axis (atan2 = -pi) and points a rounding outside the
+    boundary."""
+    rng = np.random.default_rng(11)
+    alpha = rng.uniform(-math.pi, math.pi, 10_000)
+    width = rng.uniform(0, 2 * math.pi, 10_000)
+    xy = rng.uniform(-0.7, 0.7, (2, 10_000))
+    two_pi = 2 * math.pi
+    edge_alpha = np.array([0.0, -2.5, 1.0, 3.0, -math.pi, 0.5])
+    edge_width = np.array([two_pi, two_pi, np.nextafter(two_pi, 0),
+                           two_pi - 1e-12, two_pi + 1e-12, 0.0])
+    edge_xy = np.array([[0.0, -0.0, 0.0, -0.0, -1.0, -0.5, 1.0 + 1e-13, 0.6],
+                        [0.0, 0.0, -0.0, -0.0, -0.0, -0.0, 0.0, -0.8]])
+    return (np.concatenate([alpha, edge_alpha]),
+            np.concatenate([alpha + width, edge_alpha + edge_width]),
+            np.concatenate([xy, edge_xy], axis=1))
+
+
+def test_circle_maps_of_arrays_equal_the_scalar_calls():
+    alpha, beta, (x, y) = _circle_samples()
+    for fn, ref, args in ((circle_arc_to_disk, reference_circle_arc_to_disk,
+                           (alpha, beta)),
+                          (disk_to_circle_arc, reference_disk_to_circle_arc,
+                           (x, y)),
+                          (disk_to_circle_arc, reference_disk_to_circle_arc,
+                           circle_arc_to_disk(alpha, beta))):
+        want = [ref(*pair) for pair in zip(*(a.tolist() for a in args))]
+        got = fn(*args)
+        assert np.array(got).T.tobytes() == np.array(want).tobytes()
+        scalar = [fn(*pair) for pair in zip(*(a.tolist() for a in args))]
+        assert all(type(v) is float for pair in scalar for v in pair)
+        assert np.array(scalar).tobytes() == np.array(want).tobytes()
+
+
+def test_circle_maps_of_arrays_refuse_one_bad_element():
+    with pytest.raises(DomainError, match="beta - alpha"):
+        circle_arc_to_disk(np.array([0.0, 1.0]), np.array([1.0, 0.5]))
+    with pytest.raises(DomainError, match="beta - alpha"):
+        circle_arc_to_disk(np.zeros(2), np.array([1.0, 2 * math.pi + 1e-11]))
+    with pytest.raises(DomainError, match="unit disk"):
+        disk_to_circle_arc(np.array([0.5, 0.8]), np.array([0.5, 0.8]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(unit, unit)
 def test_interval_roundtrip(a, b):

@@ -73,6 +73,16 @@ def test_closed_neighborhood_includes_boundary():
     assert len(nb) == 3  # 0, 1, and the boundary point at distance exactly 2
 
 
+def test_closed_neighborhood_names_a_bad_radius():
+    amb = FinitePointSet(points=[(0.0, 0.0), (1.0, 0.0)])
+    for eps in (math.nan, -1.0):
+        with pytest.raises(DomainError,
+                           match=f"^neighborhood radius must be non-negative, "
+                                 f"got {eps}$"):
+            closed_neighborhood(amb.subset([0]), eps, amb)
+    assert len(closed_neighborhood(amb.subset([0]), math.inf, amb)) == 2
+
+
 def test_closed_neighborhood_requires_subset():
     amb = FinitePointSet(points=[(0.0, 0.0), (1.0, 0.0)])
     k = FinitePointSet(points=[(0.5, 0.0)])
@@ -183,6 +193,21 @@ def _large_pair(kind, seed, n, m):
     if kind == "identical":
         a = rng.uniform(0, 1, (n, 2))
         return a, a.copy()
+    if kind == "nested":  # Q drawn from P's rows, as a coarser tower level
+        cells = rng.integers(0, 24, (n // 2, 2)) * rng.uniform(0.01, 1.0)
+        a = cells[rng.integers(0, len(cells), n)]
+        return a, a[rng.integers(0, n, m)]
+    if kind == "overlap":  # shared rows, rows an ulp or a step off, new rows
+        a = rng.integers(-6, 7, (n, 2)) * 0.5
+        b = a[rng.integers(0, n, m)]
+        how = rng.integers(0, 4, m)
+        b[how == 1] = np.nextafter(b[how == 1], 2 * b[how == 1])
+        b[how == 2] += rng.choice([-0.25, 0.25], ((how == 2).sum(), 2))
+        b[how == 3] = rng.uniform(-3.5, 3.5, ((how == 3).sum(), 2))
+        # -0.0 and 0.0 are one point
+        a, b = (np.where((x == 0) & (rng.random(x.shape) < 0.5), -0.0, x)
+                for x in (a, b))
+        return (a, b) if seed % 2 else (b, a)
     # one point against many, either way round
     a = rng.uniform(0, 1, (1, 2))
     b = rng.uniform(0, 1, (metric_core.TREE_MIN_PAIRS + n, 2))
@@ -218,6 +243,58 @@ def test_tree_path_equals_dense_reference(kind, seed, n, m, nudge):
         rep = hausdorff_distance(FinitePointSet(points=P),
                                  FinitePointSet(points=Q))
     assert (rep.value, rep.witness, rep.direction) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["nested", "overlap"]), st.integers(0, 2**32 - 1),
+       st.integers(250, 500), st.integers(210, 400), st.booleans())
+def test_tree_path_on_shared_points_equals_dense_reference(kind, seed, n, m,
+                                                           nudge):
+    P, Q = _large_pair(kind, seed, n, m)
+    assert len(P) * len(Q) > metric_core.TREE_MIN_PAIRS
+    expected = dense_reference(P, Q)
+    with pytest.MonkeyPatch.context() as mp:
+        if nudge:
+            exact = metric_core._tree_minima
+            mp.setattr(metric_core, "_tree_minima",
+                       lambda A, B: _nudged(exact(A, B), seed))
+        assert tree_report(P, Q) == expected
+        rep = hausdorff_distance(FinitePointSet(points=P),
+                                 FinitePointSet(points=Q))
+    assert (rep.value, rep.witness, rep.direction) == expected
+
+
+def test_tree_minima_are_zero_exactly_on_shared_points():
+    # a point an ulp or 1e-9 away from every point of B is not shared
+    rng = np.random.default_rng(5)
+    B = rng.integers(-8, 9, (400, 2)) * 0.25
+    shared = np.vstack([B, np.where(B == 0, -0.0, B)])
+    near = np.vstack([np.nextafter(B, 2 * B), B + 1e-9])
+    A = np.vstack([shared, near])
+    dense = metric_core._dense_minima(A, B)
+    tree = metric_core._tree_minima(A, B)
+    assert np.array_equal(tree == 0.0, dense == 0.0)
+    assert (dense[:800] == 0.0).all() and (dense[800:] > 0.0).sum() > 700
+    assert np.allclose(tree, dense, rtol=2.0 ** -48, atol=0.0)
+    for P in (near, shared):
+        assert tree_report(P, B) == dense_reference(P, B)
+
+
+def test_four_link_three_level_tower_step_equals_dense_reference():
+    # 12,775 points over 6,860 distinct ones against 862 points that all
+    # lie among them: the backward minima are exact zeros, no tree asked
+    from continuum_lab.realize import build_tower, realize_planar
+    tower = build_tower(4, 3, (0.0, 0.0), (0.25, 0.1))
+    P, Q = (np.vstack([link.points for link in links])
+            for links in realize_planar(tower)[1:])
+    assert (len(P), len(Q)) == (12775, 862)
+    assert len(np.unique(metric_core._point_keys(P))) == 6860
+    assert (metric_core._tree_minima(Q, P) == 0.0).all()
+    expected = dense_reference(P, Q)
+    rep = hausdorff_distance(FinitePointSet(points=P),
+                             FinitePointSet(points=Q))
+    assert (rep.value, rep.witness, rep.direction) == expected
+    assert tree_report(P, Q) == expected
 
 
 def test_five_link_two_level_tower_step_equals_dense_reference():
