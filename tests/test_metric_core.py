@@ -226,30 +226,12 @@ def _nudged(minima, seed):
     return np.maximum(out, 0.0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["random", "grid", "duplicates", "identical", "one"]),
+@settings(max_examples=84, deadline=None)
+@given(st.sampled_from(["random", "grid", "duplicates", "identical", "one",
+                        "nested", "overlap"]),
        st.integers(0, 2**32 - 1), st.integers(250, 500),
        st.integers(210, 400), st.booleans())
 def test_tree_path_equals_dense_reference(kind, seed, n, m, nudge):
-    P, Q = _large_pair(kind, seed, n, m)
-    assert len(P) * len(Q) > metric_core.TREE_MIN_PAIRS
-    expected = dense_reference(P, Q)
-    with pytest.MonkeyPatch.context() as mp:
-        if nudge:
-            exact = metric_core._tree_minima
-            mp.setattr(metric_core, "_tree_minima",
-                       lambda A, B: _nudged(exact(A, B), seed))
-        assert tree_report(P, Q) == expected
-        rep = hausdorff_distance(FinitePointSet(points=P),
-                                 FinitePointSet(points=Q))
-    assert (rep.value, rep.witness, rep.direction) == expected
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["nested", "overlap"]), st.integers(0, 2**32 - 1),
-       st.integers(250, 500), st.integers(210, 400), st.booleans())
-def test_tree_path_on_shared_points_equals_dense_reference(kind, seed, n, m,
-                                                           nudge):
     P, Q = _large_pair(kind, seed, n, m)
     assert len(P) * len(Q) > metric_core.TREE_MIN_PAIRS
     expected = dense_reference(P, Q)
