@@ -179,14 +179,6 @@ class Chain:
         }
         return json.dumps(obj, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Chain":
-        obj = json.loads(text)
-        links = [Link(index=l["index"],
-                      rects=tuple(Rect(*r) for r in l["rects"]))
-                 for l in obj["links"]]
-        return cls(links=links, cell_size=float(obj["cell_size"]))
-
 
 @dataclass
 class ChainReport:
@@ -376,16 +368,6 @@ def crooked_pattern_length(n_coarse: int) -> int:
     for _ in range(n_coarse - 1):
         prev, cur = cur, 2 * cur + prev - 2
     return cur
-
-
-def repeat_pattern(pattern: RefinementPattern, times: int) -> RefinementPattern:
-    """Repeat each entry ``times`` times; preserves crookedness and span."""
-    if times < 1:
-        raise DomainError("repeat count must be >= 1")
-    out: List[int] = []
-    for v in pattern.assignment:
-        out.extend([v] * times)
-    return RefinementPattern(assignment=tuple(out), n_coarse=pattern.n_coarse)
 
 
 def pattern_to_json(pattern: RefinementPattern) -> str:

@@ -2,8 +2,9 @@
 
 Every invocation prints one JSON report.  Exit codes: 0 when the requested
 properties hold, 1 when a property check names a violation, 2 for bad
-usage or domain/resource errors.  Output is deterministic for a fixed
-argv and seed; timings are dropped with ``--no-timings``.
+usage, domain/resource errors or an unwritable ``--out``/``--svg``.  Output
+is deterministic for a fixed argv and seed; timings are dropped with
+``--no-timings``.
 """
 
 from __future__ import annotations
@@ -497,6 +498,9 @@ def _build_parser() -> argparse.ArgumentParser:
 # dispatch
 
 
+_dumps = functools.partial(json.dumps, sort_keys=True, indent=2, default=str)
+
+
 def dispatch(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -508,6 +512,8 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
         tol = getattr(args, "tol", None)
         if not (tol is None or 0 <= tol < math.inf):
             raise DomainError(f"--tol must be finite and >= 0, got {tol}")
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise DomainError(f"--seed must be >= 0, got {args.seed}")
         result, violations, svg = args.fn(args)
         status = "pass" if not violations else "fail"
     except (DomainError, ResourceError) as exc:
@@ -521,17 +527,19 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
               "result": result, "violations": violations, "artifacts": []}
     if not args.no_timings:
         report["timings"] = {"seconds": time.perf_counter() - t0}
-    if svg is not None and args.svg is not None:
-        write_svg(args.svg, svg)
-        report["artifacts"].append(args.svg)
-    if args.out:
-        report["artifacts"].append(args.out)
-    text = json.dumps(report, sort_keys=True, indent=2, default=str)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
-    return {"pass": 0, "fail": 1, "error": 2}[status]
+    try:
+        if svg is not None and args.svg is not None:
+            write_svg(args.svg, svg)
+            report["artifacts"].append(args.svg)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                report["artifacts"].append(args.out)
+                fh.write(_dumps(report) + "\n")
+    except OSError as exc:
+        report.update(status="error", violations=[], result={
+            "error": f"cannot write {exc.filename}: {exc.strerror}"})
+    print(_dumps(report))
+    return {"pass": 0, "fail": 1, "error": 2}[report["status"]]
 
 
 def main() -> None:

@@ -78,9 +78,6 @@ class GraphContinuum:
             out |= adj[v]
         return frozenset(out - vertices)
 
-    def point_coordinates(self, vertices: Sequence[int]) -> np.ndarray:
-        return np.array([self.pos[v] for v in sorted(vertices)], dtype=float)
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -290,6 +287,21 @@ def row_groups(keys: np.ndarray, *lead: np.ndarray):
         c = col[order]
         edge[1:] |= c[1:] != c[:-1]
     return order, edge
+
+
+def row_classes(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(first, cls)``: the first row of each distinct key row, in
+    :func:`row_groups` order, and each row's class, ``cls[first[c]] == c``."""
+    order, edge = row_groups(keys)
+    cls = np.empty(len(keys), dtype=np.int64)
+    cls[order] = np.cumsum(edge) - 1
+    return order[edge], cls
+
+
+def unpacked_rows(words: np.ndarray, width: int) -> np.ndarray:
+    """The bool table of ``width`` columns that :func:`packed_rows` packed."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=width,
+                         bitorder="little").view(bool)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ default comparison tolerance is ``1e-12``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -116,24 +115,6 @@ class FinitePointSet:
         if ra is not rb:
             raise DomainError("point sets drawn from different distance tables")
         return ra.matrix[np.ix_(self._root_indices(), other._root_indices())]
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> str:
-        if self.is_planar:
-            obj = {"points": [[float(x), float(y)] for x, y in self.points]}
-        else:
-            obj = {"matrix": [[float(v) for v in row] for row in self.matrix]}
-        return json.dumps(obj, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FinitePointSet":
-        obj = json.loads(text)
-        if "points" in obj:
-            return cls(points=obj["points"])
-        if "matrix" in obj:
-            return cls(matrix=obj["matrix"])
-        raise DomainError('JSON object must contain "points" or "matrix"')
 
 
 def _validate_distance_table(m: np.ndarray) -> None:

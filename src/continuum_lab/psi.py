@@ -42,7 +42,8 @@ import numpy as np
 
 from .chains import (RefinementPattern, crooked_pattern_length,
                      generate_crooked_pattern, is_crooked)
-from .continua import build_continuum
+from .continua import (build_continuum, packed_rows, row_classes,
+                       unpacked_rows)
 from .errors import DomainError, ResourceError, _max_elements
 from .metric_core import DEFAULT_TOL, FinitePointSet
 from .whitney import (SIZE_BLOCK_FLOATS, WhitneyMap, build_whitney_map,
@@ -339,27 +340,28 @@ def filament_covers(model: PsiModel
     ``covers[r, c]`` iff ample element ``ample[c]`` covers ``filament[r]``.
 
     b covers a iff a < b and no c has a < c < b.  From the order's rows:
-    ``up`` is each element's set of ample elements above it (as bits);
+    ``up`` is each element's set of ample elements above it (as words);
     elements with equal ``up`` rows form one class, and the ample elements
-    above some c > a are the union of the classes of the elements above a.
+    above some c > a are the union of the classes of the elements above a,
+    read for the pieces alone: the order's first ``m * q`` rows.
     """
-    is_piece = np.arange(len(model.elements)) < model.m * model.q
-    filament, ample = np.flatnonzero(is_piece), np.flatnonzero(~is_piece)
-    # ample elements' columns, and a spare last column for the pieces
-    col = np.where(is_piece, len(ample), np.cumsum(~is_piece) - 1)
-    up = _bit_rows(model.strict_order, col, len(ample))
-    first, cls = _row_classes(up)
-    above = _bit_rows(model.strict_order, cls, len(first))[filament]
-    groups, grp = _row_classes(above)
-    bits = np.unpackbits(above[groups], axis=1, count=len(first)).view(bool)
-    reach = np.array([np.bitwise_or.reduce(up[first[g]]) for g in bits])
-    return filament, ample, np.unpackbits(
-        up[filament] & ~reach[grp], axis=1, count=len(ample)).view(bool)
+    p, n = model.m * model.q, len(model.elements)
+    filament, ample = np.arange(p), np.arange(p, n)
+    col = np.r_[np.full(p, n - p), ample - p]  # a spare column for pieces
+    order = model.strict_order
+    up = _bit_rows(order, col, n - p)
+    first, cls = row_classes(up)
+    above = _bit_rows(Order(order.indptr[:p + 1], order.indices), cls,
+                      len(first))
+    groups, grp = row_classes(above)
+    reach = np.array([np.bitwise_or.reduce(up[first[g]])
+                      for g in unpacked_rows(above[groups], len(first))])
+    return filament, ample, unpacked_rows(up[:p] & ~reach[grp], n - p)
 
 
 def _bit_rows(order: Order, col: np.ndarray, width: int) -> np.ndarray:
-    """Row a packs the bits ``col[b]`` (those below ``width``) of the b
-    above a, built SIZE_BLOCK_FLOATS table cells at a time."""
+    """Row a: the :func:`packed_rows` bits ``col[b]`` (those below ``width``)
+    of the b above a, built SIZE_BLOCK_FLOATS table cells at a time."""
     col, out = col.astype(np.int32), []
     step = max(1, SIZE_BLOCK_FLOATS // (width + 1))
     for r in range(0, len(order.indptr) - 1, step):
@@ -369,15 +371,8 @@ def _bit_rows(order: Order, col: np.ndarray, width: int) -> np.ndarray:
         cell += np.repeat(np.arange(0, table.size, width + 1, dtype=np.int32),
                           np.diff(ptr))
         table.ravel()[cell] = True
-        out.append(np.packbits(table[:, :width], axis=1))
+        out.append(packed_rows(table[:, :width]))
     return np.vstack(out)
-
-
-def _row_classes(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The first of each distinct uint8 row, and each row's class."""
-    _, first, cls = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
-                              return_index=True, return_inverse=True)
-    return first, cls.ravel()
 
 
 def planck_report(model: PsiModel) -> PlanckReport:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .continua import (SIZE_BLOCK_FLOATS, GraphContinuum,
                        enumerate_subcontinua, incidence_table, packed_rows,
-                       row_groups)
+                       row_classes, unpacked_rows)
 from .errors import DomainError
 from .metric_core import DEFAULT_TOL, FinitePointSet, _pair_distances
 
@@ -361,22 +361,18 @@ def _meet_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]], inc: np.ndarray,
                 ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     """mu(F_i & F_j) for each intersecting index pair.  For a WhitneyMap each
     pair's meet is the AND of the members' :func:`packed_rows`; the distinct
-    meets, found by :func:`row_groups`, are sized once by
-    :func:`_span_sizes`."""
+    meets, found by :func:`row_classes` and read back by
+    :func:`unpacked_rows`, are sized once by :func:`_span_sizes`."""
     if not isinstance(mu, WhitneyMap):
         return _pair_sizes(mu, fam, ii, jj, operator.and_)
     if not len(ii):
         return np.empty(0)
     words = packed_rows(inc)
     keys = words[ii] & words[jj]
-    order, edge = row_groups(keys)
-    back = np.empty(len(keys), dtype=np.int64)
-    back[order] = np.cumsum(edge) - 1
-    rows, cols = np.nonzero(np.unpackbits(
-        keys[order[edge]].view(np.uint8), axis=1, count=inc.shape[1],
-        bitorder="little"))
+    first, back = row_classes(keys)
+    rows, cols = np.nonzero(unpacked_rows(keys[first], inc.shape[1]))
     verts = np.array(sorted(set().union(*fam)), dtype=np.int64)
-    idx = _gather_index(verts[cols], np.bincount(rows, minlength=edge.sum()))
+    idx = _gather_index(verts[cols], np.bincount(rows, minlength=len(first)))
     every = np.arange(len(idx))
     return _span_sizes(mu, idx, every, every)[back]
 
@@ -472,21 +468,3 @@ def hyperspace_distance_matrices(g: GraphContinuum, mu: MuLike,
     # h[j, i] = max_{x in F_i} d(x, F_j), zero on the diagonal as d(x, x) is
     h = _reduce_over(np.ascontiguousarray(near.T), idx, np.maximum)
     return np.maximum(h, h.T), whitney_distance_matrix(mu, family)
-
-
-def continuity_modulus_table(d_from: np.ndarray, d_to: np.ndarray,
-                             eps_values: Sequence[float]
-                             ) -> List[Tuple[float, float]]:
-    """For each eps: the largest delta with d_from < delta => d_to < eps.
-
-    Positive deltas for every positive eps witness uniform continuity of the
-    identity map on a finite family.
-    """
-    iu = np.triu_indices(d_from.shape[0], k=1)
-    df, dt = d_from[iu], d_to[iu]
-    out = []
-    for eps in eps_values:
-        bad = df[dt >= eps]
-        delta = float(bad.min()) if bad.size else float("inf")
-        out.append((float(eps), delta))
-    return out

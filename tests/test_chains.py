@@ -11,7 +11,7 @@ from continuum_lab.chains import (Chain, Link, Rect, RefinementPattern,
                                   generate_crooked_pattern, is_crooked,
                                   minimal_spanning_crooked_length,
                                   pattern_from_json, pattern_to_json,
-                                  repeat_pattern, verify_chain)
+                                  verify_chain)
 from continuum_lab.errors import DomainError, ResourceError
 
 
@@ -265,13 +265,6 @@ def test_pattern_json_roundtrip():
     assert again.assignment == pat.assignment
     assert again.n_coarse == pat.n_coarse
     json.loads(pattern_to_json(pat))  # valid JSON
-
-
-def test_repeat_pattern_preserves_crookedness():
-    pat = generate_crooked_pattern(4)
-    rep = repeat_pattern(pat, 3)
-    assert len(rep) == 3 * len(pat)
-    assert is_crooked(rep).ok
 
 
 def test_pattern_validation():

@@ -410,6 +410,24 @@ def test_negative_tol_is_refused_before_any_model_is_built(capsys):
     assert rep["result"]["error"] == "--tol must be finite and >= 0, got -1.0"
 
 
+@pytest.mark.parametrize("verb", [["whitney", "check"], ["psi", "curvature"]])
+@pytest.mark.parametrize("seed", [["--seed", "-1"], ["--seed=-1"]])
+def test_negative_seed_exits_two(verb, seed, capsys):
+    code, rep = run(verb + seed + ["--no-timings"], capsys)
+    assert code == 2
+    assert rep["result"] == {"error": "--seed must be >= 0, got -1"}
+
+
+@pytest.mark.parametrize("argv, flag", [(["psi", "build"], "--out"),
+                                        (["plot", "psi"], "--svg")])
+def test_unwritable_output_exits_two(argv, flag, tmp_path, capsys):
+    path = tmp_path / "missing" / "x"
+    code, rep = run(argv + [flag, str(path), "--no-timings"], capsys)
+    assert code == 2 and rep["status"] == "error"
+    assert rep["result"]["error"].startswith(f"cannot write {path}: ")
+    assert rep["artifacts"] == [] and not path.parent.exists()
+
+
 @pytest.mark.parametrize("argv", [["chains", "generate"],
                                   ["chains", "verify"],
                                   ["plot", "chain"],

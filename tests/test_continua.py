@@ -13,7 +13,8 @@ from continuum_lab.continua import (GraphContinuum, Triod, build_continuum,
                                     enumerate_subcontinua, incidence_table,
                                     interval_arc_to_triangle, is_terminal,
                                     order_arcs_between, packed_rows,
-                                    row_groups, triangle_to_interval_arc)
+                                    row_classes, row_groups,
+                                    triangle_to_interval_arc, unpacked_rows)
 from continuum_lab.errors import DomainError, ResourceError
 
 
@@ -210,6 +211,27 @@ def test_row_groups_equal_unique_rows(rows, data):
     assert edge.tolist() == [p == 0 or (lead[want[p]], rows[want[p]]) !=
                              (lead[want[p - 1]], rows[want[p - 1]])
                              for p in range(len(want))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 63, 64, 65, 130]), st.data())
+def test_row_classes_and_unpacked_rows_invert_packed_rows(width, data):
+    pool = data.draw(st.lists(st.lists(st.booleans(), min_size=width,
+                                       max_size=width), min_size=1,
+                              max_size=4))
+    pick = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                              max_size=40))
+    table = np.array([pool[p] for p in pick], dtype=bool)
+    words = packed_rows(table)
+    back = unpacked_rows(words, width)
+    assert back.dtype == bool and np.array_equal(back, table)
+    first, cls = row_classes(words)
+    assert np.array_equal(cls[first], np.arange(len(first)))
+    # np.unique's partition up to relabelling, each class led by its first row
+    _, lead, inverse = np.unique(table, axis=0, return_index=True,
+                                 return_inverse=True)
+    assert len(set(zip(cls, inverse.ravel()))) == len(first) == len(lead)
+    assert np.array_equal(np.sort(first), np.sort(lead))
 
 
 def test_subcontinua_counts_match_brute_force():

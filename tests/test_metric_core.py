@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -56,14 +55,6 @@ def test_matrix_backed_sets_and_subsets():
     sub = amb.subset([0, 2])
     rep = hausdorff_distance(sub, amb)
     assert rep.value == 1.0
-
-
-def test_json_roundtrip():
-    k = FinitePointSet(points=[(0.0, 0.5), (1.25, -3.0)])
-    k2 = FinitePointSet.from_json(k.to_json())
-    assert np.array_equal(k.points, k2.points)
-    data = json.loads(k.to_json())
-    assert "points" in data
 
 
 def test_closed_neighborhood_includes_boundary():

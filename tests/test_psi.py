@@ -388,8 +388,10 @@ def test_order_covers_and_graph_match_the_block_reference(shape):
     _assert_order_matches_reference(build_psi_model(*shape))
 
 
-def test_order_covers_and_graph_match_the_block_reference_at_24_2():
-    _assert_order_matches_reference(build_psi_model(24, 2))
+# (30, 1): level 1, where the pieces are only 270 of the order's 1,141 rows
+@pytest.mark.parametrize("shape", [(24, 2), (30, 1)], ids=["24_2", "30_1"])
+def test_order_covers_and_graph_match_the_block_reference_at(shape):
+    _assert_order_matches_reference(build_psi_model(*shape))
 
 
 @pytest.mark.parametrize("block", [1, 7, 100])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from continuum_lab.chains import (RefinementPattern, generate_crooked_pattern,
-                                  is_crooked, repeat_pattern, verify_chain)
+                                  is_crooked, verify_chain)
 from continuum_lab.errors import DomainError, ResourceError
 from continuum_lab.realize import (_closure_mask, build_tower,
                                    chain_point_sets,
@@ -256,8 +256,9 @@ def test_realize_pattern_refusals():
                  ((1, 2, 1, 1, 2), 2)):
         with pytest.raises(DomainError):
             realize_pattern(RefinementPattern(assignment=p, n_coarse=n))
-    with pytest.raises(DomainError):
-        realize_pattern(repeat_pattern(generate_crooked_pattern(4), 2))
+    with pytest.raises(DomainError):  # generate_crooked_pattern(4), doubled
+        realize_pattern(RefinementPattern(
+            assignment=(1, 1, 2, 2, 3, 3, 2, 2, 3, 3, 4, 4), n_coarse=4))
 
 
 GOLDEN = Path(__file__).parent / "golden" / "towers.json"
