@@ -1,7 +1,7 @@
 """Chains, refinement patterns, and crookedness.
 
 A chain is a finite sequence of links where links meet exactly when their
-indices are adjacent.  Geometric links are unions of axis-aligned grid-cell
+indices are adjacent.  Links are unions of axis-aligned grid-cell
 rectangles at a common cell size; two links intersect when they share a
 cell, and a link's closure adds the one-cell dilation of its cells.
 
@@ -22,11 +22,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, ResourceError, _max_elements
-
-Cell = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -53,11 +51,6 @@ class Rect:
     def corners(self) -> List[Tuple[int, int]]:
         return [(self.c0, self.r0), (self.c0, self.r1),
                 (self.c1, self.r0), (self.c1, self.r1)]
-
-    def cells(self) -> Iterable[Cell]:
-        for c in range(self.c0, self.c1):
-            for r in range(self.r0, self.r1):
-                yield (c, r)
 
 
 def rects_intersect(a: Sequence[Rect], b: Sequence[Rect]) -> bool:
@@ -134,14 +127,14 @@ def rects_connected(rects: Sequence[Rect]) -> bool:
 
 @dataclass(frozen=True)
 class Link:
-    """One chain link: a union of cell rectangles (empty when abstract)."""
+    """One chain link: a non-empty union of cell rectangles."""
 
     index: int
-    rects: Tuple[Rect, ...] = ()
+    rects: Tuple[Rect, ...]
 
-    @property
-    def is_geometric(self) -> bool:
-        return len(self.rects) > 0
+    def __post_init__(self):
+        if not self.rects:
+            raise DomainError(f"link {self.index} has no rects")
 
 
 @dataclass
@@ -160,13 +153,7 @@ class Chain:
     def __len__(self) -> int:
         return len(self.links)
 
-    @property
-    def is_geometric(self) -> bool:
-        return all(l.is_geometric for l in self.links)
-
     def mesh(self) -> float:
-        if not self.is_geometric:
-            raise DomainError("mesh needs a geometric chain")
         return max(rects_diameter(l.rects, self.cell_size) for l in self.links)
 
     def to_json(self) -> str:
@@ -188,16 +175,14 @@ class ChainReport:
 
 
 def verify_chain(chain: Chain, eps: float) -> ChainReport:
-    """Check the epsilon-chain conditions for a geometric chain.
+    """Check the epsilon-chain conditions for a chain.
 
     Links must intersect exactly when their indices differ by at most one,
     each link must be a connected cell region, and every diameter must be
-    strictly below ``eps``.
+    strictly below ``eps`` (positive; ``math.inf`` checks no mesh bound).
     """
-    if not chain.is_geometric:
-        raise DomainError("verify_chain needs geometric links")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not eps > 0:
+        raise DomainError(f"eps must be positive, got {eps}")
     failures: List[str] = []
     n = len(chain)
     for i in range(n):
@@ -222,15 +207,10 @@ def verify_chain(chain: Chain, eps: float) -> ChainReport:
 
 @dataclass(frozen=True)
 class RefinementPattern:
-    """Assignment of fine links to coarse links, 1-based on both sides.
-
-    ``containment`` flags record that the closure of each fine link lies in
-    its assigned coarse link; abstract patterns assert this by construction.
-    """
+    """Assignment of fine links to coarse links, 1-based on both sides."""
 
     assignment: Tuple[int, ...]
     n_coarse: int
-    containment: Tuple[bool, ...] = ()
 
     def __post_init__(self):
         p = self.assignment
@@ -240,10 +220,6 @@ class RefinementPattern:
             raise DomainError("pattern values must lie in 1..n_coarse")
         if any(abs(a - b) > 1 for a, b in zip(p, p[1:])):
             raise DomainError("consecutive pattern values must differ by <= 1")
-        if not self.containment:
-            object.__setattr__(self, "containment", tuple([True] * len(p)))
-        if len(self.containment) != len(p):
-            raise DomainError("one containment flag per fine link required")
 
     def __len__(self) -> int:
         return len(self.assignment)
@@ -265,11 +241,10 @@ def is_crooked(pattern: RefinementPattern) -> CrookednessReport:
     """Decide the zigzag condition in both directions; 1-based
     counterexample (k, m, i, j).
 
-    Requires every containment flag to hold (a pattern that fails condition
-    (1) has no crookedness verdict).  For each coarse pair k, m with
-    |m - k| >= 3 and each fine pair i < j with assignment k at i and m at j,
-    there must be i < i* < i^ < j hitting m -/+ 1 at i* and then k +/- 1 at
-    i^ (upper signs for an upward run, m > k).
+    For each coarse pair k, m with |m - k| >= 3 and each fine pair i < j
+    with assignment k at i and m at j, there must be i < i* < i^ < j
+    hitting m -/+ 1 at i* and then k +/- 1 at i^ (upper signs for an
+    upward run, m > k).
 
     Runs up are checked first, in the order (k, m, i) of a loop over
     k < m and the positions i of k, and the first failure is reported with
@@ -277,8 +252,6 @@ def is_crooked(pattern: RefinementPattern) -> CrookednessReport:
     pattern n_coarse + 1 - p, and a failure there is reported in the
     original values, so k > m.  Cost O(n_coarse * len).
     """
-    if not all(pattern.containment):
-        raise DomainError("crookedness requires all containment flags true")
     n = pattern.n_coarse
     p = pattern.assignment
     bad = _first_upward_violation(p, n)

@@ -113,12 +113,10 @@ class PsiModel:
     """The element family, sizes, and containment order of the model,
     each store read by the element ids that :func:`_layout` lays out."""
 
-    def __init__(self, m: int, k: int, fiber_level: int,
-                 patterns: List[RefinementPattern],
+    def __init__(self, m: int, k: int, patterns: List[RefinementPattern],
                  points: FinitePointSet, mu_base: WhitneyMap):
         self.m = m
         self.k = k
-        self.fiber_level = fiber_level
         self.patterns = patterns
         self.points = points
         self.mu_base = mu_base
@@ -315,8 +313,8 @@ def build_psi_model(m: int = 6, fiber_level: int = 2) -> PsiModel:
             r = BASE_RADIUS + FIBER_STICK * t / max(k - 1, 1)
             pts.append((r * math.cos(ang), r * math.sin(ang)))
     points = FinitePointSet(points=pts)
-    model = PsiModel(m=m, k=k, fiber_level=fiber_level, patterns=patterns,
-                     points=points, mu_base=build_whitney_map(points))
+    model = PsiModel(m=m, k=k, patterns=patterns, points=points,
+                     mu_base=build_whitney_map(points))
     if not (0 < model.l <= model.L < model.sizes[-1]):
         raise DomainError("internal: Planck interval out of order")
     return model

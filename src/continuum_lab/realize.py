@@ -345,21 +345,15 @@ def _realize(n1: int, patterns: Sequence[RefinementPattern]
     return chains, shape
 
 
-def _verified(chains: Sequence[Sequence[Link]],
-              patterns: Sequence[RefinementPattern]
-              ) -> List[RefinementPattern]:
-    """Each pattern with its containment flags checked on the grid."""
-    out = []
+def _check_containment(chains: Sequence[Sequence[Link]],
+                       patterns: Sequence[RefinementPattern]) -> None:
+    """Refuse unless the closure of each fine link lies in its coarse link,
+    cell-exactly on the grid."""
     for coarse, fine, q in zip(chains, chains[1:], patterns):
-        flags = tuple(rects_contain([r.dilate() for r in link.rects],
-                                    coarse[a - 1].rects)
-                      for link, a in zip(fine, q.assignment))
-        if not all(flags):
+        if not all(rects_contain([r.dilate() for r in link.rects],
+                                 coarse[a - 1].rects)
+                   for link, a in zip(fine, q.assignment)):
             raise DomainError("containment violated on the grid")
-        out.append(RefinementPattern(assignment=q.assignment,
-                                     n_coarse=len(coarse),
-                                     containment=flags))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +382,6 @@ class ChainTower:
     x_cell: Tuple[int, int]
     y_cell: Tuple[int, int]
     grid_shape: Tuple[int, int]   # (rows, cols)
-    origin: Tuple[float, float]
     rotation: float
     diagnostics: List[LevelDiagnostics]
 
@@ -396,8 +389,9 @@ class ChainTower:
         dc = cell[0] - self.x_cell[0]
         dr = cell[1] - self.x_cell[1]
         ca, sa = math.cos(self.rotation), math.sin(self.rotation)
-        return (self.origin[0] + self.cell_size * (ca * dc - sa * dr),
-                self.origin[1] + self.cell_size * (sa * dc + ca * dr))
+        x = self.endpoints[0]
+        return (x[0] + self.cell_size * (ca * dc - sa * dr),
+                x[1] + self.cell_size * (sa * dc + ca * dr))
 
 
 def _mask(rect_lists: Sequence[Sequence[Rect]], shape) -> np.ndarray:
@@ -523,50 +517,48 @@ def _build_tower(n1: int, levels: int, x, y) -> ChainTower:
         prev_closure, prev_mesh = closure, report.mesh
         diags.append(diag)
 
-    verified = _verified(chains, patterns)
-    if not all(is_crooked(pat).ok for pat in verified):
+    _check_containment(chains, patterns)
+    if not all(is_crooked(pat).ok for pat in patterns):
         raise DomainError("internal: realized pattern is not crooked")
 
-    return ChainTower(levels=level_chains, patterns=verified,
+    return ChainTower(levels=level_chains, patterns=patterns,
                       endpoints=(tuple(x), tuple(y)), cell_size=cell,
                       x_cell=x_cell, y_cell=y_cell, grid_shape=shape,
-                      origin=tuple(x), rotation=rotation, diagnostics=diags)
+                      rotation=rotation, diagnostics=diags)
 
 
 # ---------------------------------------------------------------------------
 # standalone realizations
 
 
-def realize_pattern(pattern: RefinementPattern
-                    ) -> Tuple[Chain, Chain, RefinementPattern]:
+def realize_pattern(pattern: RefinementPattern) -> Tuple[Chain, Chain]:
     """Realize one refinement pattern inside a straight row of columns.
 
-    Returns the coarse row, the fine snake, and the pattern with its
-    containment flags re-verified on the grid.  The pattern must run from
-    the first coarse link to the last.  A pattern the router cannot fit
-    (some stutters, e.g. one in the last coarse link) raises a domain
-    error, so every returned flag is true and the snake is a chain.
-    Both chains have unit cells.
+    Returns the coarse row and the fine snake, both with unit cells.  The
+    pattern must run from the first coarse link to the last.  A pattern
+    the router cannot fit (some stutters, e.g. one in the last coarse
+    link), or whose closure containment fails on the grid, raises a
+    domain error, so the snake is a chain whose link closures lie in
+    their coarse links.
     """
     p = pattern.assignment
     if p[0] != 1 or p[-1] != pattern.n_coarse:
         raise DomainError(f"pattern must run from coarse link 1 to "
                           f"{pattern.n_coarse}; got {p[0]} to {p[-1]}")
     chains, _ = _realize(pattern.n_coarse, [pattern])
-    verified = _verified(chains, [pattern])[0]
+    _check_containment(chains, [pattern])
     coarse, fine = (Chain(links=links) for links in chains)
     report = verify_chain(fine, math.inf)
     if not report.ok:
         raise DomainError(f"pattern {list(p)} does not realize as a chain: "
                           f"{report.failures[0]}")
-    return coarse, fine, verified
+    return coarse, fine
 
 
 def chain_point_sets(chain: Chain) -> List[FinitePointSet]:
     """Cell-center point set of every link, in physical units.
 
-    Points come in the order of ``Rect.cells``: rect by rect, columns
-    outer, rows inner.
+    Points come rect by rect, columns outer, rows inner.
     """
     spec, ends, total = [], [], 0   # per rect: c0, r0, height, first, cells
     for link in chain.links:
@@ -585,17 +577,9 @@ def chain_point_sets(chain: Chain) -> List[FinitePointSet]:
             for a, b in zip([0] + ends, ends)]
 
 
-def realize_planar(obj):
-    """Point-set realization of a chain, pattern (unit cells), or tower,
-    per link."""
-    if isinstance(obj, ChainTower):
-        return [chain_point_sets(level) for level in obj.levels]
-    if isinstance(obj, Chain):
-        return chain_point_sets(obj)
-    if isinstance(obj, RefinementPattern):
-        _, fine, _ = realize_pattern(obj)
-        return chain_point_sets(fine)
-    raise DomainError("cannot realize this object")
+def realize_planar(tower: ChainTower) -> List[List[FinitePointSet]]:
+    """Point-set realization of a tower: per level, per link."""
+    return [chain_point_sets(level) for level in tower.levels]
 
 
 def tower_to_json(tower: ChainTower) -> dict:

@@ -15,7 +15,7 @@ is max(hi_i, hi_j) - min(lo_i, lo_j), exactly, so no union set is built.
 The subadditivity meets are sized the same way, once per distinct meet.
 These tables read F alone, not the memo; a plain size function is called
 once per set.  Level queries take their sizes from the memoised batch
-kernel :meth:`WhitneyMap.sizes`, through :func:`_sizes`.
+kernel :meth:`WhitneyMap.sizes`.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class WhitneyMap:
         if ordering_seed is not None:
             rng = np.random.default_rng(ordering_seed)
             order = [order[i] for i in rng.permutation(n)]
-        self.ambient = ambient
         self.n_points = n
         self.order = list(order)
         # F[k, i] = f_{x_k}(p_i) for the k-th enumeration point x_k
@@ -171,14 +170,6 @@ def whitney_distance(mu: MuLike, a: FrozenSet[int],
     a, b = frozenset(a), frozenset(b)
     mu_u = mu(a | b)
     return max(mu_u - mu(a), mu_u - mu(b))
-
-
-def _sizes(mu: MuLike, sets: Sequence[FrozenSet[int]]) -> np.ndarray:
-    """mu of each set: one batch for a WhitneyMap, one call per set for a
-    plain size function."""
-    if isinstance(mu, WhitneyMap):
-        return mu.sizes(sets)
-    return np.array([mu(s) for s in sets], dtype=float)
 
 
 def _pair_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]], ii: np.ndarray,
@@ -388,20 +379,20 @@ def min_value_gap(values: Sequence[float]) -> float:
     return min(b - a for a, b in zip(vals, vals[1:]))
 
 
-def default_level_tolerance(mu: MuLike,
+def default_level_tolerance(mu: WhitneyMap,
                             family: Sequence[FrozenSet[int]]) -> float:
     """Half the minimal gap between distinct mu-values in the family."""
-    return min_value_gap(_sizes(mu, family).tolist()) / 2.0
+    return min_value_gap(mu.sizes(family).tolist()) / 2.0
 
 
-def whitney_level(mu: MuLike, family: Sequence[FrozenSet[int]], t: float,
+def whitney_level(mu: WhitneyMap, family: Sequence[FrozenSet[int]], t: float,
                   tol: Optional[float] = None) -> List[FrozenSet[int]]:
     """Family members whose size is within ``tol`` of ``t``."""
     if not math.isfinite(t):
         raise DomainError(f"level parameter must be finite, got {t}")
     if tol is None:
         tol = default_level_tolerance(mu, family)
-    sizes = _sizes(mu, family).tolist()
+    sizes = mu.sizes(family).tolist()
     return [s for s, v in zip(family, sizes) if abs(v - t) <= tol]
 
 
@@ -412,7 +403,7 @@ class RefinementPiece:
     tol: float
 
 
-def equal_level_refinement(g: GraphContinuum, mu: MuLike,
+def equal_level_refinement(g: GraphContinuum, mu: WhitneyMap,
                            decomposition: Sequence[FrozenSet[int]],
                            t0: float) -> List[RefinementPiece]:
     """Refine each decomposition member into subcontinua of size about t0.
@@ -440,7 +431,7 @@ def equal_level_refinement(g: GraphContinuum, mu: MuLike,
         raise DomainError(
             f"t0 = {t0} exceeds the smallest member size {min_size}")
     subs = enumerate_subcontinua(g)
-    errs = dict(zip(subs, [abs(v - t0) for v in _sizes(mu, subs).tolist()]))
+    errs = dict(zip(subs, [abs(v - t0) for v in mu.sizes(subs).tolist()]))
     out: List[RefinementPiece] = []
     for m in members:
         cands = [c for c in subs if c <= m]

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from continuum_lab.chains import (Chain, Link, Rect, RefinementPattern,
+from continuum_lab.chains import (Chain, ChainReport, Link, Rect,
+                                  RefinementPattern,
                                   _zigzag_pairs, _zigzag_step,
                                   crooked_pattern_length,
                                   generate_crooked_pattern, is_crooked,
@@ -311,6 +312,24 @@ def test_verify_chain_edge_adjacency_is_disjoint():
     chain = Chain(links=[_bar(1, 0, 2), _bar(2, 2, 4)])
     rep = verify_chain(chain, 100.0)
     assert any("do not meet" in f for f in rep.failures)
+
+
+def test_verify_chain_refuses_an_eps_that_is_not_positive():
+    # one 100 x 1 cell bar: its diameter is sqrt(100^2 + 1)
+    chain = Chain(links=[_bar(1, 0, 100)])
+    mesh = math.hypot(100, 1)
+    for bad in (math.nan, 0.0, -1.0, -math.inf):
+        with pytest.raises(DomainError, match=f"got {bad}"):
+            verify_chain(chain, bad)
+    assert verify_chain(chain, math.inf) == ChainReport(ok=True, mesh=mesh)
+    assert verify_chain(chain, 0.5) == ChainReport(
+        ok=False, mesh=mesh,
+        failures=[f"mesh {mesh} is not below eps 0.5"])
+
+
+def test_link_needs_a_rect():
+    with pytest.raises(DomainError, match="link 1 has no rects"):
+        Link(1, ())
 
 
 def test_mesh_strictness():

@@ -1,4 +1,5 @@
-"""Every package definition has a caller, and every import a reader.
+"""Every package definition has a caller, every import a reader, and
+every stored attribute a reader.
 
 A top-level function or class of ``src/continuum_lab``, or a non-dunder
 method of a top-level class, must be named in ``src/``, ``demos/`` or
@@ -7,7 +8,10 @@ an imported name or part of a dotted string (the tracer's targets).
 Definitions do not count as names, so two same-named definitions that
 nothing calls both fail.  Tests are not callers: library code that only
 tests call fails here.  An import must be read by its module, or
-re-imported from it by another package module.
+re-imported from it by another package module.  An attribute that a
+top-level class stores, by ``self.x = ...`` in its methods or as an
+annotated class-level field, must be read in the same files as an
+attribute (a ``.x`` load) or as part of a dotted string.
 """
 
 import ast
@@ -21,8 +25,9 @@ CALLERS = (PACKAGE + sorted((ROOT / "demos").glob("*.py"))
 
 # Definitions kept with no caller, each with its reason.
 KEEP = {
-    # The only reader of a tower's origin and rotation, the placement in the
-    # plane that build_tower(x, y) promises; the frame tests check it.
+    # The only reader of a tower's rotation, which with endpoints[0] places
+    # the grid in the plane as build_tower(x, y) promises; the frame tests
+    # check it.
     "realize.ChainTower.cell_center",
 }
 
@@ -75,6 +80,41 @@ def test_every_definition_has_a_caller():
 
 def test_the_keep_list_holds_only_definitions_with_no_caller():
     assert _dead() >= KEEP
+
+
+def _stored(tree):
+    """(qualified name, name) of the attributes each top-level class stores:
+    its annotated class-level fields and its ``self.x`` assignments."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = {item.target.id for item in cls.body
+                 if isinstance(item, ast.AnnAssign)
+                 and isinstance(item.target, ast.Name)}
+        names |= {node.attr for node in ast.walk(cls)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "self"}
+        for name in names:
+            yield f"{cls.name}.{name}", name
+
+
+def _attribute_reads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if len(parts) > 1 and all(part.isidentifier() for part in parts):
+                yield from parts
+
+
+def test_every_stored_attribute_is_read():
+    reads = {name for path in CALLERS for name in _attribute_reads(_tree(path))}
+    unread = sorted(f"{path.stem}.{qual}" for path in PACKAGE
+                    for qual, name in _stored(_tree(path)) if name not in reads)
+    assert unread == []
 
 
 def test_every_import_is_read():

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from continuum_lab import realize
 from continuum_lab.chains import (RefinementPattern, generate_crooked_pattern,
                                   is_crooked, verify_chain)
 from continuum_lab.errors import DomainError, ResourceError
@@ -25,6 +26,17 @@ X, Y = (0.0, 0.0), (0.25, 0.0)
 @pytest.fixture(scope="module")
 def tower():
     return build_tower(4, 3, X, Y)
+
+
+@pytest.fixture(scope="module")
+def rotated():
+    return build_tower(4, 3, (0.1, -0.1), (0.25, 0.1))
+
+
+def _cells(rects):
+    """The grid cells (c, r) of ``rects``, rect by rect, columns outer."""
+    return [(c, r) for rect in rects for c in range(rect.c0, rect.c1)
+            for r in range(rect.r0, rect.r1)]
 
 
 MASKS = st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
@@ -108,11 +120,38 @@ def test_closures_nest_and_converge(tower):
         assert diag.hausdorff_to_previous <= diag.hausdorff_bound
 
 
-def test_patterns_are_crooked_with_verified_containment(tower):
+@pytest.mark.parametrize("name", ["tower", "rotated"])
+def test_patterns_are_crooked_with_verified_containment(name, request):
+    # closure containment as cell sets: every cell of each dilated fine
+    # rect lies in some rect of the coarse link the pattern assigns
+    tower = request.getfixturevalue(name)
     assert len(tower.patterns) == 2
-    for pat in tower.patterns:
-        assert all(pat.containment)
+    for coarse, fine, pat in zip(tower.levels, tower.levels[1:],
+                                 tower.patterns):
         assert is_crooked(pat).ok
+        assert len(fine) == len(pat) and pat.n_coarse == len(coarse)
+        for link, a in zip(fine.links, pat.assignment):
+            closure = set(_cells(r.dilate() for r in link.rects))
+            assert closure <= set(_cells(coarse.links[a - 1].rects)), \
+                (name, link.index)
+
+
+def test_a_failed_containment_check_refuses_the_realization(monkeypatch):
+    real = realize.rects_contain
+
+    def fail_once(inner, outer):
+        if calls:
+            return real(inner, outer)
+        calls.append(1)
+        return False
+
+    monkeypatch.setattr(realize, "rects_contain", fail_once)
+    for build in (lambda: build_tower(4, 2, X, Y),
+                  lambda: realize_pattern(generate_crooked_pattern(4))):
+        calls = []
+        with pytest.raises(DomainError, match="containment violated"):
+            build()
+        assert calls == [1]
 
 
 def test_endpoints_in_terminal_links(tower):
@@ -135,10 +174,10 @@ def test_frame_is_isometric(tower):
     assert math.dist(a, b) == pytest.approx(5 * tower.cell_size, abs=1e-12)
 
 
-def test_rotated_endpoints(tower):
-    rot = build_tower(4, 3, (0.1, -0.1), (0.25, 0.1))
-    assert math.dist(rot.cell_center(rot.y_cell), (0.25, 0.1)) < 1e-12
-    for n, diag in enumerate(rot.diagnostics, start=1):
+def test_rotated_endpoints(rotated):
+    assert math.dist(rotated.cell_center(rotated.y_cell),
+                     (0.25, 0.1)) < 1e-12
+    for n, diag in enumerate(rotated.diagnostics, start=1):
         assert diag.mesh <= 2.0 ** (-n)
 
 
@@ -186,11 +225,9 @@ def test_tower_json_shape(tower):
 def test_realize_pattern_crooked_and_straight():
     for pat in (generate_crooked_pattern(4),
                 RefinementPattern(assignment=(1, 2, 3, 4), n_coarse=4)):
-        coarse, fine, verified = realize_pattern(pat)
+        coarse, fine = realize_pattern(pat)
         assert verify_chain(coarse, 1e9).ok
         assert verify_chain(fine, 1e9).ok
-        assert all(verified.containment)
-        assert is_crooked(verified).ok == is_crooked(pat).ok
 
 
 def test_point_set_realization(tower):
@@ -198,14 +235,15 @@ def test_point_set_realization(tower):
     assert len(sets) == 4
     per_level = realize_planar(tower)
     assert [len(level) for level in per_level] == [4, 6, 30]
-    assert len(realize_planar(generate_crooked_pattern(3))) == 3
+    _, fine = realize_pattern(generate_crooked_pattern(3))
+    assert len(chain_point_sets(fine)) == 3
 
 
 def test_point_sets_follow_cell_order(tower):
     for chain in tower.levels:
         for link, pts in zip(chain.links, chain_point_sets(chain)):
             ref = [((c + 0.5) * chain.cell_size, (r + 0.5) * chain.cell_size)
-                   for rect in link.rects for c, r in rect.cells()]
+                   for c, r in _cells(link.rects)]
             assert pts.points.shape == (len(ref), 2)
             assert np.array_equal(pts.points, np.array(ref))
 
@@ -227,14 +265,13 @@ def test_realize_pattern_realizes_or_refuses_every_small_pattern():
         spans = p[0] == 1 and p[-1] == pat.n_coarse
         stutters = any(a == b for a, b in zip(p, p[1:]))
         try:
-            coarse, fine, verified = realize_pattern(pat)
+            coarse, fine = realize_pattern(pat)
         except DomainError:
             assert not spans or stutters, p
             continue
         realized += 1
         assert spans, p
         assert len(fine) == len(p) and len(coarse) == pat.n_coarse
-        assert verified.containment == (True,) * len(p)
         assert verify_chain(fine, math.inf).ok, p
         # closure containment, checked against the column bounds directly
         for link, a in zip(fine.links, p):
@@ -249,9 +286,9 @@ def test_realize_pattern_realizes_or_refuses_every_small_pattern():
 
 
 def test_realize_pattern_refusals():
-    _, fine, verified = realize_pattern(
+    _, fine = realize_pattern(
         RefinementPattern(assignment=(1, 1, 2), n_coarse=2))
-    assert len(fine) == 3 and all(verified.containment)
+    assert len(fine) == 3
     for p, n in (((2, 1), 2), ((1, 2, 3), 4), ((1, 2, 2), 2),
                  ((1, 2, 1, 1, 2), 2)):
         with pytest.raises(DomainError):
@@ -307,10 +344,11 @@ def test_towers_match_golden_outputs():
         if case["call"] == "pattern":
             pat = RefinementPattern(assignment=tuple(case["assignment"]),
                                     n_coarse=case["n_coarse"])
-            coarse, fine, verified = realize_pattern(pat)
+            coarse, fine = realize_pattern(pat)
             assert coarse.to_json() == case["coarse"], pat
             assert fine.to_json() == case["fine"], pat
-            assert list(verified.containment) == case["containment"], pat
+            # the recorded flags: realize_pattern refuses any false one
+            assert case["containment"] == [True] * len(pat), pat
             assert chains_svg([coarse, fine]) == case["svg"], pat
             continue
         key = (case["n"], case["levels"])
