@@ -120,20 +120,18 @@ def test_closures_nest_and_converge(tower):
         assert diag.hausdorff_to_previous <= diag.hausdorff_bound
 
 
-@pytest.mark.parametrize("name", ["tower", "rotated"])
-def test_patterns_are_crooked_with_verified_containment(name, request):
+def test_patterns_are_crooked_with_verified_containment(tower, rotated):
     # closure containment as cell sets: every cell of each dilated fine
     # rect lies in some rect of the coarse link the pattern assigns
-    tower = request.getfixturevalue(name)
-    assert len(tower.patterns) == 2
-    for coarse, fine, pat in zip(tower.levels, tower.levels[1:],
-                                 tower.patterns):
-        assert is_crooked(pat).ok
-        assert len(fine) == len(pat) and pat.n_coarse == len(coarse)
-        for link, a in zip(fine.links, pat.assignment):
-            closure = set(_cells(r.dilate() for r in link.rects))
-            assert closure <= set(_cells(coarse.links[a - 1].rects)), \
-                (name, link.index)
+    for t in (tower, rotated):
+        assert len(t.patterns) == 2
+        for coarse, fine, pat in zip(t.levels, t.levels[1:], t.patterns):
+            assert is_crooked(pat).ok
+            assert len(fine) == len(pat) and pat.n_coarse == len(coarse)
+            for link, a in zip(fine.links, pat.assignment):
+                closure = set(_cells(r.dilate() for r in link.rects))
+                assert closure <= set(_cells(coarse.links[a - 1].rects)), \
+                    (t.endpoints, link.index)
 
 
 def test_a_failed_containment_check_refuses_the_realization(monkeypatch):
