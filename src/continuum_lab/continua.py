@@ -23,8 +23,9 @@ from .errors import DomainError, ResourceError, _max_elements
 MAX_ORDER_ARCS = 1_000_000
 # Working blocks hold at most this many floats or table cells, or one row: the
 # size terms of a run of enumeration points, gathered envelope cells, nested
-# pairs of the difference check, rows of psi's bit tables, or the triod
-# search's core words and partner pairs.
+# pairs of the difference check, rows of psi's bit tables, positions added
+# to psi's order entries, or the triod search's core words and partner
+# pairs.
 SIZE_BLOCK_FLOATS = 1 << 16
 
 

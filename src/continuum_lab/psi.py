@@ -212,7 +212,10 @@ class PsiModel:
         count = count.ravel()  # int32 temporaries: indices are below n
         indices = np.repeat((head - np.cumsum(count) + count).astype(np.int32),
                             count)
-        indices += np.arange(indptr[-1], dtype=np.int32)
+        # plus each entry's position, a block at a time: no arange of all
+        for at in range(0, len(indices), SIZE_BLOCK_FLOATS):
+            part = indices[at:at + SIZE_BLOCK_FLOATS]
+            part += np.arange(at, at + len(part), dtype=np.int32)
         return Order(indptr=indptr, indices=indices)
 
     def classify(self, e: HyperElement) -> str:

@@ -21,9 +21,9 @@ counts are fixed by the patterns alone; the physical cell size then
 follows from the requested endpoints.  Meshes, adjacency, closures, and
 containment are all verified on the grid after construction.  A closure is
 the 3x3 dilation of a level's cell mask, taken in numpy; the Hausdorff
-distance between consecutive levels reads scipy.ndimage's exact Euclidean
-distance transform, which is imported on the first tower with two or more
-levels and never by importing this module.
+distance between consecutive levels is exact integer arithmetic in numpy
+too: per-column gaps bound each cell's squared distance, and only the
+cells whose bound can still raise the maximum are settled exactly.
 """
 
 from __future__ import annotations
@@ -402,12 +402,59 @@ def _mask(rect_lists: Sequence[Sequence[Rect]], shape) -> np.ndarray:
     return m
 
 
+def _column_gaps(src: np.ndarray) -> np.ndarray:
+    """Each cell's gap, in cells, to the nearest ``src`` cell of its column;
+    at least rows + columns in a column with none."""
+    n, big = len(src), sum(src.shape)
+    at = np.arange(big, big + n, dtype=np.int32)[:, None]  # 0 marks none
+    up = at - np.maximum.accumulate(src * at)
+    down = at - np.maximum.accumulate(src[::-1] * at)
+    return np.minimum(up, down[::-1])
+
+
+def _farthest_sq(src: np.ndarray, dst: np.ndarray) -> int:
+    """The largest squared cell distance from a cell of ``dst & ~src`` to
+    its nearest ``src`` cell; 0 when there is none.
+
+    The nearest ``src`` cell of its own column or row bounds each cell's
+    squared distance from above.  Cells are settled exactly, the 128
+    largest bounds at a time, as the min over the columns j' of
+    vert[r, j']^2 + (c - j')^2, where vert is the column gap; a cell whose
+    bound is at most the largest exact value so far cannot raise it and is
+    dropped.  Gaps fit int32; squares are int64, since int32 squares
+    overflow on thin grids.
+    """
+    r, c = np.nonzero(dst & ~src)
+    if not len(r):
+        return 0
+    if src.shape[1] > src.shape[0]:  # settle along the shorter lines
+        src, r, c = src.T, c, r
+    vert = _column_gaps(src)
+    bound = np.zeros(len(r), dtype=np.int64)  # one batch settles them all
+    if len(r) > 128:
+        bound = np.square(np.minimum(vert[r, c], _column_gaps(src.T).T[r, c]),
+                          dtype=np.int64)
+    cols = np.arange(src.shape[1], dtype=np.int64)
+    top = 0
+    while len(r):
+        pick = (np.argpartition(bound, -128)[-128:] if len(r) > 128
+                else slice(None))
+        exact = (np.square(vert[r[pick]], dtype=np.int64)
+                 + (c[pick, None] - cols) ** 2).min(axis=1)
+        top = max(top, int(exact.max()))
+        keep = bound > top
+        keep[pick] = False
+        r, c, bound = r[keep], c[keep], bound[keep]
+    return top
+
+
 def _grid_hausdorff(a: np.ndarray, b: np.ndarray, cell: float) -> float:
-    # scipy.ndimage is imported here: only towers of 2 or more levels get here
-    from scipy import ndimage
-    da = ndimage.distance_transform_edt(~a)
-    db = ndimage.distance_transform_edt(~b)
-    return float(max(da[b].max(initial=0.0), db[a].max(initial=0.0))) * cell
+    """Hausdorff distance between two cell masks, measured between cell
+    centres: the root of the larger farthest squared cell distance (the
+    root is monotone and correctly rounded, so this is the max of the
+    exact Euclidean distance transform's roots, bit for bit)."""
+    far = max(_farthest_sq(a, b), _farthest_sq(b, a))
+    return math.sqrt(far) * cell
 
 
 def _closure_mask(m: np.ndarray) -> np.ndarray:

@@ -285,26 +285,24 @@ def test_non_finite_endpoint_exits_two(capsys):
 
 
 def test_cli_import_and_light_verbs_load_no_scipy(loaded_modules):
-    # importing the CLI loads numpy only; scipy.ndimage comes with towers of
-    # 2 or more levels, scipy.spatial with planar Hausdorff steps over
-    # 50,000 point pairs
+    # importing the CLI and running its verbs loads numpy only, towers of 3
+    # levels and the whole suite included; scipy.spatial comes only with
+    # planar Hausdorff steps over 50,000 point pairs, which no verb takes
     def scipy_modules(code):
         return {m for m in loaded_modules(code) if m.split(".")[0] == "scipy"}
     assert not scipy_modules("import continuum_lab.cli")
-    for argv in (["psi", "report"], ["psi", "levels"],
-                 ["psi", "path", "--from", "piece:0:1:2", "--to", "arc:3:2"],
-                 ["psi", "curvature"], ["whitney", "check"],
-                 ["continuum", "triod"], ["chains", "tower", "--levels", "1"],
-                 ["chains", "tower", "--levels", "2"]):
-        code = ("from continuum_lab.cli import dispatch\n"
-                f"assert dispatch({argv + ['--no-timings']!r}) == 0\n")
-        loaded = scipy_modules(code)
-        if argv[-1] == "2":
-            assert "scipy.ndimage" in loaded
-            assert not {m for m in loaded if m.split(".")[:2]
-                        in (["scipy", "sparse"], ["scipy", "spatial"])}
-        else:
-            assert not loaded, argv
+    for argv, code in ((["psi", "report"], 0), (["psi", "levels"], 0),
+                       (["psi", "path", "--from", "piece:0:1:2", "--to",
+                         "arc:3:2"], 0),
+                       (["psi", "curvature"], 0), (["whitney", "check"], 0),
+                       (["continuum", "triod"], 0),
+                       (["chains", "tower", "--levels", "1"], 0),
+                       (["chains", "tower", "--levels", "2"], 0),
+                       (["chains", "tower", "--n", "4", "--levels", "3"], 0),
+                       (["suite", "all"], 1)):  # the census check fails
+        run = ("from continuum_lab.cli import dispatch\n"
+               f"assert dispatch({argv + ['--no-timings']!r}) == {code}\n")
+        assert not scipy_modules(run), argv
 
 
 # -- malformed input: exit 2 with a JSON error, never a traceback ------------

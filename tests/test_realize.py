@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -89,6 +89,84 @@ def test_closure_mask_equals_the_nine_window_or(mask):
     assert np.array_equal(mask, before)
     assert got.dtype == mask.dtype
     assert np.array_equal(got, reference_closure_mask(mask))
+
+
+def ndimage_hausdorff(a, b, cell):
+    """The grid Hausdorff distance as realize once computed it: the larger
+    of two exact Euclidean distance transforms, each read on the other
+    mask."""
+    from scipy import ndimage
+    da = ndimage.distance_transform_edt(~a)
+    db = ndimage.distance_transform_edt(~b)
+    return float(max(da[b].max(initial=0.0), db[a].max(initial=0.0))) * cell
+
+
+MASK_PAIRS = st.tuples(st.integers(1, 24), st.integers(1, 24)).flatmap(
+    lambda shape: st.tuples(arrays(bool, shape), arrays(bool, shape)))
+STRIPES = np.zeros((6, 9), bool)
+STRIPES[[0, 1, 4, 5]] = True
+STRIPES[:, [0, 4, 8]] = True
+HOLED = np.ones((7, 8), bool)  # no src cell in row 3 or column 5
+HOLED[3] = HOLED[:, 5] = False
+LEFT = np.zeros((5, 8), bool)
+LEFT[:, :3] = True
+# 17 scattered cells: over 128 targets, and a cell of bound top + 1 left
+# after the first batch
+SCATTER = np.zeros((24, 19), bool)
+SCATTER[[0, 5, 5, 7, 9, 10, 10, 11, 11, 13, 14, 15, 16, 16, 18, 19, 21],
+        [17, 0, 16, 17, 16, 1, 10, 7, 17, 5, 3, 10, 8, 11, 10, 16, 4]] = True
+
+
+@settings(max_examples=300, deadline=None)
+@given(MASK_PAIRS, st.floats(1e-6, 1e3))
+@example((np.ones((1, 1), bool), np.ones((1, 1), bool)), 1.0)
+@example((np.array([[True, False, False, False, False, False]]),
+          np.array([[False, False, False, False, True, True]])), 0.25)
+@example((np.array([[False], [False], [True], [False], [False]]),
+          np.array([[True], [False], [False], [False], [True]])), 0.25)
+@example((np.ones((4, 6), bool), np.eye(4, 6, dtype=bool)), 0.5)
+@example((np.eye(4, 6, dtype=bool), np.ones((4, 6), bool)), 0.5)
+@example((np.ones((5, 5), bool), np.ones((5, 5), bool)), 3.0)
+@example((BORDER, np.ones_like(BORDER)), 0.1)
+@example((BORDER, STRIPES[:5, :7]), 0.1)
+@example((HOLED, np.ones_like(HOLED)), 0.1)
+@example((HOLED, ~HOLED), 0.1)
+@example((LEFT, ~LEFT), 0.125)
+@example((SCATTER, np.ones_like(SCATTER)), 1.0)
+def test_grid_hausdorff_is_the_edt_formula(masks, cell):
+    a, b = masks
+    assume(a.any() and b.any())
+    before = a.copy(), b.copy()
+    assert realize._grid_hausdorff(a, b, cell) == ndimage_hausdorff(a, b, cell)
+    assert realize._grid_hausdorff(b, a, cell) == ndimage_hausdorff(b, a, cell)
+    assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+
+
+def test_grid_hausdorff_squares_do_not_overflow_on_thin_grids():
+    # 49,999^2 is above the int32 range
+    for shape in ((1, 50_000), (50_000, 1)):
+        a, b = np.zeros(shape, bool), np.zeros(shape, bool)
+        a.flat[0] = b.flat[-1] = True
+        assert realize._grid_hausdorff(a, b, 1.0) == 49_999.0
+        assert ndimage_hausdorff(a, b, 1.0) == 49_999.0
+
+
+@pytest.mark.parametrize("n,levels", [(n, lv) for n in range(1, 6)
+                                      for lv in (2, 3) if (n, lv) != (5, 3)])
+def test_tower_steps_equal_the_edt_formula(n, levels):
+    # (5, 3) is refused at every distance; 0.02 builds the rest
+    tower = build_tower(n, levels, (0.0, 0.0), (0.02, 0.0))
+    closures = [_closure_mask(realize._mask([l.rects for l in lc.links],
+                                            tower.grid_shape))
+                for lc in tower.levels]
+    cell = tower.cell_size
+    for diag, coarse, fine in zip(tower.diagnostics[1:], closures,
+                                  closures[1:]):
+        assert diag.hausdorff_to_previous == \
+            ndimage_hausdorff(fine, coarse, cell)
+    if (n, levels) == (4, 3):  # the 36 x 36-cell diagonal step
+        assert tower.diagnostics[1].hausdorff_to_previous == \
+            math.sqrt(2 * 36 ** 2) * cell
 
 
 def test_pattern_runs_decomposition():
