@@ -89,16 +89,22 @@ _KIND_PARAMS = {"path": {"n"}, "cycle": {"n"},
 
 
 def build_continuum(kind: str, **params) -> GraphContinuum:
-    """Build a named continuum model: path, cycle, star, or cantor_fan."""
+    """Build a named continuum model: path, cycle, star, or cantor_fan.
+
+    A graph of more vertices than the cap taken from
+    ``CONTINUUM_LAB_MAX_ELEMENTS`` is refused before any of it is built.
+    """
     if kind not in _KIND_PARAMS:
         raise DomainError(f"unknown continuum kind: {kind!r}")
     unknown = sorted(set(params) - _KIND_PARAMS[kind])
     if unknown:
         raise DomainError(f"unknown {kind} parameters: {unknown}")
+    cap = _max_elements()
     if kind == "path":
         n = int(params.get("n", 2))
         if n < 1:
             raise DomainError("path needs n >= 1")
+        _refuse_over_cap(f"path with {n} vertices", n, cap, cap)
         edges = tuple((i, i + 1) for i in range(n - 1))
         pos = tuple((float(i), 0.0) for i in range(n))
         return GraphContinuum(n=n, edges=edges, pos=pos, kind=f"path-{n}")
@@ -106,6 +112,7 @@ def build_continuum(kind: str, **params) -> GraphContinuum:
         n = int(params.get("n", 3))
         if n < 3:
             raise DomainError("cycle needs n >= 3")
+        _refuse_over_cap(f"cycle with {n} vertices", n, cap, cap)
         edges = tuple((i, (i + 1) % n) for i in range(n))
         pos = tuple((math.cos(2 * math.pi * i / n),
                      math.sin(2 * math.pi * i / n)) for i in range(n))
@@ -115,6 +122,9 @@ def build_continuum(kind: str, **params) -> GraphContinuum:
         leg_length = int(params.get("leg_length", 1))
         if legs < 3 or leg_length < 1:
             raise DomainError("star needs legs >= 3 and leg_length >= 1")
+        n = 1 + legs * leg_length
+        _refuse_over_cap(f"star with {n} vertices", n,
+                         1 + legs * ((cap - 1) // legs), cap)
         edges: List[Tuple[int, int]] = []
         pos = [(0.0, 0.0)]
         idx = 1
@@ -132,7 +142,19 @@ def build_continuum(kind: str, **params) -> GraphContinuum:
     depth = int(params.get("depth", 1))
     if depth < 1:
         raise DomainError("cantor_fan needs depth >= 1")
+    deepest = 0  # depth d has 1 + (d + 1) * 2^d vertices
+    while 1 + ((deepest + 2) << (deepest + 1)) <= cap:
+        deepest += 1
+    _refuse_over_cap(f"cantor_fan of depth {depth}", depth, deepest, cap)
     return _cantor_fan(depth)
+
+
+def _refuse_over_cap(what: str, size: int, largest: int, cap: int) -> None:
+    """Refuse a size parameter above the largest whose graph has at most
+    ``cap`` vertices, naming that largest one."""
+    if size > largest:
+        raise ResourceError(f"{what} exceeds the vertex cap {cap}",
+                            achievable=largest)
 
 
 def _cantor_fan(depth: int) -> GraphContinuum:

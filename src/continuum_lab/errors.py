@@ -4,8 +4,8 @@ Domain errors signal invalid mathematical input (mismatched ambient spaces,
 malformed distance tables, out-of-range parameters).  Resource errors signal
 requests that exceed configured enumeration or grid limits; they carry the
 achievable maximum so callers can retry with a smaller request.  The cap on
-enumerated elements, psi model elements and crooked pattern links is read
-from ``CONTINUUM_LAB_MAX_ELEMENTS``.
+enumerated elements, psi model elements, crooked pattern links, graph
+vertices and curvature trials is read from ``CONTINUUM_LAB_MAX_ELEMENTS``.
 """
 
 import os

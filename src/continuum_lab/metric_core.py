@@ -7,17 +7,17 @@ into that root, so pairs drawn from unrelated tables are refused.
 
 Planar distances are ``sqrt(dx*dx + dy*dy)`` in numpy float64.
 :func:`hausdorff_distance` evaluates that formula densely up to
-``TREE_MIN_PAIRS`` point pairs.  Above it the per-point minima are taken
-over distinct points: a point that also lies in the other set is at exactly
-0.0, as the dense formula gives, and the rest ask one sliding-midpoint
-KD-tree (Bentley, CACM 1975; Maneewongvatana & Mount 1999) over the other
-set's distinct points.  Only the points whose tree minimum lies within a
-few ulps of the larger directed maximum are re-checked with the dense
-formula, ``BLOCK_PAIRS`` pairs at a time.  Results are therefore the
-dense results bit for bit, ties going to the lowest index, whatever the
-tree's rounding.  :func:`closed_neighborhood` takes the same dense minima
-in row blocks, and table-backed sets read their distance table.  The
-default comparison tolerance is ``1e-12``.
+``TREE_MIN_PAIRS`` point pairs.  Above it a point that also lies in the
+other set is bounded by exactly 0.0, and the rest by the formula's
+distance to the neighbour that one sliding-midpoint KD-tree (Bentley,
+CACM 1975; Maneewongvatana & Mount 1999) over the other set's distinct
+points names.  :func:`_settle` evaluates the points densely in decreasing
+order of bound until no bound left can raise the maximum (Taha & Hanbury,
+IEEE TPAMI 37(11), 2015).  A wrong neighbour only costs time: results are
+the dense ones bit for bit, ties going to the lowest index.
+:func:`closed_neighborhood` takes the same dense minima in row blocks, and
+table-backed sets read their distance table.  The default comparison
+tolerance is ``1e-12``.
 """
 
 from __future__ import annotations
@@ -31,15 +31,11 @@ from .errors import DomainError
 
 DEFAULT_TOL = 1e-12
 
-# Planar pairs of sets with more than this many point pairs take their
-# nearest distances from a KD-tree; below it the dense formula is faster.
+# Planar pairs of sets with more than this many point pairs bound their
+# nearest distances through a KD-tree; below it the dense formula is faster.
 TREE_MIN_PAIRS = 50_000
 # Dense distances are formed this many point pairs at a time.
 BLOCK_PAIRS = 1 << 17
-# A tree minimum this close below the Hausdorff value is re-checked densely:
-# 16 ulps relative, plus an absolute floor for squares in the subnormal range.
-_RECHECK_REL = 2.0 ** -48
-_RECHECK_ABS = 2.0 ** -500
 
 
 class FinitePointSet:
@@ -191,13 +187,11 @@ def _point_keys(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(X).view(np.complex128).ravel()
 
 
-def _tree_minima(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Nearest distances from A to B, within a few ulps.
-
-    Per distinct point: one that also lies in B is at exactly 0.0, as the
-    dense formula gives; the rest ask one sliding-midpoint KD-tree over B's
-    distinct points.  Every row reads its point's minimum.
-    """
+def _tree_bounds(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """An upper bound on each row's nearest distance from A to B, per
+    distinct point: exactly 0.0 for one that also lies in B, as the dense
+    formula gives, else the formula's distance to the point of B that one
+    KD-tree over B's distinct points names, whatever the tree returns."""
     a_keys, a_first, a_row = np.unique(_point_keys(A), return_index=True,
                                        return_inverse=True)
     b_keys, b_first = np.unique(_point_keys(B), return_index=True)
@@ -205,14 +199,33 @@ def _tree_minima(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     rest = np.flatnonzero(~np.isin(a_keys, b_keys, assume_unique=True))
     if rest.size:
         from scipy.spatial import cKDTree
-        tree = cKDTree(B[b_first], balanced_tree=False, compact_nodes=False)
-        out[rest] = tree.query(A[a_first[rest]])[0]
+        ref, ask = B[b_first], A[a_first[rest]]
+        tree = cKDTree(ref, balanced_tree=False, compact_nodes=False)
+        near = tree.query(ask)[1]
+        dx, dy = ask[:, 0] - ref[near, 0], ask[:, 1] - ref[near, 1]
+        out[rest] = np.sqrt(dx * dx + dy * dy)
     return out[a_row]
 
 
-def _recheck_floor(x: float) -> float:
-    """Tree minima below this are surely below the dense maximum ``x``."""
-    return x * (1 - _RECHECK_REL) - _RECHECK_ABS
+def _settle(bound, exact, batch, top):
+    """The largest of ``top`` and ``exact(rows)`` over all rows, given an
+    upper ``bound`` per row: rows are settled ``batch`` at a time, largest
+    bound first, until no bound left can raise the maximum."""
+    if bound.max() <= top:
+        return top
+    # the first batch in linear time (argpartition has no fast path for 1)
+    head = (np.argpartition(bound, -min(batch, bound.size))[-batch:]
+            if batch > 1 else bound.argmax(keepdims=True))
+    top = max(top, exact(head).max())
+    live = bound > top
+    live[head] = False
+    rows = np.flatnonzero(live)
+    rows = rows[np.argsort(bound[rows])[::-1]]
+    for s in range(0, rows.size, batch):
+        if bound[rows[s]] <= top:
+            break
+        top = max(top, exact(rows[s:s + batch]).max())
+    return top
 
 
 def _farthest(A: np.ndarray, B: np.ndarray, rows: np.ndarray):
@@ -229,15 +242,14 @@ def _farthest(A: np.ndarray, B: np.ndarray, rows: np.ndarray):
 
 
 def _tree_hausdorff(P: np.ndarray, Q: np.ndarray):
-    """Forward and backward ``(value, i, j)`` of two planar point arrays.
-
-    Tree minima select the rows, in either direction, that may attain the
-    larger of the two maxima; only those are re-checked densely.
-    """
-    near = _tree_minima(P, Q), _tree_minima(Q, P)
-    lo = _recheck_floor(max(near[0].max(), near[1].max()))
-    return (_farthest(P, Q, np.flatnonzero(near[0] >= lo)),
-            _farthest(Q, P, np.flatnonzero(near[1] >= lo)))
+    """Forward and backward ``(value, i, j)`` of two planar point arrays:
+    both directions settle their tree bounds against one shared maximum,
+    and only the rows whose bound reaches it are searched for the witness."""
+    fwd, bwd = _tree_bounds(P, Q), _tree_bounds(Q, P)
+    top = _settle(fwd, lambda rows: _dense_minima(P[rows], Q), 1, 0.0)
+    top = _settle(bwd, lambda rows: _dense_minima(Q[rows], P), 1, top)
+    return (_farthest(P, Q, np.flatnonzero(fwd >= top)),
+            _farthest(Q, P, np.flatnonzero(bwd >= top)))
 
 
 def _directed_hausdorff(d: np.ndarray):

@@ -163,11 +163,8 @@ class PsiModel:
         return frozenset(f % self.m for f in range(start, start + length))
 
     def leq(self, a: HyperElement, b: HyperElement) -> bool:
-        """Scalar containment test; :attr:`strict_order` is its batch form."""
-        sa, la, loa, hia = self.shape(a)
-        sb, lb, lob, hib = self.shape(b)
-        return ((lb >= self.m or (sa - sb) % self.m + la <= lb)
-                and lob <= loa and hia <= hib)
+        """:func:`shape_leq` of two elements' shapes."""
+        return shape_leq(self.m, self.shape(a), self.shape(b))
 
     def shape(self, e: HyperElement) -> Tuple[int, int, int, int]:
         """(base start, base length, first link, last link) of ``e``.
@@ -220,6 +217,14 @@ class PsiModel:
 
     def classify(self, e: HyperElement) -> str:
         return "filament" if isinstance(e, Piece) else "ample"
+
+
+def shape_leq(m: int, a, b):
+    """Whether shape ``a`` lies in shape ``b``, each a (start, length, first
+    link, last link) of ints (a bool) or of arrays (elementwise)."""
+    (sa, la, loa, hia), (sb, lb, lob, hib) = a, b
+    return (((lb >= m) | ((sa - sb) % m + la <= lb))
+            & (lob <= loa) & (hia <= hib))
 
 
 def _layout(m: int, k: int) -> np.ndarray:
@@ -729,9 +734,15 @@ def curvature_check(pv: PsiValues, trials: int = 1000,
     one :meth:`PsiPathspace.geodesics` call.
     ``triangle_breaks`` counts the triples whose longest side exceeds the
     sum of the other two by more than ``tol``; it is 0 for a metric.
+    More trials than the cap taken from ``CONTINUUM_LAB_MAX_ELEMENTS`` are
+    refused before any is drawn.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    cap = _max_elements()
+    if trials > cap:
+        raise ResourceError(f"{trials} curvature trials exceed cap {cap}",
+                            achievable=cap)
     rng = np.random.default_rng(seed)
     x, y, z = np.array([rng.choice(len(pv.v), size=3, replace=False)
                         for _ in range(trials)]).T

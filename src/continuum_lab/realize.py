@@ -22,8 +22,9 @@ follows from the requested endpoints.  Meshes, adjacency, closures, and
 containment are all verified on the grid after construction.  A closure is
 the 3x3 dilation of a level's cell mask, taken in numpy; the Hausdorff
 distance between consecutive levels is exact integer arithmetic in numpy
-too: per-column gaps bound each cell's squared distance, and only the
-cells whose bound can still raise the maximum are settled exactly.
+too: column and row gaps bound each cell's squared distance, and
+:func:`metric_core._settle` settles exactly only the cells whose bound
+can still raise the maximum.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .chains import (Chain, Link, Rect, RefinementPattern,
                      generate_crooked_pattern, is_crooked, pattern_to_json,
                      rects_contain, verify_chain)
 from .errors import DomainError, ResourceError
-from .metric_core import FinitePointSet
+from .metric_core import FinitePointSet, _settle
 
 MAX_LEVELS = 3
 MAX_LINKS_PER_LEVEL = 2000
@@ -414,38 +415,24 @@ def _column_gaps(src: np.ndarray) -> np.ndarray:
 
 def _farthest_sq(src: np.ndarray, dst: np.ndarray) -> int:
     """The largest squared cell distance from a cell of ``dst & ~src`` to
-    its nearest ``src`` cell; 0 when there is none.
-
-    The nearest ``src`` cell of its own column or row bounds each cell's
-    squared distance from above.  Cells are settled exactly, the 128
-    largest bounds at a time, as the min over the columns j' of
-    vert[r, j']^2 + (c - j')^2, where vert is the column gap; a cell whose
-    bound is at most the largest exact value so far cannot raise it and is
-    dropped.  Gaps fit int32; squares are int64, since int32 squares
-    overflow on thin grids.
-    """
+    its nearest ``src`` cell, 0 when there is none.  The nearest ``src``
+    cell of its column or row bounds it (its column alone for at most 128
+    cells, one batch), and :func:`_settle` settles the cells, 128 at a
+    time, as the min over the columns j' of vert[r, j']^2 + (c - j')^2,
+    vert the column gap.  Squares are int64: int32 overflows on thin grids."""
     r, c = np.nonzero(dst & ~src)
     if not len(r):
         return 0
     if src.shape[1] > src.shape[0]:  # settle along the shorter lines
         src, r, c = src.T, c, r
     vert = _column_gaps(src)
-    bound = np.zeros(len(r), dtype=np.int64)  # one batch settles them all
-    if len(r) > 128:
-        bound = np.square(np.minimum(vert[r, c], _column_gaps(src.T).T[r, c]),
-                          dtype=np.int64)
+    gap = (vert[r, c] if len(r) <= 128
+           else np.minimum(vert[r, c], _column_gaps(src.T).T[r, c]))
     cols = np.arange(src.shape[1], dtype=np.int64)
-    top = 0
-    while len(r):
-        pick = (np.argpartition(bound, -128)[-128:] if len(r) > 128
-                else slice(None))
-        exact = (np.square(vert[r[pick]], dtype=np.int64)
-                 + (c[pick, None] - cols) ** 2).min(axis=1)
-        top = max(top, int(exact.max()))
-        keep = bound > top
-        keep[pick] = False
-        r, c, bound = r[keep], c[keep], bound[keep]
-    return top
+    return int(_settle(np.square(gap, dtype=np.int64),
+                       lambda k: (np.square(vert[r[k]], dtype=np.int64)
+                                  + (c[k, None] - cols) ** 2).min(axis=1),
+                       128, 0))
 
 
 def _grid_hausdorff(a: np.ndarray, b: np.ndarray, cell: float) -> float:
@@ -603,9 +590,11 @@ def realize_pattern(pattern: RefinementPattern) -> Tuple[Chain, Chain]:
 
 
 def chain_point_sets(chain: Chain) -> List[FinitePointSet]:
-    """Cell-center point set of every link, in physical units.
-
-    Points come rect by rect, columns outer, rows inner.
+    """Cell-center point set of every link, in the grid frame: origin at
+    the grid corner, axis-aligned, scaled by ``cell_size``.  The points do
+    not lie on the arc from x to y; :meth:`ChainTower.cell_center` places
+    a cell in the plane.  Points come rect by rect, columns outer, rows
+    inner.
     """
     spec, ends, total = [], [], 0   # per rect: c0, r0, height, first, cells
     for link in chain.links:
@@ -625,7 +614,8 @@ def chain_point_sets(chain: Chain) -> List[FinitePointSet]:
 
 
 def realize_planar(tower: ChainTower) -> List[List[FinitePointSet]]:
-    """Point-set realization of a tower: per level, per link."""
+    """Point-set realization of a tower: per level, per link, in the grid
+    frame of :func:`chain_point_sets`."""
     return [chain_point_sets(level) for level in tower.levels]
 
 

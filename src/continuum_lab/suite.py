@@ -25,7 +25,8 @@ from .metric_core import DEFAULT_TOL
 from .psi import (Arc, Piece, build_psi_model,
                   closed_form_element_count, component_cyclic_arrangement,
                   curvature_check, distinct_element_count,
-                  level_structure_report, normalize_to_psi0, planck_report)
+                  level_structure_report, normalize_to_psi0, planck_report,
+                  shape_leq)
 from .realize import build_tower
 from .whitney import (build_whitney_map, check_whitney_axioms,
                       whitney_distance_matrix)
@@ -291,14 +292,6 @@ def check_psi_levels() -> CheckResult:
 # 9. geodesics must pass through ample elements
 
 
-def _leq(model, a, b) -> np.ndarray:
-    """``model.leq`` of each pair of element ids (a[t], b[t])."""
-    sa, la, loa, hia = model.shapes[a].T
-    sb, lb, lob, hib = model.shapes[b].T
-    return (((lb >= model.m) | ((sa - sb) % model.m + la <= lb))
-            & (lob <= loa) & (hia <= hib))
-
-
 def _geodesic_certificate(pv, d) -> bool:
     """Closed-form geodesics are real paths that no graph edge shortens.
 
@@ -318,7 +311,9 @@ def _geodesic_certificate(pv, d) -> bool:
     dist, bend = pv.space.geodesics(src, ids)
     # a two-term float sum is correctly rounded, as math.fsum is
     length = np.abs(v[bend] - v[src]) + np.abs(v[ids] - v[bend])
-    steps = all((_leq(model, x, y) | _leq(model, y, x)).all()
+    shapes = model.shapes.T
+    steps = all((shape_leq(model.m, shapes[:, x], shapes[:, y])
+                 | shape_leq(model.m, shapes[:, y], shapes[:, x])).all()
                 for x, y in ((src, bend), (bend, ids)))
     dist = dist.reshape(len(sources), len(v))
     paths_ok = bool(steps and (np.abs(length - dist.ravel()) <= TOL).all()

@@ -12,10 +12,10 @@ distance matrices read from one union-size table U[i, j] = mu(F_i | F_j)
 per family.  For a WhitneyMap the table comes from the members' envelopes,
 hi[n, i] = max F[n, F_i] and lo[n, i] = min F[n, F_i]: the span of a union
 is max(hi_i, hi_j) - min(lo_i, lo_j), exactly, so no union set is built.
-The subadditivity meets are sized the same way, once per distinct meet.
-These tables read F alone, not the memo; a plain size function is called
-once per set.  Level queries take their sizes from the memoised batch
-kernel :meth:`WhitneyMap.sizes`.
+One single-set kernel, :func:`_set_sizes`, sizes each distinct meet of
+the subadditivity check and the misses of the memoised batch
+:meth:`WhitneyMap.sizes`, which level queries read.  The tables read F
+alone, not the memo; a plain size function is called once per set.
 """
 
 from __future__ import annotations
@@ -83,30 +83,15 @@ class WhitneyMap:
         return self._cache[a]
 
     def sizes(self, sets: Sequence[FrozenSet[int]]) -> np.ndarray:
-        """mu of each set, read from the memo or computed in one batch.
-
-        Each distinct set the memo lacks is computed once and memoised;
-        values already in the memo are returned as they are.  A block of
-        at most SIZE_BLOCK_FLOATS gathered cells, or one point's, takes the
-        span of each miss over its :func:`_member_index` row, so no whole
-        envelope table is held, and :func:`fsum_rows` sums the terms.
-        """
+        """mu of each set, read from the memo or computed in one batch:
+        each distinct set the memo lacks is sized once by
+        :func:`_set_sizes` and memoised."""
         sets = list(map(frozenset, sets))
         vals = list(map(self._cache.get, sets))
         if None in vals:
             misses = list({s for s, v in zip(sets, vals) if v is None})
-            cols = _member_index(misses, self.n_points).T.copy()
-            step = max(1, SIZE_BLOCK_FLOATS // cols.size)
-
-            def blocks():
-                for lo in range(0, self.n_points, step):
-                    # (points, members, sets); max and min ignore padding
-                    got = self.F[lo:lo + step].take(cols, axis=1)
-                    yield (got.max(axis=1) - got.min(axis=1)) * \
-                        self.weights[lo:lo + step, None]
-
-            self._cache.update(zip(misses, fsum_rows(
-                blocks, len(misses)).tolist()))
+            self._cache.update(zip(misses, _set_sizes(
+                self, _member_index(misses, self.n_points)).tolist()))
             vals = list(map(self._cache.get, sets))
         return np.array(vals, dtype=float)
 
@@ -211,6 +196,23 @@ def _reduce_over(table: np.ndarray, idx: np.ndarray, op) -> np.ndarray:
         op.reduce(np.take(table[lo:lo + step], cols, axis=1), axis=1,
                   out=out[lo:lo + step])
     return out
+
+
+def _set_sizes(mu: WhitneyMap, idx: np.ndarray) -> np.ndarray:
+    """mu of each set of a gather index: blocks of at most
+    SIZE_BLOCK_FLOATS gathered cells, or one point's, give the spans, and
+    :func:`fsum_rows` sums the terms."""
+    cols = np.ascontiguousarray(idx.T)
+    step = max(1, SIZE_BLOCK_FLOATS // cols.size)
+
+    def blocks():
+        for lo in range(0, mu.n_points, step):
+            # (points, members, sets); max and min ignore padding
+            got = mu.F[lo:lo + step].take(cols, axis=1)
+            yield (got.max(axis=1) - got.min(axis=1)) * \
+                mu.weights[lo:lo + step, None]
+
+    return fsum_rows(blocks, len(idx))
 
 
 def _span_sizes(mu: WhitneyMap, idx: np.ndarray, ii: np.ndarray,
@@ -353,7 +355,7 @@ def _meet_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]], inc: np.ndarray,
     """mu(F_i & F_j) for each intersecting index pair.  For a WhitneyMap each
     pair's meet is the AND of the members' :func:`packed_rows`; the distinct
     meets, found by :func:`row_classes` and read back by
-    :func:`unpacked_rows`, are sized once by :func:`_span_sizes`."""
+    :func:`unpacked_rows`, are sized once by :func:`_set_sizes`."""
     if not isinstance(mu, WhitneyMap):
         return _pair_sizes(mu, fam, ii, jj, operator.and_)
     if not len(ii):
@@ -364,8 +366,7 @@ def _meet_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]], inc: np.ndarray,
     rows, cols = np.nonzero(unpacked_rows(keys[first], inc.shape[1]))
     verts = np.array(sorted(set().union(*fam)), dtype=np.int64)
     idx = _gather_index(verts[cols], np.bincount(rows, minlength=len(first)))
-    every = np.arange(len(idx))
-    return _span_sizes(mu, idx, every, every)[back]
+    return _set_sizes(mu, idx)[back]
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,21 @@ def test_unwritable_output_exits_two(argv, flag, tmp_path, capsys):
     assert rep["artifacts"] == [] and not path.parent.exists()
 
 
+@pytest.mark.parametrize("argv, error, achievable", [
+    (["continuum", "build", "--model", "cantor_fan", "--size", "14"],
+     "cantor_fan of depth 14 exceeds the vertex cap 200000", 13),
+    (["continuum", "build", "--model", "path", "--size", "100000000"],
+     "path with 100000000 vertices exceeds the vertex cap 200000", 200_000),
+    (["psi", "curvature", "--m", "3", "--level", "1", "--trials",
+      "100000000"], "100000000 curvature trials exceed cap 200000", 200_000)])
+def test_oversized_graphs_and_samples_exit_two(argv, error, achievable,
+                                               capsys, monkeypatch):
+    monkeypatch.delenv("CONTINUUM_LAB_MAX_ELEMENTS", raising=False)
+    code, rep = run(argv + ["--no-timings"], capsys)
+    assert code == 2
+    assert rep["result"] == {"error": error, "achievable": achievable}
+
+
 @pytest.mark.parametrize("argv", [["chains", "generate"],
                                   ["chains", "verify"],
                                   ["plot", "chain"],

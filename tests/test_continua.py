@@ -350,6 +350,35 @@ def test_star_reads_leg_length_and_rejects_unknown_parameters():
         build_continuum("disk", n=4)
 
 
+@pytest.mark.parametrize("kind, fits, over, largest", [
+    ("path", {"n": 50}, {"n": 51}, 50),
+    ("cycle", {"n": 50}, {"n": 51}, 50),
+    ("star", {"legs": 3, "leg_length": 16}, {"legs": 3, "leg_length": 17}, 49),
+    ("cantor_fan", {"depth": 3}, {"depth": 4}, 3)])
+def test_graphs_over_the_vertex_cap_are_refused(kind, fits, over, largest,
+                                                monkeypatch):
+    # under a cap of 50 vertices; cantor_fan depth d has 1 + (d + 1) * 2^d
+    monkeypatch.setenv("CONTINUUM_LAB_MAX_ELEMENTS", "50")
+    g = build_continuum(kind, **fits)
+    assert g.n == (largest if kind != "cantor_fan" else 33)
+    with pytest.raises(ResourceError,
+                       match="exceeds the vertex cap 50") as exc:
+        build_continuum(kind, **over)
+    assert exc.value.achievable == largest
+
+
+def test_huge_graphs_are_refused_before_building(monkeypatch):
+    # depth 14 has 245,761 vertices; 2^depth is never formed
+    monkeypatch.delenv("CONTINUUM_LAB_MAX_ELEMENTS", raising=False)
+    for kind, params in (("path", {"n": 10 ** 8}), ("cycle", {"n": 200_001}),
+                         ("cantor_fan", {"depth": 14}),
+                         ("cantor_fan", {"depth": 10 ** 18})):
+        with pytest.raises(ResourceError) as exc:
+            build_continuum(kind, **params)
+        assert exc.value.achievable == (13 if kind == "cantor_fan"
+                                        else 200_000)
+
+
 def test_adjacency_is_built_once_and_read_by_connectivity():
     g = build_continuum("star", legs=3, leg_length=2)
     assert g.adjacency is g.adjacency

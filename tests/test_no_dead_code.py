@@ -1,5 +1,5 @@
-"""Every package definition has a caller, every import a reader, and
-every stored attribute a reader.
+"""Every package definition has a caller, every module-level name and
+import a reader, and every stored attribute a reader.
 
 A top-level function or class of ``src/continuum_lab``, or a non-dunder
 method of a top-level class, must be named in ``src/``, ``demos/`` or
@@ -7,10 +7,12 @@ method of a top-level class, must be named in ``src/``, ``demos/`` or
 an imported name or part of a dotted string (the tracer's targets).
 Definitions do not count as names, so two same-named definitions that
 nothing calls both fail.  Tests are not callers: library code that only
-tests call fails here.  An import must be read by its module, or
-re-imported from it by another package module.  An attribute that a
-top-level class stores, by ``self.x = ...`` in its methods or as an
-annotated class-level field, must be read in the same files as an
+tests call fails here.  A name that a module-level assignment binds (a
+constant, a type alias) must be read in the same files in the same ways;
+an assignment target is not a read.  An import must be read by its
+module, or re-imported from it by another package module.  An attribute
+that a top-level class stores, by ``self.x = ...`` in its methods or as
+an annotated class-level field, must be read in the same files as an
 attribute (a ``.x`` load) or as part of a dotted string.
 """
 
@@ -54,10 +56,12 @@ def _definitions(tree):
 
 
 def _names(tree):
-    """Every name the tree mentions outside a definition's own name."""
+    """Every name the tree mentions outside a definition's own name or an
+    assignment target."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            if not isinstance(node.ctx, ast.Store):
+                yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.alias):
@@ -80,6 +84,28 @@ def test_every_definition_has_a_caller():
 
 def test_the_keep_list_holds_only_definitions_with_no_caller():
     assert _dead() >= KEEP
+
+
+def _module_names(tree):
+    """The names that the module-level assignments of a tree bind."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id
+
+
+def test_every_module_level_name_is_read():
+    refs = Counter(name for path in CALLERS for name in _names(_tree(path)))
+    unread = sorted(f"{path.stem}.{name}" for path in PACKAGE
+                    for name in _module_names(_tree(path)) if not refs[name])
+    assert unread == []
 
 
 def _stored(tree):

@@ -19,7 +19,7 @@ from continuum_lab.psi import (Arc, LevelReport, Piece, PsiPathspace,
                                component_cyclic_arrangement, curvature_check,
                                distinct_element_count, filament_covers,
                                level_structure_report, normalize_to_psi0,
-                               planck_report, raw_values)
+                               planck_report, raw_values, shape_leq)
 
 TOL = 1e-12
 
@@ -196,10 +196,17 @@ def reference_leq(model, a, b):
 
 @pytest.mark.parametrize("m, level", [(3, 1), (6, 2), (3, 3)])
 def test_leq_matches_reference_on_every_pair(m, level):
+    # the scalar test gives a bool, and the array form on id arrays the same
     model = build_psi_model(m=m, fiber_level=level)
     els = model.elements
-    assert [[model.leq(a, b) for b in els] for a in els] == \
-        [[reference_leq(model, a, b) for b in els] for a in els]
+    got = [[model.leq(a, b) for b in els] for a in els]
+    expected = [[reference_leq(model, a, b) for b in els] for a in els]
+    assert got == expected
+    assert {type(x) for row in got for x in row} == {bool}
+    ids = np.arange(len(els))
+    shapes = model.shapes.T
+    table = shape_leq(model.m, shapes[:, ids, None], shapes[:, None, ids])
+    assert table.tolist() == expected
 
 
 # -- element layout ---------------------------------------------------------
@@ -916,6 +923,18 @@ def test_curvature_deterministic_per_seed(pv):
 def test_curvature_refuses_fewer_than_one_trial(pv, trials):
     with pytest.raises(DomainError, match="trials must be >= 1"):
         curvature_check(pv, trials=trials)
+
+
+def test_curvature_refuses_more_trials_than_the_cap(pv, monkeypatch):
+    # the cap is read per call, so the model built under the default fits
+    monkeypatch.setenv("CONTINUUM_LAB_MAX_ELEMENTS", "300")
+    assert curvature_check(pv, trials=300).trials == 300
+    for trials in (301, 10 ** 8):
+        with pytest.raises(ResourceError,
+                           match=f"{trials} curvature trials exceed cap 300"
+                           ) as exc:
+            curvature_check(pv, trials=trials)
+        assert exc.value.achievable == 300
 
 
 # (1+3)-point comparison: curvature >= 0 asks, for every p, x1, x2, x3, that
