@@ -80,11 +80,9 @@ def _element_from_text(model, text: str):
     parts = text.split(":")
     if len(parts) == 1:
         try:
-            if int(parts[0]) >= 0:  # no counting from the end
-                return model.elements[int(parts[0])]
-        except (ValueError, IndexError):
-            pass
-        raise DomainError(f"bad element index {text!r}")
+            return model.element(int(parts[0]))
+        except (ValueError, DomainError):
+            raise DomainError(f"bad element index {text!r}") from None
     try:
         nums = [int(v) for v in parts[1:]]
     except ValueError:
@@ -96,8 +94,11 @@ def _element_from_text(model, text: str):
     else:
         raise DomainError(
             f"bad element {text!r}; use piece:F:I:J, arc:S:L, or an index")
-    if e not in model.index:
-        raise DomainError(f"{text!r} is not an element of this model")
+    try:
+        model.id_of(e)
+    except DomainError:
+        raise DomainError(
+            f"{text!r} is not an element of this model") from None
     return e
 
 
@@ -266,7 +267,7 @@ def _cmd_psi_report(args):
     model = _psi_from_args(args)
     rep = planck_report(model)
     pv = normalize_to_psi0(model) if args.normalize else raw_values(model)
-    fiber_values = {str(s): pv.values[Arc(start=s, length=1)]
+    fiber_values = {str(s): float(pv.v[model.id_of(Arc(start=s, length=1))])
                     for s in range(model.m)}
     lo = min(fiber_values.values())
     hi = max(fiber_values.values())
@@ -510,8 +511,10 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
             raise DomainError(f"--seed must be >= 0, got {args.seed}")
         result, violations, svg = args.fn(args)
         status = "pass" if not violations else "fail"
-    except (DomainError, ResourceError) as exc:
-        result = {"error": str(exc)}
+    except (DomainError, ResourceError, MemoryError) as exc:
+        # running out of memory is an error (exit 2), not a failed check
+        result = {"error": f"out of memory: {exc}"
+                  if isinstance(exc, MemoryError) else str(exc)}
         if isinstance(exc, ResourceError) and exc.achievable is not None:
             result["achievable"] = exc.achievable
         violations = []

@@ -228,28 +228,34 @@ def _settle(bound, exact, batch, top):
     return top
 
 
-def _farthest(A: np.ndarray, B: np.ndarray, rows: np.ndarray):
-    """``(value, i, j)``: the row ``i`` among ``rows`` of A farthest from B,
-    and its nearest point ``j`` of B, both exact; lowest indices on ties.
-    No rows give value ``-inf``."""
-    if rows.size == 0:
-        return -np.inf, -1, -1
-    mins = _dense_minima(A[rows], B)
-    k = int(np.argmax(mins))
-    i = int(rows[k])
-    j = int(np.argmin(_pair_distances(A[i:i + 1], B)[0]))
-    return float(mins[k]), i, j
+def _first_at(A: np.ndarray, B: np.ndarray, rows: np.ndarray, top):
+    """``(i, j)``: the first of ``rows`` (ascending) whose exact distance
+    to B equals ``top``, and its nearest point ``j`` of B, lowest index on
+    ties; None if no row does.  Rows are settled BLOCK_PAIRS pairs at a
+    time, so the search stops in the block that holds the first hit."""
+    step = max(1, BLOCK_PAIRS // len(B))
+    for s in range(0, rows.size, step):
+        hit = np.flatnonzero(_dense_minima(A[rows[s:s + step]], B) == top)
+        if hit.size:
+            i = int(rows[s + hit[0]])
+            return i, int(np.argmin(_pair_distances(A[i:i + 1], B)[0]))
+    return None
 
 
-def _tree_hausdorff(P: np.ndarray, Q: np.ndarray):
-    """Forward and backward ``(value, i, j)`` of two planar point arrays:
-    both directions settle their tree bounds against one shared maximum,
-    and only the rows whose bound reaches it are searched for the witness."""
+def _tree_hausdorff(P: np.ndarray, Q: np.ndarray) -> DistanceReport:
+    """The Hausdorff report of two planar point arrays: both directions
+    settle their tree bounds against one shared maximum.  The witness is
+    the lowest row attaining it, forward before backward, as the dense
+    report has it: only rows whose bound reaches the maximum can, and the
+    search stops at the first."""
     fwd, bwd = _tree_bounds(P, Q), _tree_bounds(Q, P)
     top = _settle(fwd, lambda rows: _dense_minima(P[rows], Q), 1, 0.0)
-    top = _settle(bwd, lambda rows: _dense_minima(Q[rows], P), 1, top)
-    return (_farthest(P, Q, np.flatnonzero(fwd >= top)),
-            _farthest(Q, P, np.flatnonzero(bwd >= top)))
+    top = float(_settle(bwd, lambda rows: _dense_minima(Q[rows], P), 1, top))
+    hit = _first_at(P, Q, np.flatnonzero(fwd >= top), top)
+    if hit is not None:
+        return DistanceReport(value=top, witness=hit, direction=0)
+    return DistanceReport(value=top, direction=1, witness=_first_at(
+        Q, P, np.flatnonzero(bwd >= top), top))
 
 
 def _directed_hausdorff(d: np.ndarray):
@@ -270,7 +276,7 @@ def _report(fwd, bwd) -> DistanceReport:
 def hausdorff_distance(K: FinitePointSet, L: FinitePointSet) -> DistanceReport:
     """Hausdorff distance between two finite sets in a common ambient space."""
     if K.is_planar and L.is_planar and len(K) * len(L) > TREE_MIN_PAIRS:
-        return _report(*_tree_hausdorff(K.points, L.points))
+        return _tree_hausdorff(K.points, L.points)
     d = K.distances_to(L)
     return _report(_directed_hausdorff(d), _directed_hausdorff(d.T))
 

@@ -46,8 +46,8 @@ from .continua import (build_continuum, packed_rows, row_classes,
                        unpacked_rows)
 from .errors import DomainError, ResourceError, _max_elements
 from .metric_core import DEFAULT_TOL, FinitePointSet
-from .whitney import (SIZE_BLOCK_FLOATS, WhitneyMap, build_whitney_map,
-                      fsum_rows)
+from .whitney import (SIZE_BLOCK_FLOATS, WhitneyMap, _point_step, _steps,
+                      build_whitney_map, fsum_rows)
 
 
 @dataclass(frozen=True, order=True)
@@ -111,7 +111,9 @@ class Edges(NamedTuple):
 
 class PsiModel:
     """The element family, sizes, and containment order of the model,
-    each store read by the element ids that :func:`_layout` lays out."""
+    each store read by the element ids that :func:`_layout` lays out.
+    :meth:`id_of` and :meth:`element` map one element to its id and back
+    by formula; :attr:`elements` lists them all, built on first read."""
 
     def __init__(self, m: int, k: int, patterns: List[RefinementPattern],
                  points: FinitePointSet, mu_base: WhitneyMap):
@@ -124,18 +126,53 @@ class PsiModel:
         self.shapes = _layout(m, k)
         # row[i]: the offset in a fiber of its first piece with first link i
         self.row = np.searchsorted(self.shapes[:self.q, 2], range(k + 1))
-        rows = self.shapes.tolist()
+        self._row = self.row.tolist()  # the same, for one id at a time
         pieces = m * self.q  # the pieces are the ids below this
-        self.elements: List[HyperElement] = (
-            [Piece(s, lo, hi) for s, _, lo, hi in rows[:pieces]]
-            + [Arc(s, ln) for s, ln, _, _ in rows[pieces:]])
-        self.index = {e: t for t, e in enumerate(self.elements)}
-        self.at = {tuple(shape): t for t, shape in enumerate(rows)}
         self.sizes = _envelope_sizes(self)
         self.fiber_sizes = self.sizes[pieces:pieces + m]
         self.l = float(self.fiber_sizes.min())
         self.L = float(self.fiber_sizes.max())
         self.whole = Arc(start=0, length=m)
+
+    @cached_property
+    def elements(self) -> List[HyperElement]:
+        """Every element, by id."""
+        rows, pieces = self.shapes.tolist(), self.m * self.q
+        return ([Piece(s, lo, hi) for s, _, lo, hi in rows[:pieces]]
+                + [Arc(s, ln) for s, ln, _, _ in rows[pieces:]])
+
+    def element(self, t: int) -> HyperElement:
+        """The element of id ``t``, built alone."""
+        if not 0 <= t < len(self.shapes):
+            raise DomainError(f"no element has id {t}")
+        s, ln, lo, hi = self.shapes[t].tolist()
+        return Piece(s, lo, hi) if t < self.m * self.q else Arc(s, ln)
+
+    def id_of(self, e: HyperElement) -> int:
+        """The id of element ``e``, by :meth:`shape_id`'s formula written
+        out for speed; a piece or arc that is not an element of this model
+        is refused."""
+        if type(e) is Piece:
+            f, i, j = e.fiber, e.i, e.j
+            if f < self.m and j <= self.k and (i > 1 or j < self.k):
+                return f * self.q + self._row[i] + j - i
+        elif type(e) is Arc:
+            s, ln, m = e.start, e.length, self.m
+            if s < m and (ln < m or ln == m and s == 0):
+                return (self.q + ln - 1) * m + s
+        raise DomainError(f"{e!r} is not an element of this model")
+
+    def shape_id(self, s: int, ln: int, lo: int, hi: int) -> int:
+        """The id of the element of shape (start, length, first link, last
+        link), in Python ints: all k links make an arc, of length m or more
+        the whole; piece (f, i, j) sits at f * q + row[i] + j - i, arc
+        (s, L) at (q + L - 1) * m + s.  :meth:`PsiPathspace._ids` is the
+        same formula over arrays."""
+        if lo == 1 and hi == self.k:
+            if ln >= self.m:
+                s, ln = 0, self.m  # the whole
+            return (self.q + ln - 1) * self.m + s
+        return s * self.q + self._row[lo] + hi - lo
 
     # -- structure ---------------------------------------------------------
 
@@ -188,7 +225,7 @@ class PsiModel:
         a piece) lie, for each longer length L', the arcs starting in
         [s - L' + L, s]: one run, or two where it wraps.  Then the whole.
         """
-        m, k, q, n = self.m, self.k, self.q, len(self.elements)
+        m, k, q, n = self.m, self.k, self.q, len(self.shapes)
         s, ln, lo, hi = self.shapes.T[..., None]
         piece = (lo > 1) | (hi < k)
         i = np.arange(1, k + 1)
@@ -251,7 +288,7 @@ def _envelope_sizes(model: PsiModel) -> np.ndarray:
     row = np.where(ln == 1, first[hi - lo] + s * (k - hi + lo) + lo - 1,
                    first[-1] + (ln - 2) * m + s)
     rows = first[-1] + (m - 1) * m
-    step = max(1, SIZE_BLOCK_FLOATS // (2 * rows))  # envelopes of F and -F
+    step = _point_step(2 * rows)  # envelopes of F and -F
 
     def envelope(g):  # g[n, fiber, link]: the max of each run, by row
         env = np.empty((len(g), rows))
@@ -267,13 +304,14 @@ def _envelope_sizes(model: PsiModel) -> np.ndarray:
         return env
 
     def blocks():
-        for c in range(0, mu.n_points, step):
-            g = mu.F[c:c + step].reshape(-1, m, k)
+        for b, at, lo in _steps(mu.n_points, step):
+            g = mu.block(b)[at:at + step].reshape(-1, m, k)
             top, bottom = np.split(envelope(np.vstack([g, -g])), 2)
             top += bottom  # top - min, as min = -bottom
-            yield np.multiply(top, mu.weights[c:c + step, None], out=top)
+            yield np.multiply(top, mu.weights[lo:lo + step, None], out=top)
 
-    return fsum_rows(blocks, rows)[row]
+    # the first m * k rows are single links, whose spans are all 0
+    return fsum_rows(blocks, rows, np.arange(rows) >= m * k)[row]
 
 
 def closed_form_element_count(m: int, k: int) -> int:
@@ -351,7 +389,7 @@ def filament_covers(model: PsiModel
     above some c > a are the union of the classes of the elements above a,
     read for the pieces alone: the order's first ``m * q`` rows.
     """
-    p, n = model.m * model.q, len(model.elements)
+    p, n = model.m * model.q, len(model.shapes)
     filament, ample = np.arange(p), np.arange(p, n)
     col = np.r_[np.full(p, n - p), ample - p]  # a spare column for pieces
     order = model.strict_order
@@ -384,7 +422,7 @@ def _bit_rows(order: Order, col: np.ndarray, width: int) -> np.ndarray:
 def planck_report(model: PsiModel) -> PlanckReport:
     """Boundary = ample elements covering some filament element."""
     _, ample, covers = filament_covers(model)
-    boundary = [model.elements[i] for i in ample[covers.any(axis=0)]]
+    boundary = [model.element(i) for i in ample[covers.any(axis=0)].tolist()]
     return PlanckReport(l=model.l, L=model.L, boundary=boundary,
                         fiber_values=model.fiber_sizes.tolist())
 
@@ -408,8 +446,8 @@ class PsiValues:
 
     def distance(self, a: HyperElement, b: HyperElement) -> float:
         """Join metric of two elements (:meth:`PsiPathspace.join_distance`)."""
-        return self.space.join_distance(self.model.index[a],
-                                        self.model.index[b])
+        return self.space.join_distance(self.model.id_of(a),
+                                        self.model.id_of(b))
 
 
 def raw_values(model: PsiModel) -> PsiValues:
@@ -424,19 +462,43 @@ def normalize_to_psi0(model: PsiModel) -> PsiValues:
     across the whole containment order (every piece < l <= every arc).
     The base size is averaged over all rotations of the cycle (a mean of
     Whitney maps is again one), so arcs of equal length get equal size and
-    the rotational symmetry of the model survives normalization.
+    the rotational symmetry of the model survives normalization.  The mean
+    adds the rotations in one fixed order, :func:`_pairwise_sum`'s.
     """
     m, k, l = model.m, model.k, model.l
     w = build_whitney_map(build_continuum("cycle", n=m))
     arc_size = np.zeros(m + 1)  # by base length; fibers get l + 0 = l
-    arc_size[2:] = w.sizes([frozenset((s + o) % m for o in range(length))
-                            for length in range(2, m + 1)
-                            for s in range(m)]).reshape(m - 1, m).mean(axis=1)
+    sizes = w.sizes([frozenset((s + o) % m for o in range(length))
+                     for length in range(2, m + 1) for s in range(m)])
+    arc_size[2:] = _pairwise_sum(sizes.reshape(m - 1, m)) / m
     s, ln, lo, hi = model.shapes.T
     full = (lo == 1) & (hi == k)  # all links: a fiber or a longer arc
     scale = l / model.fiber_sizes[s]
     v = np.where(full, l + arc_size[ln], model.sizes * scale)
     return PsiValues(model=model, v=v, l=l)
+
+
+def _pairwise_sum(cols: np.ndarray) -> np.ndarray:
+    """The sum of each row in numpy's pairwise order, written out so that
+    it does not depend on numpy's build: a running sum under 8 columns; up
+    to 128, eight running lanes, combined as ((0+1)+(2+3))+((4+5)+(6+7)),
+    then the remaining columns in turn; above 128, the two halves split at
+    a multiple of 8 near the middle, each summed so."""
+    n = cols.shape[1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(cols[:, :half]) + _pairwise_sum(cols[:, half:])
+    total, done = np.zeros(len(cols)), 0
+    if n >= 8:
+        done = n - n % 8
+        lane = cols[:, :8].copy()
+        for c in range(8, done, 8):
+            lane += cols[:, c:c + 8]
+        total = ((lane[:, 0] + lane[:, 1]) + (lane[:, 2] + lane[:, 3])) + \
+            ((lane[:, 4] + lane[:, 5]) + (lane[:, 6] + lane[:, 7]))
+    for c in range(done, n):
+        total = total + cols[:, c]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +630,8 @@ class PsiPathspace:
     def __init__(self, pv: PsiValues):
         self.pv = pv
         model = pv.model
-        self.m, self.k, self.q, self.at = model.m, model.k, model.q, model.at
+        self.m, self.k, self.q, self.id = model.m, model.k, model.q, \
+            model.shape_id
         # Python scalars: join and meet unpack rows one pair at a time
         self.shapes, self.v = model.shapes.tolist(), pv.v.tolist()
         self.whole = len(self.v) - 1
@@ -581,13 +644,16 @@ class PsiPathspace:
         base arcs holding both, one starting at each element's start; an
         arc of length m or more is the whole space.
         """
-        m, k, at, v, whole = self.m, self.k, self.at, self.v, self.whole
+        m, v = self.m, self.v
         sa, la, loa, hia = self.shapes[a]
         sb, lb, lob, hib = self.shapes[b]
         if la == lb == 1 and sa == sb:
-            return at[sa, 1, min(loa, lob), max(hia, hib)]
-        x = at.get((sa, max(la, (sb - sa) % m + lb), 1, k), whole)
-        y = at.get((sb, max(lb, (sa - sb) % m + la), 1, k), whole)
+            return self.id(sa, 1, min(loa, lob), max(hia, hib))
+        x = max(la, (sb - sa) % m + lb)
+        y = max(lb, (sa - sb) % m + la)
+        # arc ids, inlined from shape_id: one join is one distance query
+        x = (self.q + x - 1) * m + sa if x < m else self.whole
+        y = (self.q + y - 1) * m + sb if y < m else self.whole
         return x if v[x] < v[y] or (v[x] == v[y] and x < y) else y
 
     def join_distance(self, a: int, b: int) -> float:
@@ -602,7 +668,7 @@ class PsiPathspace:
         The cyclic base intersection has at most two arcs, each taken with
         the intersected links; the larger wins, by size then lower index.
         """
-        m, at, v = self.m, self.at, self.v
+        m, at, v = self.m, self.id, self.v
         sa, la, loa, hia = self.shapes[a]
         sb, lb, lob, hib = self.shapes[b]
         if la == m or lb == m:
@@ -611,8 +677,8 @@ class PsiPathspace:
         if lo > hi:
             return -1
         off = (sb - sa) % m  # b's start, counted from a's
-        x = at[sb, min(la - off, lb), lo, hi] if off < la else -1
-        y = at[sa, min(la, off + lb - m), lo, hi] if off + lb > m else -1
+        x = at(sb, min(la - off, lb), lo, hi) if off < la else -1
+        y = at(sa, min(la, off + lb - m), lo, hi) if off + lb > m else -1
         if x < 0 or y < 0:
             return max(x, y)
         return x if v[x] > v[y] or (v[x] == v[y] and x < y) else y
@@ -686,9 +752,9 @@ class PsiPathspace:
                      ) -> Tuple[float, List[HyperElement]]:
         """A shortest path [a, J, b] or [a, M, b], repeated ends dropped."""
         model = self.pv.model
-        dist, bend = self._geodesic(model.index[a], model.index[b])
+        dist, bend = self._geodesic(model.id_of(a), model.id_of(b))
         path = [a]
-        for e in (model.elements[bend], b):
+        for e in (model.element(bend), b):
             if e != path[-1]:
                 path.append(e)
         return dist, path

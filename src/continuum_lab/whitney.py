@@ -1,8 +1,16 @@
 """Whitney maps on finite hyperspaces.
 
-The size map is built from a point enumeration x_1, ..., x_N of the finite
-ambient space: with f_n(x) = 1 / (1 + d(x_n, x)), each term
-mu_n(A) = diam f_n(A) is averaged into mu(A) = sum_n mu_n(A) / 2^n.
+The size map is built from a point enumeration x_1, ..., x_n of the finite
+ambient space: with f_k(x) = 1 / (1 + d(x_k, x)), each term
+mu_k(A) = diam f_k(A) is averaged into mu(A) = sum_k mu_k(A) / 2^k.
+
+Every f_k lies in (0, 1], so every span, and with it every computed term
+w_k * span_k, lies in [0, 2^-k]: the terms past point N add less than
+2^-N, and nothing at all to a one-point set, whose spans are exactly 0.
+Each size kernel therefore sums only a certified head of the series
+(:func:`fsum_rows`): it reads point blocks in enumeration order and stops
+once every sum is fixed, and the size table F is computed one block of
+enumeration points at a time, on first read.
 
 The module also provides the hyperspace size metric
 d_mu(A, B) = max(mu(A | B) - mu(A), mu(A | B) - mu(B)), axiom checkers for
@@ -10,7 +18,7 @@ the monotone/subadditive characterisation of Whitney maps, level sets, and
 equal-level refinements of decompositions.  The axiom checks and the
 distance matrices read from one union-size table U[i, j] = mu(F_i | F_j)
 per family.  For a WhitneyMap the table comes from the members' envelopes,
-hi[n, i] = max F[n, F_i] and lo[n, i] = min F[n, F_i]: the span of a union
+hi[k, i] = max F[k, F_i] and lo[k, i] = min F[k, F_i]: the span of a union
 is max(hi_i, hi_j) - min(lo_i, lo_j), exactly, so no union set is built.
 One single-set kernel, :func:`_set_sizes`, sizes each distinct meet of
 the subadditivity check and the misses of the memoised batch
@@ -36,6 +44,9 @@ from .metric_core import DEFAULT_TOL, FinitePointSet, _pair_distances
 
 MuLike = Callable[[FrozenSet[int]], float]
 
+# Enumeration points per block of the size table F.
+POINT_BLOCK = 64
+
 
 class WhitneyMap:
     """Size map over a finite ambient metric space.
@@ -46,33 +57,52 @@ class WhitneyMap:
     ``ordering_seed`` applies a seeded permutation instead.
 
     Sizes do not depend on the platform: the weights are powers of two, so
-    every term ``w_n * span_n`` is exact, and :func:`fsum_rows` returns the
+    every term ``w_k * span_k`` is exact, and :func:`fsum_rows` returns the
     correctly rounded sum of those float64 terms (``math.fsum``'s) whatever
     the BLAS.  The promise is bit-exactness with respect to this term table,
     not to the real-valued series: the table itself carries the rounding of
-    the distances and of ``1 / (1 + d)``.
+    the distances and of ``1 / (1 + d)``.  Every computed F entry is in
+    (0, 1], so every span is in [0, 1] and the terms past point N add less
+    than sum_{k > N} 2^-k < 2^-N to any set, and exactly 0 to a one-point
+    set; a sum is therefore fixed once its head's error plus that tail is
+    inside one float's rounding interval, and the later rows of F are never
+    read.  F is computed POINT_BLOCK enumeration points at a time, on first
+    read (:meth:`block`), so no n x n table is formed.
     """
 
     def __init__(self, ambient, ordering_seed: Optional[int] = None):
         if isinstance(ambient, GraphContinuum):
-            pts = np.array(ambient.pos, dtype=float)
-            dist = _pair_distances(pts, pts)
             order = _bfs_order(ambient)
+            ambient = np.array(ambient.pos, dtype=float)
         elif isinstance(ambient, FinitePointSet):
-            dist = ambient.distances_to(ambient)
             order = list(range(len(ambient)))
+            if ambient.is_planar:
+                ambient = ambient.points
         else:
             raise DomainError("ambient must be a GraphContinuum or FinitePointSet")
-        n = dist.shape[0]
+        n = len(ambient)
         if ordering_seed is not None:
             rng = np.random.default_rng(ordering_seed)
             order = [order[i] for i in rng.permutation(n)]
         self.n_points = n
         self.order = list(order)
-        # F[k, i] = f_{x_k}(p_i) for the k-th enumeration point x_k
-        self.F = 1.0 / (1.0 + dist[self.order, :])
         self.weights = 0.5 ** np.arange(1, n + 1)
+        self._ambient = ambient  # planar points, or a table-backed point set
+        self._blocks: Dict[int, np.ndarray] = {}
         self._cache: Dict[FrozenSet[int], float] = {}
+
+    def block(self, b: int) -> np.ndarray:
+        """Rows ``b * POINT_BLOCK`` onwards (POINT_BLOCK of them, fewer at
+        the end) of F[k, i] = f_{x_k}(p_i) = 1 / (1 + d(x_k, p_i)) for the
+        k-th enumeration point x_k, computed on first read."""
+        got = self._blocks.get(b)
+        if got is None:
+            x = self._ambient
+            at = self.order[b * POINT_BLOCK:(b + 1) * POINT_BLOCK]
+            d = (_pair_distances(x[at], x) if isinstance(x, np.ndarray)
+                 else x.subset(at).distances_to(x))
+            got = self._blocks[b] = 1.0 / (1.0 + d)
+        return got
 
     def __call__(self, a: FrozenSet[int]) -> float:
         a = frozenset(a)
@@ -96,15 +126,23 @@ class WhitneyMap:
         return np.array(vals, dtype=float)
 
 
-def fsum_rows(blocks: Callable, rows: int) -> np.ndarray:
+def fsum_rows(blocks: Callable, rows: int, tail: np.ndarray) -> np.ndarray:
     """``math.fsum`` of each row of a table of finite non-negative terms,
-    bit for bit; ``blocks()`` yields its columns as (columns, rows) arrays.
+    bit for bit; ``blocks()`` yields its columns in order as (columns,
+    rows) arrays, and the terms past column N of row i add less than
+    ``tail[i] * 2^-N``.
 
     Sum2 (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005) on all rows
     at once: a running TwoSum gives sigma and the sum q of its errors, and
-    (r, rho) = TwoSum(sigma, q) is within 2 gamma_{n-1}^2 r of the exact sum.
-    r is its rounding when |rho| plus that bound is below half the gap down
-    from r, or r = 0; other rows read ``blocks()`` again for ``math.fsum``.
+    r + rho = TwoSum(sigma, q) is within 2 gamma_{N-1}^2 r of the exact sum
+    of the first N columns.  So the whole row sums to within the slack
+    |rho| + 2 gamma_{N-1}^2 r + tail[i] * 2^-N of r, and r is its rounding
+    when the slack is below half the gap down from r, or is 0.  The test
+    runs after each block once N > 54 (every size is below 1, where half a
+    gap is at most 2^-54, so a tail of 2^-N cannot pass sooner), and
+    reading stops at the first block after which every row passes.  After
+    the last column the tails are 0; a row failing then (a near-tie) reads
+    ``blocks()`` again for ``math.fsum``.
     """
     sigma, q, n = np.zeros(rows), np.zeros(rows), 0
     for block in blocks():
@@ -115,14 +153,40 @@ def fsum_rows(blocks: Callable, rows: int) -> np.ndarray:
         part = run[1:] - run[:-1]  # TwoSum of each step: the part of x kept
         q += ((run[:-1] - (run[1:] - part)) + (block - part)).sum(axis=0)
         sigma = run[-1]
-    r = sigma + q  # |q| <= sigma: TwoSum(sigma, q) = (r, q - (r - sigma))
-    gamma = (n - 1) * 2.0 ** -53 / (1 - (n - 1) * 2.0 ** -53)
-    slack = np.abs(q - (r - sigma)) + 2 * gamma * gamma * r
-    bad = np.flatnonzero((slack >= (r - np.nextafter(r, 0)) / 2) & (r != 0))
+        if n > 54:
+            r, ok = _rounded(sigma, q, n, tail * 2.0 ** -n)
+            if ok.all():
+                return r
+    r, ok = _rounded(sigma, q, n, 0.0)
+    bad = np.flatnonzero(~ok)
     if bad.size:
         terms = np.vstack([block[:, bad] for block in blocks()]).T
         r[bad] = [math.fsum(row) for row in terms.tolist()]
     return r
+
+
+def _rounded(sigma: np.ndarray, q: np.ndarray, n: int, tail):
+    """``(r, ok)``: r = sigma + q, and whether a row sum within Sum2's
+    bound of the first ``n`` terms, plus less than ``tail``, rounds to r."""
+    r = sigma + q  # |q| <= sigma: TwoSum(sigma, q) = (r, q - (r - sigma))
+    gamma = (n - 1) * 2.0 ** -53 / (1 - (n - 1) * 2.0 ** -53)
+    slack = np.abs(q - (r - sigma)) + 2 * gamma * gamma * r + tail
+    return r, (slack < (r - np.nextafter(r, 0)) / 2) | (slack == 0)
+
+
+def _point_step(floats_per_point: int) -> int:
+    """Enumeration points per kernel step: the most whose cells fit in
+    SIZE_BLOCK_FLOATS, at least 1 and at most POINT_BLOCK, rounded down to
+    a power of two so that no step crosses a block of F."""
+    fit = min(POINT_BLOCK, SIZE_BLOCK_FLOATS // max(int(floats_per_point), 1))
+    return 1 << (max(fit, 1).bit_length() - 1)
+
+
+def _steps(n_points: int, step: int):
+    """(block of F, first row in it, first point) of each run of ``step``
+    enumeration points, in order."""
+    for lo in range(0, n_points, step):
+        yield (*divmod(lo, POINT_BLOCK), lo)
 
 
 def _bfs_order(g: GraphContinuum) -> List[int]:
@@ -203,45 +267,61 @@ def _set_sizes(mu: WhitneyMap, idx: np.ndarray) -> np.ndarray:
     SIZE_BLOCK_FLOATS gathered cells, or one point's, give the spans, and
     :func:`fsum_rows` sums the terms."""
     cols = np.ascontiguousarray(idx.T)
-    step = max(1, SIZE_BLOCK_FLOATS // cols.size)
+    step = _point_step(cols.size)
 
     def blocks():
-        for lo in range(0, mu.n_points, step):
+        for b, at, lo in _steps(mu.n_points, step):
             # (points, members, sets); max and min ignore padding
-            got = mu.F[lo:lo + step].take(cols, axis=1)
+            got = mu.block(b)[at:at + step].take(cols, axis=1)
             yield (got.max(axis=1) - got.min(axis=1)) * \
                 mu.weights[lo:lo + step, None]
 
-    return fsum_rows(blocks, len(idx))
+    return fsum_rows(blocks, len(idx), _several(idx))
+
+
+def _several(idx: np.ndarray) -> np.ndarray:
+    """Whether each set of a gather index has more than one point (a
+    tail, for :func:`fsum_rows`): its row repeats only its last vertex."""
+    return idx[:, 0] != idx[:, -1]
 
 
 def _span_sizes(mu: WhitneyMap, idx: np.ndarray, ii: np.ndarray,
                 jj: np.ndarray) -> np.ndarray:
     """mu(S_i | S_j) for each index pair over the sets of a gather index.
 
-    The envelopes hi[n, i] = max F[n, S_i] and lo[n, i] = min F[n, S_i] are
-    taken once; the span of a union is max(hi_i, hi_j) - min(lo_i, lo_j),
-    so every term w_n * span_n is the one of the union's own size, and
-    :func:`fsum_rows` sums them.  A block of points gathers four
-    (points, pairs) envelope tables, which together hold at most
-    SIZE_BLOCK_FLOATS cells, or one point's.
+    The envelopes hi[k, i] = max F[k, S_i] and lo[k, i] = min F[k, S_i] are
+    taken once per block of F, when a sum first reads it; the span of a
+    union is max(hi_i, hi_j) - min(lo_i, lo_j), so every term w_k * span_k
+    is the one of the union's own size, and :func:`fsum_rows` sums them.  A
+    step of points gathers four (points, pairs) envelope tables, which
+    together hold at most SIZE_BLOCK_FLOATS cells, or one point's.
     """
-    hi = _reduce_over(mu.F, idx, np.maximum)
-    lo = _reduce_over(mu.F, idx, np.minimum)
+    several, first = _several(idx), idx[:, 0]
+    env: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def envelopes(b):
+        if b not in env:
+            f = mu.block(b)
+            env[b] = (_reduce_over(f, idx, np.maximum),
+                      _reduce_over(f, idx, np.minimum))
+        return env[b]
+
     out = np.empty(len(ii))
     cells = max(1, SIZE_BLOCK_FLOATS // 4)
     for p in range(0, len(ii), cells):
         a, b = ii[p:p + cells], jj[p:p + cells]
-        step = max(1, cells // len(a))
+        step = _point_step(4 * len(a))
 
         def blocks():
-            for n in range(0, mu.n_points, step):
-                h, l = hi[n:n + step], lo[n:n + step]
+            for blk, at, lo in _steps(mu.n_points, step):
+                hi, low = envelopes(blk)
+                h, l = hi[at:at + step], low[at:at + step]
                 spans = np.maximum(h.take(a, axis=1), h.take(b, axis=1)) - \
                     np.minimum(l.take(a, axis=1), l.take(b, axis=1))
-                yield spans * mu.weights[n:n + step, None]
+                yield spans * mu.weights[lo:lo + step, None]
 
-        out[p:p + len(a)] = fsum_rows(blocks, len(a))
+        out[p:p + len(a)] = fsum_rows(blocks, len(a), several[a] | several[b]
+                                      | (first[a] != first[b]))
     return out
 
 

@@ -676,13 +676,13 @@ def test_curvature_fails_on_a_broken_metric(monkeypatch, capsys):
     def larger_join(self, a, b):
         # the larger of the two candidate base arcs: a wrong join, so some
         # distances come out longer than a path around a third element
-        m, k, at, v, whole = self.m, self.k, self.at, self.v, self.whole
+        m, k, at, v = self.m, self.k, self.id, self.v
         sa, la, loa, hia = self.shapes[a]
         sb, lb, lob, hib = self.shapes[b]
         if la == lb == 1 and sa == sb:
-            return at[sa, 1, min(loa, lob), max(hia, hib)]
-        x = at.get((sa, max(la, (sb - sa) % m + lb), 1, k), whole)
-        y = at.get((sb, max(lb, (sa - sb) % m + la), 1, k), whole)
+            return at(sa, 1, min(loa, lob), max(hia, hib))
+        x = at(sa, max(la, (sb - sa) % m + lb), 1, k)
+        y = at(sb, max(lb, (sa - sb) % m + la), 1, k)
         return y if v[x] < v[y] or (v[x] == v[y] and x < y) else x
 
     argv = ["psi", "curvature", "--no-timings"]
@@ -693,3 +693,23 @@ def test_curvature_fails_on_a_broken_metric(monkeypatch, capsys):
     code, bad = run(argv, capsys)
     assert (code, bad["status"]) == (1, "fail")
     assert any("triangle inequality" in v for v in bad["violations"])
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["psi", "path", "--m", "6", "--level", "3", "--from", "0", "--to", "1"],
+     "build_psi_model"),
+    (["whitney", "eval", "--size", "5", "--set", "0,1"], "build_whitney_map"),
+])
+def test_running_out_of_memory_exits_two_with_json(argv, target, monkeypatch,
+                                                   capsys):
+    # a crash is an error (exit 2), never a failed check (exit 1)
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.98 GiB for an array")
+    monkeypatch.setattr(cli, target, exhausted)
+    code, report = run(argv + ["--no-timings"], capsys)
+    assert code == 2
+    assert report == {"artifacts": [], "command": " ".join(argv) +
+                      " --no-timings", "result": {
+                          "error": "out of memory: Unable to allocate 2.98 "
+                                   "GiB for an array"},
+                      "status": "error", "violations": []}

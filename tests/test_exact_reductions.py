@@ -1,0 +1,91 @@
+"""No reported float comes from a library-ordered reduction.
+
+numpy sums with an unrolled pairwise order that its documentation leaves
+to the platform and the build, and a matrix product's order is the BLAS's.
+So ``.sum``, ``.mean``, ``np.add.reduce``, ``@`` and ``dot`` may appear in
+``src/continuum_lab`` only where the result cannot depend on that order:
+each entry of ``KEEP`` names one such use, by module, enclosing function
+and source text, and says why it is exact.  A float mean that must follow
+numpy's order is written out instead (``psi._pairwise_sum``).
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "continuum_lab").glob("*.py"))
+
+KEEP = {
+    "continua.detect_triod: inc.sum(axis=1)":
+        "int64 0/1 incidence: each vertex's member count, exact",
+    "psi.PsiModel.strict_order: count.sum(axis=1)":
+        "ints: the run lengths of each row of the order",
+    "psi.curvature_check: (excess.max(axis=0) > tol).sum()":
+        "bools: the count of triples breaking the triangle inequality",
+    "psi.level_structure_report: adj.sum(axis=1)":
+        "bools: each shell element's neighbour count",
+    "realize._build_tower: (mask & ~prev_closure).sum()":
+        "bools: the count of cells outside the previous closure",
+    "suite.check_psi_paths.run: per_fiber @ per_fiber":
+        "ints: the pieces per fiber, squared and added",
+    "whitney._member_index: card.sum()":
+        "ints: the total member count",
+    "whitney.check_whitney_axioms: inc @ inc.T":
+        "int64 0/1 incidence: the size of each pairwise intersection",
+    "whitney.fsum_rows: "
+    "(run[:-1] - (run[1:] - part) + (block - part)).sum(axis=0)":
+        "Sum2's error sum q: fsum_rows certifies r whatever order q was "
+        "added in, and falls back to math.fsum where it cannot",
+}
+
+
+def _uses(path):
+    """(enclosing function, source) of each reduction the module makes."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            if _is_reduction(child):
+                yield where, ast.unparse(child)
+            yield from walk(child, inner)
+    yield from walk(tree, "")
+
+
+def _is_reduction(node):
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+            isinstance(node.op, ast.MatMult):
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        func = node.func
+        if func.attr in ("sum", "mean", "dot"):
+            return True
+        return (func.attr == "reduce" and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "add")
+    return False
+
+
+def _found():
+    return {f"{path.stem}.{where}: {src}" for path in PACKAGE
+            for where, src in _uses(path)}
+
+
+def test_every_reduction_in_the_package_is_on_the_keep_list():
+    assert sorted(_found() - set(KEEP)) == []
+
+
+def test_every_keep_list_entry_is_still_in_the_package():
+    assert sorted(set(KEEP) - _found()) == []
+
+
+def test_the_guard_sees_each_kind_of_reduction(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def f(a, b):\n    x = a.sum() + a.mean(axis=0)\n"
+                   "    y = np.add.reduce(a) + np.dot(a, b) + a @ b\n"
+                   "    a @= b\n    return sum(a)\n")
+    assert sorted(src for _, src in _uses(mod)) == [
+        "a @ b", "a @= b", "a.mean(axis=0)", "a.sum()", "np.add.reduce(a)",
+        "np.dot(a, b)"]

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -165,8 +166,22 @@ def dense_reference(P, Q, block=256):
 
 
 def tree_report(P, Q):
-    rep = metric_core._report(*metric_core._tree_hausdorff(P, Q))
+    rep = metric_core._tree_hausdorff(P, Q)
     return rep.value, rep.witness, rep.direction
+
+
+@pytest.mark.parametrize("how", ["reversed", "shifted"])
+def test_tied_rows_stop_the_witness_search_at_the_first_hit(how):
+    # every row ties at the maximum: 0 against the points reversed, and
+    # sqrt(2) * 1e-3 up to rounding against them shifted
+    P = np.random.default_rng(0).uniform(0, 1, (8000, 2))
+    Q = P[::-1].copy() if how == "reversed" else P + 1e-3
+    tree_report(P[:300], Q[:300])  # load scipy before the clock starts
+    start = time.perf_counter()
+    got = tree_report(P, Q)
+    seconds = time.perf_counter() - start
+    assert got == dense_reference(P, Q)
+    assert seconds < 1.0
 
 
 def _large_pair(kind, seed, n, m):

@@ -1,5 +1,6 @@
 import functools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from continuum_lab.continua import build_continuum
 from continuum_lab import psi
 from continuum_lab.errors import DomainError, ResourceError
 from continuum_lab.metric_core import DEFAULT_TOL
-from continuum_lab.whitney import build_whitney_map
+from continuum_lab.whitney import POINT_BLOCK, build_whitney_map
 from continuum_lab.psi import (Arc, LevelReport, Piece, PsiPathspace,
                                build_psi_model,
                                closed_form_element_count,
@@ -54,13 +55,25 @@ def test_element_census(model):
     assert closed_form_element_count(6, 6) - distinct_element_count(6, 6) == 6
 
 
+_FULL = weakref.WeakKeyDictionary()
+
+
+def full_table(mu):
+    """The whole size table F of a Whitney map, every block of it, stacked
+    once per map."""
+    if mu not in _FULL:
+        _FULL[mu] = np.vstack([mu.block(b) for b in
+                               range(-(-mu.n_points // POINT_BLOCK))])
+    return _FULL[mu]
+
+
 def _exact_size(model, e):
     """The defining sum over the float64 term table, evaluated exactly.
 
     Each term is w_n * (max - min) of row n of F over the element's
     vertices; the Fraction sum has no rounding until the final float().
     """
-    cols = model.mu_base.F[:, sorted(reference_vertices(model, e))]
+    cols = full_table(model.mu_base)[:, sorted(reference_vertices(model, e))]
     spans = cols.max(axis=1) - cols.min(axis=1)
     return float(sum(Fraction(float(w)) * Fraction(float(s))
                      for w, s in zip(model.mu_base.weights, spans)))
@@ -101,8 +114,8 @@ def test_strict_size_monotonicity(model):
     for a in model.elements:
         for b in model.elements:
             if a != b and model.leq(a, b):
-                assert (model.sizes[model.index[a]]
-                        < model.sizes[model.index[b]])
+                assert (model.sizes[model.id_of(a)]
+                        < model.sizes[model.id_of(b)])
 
 
 def test_classification_split(model):
@@ -123,8 +136,9 @@ def test_invalid_elements_rejected(model):
     with pytest.raises(DomainError):
         Arc(start=0, length=0)
     # the full fiber is represented as an Arc, never as a Piece
-    assert Piece(fiber=0, i=1, j=6) not in model.index
-    assert Arc(start=0, length=1) in model.index
+    with pytest.raises(DomainError, match="not an element of this model"):
+        model.id_of(Piece(fiber=0, i=1, j=6))
+    assert model.id_of(Arc(start=0, length=1)) == model.m * model.q
 
 
 def test_element_cap(monkeypatch):
@@ -148,14 +162,25 @@ def reference_normalize(model):
     values = {}
     for e in model.elements:
         if isinstance(e, Piece):
-            fiber = model.index[Arc(start=e.fiber, length=1)]
+            fiber = model.id_of(Arc(start=e.fiber, length=1))
             scale = model.l / model.sizes[fiber]
-            values[e] = float(model.sizes[model.index[e]] * scale)
+            values[e] = float(model.sizes[model.id_of(e)] * scale)
         elif e.length == 1:
             values[e] = model.l
         else:
             values[e] = model.l + arc_size[e.length]
     return values
+
+
+def test_pairwise_sum_is_numpys_mean_order():
+    # numpy's mean(axis=1) on this platform: the order written out in
+    # _pairwise_sum, recursive split above 128 included
+    rng = np.random.default_rng(3)
+    for m in range(3, 131):
+        cols = rng.random((m - 1, m)) * 2.0 ** -rng.integers(0, 40,
+                                                            (m - 1, m))
+        got, want = psi._pairwise_sum(cols) / m, cols.mean(axis=1)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), m
 
 
 def _assert_normalized_like_the_loop(model):
@@ -232,9 +257,8 @@ def _assert_layout_matches_the_loops(model):
     assert els == reference_elements(model.m, model.k)
     assert [tuple(row) for row in model.shapes.tolist()] == \
         [model.shape(e) for e in els]
-    assert all(model.at[model.shape(e)] == model.index[e] == t
+    assert all(model.id_of(e) == model.shape_id(*model.shape(e)) == t
                for t, e in enumerate(els))
-    assert len(model.at) == len(model.index) == len(els)
     assert [t for t, e in enumerate(els) if isinstance(e, Piece)] == \
         list(range(model.m * model.q))
 
@@ -249,6 +273,38 @@ def test_layout_matches_the_nested_loops(m, level):
 def test_layout_matches_the_nested_loops_on_small_models(mk):
     _assert_layout_matches_the_loops(build_psi_model(m=mk[0],
                                                      fiber_level=mk[1]))
+
+
+@pytest.mark.parametrize("m, level", [(6, 2), (12, 2), (6, 3)])
+def test_ids_by_formula_round_trip_and_refuse_non_members(m, level):
+    model = build_psi_model(m=m, fiber_level=level)
+    ids = range(len(model.shapes))
+    assert all(model.id_of(model.element(t)) == t for t in ids)
+    assert model.elements == [model.element(t) for t in ids]
+    # the scalar formula is the array one of the path space
+    s, ln, lo, hi = model.shapes.T
+    assert raw_values(model).space._ids(s, ln, lo, hi).tolist() == list(ids)
+    k = model.k
+    for e in (Piece(m, 1, 2), Piece(0, 1, k), Piece(0, 2, k + 1), Arc(m, 1),
+              Arc(1, m), Arc(0, m + 1)):
+        with pytest.raises(DomainError, match="not an element"):
+            model.id_of(e)
+    for t in (-1, len(model.shapes)):
+        with pytest.raises(DomainError, match="no element has id"):
+            model.element(t)
+
+
+def test_model_builds_no_element_objects_until_asked():
+    # a path, a distance and the Planck boundary read elements by id
+    model = build_psi_model(m=6, fiber_level=3)
+    pv = normalize_to_psi0(model)
+    a, b = model.element(5), model.element(2000)
+    dist, path = pv.space.path_between(a, b)
+    assert pv.distance(a, b) == pv.space.join_distance(5, 2000)
+    assert [model.id_of(e) for e in planck_report(model).boundary] == \
+        list(range(model.m * model.q, model.m * (model.q + 1)))
+    assert "elements" not in vars(model)
+    assert path[0] == model.elements[5] and path[-1] == model.elements[2000]
 
 
 # -- element sets from the shape ---------------------------------------------
@@ -494,7 +550,7 @@ def test_level_set_at_l_is_the_boundary(pv):
 
 def test_raw_values_match_model(model):
     rv = raw_values(model)
-    assert rv.values[model.whole] == model.sizes[model.index[model.whole]]
+    assert rv.values[model.whole] == model.sizes[model.id_of(model.whole)]
     assert rv.l == model.l
 
 
@@ -614,7 +670,7 @@ def _reference_nerve_report(pv, t, tol, eps, shells):
     for i, e in enumerate(shells):
         groups.setdefault(find(i), []).append(e)
     components = sorted(groups.values(),
-                        key=lambda g: min(pv.model.index[e] for e in g))
+                        key=lambda g: min(pv.model.id_of(e) for e in g))
     is_cycle = (len(components) == 1 and n >= 3 and
                 all(deg == 2 for deg in degree) and edge_count == n)
     comp_fibers = [frozenset().union(*(pv.model.fibers_of(e) for e in g))
@@ -796,20 +852,20 @@ def test_pieces_of_two_fibers_are_incomparable(pv):
         for b in pieces:
             if a.fiber != b.fiber:
                 assert not (model.leq(a, b) or model.leq(b, a))
-                i, j = model.index[a], model.index[b]
+                i, j = model.id_of(a), model.id_of(b)
                 assert space.meet(i, j) == -1
                 assert isinstance(model.elements[space.join(i, j)], Arc)
 
 
 def test_join_and_meet_cases(pv):
     model, space = pv.model, pv.space
-    idx = model.index
+    idx = model.id_of
 
     def join(a, b):
-        return model.elements[space.join(idx[a], idx[b])]
+        return model.elements[space.join(idx(a), idx(b))]
 
     def meet(a, b):
-        got = space.meet(idx[a], idx[b])
+        got = space.meet(idx(a), idx(b))
         return None if got < 0 else model.elements[got]
 
     # one fiber: the link hull, the fiber itself when it spans [1, k]

@@ -10,28 +10,36 @@ from continuum_lab.continua import (build_continuum, enumerate_subcontinua,
                                     incidence_table)
 from continuum_lab.errors import DomainError
 from continuum_lab.metric_core import DEFAULT_TOL, FinitePointSet
-from continuum_lab.psi import build_psi_model
+from continuum_lab.psi import Piece, PsiModel, build_psi_model
 from continuum_lab.suite import _convex_size, _noise_size
-from continuum_lab.whitney import (SIZE_BLOCK_FLOATS, WhitneyMap,
+from continuum_lab.whitney import (POINT_BLOCK, SIZE_BLOCK_FLOATS, WhitneyMap,
                                    build_whitney_map, check_whitney_axioms,
                                    equal_level_refinement, fsum_rows,
                                    hyperspace_distance_matrices,
                                    whitney_distance, whitney_distance_matrix,
                                    whitney_level)
-from test_psi import reference_vertices
+from test_psi import full_table, reference_vertices
 
 
 def reference_mu(mu, a):
-    """One set's size as WhitneyMap once computed it, without the memo."""
+    """One set's size as WhitneyMap once computed it, without the memo:
+    ``math.fsum`` over every term of the series."""
     a = frozenset(a)
     if not a:
         raise DomainError("mu is defined on non-empty sets")
     idx = np.fromiter(a, dtype=int)
     if idx.min() < 0 or idx.max() >= mu.n_points:
         raise DomainError("set contains vertices outside the ambient")
-    cols = mu.F[:, idx]
+    cols = full_table(mu)[:, idx]
     span = cols.max(axis=1) - cols.min(axis=1)
     return math.fsum((mu.weights * span).tolist())
+
+
+def assert_bits_equal(got, want):
+    """Equal float64 arrays, compared as int64 bit patterns."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 SIZE_MODELS = [("path", {"n": n}) for n in (10, 16, 22)] + \
@@ -74,10 +82,124 @@ def test_batch_sizes_of_unions_equal_the_per_set_sizes():
 def test_psi_element_sizes_equal_the_per_set_sizes(m, level):
     model = build_psi_model(m=m, fiber_level=level)
     fresh = WhitneyMap(model.points)
-    assert np.array_equal(
+    assert_bits_equal(
         model.sizes,
         [reference_mu(fresh, reference_vertices(model, e))
          for e in model.elements])
+
+
+# -- the certified head of the series ----------------------------------------
+
+
+@pytest.mark.parametrize("kind, n", [("path", 22), ("cycle", 30),
+                                     ("path", 40), ("path", 70),
+                                     ("cycle", 90)])
+def test_member_sizes_equal_the_full_series(kind, n):
+    # path 70 and cycle 90 have more points than a head needs
+    g = build_continuum(kind, n=n)
+    subs = enumerate_subcontinua(g)
+    for seed in (None, 7):
+        mu = build_whitney_map(g, ordering_seed=seed)
+        assert_bits_equal(mu.sizes(subs), [reference_mu(mu, s) for s in subs])
+    pick = subs[::max(1, len(subs) // 60)]
+    assert_bits_equal(whitney._union_sizes(mu, pick).reshape(-1),
+                      [reference_mu(mu, a | b) for a in pick for b in pick])
+
+
+@st.composite
+def long_families(draw):
+    """A Whitney map on 56 to 160 points, past any head that can settle
+    a sum, and a family: subcontinua of a path or cycle, or arbitrary
+    non-empty sets of planar points, with singletons among them."""
+    n = draw(st.integers(56, 160))
+    kind = draw(st.sampled_from(["path", "cycle", "points"]))
+    if kind == "points":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        ambient = FinitePointSet(points=rng.uniform(-3, 3, (n, 2)))
+        fam = []
+    else:
+        ambient = build_continuum(kind, n=n)
+        subs = enumerate_subcontinua(ambient)
+        fam = draw(st.lists(st.sampled_from(subs), max_size=25))
+    fam += draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1,
+                                       max_size=4), min_size=1, max_size=12))
+    seed = draw(st.none() | st.integers(min_value=0, max_value=10**6))
+    return build_whitney_map(ambient, ordering_seed=seed), fam
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_families())
+def test_head_sums_equal_the_full_series(case):
+    mu, fam = case
+    assert_bits_equal(mu.sizes(fam), [reference_mu(mu, s) for s in fam])
+    assert_bits_equal(whitney._union_sizes(mu, fam).reshape(-1),
+                      [reference_mu(mu, a | b) for a in fam for b in fam])
+    inc = incidence_table(fam)
+    ii, jj = np.nonzero(np.triu(inc @ inc.T > 0))
+    assert_bits_equal(whitney._meet_sizes(mu, fam, inc, ii, jj),
+                      [reference_mu(mu, fam[i] & fam[j])
+                       for i, j in zip(ii.tolist(), jj.tolist())])
+
+
+def crossing_table(n=70):
+    """A size table on n points whose series for the set {0, 1} crosses a
+    rounding boundary after its first block of F.
+
+    Point 0 has F = 1 everywhere; point 1 has spans 1/2 at the first two
+    enumeration points (terms 1/4 and 1/8: 0.375), 1 - 2^-16 at point 55
+    (2^-55 - 2^-71, just under half an ulp of 0.375) and 1/2 at point 65
+    (2^-66).  The first 64 terms round to 0.375 with room to spare, and
+    only the tail past them rounds the sum up to 0.375 + 2^-54.
+    """
+    table = np.ones((n, n))
+    table[[0, 1, 54, 64], 1] = [0.5, 0.5, 2.0 ** -16, 0.5]
+    return table
+
+
+def test_a_tail_that_crosses_a_rounding_boundary_is_read():
+    table = crossing_table()
+    terms = [w * (1 - f) for w, f in zip(0.5 ** np.arange(1, 71), table[:, 1])]
+    want = math.fsum(terms)
+    assert want == 0.375 + 2.0 ** -54
+    assert math.fsum(terms[:64]) == 0.375  # the head alone rounds down
+
+    def blocks():
+        cols = np.array(terms)[:, None]
+        return [cols[:64], cols[64:]]
+
+    assert fsum_rows(blocks, 1, np.ones(1)).tolist() == [want]
+    # with no tail the head would pass, and the sum come out one ulp low
+    assert fsum_rows(blocks, 1, np.zeros(1)).tolist() == [0.375]
+    mu = build_whitney_map(FinitePointSet(points=[(t, 0.0)
+                                                  for t in range(70)]))
+    mu.block = {b: table[b * POINT_BLOCK:(b + 1) * POINT_BLOCK]
+                for b in range(2)}.__getitem__
+    pair = frozenset([0, 1])
+    assert mu.sizes([pair, frozenset([1])]).tolist() == [want, 0.0]
+    assert whitney._union_sizes(mu, [frozenset([0]), frozenset([1])])[
+        0, 1] == want
+    assert reference_mu(mu, pair) == want
+    # psi's envelope kernel: on a 3 x 30 model, a set holding vertex 1 and
+    # another vertex has this series, and every other set has size 0
+    points = FinitePointSet(points=[(t, 0.0) for t in range(90)])
+    mu = build_whitney_map(points)
+    table = crossing_table(90)
+    mu.block = {b: table[b * POINT_BLOCK:(b + 1) * POINT_BLOCK]
+                for b in range(2)}.__getitem__
+    model = PsiModel(m=3, k=30, patterns=[], points=points, mu_base=mu)
+    sizes = dict(zip(model.elements, model.sizes.tolist()))
+    assert sizes[Piece(0, 1, 2)] == sizes[model.whole] == want
+    assert sizes[Piece(0, 2, 2)] == sizes[Piece(0, 3, 30)] == 0.0
+
+
+def test_a_psi_model_holds_only_the_blocks_it_read():
+    model = build_psi_model(m=24, fiber_level=3)
+    mu = model.mu_base
+    assert mu.n_points == 720
+    # every size is settled within the first 80 enumeration points
+    assert sorted(mu._blocks) == [0, 1]
+    assert_bits_equal(model.sizes[-1:], [reference_mu(
+        WhitneyMap(model.points), range(720))])
 
 
 def sum_rows(table, parts=1):
@@ -88,7 +210,9 @@ def sum_rows(table, parts=1):
     def blocks():
         reads.append(1)
         return np.array_split(np.asarray(table, dtype=float).T, parts)
-    return fsum_rows(blocks, len(table)), len(reads)
+    # no tail bound: arbitrary terms are read to the last column
+    return fsum_rows(blocks, len(table), np.full(len(table), np.inf)), \
+        len(reads)
 
 
 # non-negative float64 terms from 1 down into the subnormals
@@ -153,8 +277,8 @@ def test_fsum_rows_falls_back_to_fsum_on_a_tie():
 
 
 def test_fsum_rows_of_no_rows_and_no_columns():
-    assert fsum_rows(lambda: [np.zeros((3, 0))], 0).shape == (0,)
-    assert fsum_rows(lambda: [], 2).tolist() == [0.0, 0.0]
+    assert fsum_rows(lambda: [np.zeros((3, 0))], 0, np.ones(0)).shape == (0,)
+    assert fsum_rows(lambda: [], 2, np.ones(2)).tolist() == [0.0, 0.0]
     assert sum_rows([[5e-324]])[0].tolist() == [5e-324]
 
 
@@ -168,7 +292,7 @@ def test_batch_sizes_honour_and_fill_the_memo():
                             reference_mu(mu, b)]
     assert set(mu._cache) == {a, b, c}
     assert mu(b) == mu._cache[b] and mu(a) == 0.5
-    mu.F = np.zeros_like(mu.F)  # memo hits read nothing else
+    mu.block = None  # memo hits read nothing else
     assert mu.sizes([c, b]).tolist() == got[[2, 1]].tolist()
     assert mu.sizes([]).shape == (0,)
 
@@ -232,16 +356,17 @@ def test_a_single_miss_equals_the_batch_on_a_tie(monkeypatch):
     def tied():
         mu = build_whitney_map(FinitePointSet(points=[(0, 0), (1, 0),
                                                       (2, 0)]))
-        mu.F = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        table = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        mu.block = {0: table}.__getitem__
         mu.weights = np.array([1.0, 2.0 ** -53, 0.0])
         return mu
     reads = []
 
-    def spy(blocks, rows):
+    def spy(blocks, rows, tail):
         def seen():
             reads.append(rows)
             yield from blocks()
-        return fsum_rows(seen, rows)
+        return fsum_rows(seen, rows, tail)
     monkeypatch.setattr(whitney, "fsum_rows", spy)
     s = frozenset([0, 1])
     assert tied().sizes([s]).tolist() == [1.0] and len(reads) == 2
@@ -255,13 +380,13 @@ def test_union_table_and_meets_pass_bounded_batches(monkeypatch):
     mu = build_whitney_map(g)
     cells, sums = [], []
 
-    def spy(blocks, rows):
+    def spy(blocks, rows, tail):
         def seen():
             for block in blocks():
                 cells.append(block.size)
                 yield block
         sums.append(rows)
-        return fsum_rows(seen, rows)
+        return fsum_rows(seen, rows, tail)
     monkeypatch.setattr(whitney, "fsum_rows", spy)
     u = whitney._union_sizes(mu, subs)
     assert sum(sums) == len(subs) * (len(subs) + 1) // 2
@@ -280,12 +405,12 @@ def test_batch_sizes_gather_bounded_point_blocks(monkeypatch):
     mu = build_whitney_map(g)
     points = []
 
-    def spy(blocks, rows):
+    def spy(blocks, rows, tail):
         def seen():
             for block in blocks():
                 points.append(len(block))
                 yield block
-        return fsum_rows(seen, rows)
+        return fsum_rows(seen, rows, tail)
     monkeypatch.setattr(whitney, "fsum_rows", spy)
     got = mu.sizes(subs)
     assert sum(points) == 40 and max(points) * 40 * len(subs) <= \
@@ -391,7 +516,7 @@ def test_size_table_uses_the_planar_distance_kernel(kind, params):
     g = build_continuum(kind, **params)
     mu = build_whitney_map(g)
     d = reference_vertex_distances(g)
-    assert np.array_equal(mu.F, 1.0 / (1.0 + d[mu.order, :]))
+    assert np.array_equal(full_table(mu), 1.0 / (1.0 + d[mu.order, :]))
     fam = enumerate_subcontinua(g)[:40]
     d_h = hyperspace_distance_matrices(g, mu, fam)[0]
     near = np.array([[d[sorted(a)][:, sorted(b)].min(axis=1).max()
