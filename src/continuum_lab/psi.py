@@ -42,12 +42,11 @@ import numpy as np
 
 from .chains import (RefinementPattern, crooked_pattern_length,
                      generate_crooked_pattern, is_crooked)
-from .continua import (build_continuum, packed_rows, row_classes,
-                       unpacked_rows)
+from .continua import (SIZE_BLOCK_FLOATS, build_continuum, packed_rows,
+                       row_classes, unpacked_rows)
 from .errors import DomainError, ResourceError, _max_elements
 from .metric_core import DEFAULT_TOL, FinitePointSet
-from .whitney import (SIZE_BLOCK_FLOATS, WhitneyMap, _point_step, _steps,
-                      build_whitney_map, fsum_rows)
+from .whitney import WhitneyMap, build_whitney_map
 
 
 @dataclass(frozen=True, order=True)
@@ -137,16 +136,20 @@ class PsiModel:
     @cached_property
     def elements(self) -> List[HyperElement]:
         """Every element, by id."""
-        rows, pieces = self.shapes.tolist(), self.m * self.q
-        return ([Piece(s, lo, hi) for s, _, lo, hi in rows[:pieces]]
-                + [Arc(s, ln) for s, ln, _, _ in rows[pieces:]])
+        return self._from_shapes(self.shapes.tolist())
 
     def element(self, t: int) -> HyperElement:
         """The element of id ``t``, built alone."""
         if not 0 <= t < len(self.shapes):
             raise DomainError(f"no element has id {t}")
-        s, ln, lo, hi = self.shapes[t].tolist()
-        return Piece(s, lo, hi) if t < self.m * self.q else Arc(s, ln)
+        return self._from_shapes(self.shapes[t:t + 1].tolist())[0]
+
+    def _from_shapes(self, rows: List[List[int]]) -> List[HyperElement]:
+        """The elements of shape rows (start, length, first link, last
+        link) of Python ints: all k links make an arc."""
+        k = self.k
+        return [Arc(s, ln) if lo == 1 and hi == k else Piece(s, lo, hi)
+                for s, ln, lo, hi in rows]
 
     def id_of(self, e: HyperElement) -> int:
         """The id of element ``e``, by :meth:`shape_id`'s formula written
@@ -279,16 +282,16 @@ def _layout(m: int, k: int) -> np.ndarray:
 
 
 def _envelope_sizes(model: PsiModel) -> np.ndarray:
-    """mu of each element's vertex set from F's row envelopes: a run of d
-    links (an arc of L fibers) has the max of its first d - 1 (L - 1) and
-    its last; max and min are exact, so the terms are the vertex sets'."""
-    m, k, mu = model.m, model.k, model.mu_base
+    """mu of each element's vertex set from F's row envelopes, summed by
+    :meth:`WhitneyMap.series`: a run of d links (an arc of L fibers) has the
+    max of its first d - 1 (L - 1) and its last; max and min are exact, so
+    the terms are the vertex sets'."""
+    m, k = model.m, model.k
     first = np.r_[0, np.cumsum(m * np.arange(k, 0, -1))]  # by run length
     s, ln, lo, hi = model.shapes.T
     row = np.where(ln == 1, first[hi - lo] + s * (k - hi + lo) + lo - 1,
                    first[-1] + (ln - 2) * m + s)
     rows = first[-1] + (m - 1) * m
-    step = _point_step(2 * rows)  # envelopes of F and -F
 
     def envelope(g):  # g[n, fiber, link]: the max of each run, by row
         env = np.empty((len(g), rows))
@@ -303,15 +306,16 @@ def _envelope_sizes(model: PsiModel) -> np.ndarray:
             prev = np.maximum(prev, ring[:, length:length + m], out=run)
         return env
 
-    def blocks():
-        for b, at, lo in _steps(mu.n_points, step):
-            g = mu.block(b)[at:at + step].reshape(-1, m, k)
-            top, bottom = np.split(envelope(np.vstack([g, -g])), 2)
-            top += bottom  # top - min, as min = -bottom
-            yield np.multiply(top, mu.weights[lo:lo + step, None], out=top)
+    def spans(f, lo):
+        g = f.reshape(-1, m, k)
+        top, bottom = np.split(envelope(np.vstack([g, -g])), 2)
+        top += bottom  # top - min, as min = -bottom
+        return top
 
-    # the first m * k rows are single links, whose spans are all 0
-    return fsum_rows(blocks, rows, np.arange(rows) >= m * k)[row]
+    # the first m * k rows are single links, whose spans are all 0; a
+    # point's envelopes of F and -F hold 2 * rows cells
+    return model.mu_base.series(spans, rows, np.arange(rows) >= m * k,
+                                2 * rows)[row]
 
 
 def closed_form_element_count(m: int, k: int) -> int:
@@ -566,7 +570,7 @@ def level_structure_report(pv: PsiValues, t: float,
         while front.any():
             label[front] = s
             front = adj[front].any(axis=0) & (label < 0)
-    shells = [model.elements[i] for i in idx.tolist()]
+    shells = model._from_shapes(model.shapes[idx].tolist())
     components = [[shells[r] for r in np.flatnonzero(label == s)]
                   for s in np.unique(label)]
     is_cycle = bool(len(components) == 1 and n >= 3

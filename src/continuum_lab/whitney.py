@@ -7,10 +7,10 @@ mu_k(A) = diam f_k(A) is averaged into mu(A) = sum_k mu_k(A) / 2^k.
 Every f_k lies in (0, 1], so every span, and with it every computed term
 w_k * span_k, lies in [0, 2^-k]: the terms past point N add less than
 2^-N, and nothing at all to a one-point set, whose spans are exactly 0.
-Each size kernel therefore sums only a certified head of the series
-(:func:`fsum_rows`): it reads point blocks in enumeration order and stops
-once every sum is fixed, and the size table F is computed one block of
-enumeration points at a time, on first read.
+One driver, :meth:`WhitneyMap.series`, sums each size series only to a
+certified head (:func:`fsum_rows`): it reads point steps in enumeration
+order and stops once every sum is fixed, and the size table F is computed
+one block of points at a time, on first read; a kernel gives the spans.
 
 The module also provides the hyperspace size metric
 d_mu(A, B) = max(mu(A | B) - mu(A), mu(A | B) - mu(B)), axiom checkers for
@@ -49,12 +49,12 @@ POINT_BLOCK = 64
 
 
 class WhitneyMap:
-    """Size map over a finite ambient metric space.
+    """Size map over a finite planar metric space.
 
-    ``ambient`` is a FinitePointSet or a GraphContinuum (whose embedding
-    supplies Euclidean distances).  The enumeration order is breadth-first
-    from vertex 0 for graphs and index order for point sets; a non-None
-    ``ordering_seed`` applies a seeded permutation instead.
+    ``ambient`` is a GraphContinuum (whose embedding supplies Euclidean
+    distances) or a planar FinitePointSet.  The enumeration order is
+    breadth-first from vertex 0 for graphs and index order for point sets;
+    a non-None ``ordering_seed`` applies a seeded permutation instead.
 
     Sizes do not depend on the platform: the weights are powers of two, so
     every term ``w_k * span_k`` is exact, and :func:`fsum_rows` returns the
@@ -74,12 +74,11 @@ class WhitneyMap:
         if isinstance(ambient, GraphContinuum):
             order = _bfs_order(ambient)
             ambient = np.array(ambient.pos, dtype=float)
-        elif isinstance(ambient, FinitePointSet):
+        elif isinstance(ambient, FinitePointSet) and ambient.is_planar:
             order = list(range(len(ambient)))
-            if ambient.is_planar:
-                ambient = ambient.points
+            ambient = ambient.points
         else:
-            raise DomainError("ambient must be a GraphContinuum or FinitePointSet")
+            raise DomainError("ambient must be a graph or planar points")
         n = len(ambient)
         if ordering_seed is not None:
             rng = np.random.default_rng(ordering_seed)
@@ -87,7 +86,7 @@ class WhitneyMap:
         self.n_points = n
         self.order = list(order)
         self.weights = 0.5 ** np.arange(1, n + 1)
-        self._ambient = ambient  # planar points, or a table-backed point set
+        self._points = ambient
         self._blocks: Dict[int, np.ndarray] = {}
         self._cache: Dict[FrozenSet[int], float] = {}
 
@@ -97,12 +96,31 @@ class WhitneyMap:
         k-th enumeration point x_k, computed on first read."""
         got = self._blocks.get(b)
         if got is None:
-            x = self._ambient
+            x = self._points
             at = self.order[b * POINT_BLOCK:(b + 1) * POINT_BLOCK]
-            d = (_pair_distances(x[at], x) if isinstance(x, np.ndarray)
-                 else x.subset(at).distances_to(x))
-            got = self._blocks[b] = 1.0 / (1.0 + d)
+            got = self._blocks[b] = 1.0 / (1.0 + _pair_distances(x[at], x))
         return got
+
+    def series(self, spans: Callable, rows: int, tail: np.ndarray,
+               width: int) -> np.ndarray:
+        """The sizes sum_k w_k * span_k of ``rows`` sets, by :func:`fsum_rows`
+        with ``tail``: ``spans(f, lo)`` returns a new (points, rows) array,
+        the spans at the enumeration points from ``lo`` on, whose rows of F
+        are ``f``.  A step holds SIZE_BLOCK_FLOATS // ``width`` points, at
+        least 1, inside one block of F: at most SIZE_BLOCK_FLOATS cells of
+        ``width`` a point, or one point's."""
+        step = max(1, SIZE_BLOCK_FLOATS // max(width, 1))
+
+        def blocks():
+            for b, first in enumerate(range(0, self.n_points, POINT_BLOCK)):
+                f = self.block(b)
+                for at in range(0, len(f), step):
+                    lo = first + at
+                    got = spans(f[at:at + step], lo)
+                    got *= self.weights[lo:lo + len(got), None]
+                    yield got
+
+        return fsum_rows(blocks, rows, tail)
 
     def __call__(self, a: FrozenSet[int]) -> float:
         a = frozenset(a)
@@ -172,21 +190,6 @@ def _rounded(sigma: np.ndarray, q: np.ndarray, n: int, tail):
     gamma = (n - 1) * 2.0 ** -53 / (1 - (n - 1) * 2.0 ** -53)
     slack = np.abs(q - (r - sigma)) + 2 * gamma * gamma * r + tail
     return r, (slack < (r - np.nextafter(r, 0)) / 2) | (slack == 0)
-
-
-def _point_step(floats_per_point: int) -> int:
-    """Enumeration points per kernel step: the most whose cells fit in
-    SIZE_BLOCK_FLOATS, at least 1 and at most POINT_BLOCK, rounded down to
-    a power of two so that no step crosses a block of F."""
-    fit = min(POINT_BLOCK, SIZE_BLOCK_FLOATS // max(int(floats_per_point), 1))
-    return 1 << (max(fit, 1).bit_length() - 1)
-
-
-def _steps(n_points: int, step: int):
-    """(block of F, first row in it, first point) of each run of ``step``
-    enumeration points, in order."""
-    for lo in range(0, n_points, step):
-        yield (*divmod(lo, POINT_BLOCK), lo)
 
 
 def _bfs_order(g: GraphContinuum) -> List[int]:
@@ -263,20 +266,14 @@ def _reduce_over(table: np.ndarray, idx: np.ndarray, op) -> np.ndarray:
 
 
 def _set_sizes(mu: WhitneyMap, idx: np.ndarray) -> np.ndarray:
-    """mu of each set of a gather index: blocks of at most
-    SIZE_BLOCK_FLOATS gathered cells, or one point's, give the spans, and
-    :func:`fsum_rows` sums the terms."""
+    """mu of each set of a gather index: spans over its members."""
     cols = np.ascontiguousarray(idx.T)
-    step = _point_step(cols.size)
 
-    def blocks():
-        for b, at, lo in _steps(mu.n_points, step):
-            # (points, members, sets); max and min ignore padding
-            got = mu.block(b)[at:at + step].take(cols, axis=1)
-            yield (got.max(axis=1) - got.min(axis=1)) * \
-                mu.weights[lo:lo + step, None]
+    def spans(f, lo):
+        got = f.take(cols, axis=1)  # (points, members, sets); padding repeats
+        return got.max(axis=1) - got.min(axis=1)
 
-    return fsum_rows(blocks, len(idx), _several(idx))
+    return mu.series(spans, len(idx), _several(idx), cols.size)
 
 
 def _several(idx: np.ndarray) -> np.ndarray:
@@ -299,29 +296,26 @@ def _span_sizes(mu: WhitneyMap, idx: np.ndarray, ii: np.ndarray,
     several, first = _several(idx), idx[:, 0]
     env: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
-    def envelopes(b):
+    def envelopes(lo, points):  # hi and lo at the points from lo on
+        b, at = divmod(lo, POINT_BLOCK)
         if b not in env:
             f = mu.block(b)
             env[b] = (_reduce_over(f, idx, np.maximum),
                       _reduce_over(f, idx, np.minimum))
-        return env[b]
+        return [e[at:at + points] for e in env[b]]
 
     out = np.empty(len(ii))
     cells = max(1, SIZE_BLOCK_FLOATS // 4)
     for p in range(0, len(ii), cells):
         a, b = ii[p:p + cells], jj[p:p + cells]
-        step = _point_step(4 * len(a))
 
-        def blocks():
-            for blk, at, lo in _steps(mu.n_points, step):
-                hi, low = envelopes(blk)
-                h, l = hi[at:at + step], low[at:at + step]
-                spans = np.maximum(h.take(a, axis=1), h.take(b, axis=1)) - \
-                    np.minimum(l.take(a, axis=1), l.take(b, axis=1))
-                yield spans * mu.weights[lo:lo + step, None]
+        def spans(f, lo):
+            h, l = envelopes(lo, len(f))
+            return np.maximum(h.take(a, axis=1), h.take(b, axis=1)) - \
+                np.minimum(l.take(a, axis=1), l.take(b, axis=1))
 
-        out[p:p + len(a)] = fsum_rows(blocks, len(a), several[a] | several[b]
-                                      | (first[a] != first[b]))
+        out[p:p + len(a)] = mu.series(spans, len(a), several[a] | several[b]
+                                      | (first[a] != first[b]), 4 * len(a))
     return out
 
 

@@ -13,7 +13,9 @@ an assignment target is not a read.  An import must be read by its
 module, or re-imported from it by another package module.  An attribute
 that a top-level class stores, by ``self.x = ...`` in its methods or as
 an annotated class-level field, must be read in the same files as an
-attribute (a ``.x`` load) or as part of a dotted string.
+attribute (a ``.x`` load) or as part of a dotted string.  No package
+module imports another module's underscore name unless a keep-list entry
+says why, so a module's private kernels are driven only from inside it.
 """
 
 import ast
@@ -162,3 +164,36 @@ def test_every_import_is_read():
                 if bound not in read and (stem, alias.name) not in reimported:
                     unread.append(f"{stem}: {alias.name}")
     assert unread == []
+
+
+# Underscore names that one package module may import from another, each
+# with its reason.
+SHARED_PRIVATE = {
+    # the element cap, read from CONTINUUM_LAB_MAX_ELEMENTS by every module
+    # that refuses an oversized build before building it
+    "errors._max_elements",
+    # the one bound-and-settle loop, shared by the exact Hausdorff kernels
+    # of metric_core and the exact grid Hausdorff of realize
+    "metric_core._settle",
+    # the planar distance formula, so that Whitney's size table F and the
+    # Hausdorff kernels read bit-equal distances
+    "metric_core._pair_distances",
+    # math's transcendentals over arrays, so that the suite's check rounds
+    # as the interval-disk maps it checks do
+    "continua._by_math",
+}
+
+
+def _private_imports():
+    """``module.name`` of each underscore name that a package module
+    imports from another package module."""
+    return {f"{node.module}.{alias.name}" for path in PACKAGE
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if alias.name.startswith("_")}
+
+
+def test_no_module_imports_another_modules_private_name():
+    found = _private_imports()
+    assert sorted(found - SHARED_PRIVATE) == []
+    assert found >= SHARED_PRIVATE  # the keep-list holds only imports

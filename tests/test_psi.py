@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix, vstack
 
 from continuum_lab.continua import build_continuum
-from continuum_lab import psi
+from continuum_lab import psi, whitney
 from continuum_lab.errors import DomainError, ResourceError
 from continuum_lab.metric_core import DEFAULT_TOL
 from continuum_lab.whitney import POINT_BLOCK, build_whitney_map
@@ -457,13 +457,18 @@ def test_order_covers_and_graph_match_the_block_reference_at(shape):
     _assert_order_matches_reference(build_psi_model(*shape))
 
 
-@pytest.mark.parametrize("block", [1, 7, 100])
-@pytest.mark.parametrize("m, level", [(5, 2), (3, 3)])
+# (6, 3, 39480): 180 points in 7-point size steps (2 * 2,820 envelope cells
+# a point), so steps end inside a block of F and one is a single point;
+# the default budget takes 11-point steps there
+@pytest.mark.parametrize("m, level, block", [
+    (5, 2, 1), (5, 2, 7), (5, 2, 100), (3, 3, 1), (3, 3, 7), (3, 3, 100),
+    (6, 3, 7 * 2 * 2820)])
 def test_covers_and_sizes_do_not_depend_on_the_block(m, level, block,
                                                      monkeypatch):
     whole = build_psi_model(m, level)
     _, _, want = filament_covers(whole)
     monkeypatch.setattr(psi, "SIZE_BLOCK_FLOATS", block)
+    monkeypatch.setattr(whitney, "SIZE_BLOCK_FLOATS", block)
     model = build_psi_model(m, level)
     assert model.sizes.tolist() == whole.sizes.tolist()
     filament, ample, covers = filament_covers(model)

@@ -297,6 +297,14 @@ def test_batch_sizes_honour_and_fill_the_memo():
     assert mu.sizes([]).shape == (0,)
 
 
+def test_a_table_backed_ambient_is_refused():
+    table = FinitePointSet(matrix=[[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(DomainError, match="graph or planar points"):
+        WhitneyMap(table)
+    with pytest.raises(DomainError, match="graph or planar points"):
+        build_whitney_map(table.subset([1]))
+
+
 @pytest.mark.parametrize("sets, message", [
     ([frozenset()], "mu is defined on non-empty sets"),
     ([frozenset([0, 1]), frozenset()], "mu is defined on non-empty sets"),
@@ -416,6 +424,45 @@ def test_batch_sizes_gather_bounded_point_blocks(monkeypatch):
     assert sum(points) == 40 and max(points) * 40 * len(subs) <= \
         SIZE_BLOCK_FLOATS
     assert np.array_equal(got, [reference_mu(mu, s) for s in subs])
+    # psi (6, 3): envelopes of F and -F over 2,820 rows, 11 points a step
+    points.clear()
+    model = build_psi_model(6, 3)
+    assert points and max(points) * 2 * 2820 <= SIZE_BLOCK_FLOATS
+    assert sum(points) < model.mu_base.n_points == 180
+
+
+@pytest.mark.parametrize("kind", ["psi", "path"])
+def test_steps_that_end_inside_a_block_keep_the_full_series(kind,
+                                                           monkeypatch):
+    # budgets of 11-point steps (64 = 5 * 11 + 9) on maps of more than 64
+    # points: psi (6, 3) has 180 points and 2 * 2,820 envelope cells per
+    # point, path 70 has 2,485 subcontinua gathered at 70 members each
+    steps = []
+
+    def spy(blocks, rows, tail):
+        def seen():
+            for block in blocks():
+                steps.append(len(block))
+                yield block
+        return fsum_rows(seen, rows, tail)
+    monkeypatch.setattr(whitney, "fsum_rows", spy)
+    if kind == "psi":
+        monkeypatch.setattr(whitney, "SIZE_BLOCK_FLOATS", 11 * 2 * 2820)
+        model = build_psi_model(6, 3)
+        fresh = WhitneyMap(model.points)
+        got = model.sizes
+        want = [reference_mu(fresh, reference_vertices(model, e))
+                for e in model.elements]
+    else:
+        g = build_continuum("path", n=70)
+        subs = enumerate_subcontinua(g)
+        monkeypatch.setattr(whitney, "SIZE_BLOCK_FLOATS", 11 * 70 * len(subs))
+        mu = build_whitney_map(g)
+        got = mu.sizes(subs)
+        want = [reference_mu(mu, s) for s in subs]
+    # the sums read on into the second block of F
+    assert steps[:6] == [11] * 5 + [9] and len(steps) > 6
+    assert_bits_equal(got, want)
 
 
 def test_family_tables_read_the_size_table_not_the_memo():
