@@ -18,15 +18,10 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import errors
 from .errors import DomainError, ResourceError, _max_elements
 
 MAX_ORDER_ARCS = 1_000_000
-# Working blocks hold at most this many floats or table cells, or one row: the
-# size terms of a run of enumeration points, gathered envelope cells, nested
-# pairs of the difference check, rows of psi's bit tables, positions added
-# to psi's order entries, or the triod search's core words and partner
-# pairs.
-SIZE_BLOCK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -352,6 +347,8 @@ def detect_triod(g: GraphContinuum,
     connected, which is checked only for these hits, in (i, j) order.
     Members of fewer than two vertices hold no proper core and are left
     out; blocks start at one row and double, so early witnesses stay cheap.
+    Row blocks and partner blocks hold at most the package's block budget,
+    ``errors.SIZE_BLOCK_FLOATS`` words, read at each call, or one row.
     """
     if family is None:
         family = enumerate_subcontinua(g)
@@ -369,7 +366,7 @@ def detect_triod(g: GraphContinuum,
         order, edge = row_groups(core[ii, jj], ii)
         k, ii, jj = core[ii, jj][order], ii[order] + lo, jj[order] + lo
         lo, rows = lo + len(blk), min(2 * rows, max(
-            1, SIZE_BLOCK_FLOATS // (n * width)))
+            1, errors.SIZE_BLOCK_FLOATS // (n * width)))
         stop = np.append(np.flatnonzero(edge)[1:], len(ii))[
             np.cumsum(edge) - 1]
         cnt = stop - np.arange(len(ii)) - 1  # the later pairs of its group
@@ -381,7 +378,8 @@ def detect_triod(g: GraphContinuum,
         p = 0
         while p < len(ii):  # pairs whose partners fill a block, or one pair
             q = max(p + 1, int(np.searchsorted(
-                end, begin[p] + SIZE_BLOCK_FLOATS // width, "right")))
+                end, begin[p] + errors.SIZE_BLOCK_FLOATS // width,
+                "right")))
             a = np.repeat(np.arange(p, q), cnt[p:q])
             b = a + 1 + np.arange(begin[p], end[q - 1]) - begin[a]
             hit = ((w[jj[a]] & w[jj[b]]) == k[a]).all(axis=1)

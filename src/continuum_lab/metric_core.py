@@ -15,9 +15,9 @@ points names.  :func:`_settle` evaluates the points densely in decreasing
 order of bound until no bound left can raise the maximum (Taha & Hanbury,
 IEEE TPAMI 37(11), 2015).  A wrong neighbour only costs time: results are
 the dense ones bit for bit, ties going to the lowest index.
-:func:`closed_neighborhood` takes the same dense minima in row blocks, and
-table-backed sets read their distance table.  The default comparison
-tolerance is ``1e-12``.
+Dense minima, here and in :func:`closed_neighborhood`, come in the row
+blocks of :func:`errors._row_blocks`, and table-backed sets read their
+distance table.  The default comparison tolerance is ``1e-12``.
 """
 
 from __future__ import annotations
@@ -27,15 +27,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _row_blocks
 
 DEFAULT_TOL = 1e-12
 
 # Planar pairs of sets with more than this many point pairs bound their
 # nearest distances through a KD-tree; below it the dense formula is faster.
 TREE_MIN_PAIRS = 50_000
-# Dense distances are formed this many point pairs at a time.
-BLOCK_PAIRS = 1 << 17
 
 
 class FinitePointSet:
@@ -172,12 +170,11 @@ def _pair_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _dense_minima(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Distance from each point of A to its nearest point of B, exactly.
 
-    Evaluated ``BLOCK_PAIRS`` pairs at a time, so memory stays bounded.
+    Evaluated in :func:`_row_blocks` of ``len(B)`` pairs a row.
     """
-    step = max(1, BLOCK_PAIRS // len(B))
     out = np.empty(len(A))
-    for s in range(0, len(A), step):
-        out[s:s + step] = _pair_distances(A[s:s + step], B).min(axis=1)
+    for at in _row_blocks(len(A), len(B)):
+        out[at] = _pair_distances(A[at], B).min(axis=1)
     return out
 
 
@@ -231,13 +228,12 @@ def _settle(bound, exact, batch, top):
 def _first_at(A: np.ndarray, B: np.ndarray, rows: np.ndarray, top):
     """``(i, j)``: the first of ``rows`` (ascending) whose exact distance
     to B equals ``top``, and its nearest point ``j`` of B, lowest index on
-    ties; None if no row does.  Rows are settled BLOCK_PAIRS pairs at a
-    time, so the search stops in the block that holds the first hit."""
-    step = max(1, BLOCK_PAIRS // len(B))
-    for s in range(0, rows.size, step):
-        hit = np.flatnonzero(_dense_minima(A[rows[s:s + step]], B) == top)
+    ties; None if no row does.  Rows go in :func:`_row_blocks`, so the
+    search stops in the block that holds the first hit."""
+    for at in _row_blocks(rows.size, len(B)):
+        hit = np.flatnonzero(_dense_minima(A[rows[at]], B) == top)
         if hit.size:
-            i = int(rows[s + hit[0]])
+            i = int(rows[at.start + hit[0]])
             return i, int(np.argmin(_pair_distances(A[i:i + 1], B)[0]))
     return None
 

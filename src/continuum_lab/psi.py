@@ -40,11 +40,11 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .chains import (RefinementPattern, crooked_pattern_length,
-                     generate_crooked_pattern, is_crooked)
-from .continua import (SIZE_BLOCK_FLOATS, build_continuum, packed_rows,
-                       row_classes, unpacked_rows)
-from .errors import DomainError, ResourceError, _max_elements
+from .chains import (crooked_pattern_length, generate_crooked_pattern,
+                     is_crooked)
+from .continua import (build_continuum, packed_rows, row_classes,
+                       unpacked_rows)
+from .errors import DomainError, ResourceError, _max_elements, _row_blocks
 from .metric_core import DEFAULT_TOL, FinitePointSet
 from .whitney import WhitneyMap, build_whitney_map
 
@@ -114,11 +114,10 @@ class PsiModel:
     :meth:`id_of` and :meth:`element` map one element to its id and back
     by formula; :attr:`elements` lists them all, built on first read."""
 
-    def __init__(self, m: int, k: int, patterns: List[RefinementPattern],
-                 points: FinitePointSet, mu_base: WhitneyMap):
+    def __init__(self, m: int, k: int, points: FinitePointSet,
+                 mu_base: WhitneyMap):
         self.m = m
         self.k = k
-        self.patterns = patterns
         self.points = points
         self.mu_base = mu_base
         self.q = k * (k + 1) // 2 - 1  # pieces per fiber: all but [1, k]
@@ -131,7 +130,6 @@ class PsiModel:
         self.fiber_sizes = self.sizes[pieces:pieces + m]
         self.l = float(self.fiber_sizes.min())
         self.L = float(self.fiber_sizes.max())
-        self.whole = Arc(start=0, length=m)
 
     @cached_property
     def elements(self) -> List[HyperElement]:
@@ -167,13 +165,11 @@ class PsiModel:
 
     def shape_id(self, s: int, ln: int, lo: int, hi: int) -> int:
         """The id of the element of shape (start, length, first link, last
-        link), in Python ints: all k links make an arc, of length m or more
-        the whole; piece (f, i, j) sits at f * q + row[i] + j - i, arc
-        (s, L) at (q + L - 1) * m + s.  :meth:`PsiPathspace._ids` is the
-        same formula over arrays."""
+        link), in Python ints: all k links make an arc; piece (f, i, j)
+        sits at f * q + row[i] + j - i, arc (s, L) at (q + L - 1) * m + s,
+        the whole (0, m) at n - 1.  :meth:`PsiPathspace._ids` is the same
+        formula over arrays, and maps every length m or more to the whole."""
         if lo == 1 and hi == self.k:
-            if ln >= self.m:
-                s, ln = 0, self.m  # the whole
             return (self.q + ln - 1) * self.m + s
         return s * self.q + self._row[lo] + hi - lo
 
@@ -250,9 +246,8 @@ class PsiModel:
         indices = np.repeat((head - np.cumsum(count) + count).astype(np.int32),
                             count)
         # plus each entry's position, a block at a time: no arange of all
-        for at in range(0, len(indices), SIZE_BLOCK_FLOATS):
-            part = indices[at:at + SIZE_BLOCK_FLOATS]
-            part += np.arange(at, at + len(part), dtype=np.int32)
+        for at in _row_blocks(len(indices), 1):
+            indices[at] += np.arange(at.start, at.stop, dtype=np.int32)
         return Order(indptr=indptr, indices=indices)
 
     def classify(self, e: HyperElement) -> str:
@@ -363,8 +358,7 @@ def build_psi_model(m: int = 6, fiber_level: int = 2) -> PsiModel:
             r = BASE_RADIUS + FIBER_STICK * t / max(k - 1, 1)
             pts.append((r * math.cos(ang), r * math.sin(ang)))
     points = FinitePointSet(points=pts)
-    model = PsiModel(m=m, k=k, patterns=patterns, points=points,
-                     mu_base=build_whitney_map(points))
+    model = PsiModel(m, k, points, build_whitney_map(points))
     if not (0 < model.l <= model.L < model.sizes[-1]):
         raise DomainError("internal: Planck interval out of order")
     return model
@@ -409,11 +403,10 @@ def filament_covers(model: PsiModel
 
 def _bit_rows(order: Order, col: np.ndarray, width: int) -> np.ndarray:
     """Row a: the :func:`packed_rows` bits ``col[b]`` (those below ``width``)
-    of the b above a, built SIZE_BLOCK_FLOATS table cells at a time."""
+    of the b above a, built in the :func:`_row_blocks` of width + 1 cells."""
     col, out = col.astype(np.int32), []
-    step = max(1, SIZE_BLOCK_FLOATS // (width + 1))
-    for r in range(0, len(order.indptr) - 1, step):
-        ptr = order.indptr[r:r + step + 1]
+    for at in _row_blocks(len(order.indptr) - 1, width + 1):
+        ptr = order.indptr[at.start:at.stop + 1]
         table = np.zeros((len(ptr) - 1, width + 1), dtype=bool)
         cell = col[order.indices[ptr[0]:ptr[-1]]]
         cell += np.repeat(np.arange(0, table.size, width + 1, dtype=np.int32),
@@ -552,10 +545,9 @@ def level_structure_report(pv: PsiValues, t: float,
     idx = cands[errs <= tol + DEFAULT_TOL]
     n = len(idx)
     d = np.full((n, n), np.inf)
-    step = max(1, SIZE_BLOCK_FLOATS // max(n, 1))  # rows, under n pairs each
-    for r0 in range(0, n, step):  # the pairs r < c of rows r0 .. r0 + step
-        r, c = np.triu_indices(min(step, n - r0), r0 + 1, n)
-        r += r0
+    for at in _row_blocks(n, n):  # the pairs r < c of the rows at
+        r, c = np.triu_indices(at.stop - at.start, at.start + 1, n)
+        r += at.start
         d[r, c] = d[c, r] = space.join_distances(idx[r], idx[c])
     if below:
         fiber = model.shapes[idx, 0]

@@ -62,7 +62,6 @@ Interval = Tuple[int, int]
 class Run:
     start: int  # 0-based, inclusive
     end: int
-    direction: int
 
 
 def pattern_runs(assignment: Sequence[int]) -> List[Run]:
@@ -78,9 +77,9 @@ def pattern_runs(assignment: Sequence[int]) -> List[Run]:
         if d == 0:
             d = step
         elif step != d:
-            runs.append(Run(s, i - 1, d))
+            runs.append(Run(s, i - 1))
             s, d = i, step
-    runs.append(Run(s, len(p) - 1, d if d else 1))
+    runs.append(Run(s, len(p) - 1))
     return runs
 
 

@@ -11,6 +11,8 @@ One driver, :meth:`WhitneyMap.series`, sums each size series only to a
 certified head (:func:`fsum_rows`): it reads point steps in enumeration
 order and stops once every sum is fixed, and the size table F is computed
 one block of points at a time, on first read; a kernel gives the spans.
+Every other blocked loop here takes its row blocks from
+:func:`errors._row_blocks`, the package's one working-memory budget.
 
 The module also provides the hyperspace size metric
 d_mu(A, B) = max(mu(A | B) - mu(A), mu(A | B) - mu(B)), axiom checkers for
@@ -36,10 +38,10 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .continua import (SIZE_BLOCK_FLOATS, GraphContinuum,
-                       enumerate_subcontinua, incidence_table, packed_rows,
-                       row_classes, unpacked_rows)
-from .errors import DomainError
+from .continua import (GraphContinuum, enumerate_subcontinua,
+                       incidence_table, packed_rows, row_classes,
+                       unpacked_rows)
+from .errors import DomainError, _row_blocks
 from .metric_core import DEFAULT_TOL, FinitePointSet, _pair_distances
 
 MuLike = Callable[[FrozenSet[int]], float]
@@ -106,17 +108,15 @@ class WhitneyMap:
         """The sizes sum_k w_k * span_k of ``rows`` sets, by :func:`fsum_rows`
         with ``tail``: ``spans(f, lo)`` returns a new (points, rows) array,
         the spans at the enumeration points from ``lo`` on, whose rows of F
-        are ``f``.  A step holds SIZE_BLOCK_FLOATS // ``width`` points, at
-        least 1, inside one block of F: at most SIZE_BLOCK_FLOATS cells of
-        ``width`` a point, or one point's."""
-        step = max(1, SIZE_BLOCK_FLOATS // max(width, 1))
+        are ``f``.  The steps are the :func:`_row_blocks` of each block of
+        F, ``width`` cells a point."""
 
         def blocks():
             for b, first in enumerate(range(0, self.n_points, POINT_BLOCK)):
                 f = self.block(b)
-                for at in range(0, len(f), step):
-                    lo = first + at
-                    got = spans(f[at:at + step], lo)
+                for at in _row_blocks(len(f), width):
+                    lo = first + at.start
+                    got = spans(f[at], lo)
                     got *= self.weights[lo:lo + len(got), None]
                     yield got
 
@@ -255,13 +255,11 @@ def _member_index(fam: Sequence[FrozenSet[int]], n_points: int) -> np.ndarray:
 
 def _reduce_over(table: np.ndarray, idx: np.ndarray, op) -> np.ndarray:
     """out[r, i] = op over table[r, idx[i]], for every row r of the table:
-    gathered in row blocks of at most SIZE_BLOCK_FLOATS cells, or one row."""
+    gathered in the :func:`_row_blocks` of ``idx.size`` cells a row."""
     out = np.empty((len(table), len(idx)))
     cols = np.ascontiguousarray(idx.T)  # take copies a strided index per call
-    step = max(1, SIZE_BLOCK_FLOATS // max(idx.size, 1))
-    for lo in range(0, len(table), step):  # (rows, width, sets) blocks
-        op.reduce(np.take(table[lo:lo + step], cols, axis=1), axis=1,
-                  out=out[lo:lo + step])
+    for at in _row_blocks(len(table), idx.size):  # (rows, width, sets) blocks
+        op.reduce(np.take(table[at], cols, axis=1), axis=1, out=out[at])
     return out
 
 
@@ -289,9 +287,10 @@ def _span_sizes(mu: WhitneyMap, idx: np.ndarray, ii: np.ndarray,
     The envelopes hi[k, i] = max F[k, S_i] and lo[k, i] = min F[k, S_i] are
     taken once per block of F, when a sum first reads it; the span of a
     union is max(hi_i, hi_j) - min(lo_i, lo_j), so every term w_k * span_k
-    is the one of the union's own size, and :func:`fsum_rows` sums them.  A
+    is the one of the union's own size, and :func:`fsum_rows` sums them.
+    The pairs go in the :func:`_row_blocks` of four cells a pair, and a
     step of points gathers four (points, pairs) envelope tables, which
-    together hold at most SIZE_BLOCK_FLOATS cells, or one point's.
+    together hold at most one such block's cells, or one point's.
     """
     several, first = _several(idx), idx[:, 0]
     env: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -305,17 +304,16 @@ def _span_sizes(mu: WhitneyMap, idx: np.ndarray, ii: np.ndarray,
         return [e[at:at + points] for e in env[b]]
 
     out = np.empty(len(ii))
-    cells = max(1, SIZE_BLOCK_FLOATS // 4)
-    for p in range(0, len(ii), cells):
-        a, b = ii[p:p + cells], jj[p:p + cells]
+    for at in _row_blocks(len(ii), 4):
+        a, b = ii[at], jj[at]
 
         def spans(f, lo):
             h, l = envelopes(lo, len(f))
             return np.maximum(h.take(a, axis=1), h.take(b, axis=1)) - \
                 np.minimum(l.take(a, axis=1), l.take(b, axis=1))
 
-        out[p:p + len(a)] = mu.series(spans, len(a), several[a] | several[b]
-                                      | (first[a] != first[b]), 4 * len(a))
+        out[at] = mu.series(spans, len(a), several[a] | several[b]
+                            | (first[a] != first[b]), 4 * len(a))
     return out
 
 
@@ -414,9 +412,8 @@ def check_whitney_axioms(mu: MuLike, family: Sequence[FrozenSet[int]],
                                 for p in np.flatnonzero(bad)]
 
     na, nb = np.nonzero(subset)
-    rows = max(1, SIZE_BLOCK_FLOATS // max(len(fam), 1))
-    for lo in range(0, len(na), rows):
-        a, b = na[lo:lo + rows], nb[lo:lo + rows]
+    for at in _row_blocks(len(na), len(fam)):
+        a, b = na[at], nb[at]
         bad = u[b] - u[a] > (s[b] - s[a] + tol)[:, None]
         if bad.any():
             report.diff_violations.extend((fam[a[p]], fam[b[p]], fam[c])

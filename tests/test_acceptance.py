@@ -168,8 +168,9 @@ def test_9_geodesic_certificate_fails_on_a_corrupted_join(monkeypatch):
         (sa, la, _, _), (sb, lb, _, _) = self.shapes[a], self.shapes[b]
         if la == lb == 1 and sa == sb:
             return join(self, a, b)
-        ups = [self.id(s, max(l1, (s2 - s) % self.m + l2), 1, self.k)
-               for s, l1, s2, l2 in ((sa, la, sb, lb), (sb, lb, sa, la))]
+        ups = [self.id(s, ln, 1, self.k) if ln < self.m else self.whole
+               for s, ln in ((sa, max(la, (sb - sa) % self.m + lb)),
+                             (sb, max(lb, (sa - sb) % self.m + la)))]
         return max(ups, key=lambda e: (self.v[e], e))
 
     join = PsiPathspace.join

@@ -676,7 +676,11 @@ def test_curvature_fails_on_a_broken_metric(monkeypatch, capsys):
     def larger_join(self, a, b):
         # the larger of the two candidate base arcs: a wrong join, so some
         # distances come out longer than a path around a third element
-        m, k, at, v = self.m, self.k, self.id, self.v
+        m, k, v = self.m, self.k, self.v
+
+        def at(s, ln, lo, hi):  # a base arc of length m or more is the whole
+            return self.id(s, ln, lo, hi) if ln < m else self.whole
+
         sa, la, loa, hia = self.shapes[a]
         sb, lb, lob, hib = self.shapes[b]
         if la == lb == 1 and sa == sb:

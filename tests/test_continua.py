@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from continuum_lab import continua
+from continuum_lab import continua, errors
 from continuum_lab.continua import (GraphContinuum, Triod, build_continuum,
                                     circle_arc_to_disk, detect_triod,
                                     disk_to_circle_arc,
@@ -163,7 +163,7 @@ def test_triod_witness_on_cores_past_the_first_word(fam, want):
 @pytest.mark.parametrize("block", [1, 5, 64])
 def test_triod_search_in_small_blocks(monkeypatch, block):
     # one-row blocks and partner lists cut to a few pairs keep the witness
-    monkeypatch.setattr(continua, "SIZE_BLOCK_FLOATS", block)
+    monkeypatch.setattr(errors, "SIZE_BLOCK_FLOATS", block)
     rnd = np.random.default_rng(block)
     for kind, params in [("cycle", {"n": 8}), ("star", {"legs": 4,
                           "leg_length": 2}), ("cantor_fan", {"depth": 2})]:

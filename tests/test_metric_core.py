@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from continuum_lab import metric_core
+from continuum_lab import errors, metric_core
 from continuum_lab.errors import DomainError
 from continuum_lab.metric_core import (DistanceReport,
                                        FinitePointSet, closed_neighborhood,
@@ -466,9 +466,10 @@ def test_subset_check_names_the_first_missing_point():
 @pytest.mark.parametrize("block", [1, 7, 1 << 17])
 def test_planar_neighborhood_from_row_blocks_equals_the_dense_one(
         seed, block, monkeypatch):
-    # the minima come BLOCK_PAIRS pairs at a time, and per point they are
-    # the dense matrix's minima; eps on a grid distance hits exact ties
-    monkeypatch.setattr(metric_core, "BLOCK_PAIRS", block)
+    # the minima come in row blocks of at most the budget's point pairs, and
+    # per point they are the dense matrix's minima; eps on a grid distance
+    # hits exact ties
+    monkeypatch.setattr(errors, "SIZE_BLOCK_FLOATS", block)
     rng = np.random.default_rng(seed)
     amb = FinitePointSet(points=rng.integers(-20, 20, (300, 2)) / 8)
     K = amb.subset(rng.choice(300, 25, replace=False))

@@ -16,6 +16,9 @@ an annotated class-level field, must be read in the same files as an
 attribute (a ``.x`` load) or as part of a dotted string.  No package
 module imports another module's underscore name unless a keep-list entry
 says why, so a module's private kernels are driven only from inside it.
+The working-memory block budget is bound once, in ``errors``: no other
+module imports it by name, copies it at import or binds a block size of
+its own, except the named exceptions.
 """
 
 import ast
@@ -172,6 +175,9 @@ SHARED_PRIVATE = {
     # the element cap, read from CONTINUUM_LAB_MAX_ELEMENTS by every module
     # that refuses an oversized build before building it
     "errors._max_elements",
+    # the one working-memory budget: every blocked kernel takes its row
+    # blocks here, so one budget, read at each call, bounds them all
+    "errors._row_blocks",
     # the one bound-and-settle loop, shared by the exact Hausdorff kernels
     # of metric_core and the exact grid Hausdorff of realize
     "metric_core._settle",
@@ -197,3 +203,37 @@ def test_no_module_imports_another_modules_private_name():
     found = _private_imports()
     assert sorted(found - SHARED_PRIVATE) == []
     assert found >= SHARED_PRIVATE  # the keep-list holds only imports
+
+
+BUDGET = "SIZE_BLOCK_FLOATS"
+# Block sizes other than the working-memory budget, each with its reason.
+OTHER_BLOCKS = {
+    # Whitney's F is memoised 64 enumeration points a block; a block is
+    # 64 x n cells, over the budget once n > 1024
+    "whitney.POINT_BLOCK",
+}
+
+
+def _block_bindings(path):
+    """The block sizes a module binds: module-level names with BLOCK or
+    CHUNK in them, module-level assignments that read the budget (a copy
+    taken at import), and imports of the budget by name."""
+    tree = _tree(path)
+    for name in _module_names(tree):
+        if "BLOCK" in name or "CHUNK" in name:
+            yield f"{path.stem}.{name}"
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value and \
+                BUDGET in _names(node.value):
+            yield f"{path.stem}: copies {BUDGET}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == BUDGET:
+                    yield f"{path.stem}: imports {BUDGET}"
+
+
+def test_the_block_budget_is_bound_once():
+    found = {b for path in PACKAGE for b in _block_bindings(path)}
+    assert sorted(found - OTHER_BLOCKS) == [f"errors.{BUDGET}"]
+    assert found >= OTHER_BLOCKS  # the exceptions still exist

@@ -171,8 +171,7 @@ def test_tower_steps_equal_the_edt_formula(n, levels):
 
 def test_pattern_runs_decomposition():
     runs = pattern_runs((1, 2, 3, 2, 3, 4))
-    assert [(r.start, r.end, r.direction) for r in runs] == \
-        [(0, 2, 1), (3, 3, -1), (4, 5, 1)]
+    assert [(r.start, r.end) for r in runs] == [(0, 2), (3, 3), (4, 5)]
     assert len(pattern_runs(generate_crooked_pattern(6).assignment)) == 17
 
 

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from continuum_lab import whitney
+from continuum_lab import errors, whitney
 from continuum_lab.continua import (build_continuum, enumerate_subcontinua,
                                     incidence_table)
 from continuum_lab.errors import DomainError
 from continuum_lab.metric_core import DEFAULT_TOL, FinitePointSet
-from continuum_lab.psi import Piece, PsiModel, build_psi_model
+from continuum_lab.psi import Arc, Piece, PsiModel, build_psi_model
 from continuum_lab.suite import _convex_size, _noise_size
-from continuum_lab.whitney import (POINT_BLOCK, SIZE_BLOCK_FLOATS, WhitneyMap,
-                                   build_whitney_map, check_whitney_axioms,
+from continuum_lab.errors import SIZE_BLOCK_FLOATS
+from continuum_lab.whitney import (POINT_BLOCK, WhitneyMap, build_whitney_map,
+                                   check_whitney_axioms,
                                    equal_level_refinement, fsum_rows,
                                    hyperspace_distance_matrices,
                                    whitney_distance, whitney_distance_matrix,
@@ -63,7 +64,7 @@ def test_batch_sizes_do_not_depend_on_the_block(block, monkeypatch):
     g = build_continuum("cycle", n=9)
     subs = enumerate_subcontinua(g)
     sets = subs + [a | b for a in subs[:20] for b in subs[-20:]]
-    monkeypatch.setattr(whitney, "SIZE_BLOCK_FLOATS", block)
+    monkeypatch.setattr(errors, "SIZE_BLOCK_FLOATS", block)
     mu = build_whitney_map(g)
     assert np.array_equal(mu.sizes(sets), [reference_mu(mu, s) for s in sets])
 
@@ -186,9 +187,9 @@ def test_a_tail_that_crosses_a_rounding_boundary_is_read():
     table = crossing_table(90)
     mu.block = {b: table[b * POINT_BLOCK:(b + 1) * POINT_BLOCK]
                 for b in range(2)}.__getitem__
-    model = PsiModel(m=3, k=30, patterns=[], points=points, mu_base=mu)
+    model = PsiModel(m=3, k=30, points=points, mu_base=mu)
     sizes = dict(zip(model.elements, model.sizes.tolist()))
-    assert sizes[Piece(0, 1, 2)] == sizes[model.whole] == want
+    assert sizes[Piece(0, 1, 2)] == sizes[Arc(0, 3)] == want
     assert sizes[Piece(0, 2, 2)] == sizes[Piece(0, 3, 30)] == 0.0
 
 
@@ -447,7 +448,7 @@ def test_steps_that_end_inside_a_block_keep_the_full_series(kind,
         return fsum_rows(seen, rows, tail)
     monkeypatch.setattr(whitney, "fsum_rows", spy)
     if kind == "psi":
-        monkeypatch.setattr(whitney, "SIZE_BLOCK_FLOATS", 11 * 2 * 2820)
+        monkeypatch.setattr(errors, "SIZE_BLOCK_FLOATS", 11 * 2 * 2820)
         model = build_psi_model(6, 3)
         fresh = WhitneyMap(model.points)
         got = model.sizes
@@ -456,7 +457,7 @@ def test_steps_that_end_inside_a_block_keep_the_full_series(kind,
     else:
         g = build_continuum("path", n=70)
         subs = enumerate_subcontinua(g)
-        monkeypatch.setattr(whitney, "SIZE_BLOCK_FLOATS", 11 * 70 * len(subs))
+        monkeypatch.setattr(errors, "SIZE_BLOCK_FLOATS", 11 * 70 * len(subs))
         mu = build_whitney_map(g)
         got = mu.sizes(subs)
         want = [reference_mu(mu, s) for s in subs]
@@ -484,7 +485,7 @@ def test_family_tables_do_not_depend_on_the_block(block, monkeypatch):
     want = whitney._union_sizes(mu, fam)
     dists = hyperspace_distance_matrices(g, mu, fam)
     report = check_whitney_axioms(mu, fam, tol=0.02)
-    monkeypatch.setattr(whitney, "SIZE_BLOCK_FLOATS", block)
+    monkeypatch.setattr(errors, "SIZE_BLOCK_FLOATS", block)
     assert np.array_equal(whitney._union_sizes(mu, fam), want)
     assert all(map(np.array_equal, hyperspace_distance_matrices(g, mu, fam),
                    dists))
