@@ -354,20 +354,24 @@ def pattern_from_json(text: str) -> RefinementPattern:
                              n_coarse=int(obj["n_coarse"]))
 
 
-def minimal_spanning_crooked_length(n_coarse: int, max_len: int = 16
+# The longest pattern the exhaustive search tries.
+MAX_SEARCH_LENGTH = 16
+
+
+def minimal_spanning_crooked_length(n_coarse: int
                                     ) -> Tuple[int, RefinementPattern]:
     """Exhaustive search for the shortest spanning crooked pattern.
 
     Searches every adjacency-respecting sequence from 1 to n_coarse up to
-    ``max_len`` entries and returns the first crooked spanning pattern of
-    minimal length, in the depth-first order of steps -1, 0, +1.
-    Independent of the recursive generator; the pattern returned is
+    ``MAX_SEARCH_LENGTH`` entries and returns the first crooked spanning
+    pattern of minimal length, in the depth-first order of steps -1, 0,
+    +1.  Independent of the recursive generator; the pattern returned is
     certified by ``is_crooked``.
     """
-    found = _search_patterns(n_coarse, max_len)
+    found = _search_patterns(n_coarse, MAX_SEARCH_LENGTH)
     if found is None:
-        raise DomainError(
-            f"no spanning crooked pattern of length <= {max_len}")
+        raise DomainError(f"no spanning crooked pattern of length <= "
+                          f"{MAX_SEARCH_LENGTH}")
     pattern = RefinementPattern(assignment=found, n_coarse=n_coarse)
     if not (pattern.spans and is_crooked(pattern).ok):
         raise DomainError("internal: searched pattern is not crooked")

@@ -9,8 +9,8 @@ vertices and curvature trials is read from ``CONTINUUM_LAB_MAX_ELEMENTS``.
 
 Blocked kernels bound their working tables by ``SIZE_BLOCK_FLOATS`` cells
 a block, or one row, read at each call; all but the triod search take
-their row blocks from :func:`_row_blocks`.  The Whitney size table F is
-the exception: it is computed 64 points at a time, 64 x n cells a block.
+their row blocks from :func:`_row_blocks`, the Whitney size table F's
+rows included.
 """
 
 import os

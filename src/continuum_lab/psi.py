@@ -278,9 +278,10 @@ def _layout(m: int, k: int) -> np.ndarray:
 
 def _envelope_sizes(model: PsiModel) -> np.ndarray:
     """mu of each element's vertex set from F's row envelopes, summed by
-    :meth:`WhitneyMap.series`: a run of d links (an arc of L fibers) has the
-    max of its first d - 1 (L - 1) and its last; max and min are exact, so
-    the terms are the vertex sets'."""
+    :meth:`WhitneyMap.series`, whose each step reads its own rows of F: a
+    run of d links (an arc of L fibers) has the max of its first d - 1
+    (L - 1) and its last; max and min are exact, so the terms are the
+    vertex sets'."""
     m, k = model.m, model.k
     first = np.r_[0, np.cumsum(m * np.arange(k, 0, -1))]  # by run length
     s, ln, lo, hi = model.shapes.T
@@ -301,8 +302,8 @@ def _envelope_sizes(model: PsiModel) -> np.ndarray:
             prev = np.maximum(prev, ring[:, length:length + m], out=run)
         return env
 
-    def spans(f, lo):
-        g = f.reshape(-1, m, k)
+    def spans(at):
+        g = model.mu_base.rows(at).reshape(-1, m, k)
         top, bottom = np.split(envelope(np.vstack([g, -g])), 2)
         top += bottom  # top - min, as min = -bottom
         return top

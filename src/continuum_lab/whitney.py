@@ -9,10 +9,10 @@ w_k * span_k, lies in [0, 2^-k]: the terms past point N add less than
 2^-N, and nothing at all to a one-point set, whose spans are exactly 0.
 One driver, :meth:`WhitneyMap.series`, sums each size series only to a
 certified head (:func:`fsum_rows`): it reads point steps in enumeration
-order and stops once every sum is fixed, and the size table F is computed
-one block of points at a time, on first read; a kernel gives the spans.
-Every other blocked loop here takes its row blocks from
-:func:`errors._row_blocks`, the package's one working-memory budget.
+order and stops once every sum is fixed; each step computes its own rows
+of the size table F, which is never stored, and a kernel gives the spans.
+Every blocked loop here, the series steps included, takes its row blocks
+from :func:`errors._row_blocks`, the package's one working-memory budget.
 
 The module also provides the hyperspace size metric
 d_mu(A, B) = max(mu(A | B) - mu(A), mu(A | B) - mu(B)), axiom checkers for
@@ -46,9 +46,6 @@ from .metric_core import DEFAULT_TOL, FinitePointSet, _pair_distances
 
 MuLike = Callable[[FrozenSet[int]], float]
 
-# Enumeration points per block of the size table F.
-POINT_BLOCK = 64
-
 
 class WhitneyMap:
     """Size map over a finite planar metric space.
@@ -68,8 +65,8 @@ class WhitneyMap:
     than sum_{k > N} 2^-k < 2^-N to any set, and exactly 0 to a one-point
     set; a sum is therefore fixed once its head's error plus that tail is
     inside one float's rounding interval, and the later rows of F are never
-    read.  F is computed POINT_BLOCK enumeration points at a time, on first
-    read (:meth:`block`), so no n x n table is formed.
+    read.  F is not stored: each step of a sum computes the rows it reads
+    (:meth:`rows`), so no n x n table is formed.
     """
 
     def __init__(self, ambient, ordering_seed: Optional[int] = None):
@@ -89,38 +86,30 @@ class WhitneyMap:
         self.order = list(order)
         self.weights = 0.5 ** np.arange(1, n + 1)
         self._points = ambient
-        self._blocks: Dict[int, np.ndarray] = {}
         self._cache: Dict[FrozenSet[int], float] = {}
 
-    def block(self, b: int) -> np.ndarray:
-        """Rows ``b * POINT_BLOCK`` onwards (POINT_BLOCK of them, fewer at
-        the end) of F[k, i] = f_{x_k}(p_i) = 1 / (1 + d(x_k, p_i)) for the
-        k-th enumeration point x_k, computed on first read."""
-        got = self._blocks.get(b)
-        if got is None:
-            x = self._points
-            at = self.order[b * POINT_BLOCK:(b + 1) * POINT_BLOCK]
-            got = self._blocks[b] = 1.0 / (1.0 + _pair_distances(x[at], x))
-        return got
+    def rows(self, at: slice) -> np.ndarray:
+        """Rows ``at`` of F[k, i] = f_{x_k}(p_i) = 1 / (1 + d(x_k, p_i)) for
+        the k-th enumeration point x_k."""
+        x = self._points
+        return 1.0 / (1.0 + _pair_distances(x[self.order[at]], x))
 
     def series(self, spans: Callable, rows: int, tail: np.ndarray,
                width: int) -> np.ndarray:
         """The sizes sum_k w_k * span_k of ``rows`` sets, by :func:`fsum_rows`
-        with ``tail``: ``spans(f, lo)`` returns a new (points, rows) array,
-        the spans at the enumeration points from ``lo`` on, whose rows of F
-        are ``f``.  The steps are the :func:`_row_blocks` of each block of
-        F, ``width`` cells a point."""
+        with ``tail``: ``spans(at)`` returns a new (points, rows) array, the
+        spans at the enumeration points ``at``, from :meth:`rows` ``at``.
+        The steps are the :func:`_row_blocks` of the points, ``width`` cells
+        a point or one row of F, whichever is wider, so no step holds more
+        than the budget's cells, or one point's."""
 
-        def blocks():
-            for b, first in enumerate(range(0, self.n_points, POINT_BLOCK)):
-                f = self.block(b)
-                for at in _row_blocks(len(f), width):
-                    lo = first + at.start
-                    got = spans(f[at], lo)
-                    got *= self.weights[lo:lo + len(got), None]
-                    yield got
+        def steps():
+            for at in _row_blocks(self.n_points, max(width, self.n_points)):
+                got = spans(at)
+                got *= self.weights[at, None]
+                yield got
 
-        return fsum_rows(blocks, rows, tail)
+        return fsum_rows(steps, rows, tail)
 
     def __call__(self, a: FrozenSet[int]) -> float:
         a = frozenset(a)
@@ -267,8 +256,8 @@ def _set_sizes(mu: WhitneyMap, idx: np.ndarray) -> np.ndarray:
     """mu of each set of a gather index: spans over its members."""
     cols = np.ascontiguousarray(idx.T)
 
-    def spans(f, lo):
-        got = f.take(cols, axis=1)  # (points, members, sets); padding repeats
+    def spans(at):  # gathers (points, members, sets); padding repeats
+        got = mu.rows(at).take(cols, axis=1)
         return got.max(axis=1) - got.min(axis=1)
 
     return mu.series(spans, len(idx), _several(idx), cols.size)
@@ -285,35 +274,32 @@ def _span_sizes(mu: WhitneyMap, idx: np.ndarray, ii: np.ndarray,
     """mu(S_i | S_j) for each index pair over the sets of a gather index.
 
     The envelopes hi[k, i] = max F[k, S_i] and lo[k, i] = min F[k, S_i] are
-    taken once per block of F, when a sum first reads it; the span of a
-    union is max(hi_i, hi_j) - min(lo_i, lo_j), so every term w_k * span_k
-    is the one of the union's own size, and :func:`fsum_rows` sums them.
-    The pairs go in the :func:`_row_blocks` of four cells a pair, and a
-    step of points gathers four (points, pairs) envelope tables, which
-    together hold at most one such block's cells, or one point's.
+    taken first, at every enumeration point, one :func:`_row_blocks` block
+    of F at a time; the span of a union is max(hi_i, hi_j) - min(lo_i,
+    lo_j), so every term w_k * span_k is the one of the union's own size,
+    and :func:`fsum_rows` sums them to the certified head.  The pairs go in
+    the :func:`_row_blocks` of four cells a pair, and a step of points
+    gathers four (points, pairs) envelope tables, which together hold at
+    most one such block's cells, or one row of F's.
     """
     several, first = _several(idx), idx[:, 0]
-    env: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-    def envelopes(lo, points):  # hi and lo at the points from lo on
-        b, at = divmod(lo, POINT_BLOCK)
-        if b not in env:
-            f = mu.block(b)
-            env[b] = (_reduce_over(f, idx, np.maximum),
-                      _reduce_over(f, idx, np.minimum))
-        return [e[at:at + points] for e in env[b]]
+    hi, lo = np.empty((2, mu.n_points, len(idx)))
+    for at in _row_blocks(mu.n_points, max(idx.size, mu.n_points)):
+        f = mu.rows(at)
+        hi[at] = _reduce_over(f, idx, np.maximum)
+        lo[at] = _reduce_over(f, idx, np.minimum)
 
     out = np.empty(len(ii))
-    for at in _row_blocks(len(ii), 4):
-        a, b = ii[at], jj[at]
+    for pairs in _row_blocks(len(ii), 4):
+        a, b = ii[pairs], jj[pairs]
 
-        def spans(f, lo):
-            h, l = envelopes(lo, len(f))
+        def spans(at):
+            h, l = hi[at], lo[at]
             return np.maximum(h.take(a, axis=1), h.take(b, axis=1)) - \
                 np.minimum(l.take(a, axis=1), l.take(b, axis=1))
 
-        out[at] = mu.series(spans, len(a), several[a] | several[b]
-                            | (first[a] != first[b]), 4 * len(a))
+        out[pairs] = mu.series(spans, len(a), several[a] | several[b]
+                               | (first[a] != first[b]), 4 * len(a))
     return out
 
 
@@ -526,8 +512,10 @@ def hyperspace_distance_matrices(g: GraphContinuum, mu: MuLike,
     """(d_H, d_mu) matrices over the family, using the planar embedding."""
     pts = np.array(g.pos, dtype=float)
     idx = _member_index([frozenset(s) for s in family], len(pts))
-    # near[x, j] = d(x, F_j)
-    near = _reduce_over(_pair_distances(pts, pts), idx, np.minimum)
+    near = np.empty((len(pts), len(idx)))  # near[x, j] = d(x, F_j)
+    for at in _row_blocks(len(pts), len(pts)):
+        near[at] = _reduce_over(_pair_distances(pts[at], pts), idx,
+                                np.minimum)
     # h[j, i] = max_{x in F_i} d(x, F_j), zero on the diagonal as d(x, x) is
     h = _reduce_over(np.ascontiguousarray(near.T), idx, np.maximum)
     return np.maximum(h, h.T), whitney_distance_matrix(mu, family)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from continuum_lab import chains
 from continuum_lab.chains import (Chain, ChainReport, Link, Rect,
                                   RefinementPattern,
                                   _zigzag_pairs, _zigzag_step,
@@ -244,20 +245,21 @@ def test_pruned_search_matches_the_unpruned_search(n):
     assert got.assignment == reference_search(n, length)
     if n == 5:
         assert got.assignment == (1, 2, 3, 2, 3, 4, 3, 2, 3, 4, 3, 4, 5)
-    with pytest.raises(DomainError):
-        minimal_spanning_crooked_length(n, max_len=length - 1)
+    assert chains._search_patterns(n, length - 1) is None
 
 
 @pytest.mark.parametrize("n", [6, 7])
-def test_generated_patterns_are_minimal_beyond_five(n):
+def test_generated_patterns_are_minimal_beyond_five(n, monkeypatch):
     # the fold recurrence's 30 and 71 links are the least, and the first
     # minimal pattern in search order is the generated one
     length = crooked_pattern_length(n)
-    got_length, got = minimal_spanning_crooked_length(n, max_len=length)
+    monkeypatch.setattr(chains, "MAX_SEARCH_LENGTH", length)
+    got_length, got = minimal_spanning_crooked_length(n)
     assert got_length == length
     assert got.assignment == generate_crooked_pattern(n).assignment
-    with pytest.raises(DomainError):
-        minimal_spanning_crooked_length(n, max_len=length - 1)
+    monkeypatch.setattr(chains, "MAX_SEARCH_LENGTH", length - 1)
+    with pytest.raises(DomainError, match=f"length <= {length - 1}"):
+        minimal_spanning_crooked_length(n)
 
 
 def test_pattern_json_roundtrip():

@@ -16,9 +16,13 @@ an annotated class-level field, must be read in the same files as an
 attribute (a ``.x`` load) or as part of a dotted string.  No package
 module imports another module's underscore name unless a keep-list entry
 says why, so a module's private kernels are driven only from inside it.
+A defaulted parameter of a package function or method must be set, by
+keyword or by position, by some call in the same files (a constructor is
+called by its class name; a ``*`` or ``**`` call sets every parameter),
+so that no library knob exists only for tests.
 The working-memory block budget is bound once, in ``errors``: no other
 module imports it by name, copies it at import or binds a block size of
-its own, except the named exceptions.
+its own.
 """
 
 import ast
@@ -169,6 +173,68 @@ def test_every_import_is_read():
     assert unread == []
 
 
+def _parameters(tree):
+    """(qualified name, called name, positional parameter names, defaulted
+    parameter names) of the top-level functions and of the non-dunder
+    methods and constructors of top-level classes; a constructor is called
+    by its class name, and a method's positions start after ``self``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and (item.name == "__init__"
+                             or not item.name.startswith("__")):
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    called = node.name if item.name == "__init__" \
+                        else item.name
+                    yield (f"{node.name}.{item.name}", called,
+                           *_signature(item.args, 0 if static else 1))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield (node.name, node.name, *_signature(node.args, 0))
+
+
+def _signature(args, skip):
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+    return positional[skip:], defaulted
+
+
+def _settings():
+    """For each called name: the keywords its calls set, the most
+    positional arguments one passes, and whether one passes ``*`` or
+    ``**``."""
+    found = {}
+    for path in CALLERS:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            keywords, most, starred = found.setdefault(name, [set(), 0, False])
+            found[name] = [
+                keywords | {k.arg for k in node.keywords},
+                max(most, len(node.args)),
+                starred or any(isinstance(a, ast.Starred) for a in node.args)
+                or any(k.arg is None for k in node.keywords)]
+    return found
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    settings = _settings()
+    unset = []
+    for path in PACKAGE:
+        for qual, called, positional, defaulted in _parameters(_tree(path)):
+            keywords, most, starred = settings.get(called, [set(), 0, False])
+            unset += [f"{path.stem}.{qual}({name})" for name in defaulted
+                      if not starred and name not in keywords
+                      and name not in positional[:most]]
+    assert sorted(unset) == []
+
+
 # Underscore names that one package module may import from another, each
 # with its reason.
 SHARED_PRIVATE = {
@@ -206,12 +272,6 @@ def test_no_module_imports_another_modules_private_name():
 
 
 BUDGET = "SIZE_BLOCK_FLOATS"
-# Block sizes other than the working-memory budget, each with its reason.
-OTHER_BLOCKS = {
-    # Whitney's F is memoised 64 enumeration points a block; a block is
-    # 64 x n cells, over the budget once n > 1024
-    "whitney.POINT_BLOCK",
-}
 
 
 def _block_bindings(path):
@@ -235,5 +295,4 @@ def _block_bindings(path):
 
 def test_the_block_budget_is_bound_once():
     found = {b for path in PACKAGE for b in _block_bindings(path)}
-    assert sorted(found - OTHER_BLOCKS) == [f"errors.{BUDGET}"]
-    assert found >= OTHER_BLOCKS  # the exceptions still exist
+    assert sorted(found) == [f"errors.{BUDGET}"]

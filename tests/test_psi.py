@@ -13,7 +13,7 @@ from continuum_lab.continua import build_continuum
 from continuum_lab import errors, psi
 from continuum_lab.errors import DomainError, ResourceError
 from continuum_lab.metric_core import DEFAULT_TOL
-from continuum_lab.whitney import POINT_BLOCK, build_whitney_map
+from continuum_lab.whitney import build_whitney_map
 from continuum_lab.psi import (Arc, LevelReport, Piece, PsiPathspace,
                                build_psi_model,
                                closed_form_element_count,
@@ -57,11 +57,10 @@ _FULL = weakref.WeakKeyDictionary()
 
 
 def full_table(mu):
-    """The whole size table F of a Whitney map, every block of it, stacked
+    """The whole size table F of a Whitney map, every row of it, computed
     once per map."""
     if mu not in _FULL:
-        _FULL[mu] = np.vstack([mu.block(b) for b in
-                               range(-(-mu.n_points // POINT_BLOCK))])
+        _FULL[mu] = mu.rows(slice(0, mu.n_points))
     return _FULL[mu]
 
 
@@ -469,8 +468,8 @@ def test_order_covers_and_graph_match_the_block_reference_at(shape):
 
 
 # (6, 3, 39480): 180 points in 7-point size steps (2 * 2,820 envelope cells
-# a point), so steps end inside a block of F and one is a single point;
-# the default budget takes 11-point steps there
+# a point), so no step ends at a multiple of 64 points; the default budget
+# takes 11-point steps there
 @pytest.mark.parametrize("m, level, block", [
     (5, 2, 1), (5, 2, 7), (5, 2, 100), (3, 3, 1), (3, 3, 7), (3, 3, 100),
     (6, 3, 7 * 2 * 2820)])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from continuum_lab import errors, whitney
+from continuum_lab.cli import dispatch
 from continuum_lab.continua import (build_continuum, enumerate_subcontinua,
                                     incidence_table)
 from continuum_lab.errors import DomainError
@@ -13,7 +14,7 @@ from continuum_lab.metric_core import DEFAULT_TOL, FinitePointSet
 from continuum_lab.psi import Arc, Piece, PsiModel, build_psi_model
 from continuum_lab.suite import _convex_size, _noise_size
 from continuum_lab.errors import SIZE_BLOCK_FLOATS
-from continuum_lab.whitney import (POINT_BLOCK, WhitneyMap, build_whitney_map,
+from continuum_lab.whitney import (WhitneyMap, build_whitney_map,
                                    check_whitney_axioms,
                                    equal_level_refinement, fsum_rows,
                                    hyperspace_distance_matrices,
@@ -157,7 +158,7 @@ def crossing_table(n=70):
     return table
 
 
-def test_a_tail_that_crosses_a_rounding_boundary_is_read():
+def test_a_tail_that_crosses_a_rounding_boundary_is_read(monkeypatch):
     table = crossing_table()
     terms = [w * (1 - f) for w, f in zip(0.5 ** np.arange(1, 71), table[:, 1])]
     want = math.fsum(terms)
@@ -173,8 +174,10 @@ def test_a_tail_that_crosses_a_rounding_boundary_is_read():
     assert fsum_rows(blocks, 1, np.zeros(1)).tolist() == [0.375]
     mu = build_whitney_map(FinitePointSet(points=[(t, 0.0)
                                                   for t in range(70)]))
-    mu.block = {b: table[b * POINT_BLOCK:(b + 1) * POINT_BLOCK]
-                for b in range(2)}.__getitem__
+    mu.rows = table.__getitem__
+    # 64-point steps (each reads 70 cells a point), so the head test first
+    # runs where the head alone rounds down
+    monkeypatch.setattr(errors, "SIZE_BLOCK_FLOATS", 64 * 70)
     pair = frozenset([0, 1])
     assert mu.sizes([pair, frozenset([1])]).tolist() == [want, 0.0]
     assert whitney._union_sizes(mu, [frozenset([0]), frozenset([1])])[
@@ -184,23 +187,50 @@ def test_a_tail_that_crosses_a_rounding_boundary_is_read():
     # another vertex has this series, and every other set has size 0
     points = FinitePointSet(points=[(t, 0.0) for t in range(90)])
     mu = build_whitney_map(points)
-    table = crossing_table(90)
-    mu.block = {b: table[b * POINT_BLOCK:(b + 1) * POINT_BLOCK]
-                for b in range(2)}.__getitem__
+    mu.rows = crossing_table(90).__getitem__
+    # 64-point steps of the envelopes of F and -F, 2 * 1,401 cells a point
+    monkeypatch.setattr(errors, "SIZE_BLOCK_FLOATS", 64 * 2 * 1401)
     model = PsiModel(m=3, k=30, points=points, mu_base=mu)
     sizes = dict(zip(model.elements, model.sizes.tolist()))
     assert sizes[Piece(0, 1, 2)] == sizes[Arc(0, 3)] == want
     assert sizes[Piece(0, 2, 2)] == sizes[Piece(0, 3, 30)] == 0.0
 
 
-def test_a_psi_model_holds_only_the_blocks_it_read():
+def test_every_read_of_f_and_of_the_distances_fits_the_budget(monkeypatch,
+                                                              capsys):
+    # every read of F and every vertex-distance table holds at most
+    # max(SIZE_BLOCK_FLOATS, n_points) cells: a block, or one row
     model = build_psi_model(m=24, fiber_level=3)
-    mu = model.mu_base
-    assert mu.n_points == 720
-    # every size is settled within the first 80 enumeration points
-    assert sorted(mu._blocks) == [0, 1]
-    assert_bits_equal(model.sizes[-1:], [reference_mu(
-        WhitneyMap(model.points), range(720))])
+    whole = reference_mu(WhitneyMap(model.points), range(720))  # reads all F
+    reads, rows = [], []
+    real_rows, real_distances = WhitneyMap.rows, whitney._pair_distances
+
+    def spy_rows(self, at):
+        got = real_rows(self, at)
+        rows.append(len(got))
+        return got
+
+    def spy_distances(a, b):
+        got = real_distances(a, b)
+        reads.append((got.size, len(b)))
+        return got
+    monkeypatch.setattr(WhitneyMap, "rows", spy_rows)
+    monkeypatch.setattr(whitney, "_pair_distances", spy_distances)
+    model = build_psi_model(m=24, fiber_level=3)
+    assert model.mu_base.n_points == 720
+    assert 0 < sum(rows) < 720  # every size is settled before point 720
+    assert_bits_equal(model.sizes[-1:], [whole])
+    g = build_continuum("path", n=40)
+    subs = enumerate_subcontinua(g)
+    mu = build_whitney_map(g)
+    assert check_whitney_axioms(mu, subs).all_ok
+    hyperspace_distance_matrices(g, mu, subs)
+    rows.clear()
+    assert dispatch(["whitney", "eval", "--size", "200000",
+                     "--set", "0,1,2"]) == 0
+    assert '"mu"' in capsys.readouterr().out and rows and max(rows) == 1
+    assert reads and all(cells <= max(SIZE_BLOCK_FLOATS, n)
+                         for cells, n in reads)
 
 
 def sum_rows(table, parts=1):
@@ -293,7 +323,7 @@ def test_batch_sizes_honour_and_fill_the_memo():
                             reference_mu(mu, b)]
     assert set(mu._cache) == {a, b, c}
     assert mu(b) == mu._cache[b] and mu(a) == 0.5
-    mu.block = None  # memo hits read nothing else
+    mu.rows = None  # memo hits read nothing else
     assert mu.sizes([c, b]).tolist() == got[[2, 1]].tolist()
     assert mu.sizes([]).shape == (0,)
 
@@ -366,7 +396,7 @@ def test_a_single_miss_equals_the_batch_on_a_tie(monkeypatch):
         mu = build_whitney_map(FinitePointSet(points=[(0, 0), (1, 0),
                                                       (2, 0)]))
         table = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        mu.block = {0: table}.__getitem__
+        mu.rows = table.__getitem__
         mu.weights = np.array([1.0, 2.0 ** -53, 0.0])
         return mu
     reads = []
@@ -433,11 +463,10 @@ def test_batch_sizes_gather_bounded_point_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["psi", "path"])
-def test_steps_that_end_inside_a_block_keep_the_full_series(kind,
-                                                           monkeypatch):
-    # budgets of 11-point steps (64 = 5 * 11 + 9) on maps of more than 64
-    # points: psi (6, 3) has 180 points and 2 * 2,820 envelope cells per
-    # point, path 70 has 2,485 subcontinua gathered at 70 members each
+def test_eleven_point_steps_keep_the_full_series(kind, monkeypatch):
+    # budgets of 11-point steps on maps of more than 64 points: psi (6, 3)
+    # has 180 points and 2 * 2,820 envelope cells per point, path 70 has
+    # 2,485 subcontinua gathered at 70 members each
     steps = []
 
     def spy(blocks, rows, tail):
@@ -461,8 +490,8 @@ def test_steps_that_end_inside_a_block_keep_the_full_series(kind,
         mu = build_whitney_map(g)
         got = mu.sizes(subs)
         want = [reference_mu(mu, s) for s in subs]
-    # the sums read on into the second block of F
-    assert steps[:6] == [11] * 5 + [9] and len(steps) > 6
+    # the head test first runs after point 55, and the sums read on past it
+    assert steps[:-1] == [11] * (len(steps) - 1) and len(steps) > 5
     assert_bits_equal(got, want)
 
 
