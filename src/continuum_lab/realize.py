@@ -19,7 +19,14 @@ width of the lanes the level-(n+1) routing needs, and each meet window is
 as wide as the slots and stubs the finer level puts into it, so all cell
 counts are fixed by the patterns alone; the physical cell size then
 follows from the requested endpoints.  Meshes, adjacency, closures, and
-containment are all verified on the grid after construction.  A closure is
+containment are all verified on the grid after construction.
+
+The grid therefore depends only on (n, levels): the endpoints fix only the
+cell size and the rotation.  Each tower is built and verified once at unit
+cell size, and kept in a bounded per-process cache (``_grid_tower``, the
+last ``GRID_TOWERS`` grids); a request scales the kept meshes and Hausdorff
+distances, which are square roots of integers times the cell, by its cell
+size, and raises the kept verdicts in the order of the checks.  A closure is
 the 3x3 dilation of a level's cell mask, taken in numpy; the Hausdorff
 distance between consecutive levels is exact integer arithmetic in numpy
 too: column and row gaps bound each cell's squared distance, and
@@ -29,6 +36,7 @@ can still raise the maximum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,6 +52,9 @@ from .metric_core import FinitePointSet, _settle
 MAX_LEVELS = 3
 MAX_LINKS_PER_LEVEL = 2000
 MAX_GRID_CELLS = 5_000_000
+# Unit-cell grids kept per process: room for every tower of n <= 5 and
+# up to 3 levels (15 grids), and room to spare.
+GRID_TOWERS = 32
 
 # Per level (level 1 first): the narrowest meet window at a straight
 # adjacency, and the thinnest link.  A level with no finer level gets
@@ -345,15 +356,14 @@ def _realize(n1: int, patterns: Sequence[RefinementPattern]
     return chains, shape
 
 
-def _check_containment(chains: Sequence[Sequence[Link]],
-                       patterns: Sequence[RefinementPattern]) -> None:
-    """Refuse unless the closure of each fine link lies in its coarse link,
+def _contained(chains: Sequence[Sequence[Link]],
+               patterns: Sequence[RefinementPattern]) -> bool:
+    """Whether the closure of each fine link lies in its coarse link,
     cell-exactly on the grid."""
-    for coarse, fine, q in zip(chains, chains[1:], patterns):
-        if not all(rects_contain([r.dilate() for r in link.rects],
-                                 coarse[a - 1].rects)
-                   for link, a in zip(fine, q.assignment)):
-            raise DomainError("containment violated on the grid")
+    return all(rects_contain([r.dilate() for r in link.rects],
+                             coarse[a - 1].rects)
+               for coarse, fine, q in zip(chains, chains[1:], patterns)
+               for link, a in zip(fine, q.assignment))
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +376,9 @@ class LevelDiagnostics:
     mesh: float
     eps: float
     chain_ok: bool
-    nested_in_previous: Optional[bool] = None
-    hausdorff_to_previous: Optional[float] = None
-    hausdorff_bound: Optional[float] = None
+    nested_in_previous: Optional[bool]     # None at level 1
+    hausdorff_to_previous: Optional[float]
+    hausdorff_bound: Optional[float]
 
 
 @dataclass
@@ -434,13 +444,12 @@ def _farthest_sq(src: np.ndarray, dst: np.ndarray) -> int:
                        128, 0))
 
 
-def _grid_hausdorff(a: np.ndarray, b: np.ndarray, cell: float) -> float:
-    """Hausdorff distance between two cell masks, measured between cell
-    centres: the root of the larger farthest squared cell distance (the
-    root is monotone and correctly rounded, so this is the max of the
+def _grid_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
+    """Hausdorff distance between two cell masks, in cells, measured between
+    cell centres: the root of the larger farthest squared cell distance
+    (the root is monotone and correctly rounded, so this is the max of the
     exact Euclidean distance transform's roots, bit for bit)."""
-    far = max(_farthest_sq(a, b), _farthest_sq(b, a))
-    return math.sqrt(far) * cell
+    return math.sqrt(max(_farthest_sq(a, b), _farthest_sq(b, a)))
 
 
 def _closure_mask(m: np.ndarray) -> np.ndarray:
@@ -500,13 +509,72 @@ def _mid_row(r: Rect) -> int:
     return r.r0 + (r.r1 - r.r0) // 2
 
 
-def _build_tower(n1: int, levels: int, x, y) -> ChainTower:
-    patterns = _crooked_patterns(n1, levels)
+@dataclass(frozen=True)
+class _GridTower:
+    """A tower at unit cell size, which depends on (n, levels) alone: the
+    links of every level, the grid shape, the endpoint cells and whether
+    they lie in the terminal links of every level; per level, its
+    structural chain failures, its mesh and, past level 1, whether it lies
+    in the previous closure and the grid Hausdorff distance between the
+    two closures; and the containment and crookedness verdicts."""
+
+    level_links: Tuple[Tuple[Link, ...], ...]
+    shape: Tuple[int, int]
+    end_cells: Tuple[Tuple[int, int], Tuple[int, int]]
+    ends_inside: bool
+    chain_failures: Tuple[Tuple[str, ...], ...]
+    unit_meshes: Tuple[float, ...]
+    nested: Tuple[Optional[bool], ...]
+    unit_hausdorff: Tuple[Optional[float], ...]
+    contained: bool
+    crooked: bool
+
+
+@functools.lru_cache(maxsize=GRID_TOWERS)
+def _grid_tower(n1: int, patterns: Tuple[RefinementPattern, ...]
+                ) -> _GridTower:
+    """The tower of ``patterns`` over ``n1`` coarse links, built and checked
+    at unit cell size once per process while it stays among the last
+    ``GRID_TOWERS`` asked for."""
     chains, shape = _realize(n1, patterns)
 
     # endpoint cells: on the lanes of the finest terminal links
     x_cell = (2, _mid_row(chains[-1][0].rects[0]))
     y_cell = (shape[1] - 3, _mid_row(chains[-1][-1].rects[-1]))
+    ends_inside = all(
+        any(r.c0 <= cell[0] < r.c1 and r.r0 <= cell[1] < r.r1
+            for r in link.rects)
+        for links in chains
+        for cell, link in ((x_cell, links[0]), (y_cell, links[-1])))
+
+    failures, meshes, nested, far = [], [], [None], [None]
+    prev_closure = None
+    for links in chains:
+        report = verify_chain(Chain(links=links), math.inf)
+        failures.append(tuple(report.failures))
+        meshes.append(report.mesh)
+        mask = _mask([l.rects for l in links], shape)
+        # the finer closure of this step and the coarser one of the next
+        closure = _closure_mask(mask) if len(chains) > 1 else None
+        if prev_closure is not None:
+            nested.append(bool((mask & ~prev_closure).sum() == 0))
+            far.append(_grid_hausdorff(closure, prev_closure))
+        prev_closure = closure
+
+    return _GridTower(
+        level_links=tuple(map(tuple, chains)), shape=shape,
+        end_cells=(x_cell, y_cell), ends_inside=ends_inside,
+        chain_failures=tuple(failures), unit_meshes=tuple(meshes),
+        nested=tuple(nested), unit_hausdorff=tuple(far),
+        contained=_contained(chains, patterns),
+        crooked=all(is_crooked(pat).ok for pat in patterns))
+
+
+def _build_tower(n1: int, levels: int, x, y) -> ChainTower:
+    # the patterns first, on every call: they read the element cap
+    patterns = _crooked_patterns(n1, levels)
+    grid = _grid_tower(n1, tuple(patterns))
+    x_cell, y_cell = grid.end_cells
 
     dx, dy = y[0] - x[0], y[1] - x[1]
     dist = math.hypot(dx, dy)
@@ -514,49 +582,41 @@ def _build_tower(n1: int, levels: int, x, y) -> ChainTower:
     cell = dist / math.hypot(gc, gr)
     rotation = math.atan2(dy, dx) - math.atan2(gr, gc)
 
-    level_chains = [Chain(links=links, cell_size=cell) for links in chains]
+    level_chains = [Chain(links=list(links), cell_size=cell)
+                    for links in grid.level_links]
+    if not grid.ends_inside:
+        raise DomainError("internal: endpoint outside terminal link")
 
-    # membership of the endpoints in first/last links of every level
-    for lc in level_chains:
-        for cell_pt, link in ((x_cell, lc.links[0]), (y_cell, lc.links[-1])):
-            inside = any(r.c0 <= cell_pt[0] < r.c1 and
-                         r.r0 <= cell_pt[1] < r.r1 for r in link.rects)
-            if not inside:
-                raise DomainError("internal: endpoint outside terminal link")
-
-    # verify chains, patterns, containment
+    # every unit length is a square root of an integer: scaling it rounds
+    # as the same length measured at this cell size does
     diags: List[LevelDiagnostics] = []
-    prev_closure = prev_mesh = None
-    for n, lc in enumerate(level_chains, start=1):
+    prev_mesh = None
+    for n, (failures, unit_mesh, nested, far) in enumerate(zip(
+            grid.chain_failures, grid.unit_meshes, grid.nested,
+            grid.unit_hausdorff), start=1):
         eps = 2.0 ** (-n)
-        report = verify_chain(lc, eps)
-        if report.failures and report.mesh < eps:
+        mesh = unit_mesh * cell
+        if failures and mesh < eps:
             raise DomainError(
-                f"internal: level {n} chain invalid: {report.failures[:3]}")
-        if report.mesh >= eps:
-            raise ResourceError(
-                f"level {n} mesh {report.mesh:.4f} exceeds {eps}",
-                achievable=None)
-        mask = _mask([l.rects for l in lc.links], shape)
-        diag = LevelDiagnostics(level=n, mesh=report.mesh, eps=eps,
-                                chain_ok=report.ok)
-        # the finer closure of this step and the coarser one of the next
-        closure = _closure_mask(mask) if levels > 1 else None
-        if prev_closure is not None:
-            diag.nested_in_previous = bool((mask & ~prev_closure).sum() == 0)
-            diag.hausdorff_to_previous = _grid_hausdorff(closure, prev_closure,
-                                                         cell)
-            diag.hausdorff_bound = prev_mesh
-        prev_closure, prev_mesh = closure, report.mesh
-        diags.append(diag)
+                f"internal: level {n} chain invalid: {list(failures[:3])}")
+        if mesh >= eps:
+            raise ResourceError(f"level {n} mesh {mesh:.4f} exceeds {eps}",
+                                achievable=None)
+        diags.append(LevelDiagnostics(
+            level=n, mesh=mesh, eps=eps, chain_ok=not failures,
+            nested_in_previous=nested,
+            hausdorff_to_previous=None if far is None else far * cell,
+            hausdorff_bound=prev_mesh))
+        prev_mesh = mesh
 
-    _check_containment(chains, patterns)
-    if not all(is_crooked(pat).ok for pat in patterns):
+    if not grid.contained:
+        raise DomainError("containment violated on the grid")
+    if not grid.crooked:
         raise DomainError("internal: realized pattern is not crooked")
 
     return ChainTower(levels=level_chains, patterns=patterns,
                       endpoints=(tuple(x), tuple(y)), cell_size=cell,
-                      x_cell=x_cell, y_cell=y_cell, grid_shape=shape,
+                      x_cell=x_cell, y_cell=y_cell, grid_shape=grid.shape,
                       rotation=rotation, diagnostics=diags)
 
 
@@ -579,7 +639,8 @@ def realize_pattern(pattern: RefinementPattern) -> Tuple[Chain, Chain]:
         raise DomainError(f"pattern must run from coarse link 1 to "
                           f"{pattern.n_coarse}; got {p[0]} to {p[-1]}")
     chains, _ = _realize(pattern.n_coarse, [pattern])
-    _check_containment(chains, [pattern])
+    if not _contained(chains, [pattern]):
+        raise DomainError("containment violated on the grid")
     coarse, fine = (Chain(links=links) for links in chains)
     report = verify_chain(fine, math.inf)
     if not report.ok:

@@ -19,9 +19,10 @@ d_mu(A, B) = max(mu(A | B) - mu(A), mu(A | B) - mu(B)), axiom checkers for
 the monotone/subadditive characterisation of Whitney maps, level sets, and
 equal-level refinements of decompositions.  The axiom checks and the
 distance matrices read from one union-size table U[i, j] = mu(F_i | F_j)
-per family.  For a WhitneyMap the table comes from the members' envelopes,
-hi[k, i] = max F[k, F_i] and lo[k, i] = min F[k, F_i]: the span of a union
-is max(hi_i, hi_j) - min(lo_i, lo_j), exactly, so no union set is built.
+per family, which sizes each distinct union once.  For a WhitneyMap the
+table comes from the members' envelopes, hi[k, i] = max F[k, F_i] and
+lo[k, i] = min F[k, F_i]: the span of a union is max(hi_i, hi_j) -
+min(lo_i, lo_j), exactly, so no union set is built.
 One single-set kernel, :func:`_set_sizes`, sizes each distinct meet of
 the subadditivity check and the misses of the memoised batch
 :meth:`WhitneyMap.sizes`, which level queries read.  The tables read F
@@ -304,11 +305,21 @@ def _span_sizes(mu: WhitneyMap, idx: np.ndarray, ii: np.ndarray,
 
 
 def _union_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]]) -> np.ndarray:
-    """U[i, j] = mu(F_i | F_j), over the unordered pairs i <= j."""
+    """U[i, j] = mu(F_i | F_j), over the unordered pairs i <= j.  For a
+    WhitneyMap each pair's union is the OR of the members'
+    :func:`packed_rows`, and one pair per distinct union, found by
+    :func:`row_classes`, is sized by :func:`_span_sizes`: a size is the
+    correctly rounded sum of its union's own terms, so every pair with that
+    union gets its bits."""
     k = len(fam)
+    if not k:
+        return np.empty((0, 0))
     ii, jj = np.triu_indices(k)
     if isinstance(mu, WhitneyMap):
-        vals = _span_sizes(mu, _member_index(fam, mu.n_points), ii, jj)
+        idx = _member_index(fam, mu.n_points)
+        words = packed_rows(incidence_table(fam))
+        first, back = row_classes(words[ii] | words[jj])
+        vals = _span_sizes(mu, idx, ii[first], jj[first])[back]
     else:
         vals = _pair_sizes(mu, fam, ii, jj, operator.or_)
     u = np.empty((k, k))

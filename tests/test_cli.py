@@ -463,6 +463,25 @@ def test_crooked_patterns_over_the_cap_exit_two(argv, monkeypatch, capsys):
         assert code == 0, rep
 
 
+def test_a_cap_lowered_after_a_kept_grid_still_exits_two(monkeypatch,
+                                                        capsys):
+    # the (8, 2) grid is built under the default cap and kept; the request
+    # still reads the cap before it looks the grid up
+    from continuum_lab import realize
+    argv = ["chains", "tower", "--n", "8", "--levels", "2", "--no-timings"]
+    code, _ = run(argv, capsys)
+    assert code == 0
+    hits = realize._grid_tower.cache_info().hits
+    assert run(argv, capsys)[0] == 0
+    assert realize._grid_tower.cache_info().hits == hits + 1
+    monkeypatch.setenv("CONTINUUM_LAB_MAX_ELEMENTS", "100")
+    code, rep = run(argv, capsys)
+    assert code == 2
+    assert rep["result"] == {
+        "error": "crooked pattern on 8 coarse links has more than 100 links",
+        "achievable": 1}
+
+
 @pytest.mark.parametrize("size", [2, 3, 5, 12])
 def test_star_size_off_the_rule_exits_two(size, capsys):
     # 3 legs take sizes 1 + 3k with k >= 1; any other size is refused

@@ -24,7 +24,7 @@ KEEP = {
         "bools: the count of triples breaking the triangle inequality",
     "psi.level_structure_report: adj.sum(axis=1)":
         "bools: each shell element's neighbour count",
-    "realize._build_tower: (mask & ~prev_closure).sum()":
+    "realize._grid_tower: (mask & ~prev_closure).sum()":
         "bools: the count of cells outside the previous closure",
     "suite.check_psi_paths.run: per_fiber @ per_fiber":
         "ints: the pieces per fiber, squared and added",

@@ -152,6 +152,72 @@ def test_every_stored_attribute_is_read():
     assert unread == []
 
 
+# Reads are matched by name alone, so a read of one class's attribute also
+# passes every other class that stores the same name, even one whose
+# attribute only tests read.  Each name that several classes store is
+# listed with its classes and, for each, a reader in library code; a newly
+# shared name, or a new class storing a listed one, fails until it is
+# listed with its reader.
+SHARED_STORED = {
+    "L": ({"psi.PsiModel", "psi.PlanckReport"},
+          "PsiModel.L: planck_report and cli's psi report; "
+          "PlanckReport.L: demo 05"),
+    "cell_size": ({"chains.Chain", "realize.ChainTower"},
+                  "Chain.cell_size: Chain.mesh and chain_point_sets; "
+                  "ChainTower.cell_size: cell_center and tower_to_json"),
+    "direction": ({"metric_core.DistanceReport", "realize.Segment"},
+                  "DistanceReport.direction: demo 01; "
+                  "Segment.direction: _transfer_bands"),
+    "k": ({"psi.PsiModel", "psi.PsiPathspace"},
+          "PsiModel.k: id_of and cli's psi report; "
+          "PsiPathspace.k: its arc and piece formulas"),
+    "l": ({"psi.PsiModel", "psi.PlanckReport", "psi.PsiValues"},
+          "PsiModel.l: planck_report; PlanckReport.l: demo 05; "
+          "PsiValues.l: level_structure_report and cli's psi levels"),
+    "m": ({"psi.PsiModel", "psi.PsiPathspace"},
+          "PsiModel.m: id_of and cli's psi report; "
+          "PsiPathspace.m: its element formulas"),
+    "mesh": ({"chains.ChainReport", "realize.LevelDiagnostics"},
+             "ChainReport.mesh: realize._grid_tower; "
+             "LevelDiagnostics.mesh: tower_to_json and suite's tower check"),
+    "ok": ({"chains.ChainReport", "chains.CrookednessReport",
+            "suite.CheckResult"},
+           "ChainReport.ok: realize_pattern; CrookednessReport.ok: "
+           "cli's chains verify; CheckResult.ok: cli's suite report"),
+    "points": ({"metric_core.FinitePointSet", "psi.PsiModel"},
+               "FinitePointSet.points: the Hausdorff kernels; "
+               "PsiModel.points: svg's psi drawing"),
+    "q": ({"psi.PsiModel", "psi.PsiPathspace"},
+          "PsiModel.q: id_of and strict_order; "
+          "PsiPathspace.q: its arc formulas"),
+    "shapes": ({"psi.PsiModel", "psi.PsiPathspace"},
+               "PsiModel.shapes: element and strict_order; "
+               "PsiPathspace.shapes: join, meet and _geodesic"),
+    "start": ({"psi.Arc", "realize.Run"},
+              "Arc.start: PsiModel.id_of and cli's element JSON; "
+              "Run.start: realize._route"),
+    "tol": ({"psi.LevelReport", "whitney.RefinementPiece"},
+            "LevelReport.tol: cli's psi levels; "
+            "RefinementPiece.tol: cli's whitney refine"),
+    "v": ({"psi.PsiValues", "psi.PsiPathspace"},
+          "PsiValues.v: level_structure_report and cli's psi report; "
+          "PsiPathspace.v: join, meet and _geodesic"),
+    "weights": ({"psi.Edges", "whitney.WhitneyMap"},
+                "Edges.weights: suite's psi path check; "
+                "WhitneyMap.weights: WhitneyMap.series"),
+}
+
+
+def test_every_shared_stored_attribute_name_is_listed():
+    owners = {}
+    for path in PACKAGE:
+        for qual, name in _stored(_tree(path)):
+            owners.setdefault(name, set()).add(
+                f"{path.stem}.{qual.rsplit('.', 1)[0]}")
+    shared = {name: cls for name, cls in owners.items() if len(cls) > 1}
+    assert shared == {name: cls for name, (cls, _) in SHARED_STORED.items()}
+
+
 def test_every_import_is_read():
     trees = {path.stem: _tree(path) for path in PACKAGE}
     reimported = {(node.module, alias.name) for tree in trees.values()

@@ -137,8 +137,8 @@ def test_grid_hausdorff_is_the_edt_formula(masks, cell):
     a, b = masks
     assume(a.any() and b.any())
     before = a.copy(), b.copy()
-    assert realize._grid_hausdorff(a, b, cell) == ndimage_hausdorff(a, b, cell)
-    assert realize._grid_hausdorff(b, a, cell) == ndimage_hausdorff(b, a, cell)
+    assert realize._grid_hausdorff(a, b) * cell == ndimage_hausdorff(a, b, cell)
+    assert realize._grid_hausdorff(b, a) * cell == ndimage_hausdorff(b, a, cell)
     assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
 
 
@@ -147,7 +147,7 @@ def test_grid_hausdorff_squares_do_not_overflow_on_thin_grids():
     for shape in ((1, 50_000), (50_000, 1)):
         a, b = np.zeros(shape, bool), np.zeros(shape, bool)
         a.flat[0] = b.flat[-1] = True
-        assert realize._grid_hausdorff(a, b, 1.0) == 49_999.0
+        assert realize._grid_hausdorff(a, b) == 49_999.0
         assert ndimage_hausdorff(a, b, 1.0) == 49_999.0
 
 
@@ -211,7 +211,17 @@ def test_patterns_are_crooked_with_verified_containment(tower, rotated):
                     (t.endpoints, link.index)
 
 
-def test_a_failed_containment_check_refuses_the_realization(monkeypatch):
+@pytest.fixture
+def no_grids():
+    """An empty grid cache, emptied again afterwards: a grid built under a
+    patch must not outlive the test."""
+    realize._grid_tower.cache_clear()
+    yield
+    realize._grid_tower.cache_clear()
+
+
+def test_a_failed_containment_check_refuses_the_realization(monkeypatch,
+                                                            no_grids):
     real = realize.rects_contain
 
     def fail_once(inner, outer):
@@ -227,6 +237,71 @@ def test_a_failed_containment_check_refuses_the_realization(monkeypatch):
         with pytest.raises(DomainError, match="containment violated"):
             build()
         assert calls == [1]
+
+
+def _request(n, levels, x, y):
+    """What a caller sees of one request: the tower's JSON, frame and cells,
+    or the refusal's type, message and achievable level count."""
+    try:
+        t = build_tower(n, levels, x, y)
+    except (DomainError, ResourceError) as exc:
+        return type(exc), str(exc), getattr(exc, "achievable", None)
+    return (tower_to_json(t), t.rotation, t.cell_size, t.x_cell, t.y_cell,
+            t.grid_shape)
+
+
+GRID_REQUESTS = [
+    (n, levels, (0.1 * i - 0.3, 0.05 * i - 0.2),
+     (0.1 * i - 0.3 + d * math.cos(0.7 * i), 0.05 * i - 0.2
+      + d * math.sin(0.7 * i)))
+    for n in range(1, 7) for levels in range(1, 5)
+    for i, d in enumerate((1e-300, 1e-100, 1e-9, 1e-3, 0.02, 0.1, 0.25, 0.6,
+                           3.0, 1e300))]
+
+
+def test_a_kept_grid_builds_what_an_empty_cache_builds(no_grids):
+    # 240 requests, each built from an empty cache and again, in reverse
+    # order, from grids that other endpoints left in it
+    cold = {}
+    for req in GRID_REQUESTS:
+        realize._grid_tower.cache_clear()
+        cold[req] = _request(*req)
+    for req in reversed(GRID_REQUESTS):
+        assert _request(*req) == cold[req], req
+    built = [r for r in cold.values() if isinstance(r[0], dict)]
+    assert len(built) == 79
+
+
+def test_a_returned_tower_shares_nothing_mutable_with_the_cache():
+    first = build_tower(4, 3, X, Y)
+    want = _request(4, 3, X, Y)
+    first.levels[0].links.clear()
+    first.levels[2].links.reverse()
+    first.levels.pop()
+    first.patterns.clear()
+    first.diagnostics[1].mesh = 0.0
+    first.diagnostics.clear()
+    assert _request(4, 3, X, Y) == want
+
+
+def test_new_endpoints_neither_route_nor_verify_again(monkeypatch):
+    for levels in (3, 2):
+        build_tower(4, levels, X, Y)
+    calls = []
+
+    def spy(real):
+        def counted(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return counted
+    monkeypatch.setattr(realize, "_realize", spy(realize._realize))
+    monkeypatch.setattr(realize, "verify_chain", spy(realize.verify_chain))
+    for y in ((0.2, 0.1), (0.0, -0.3), (-0.05, 0.01)):
+        build_tower(4, 3, X, y)
+    with pytest.raises(ResourceError) as exc:
+        build_tower(4, 3, X, (0.0, 0.5))  # level 3 refuses its mesh
+    assert exc.value.achievable == 2
+    assert calls == []
 
 
 def test_endpoints_in_terminal_links(tower):

@@ -428,13 +428,41 @@ def test_union_table_and_meets_pass_bounded_batches(monkeypatch):
         return fsum_rows(seen, rows, tail)
     monkeypatch.setattr(whitney, "fsum_rows", spy)
     u = whitney._union_sizes(mu, subs)
-    assert sum(sums) == len(subs) * (len(subs) + 1) // 2
+    # one row per distinct union: 2,516 of the 9,316 pairs
+    assert sum(sums) == len({a | b for a in subs for b in subs}) == 2516
     assert len(cells) > 1 and max(cells) <= SIZE_BLOCK_FLOATS
     assert np.array_equal(u, [[reference_mu(mu, a | b) for b in subs]
                               for a in subs])
     cells.clear()
     assert check_whitney_axioms(mu, subs).all_ok
     assert len(cells) > 1 and max(cells) <= SIZE_BLOCK_FLOATS
+
+
+@pytest.mark.parametrize("kind, n, distinct", [("path", 22, 9108),
+                                               ("cycle", 30, 55681)])
+@pytest.mark.parametrize("seed", [None, 3])
+def test_the_union_table_sizes_each_distinct_union_once(kind, n, distinct,
+                                                        seed, monkeypatch):
+    g = build_continuum(kind, n=n)
+    fam = enumerate_subcontinua(g)
+    mu = build_whitney_map(g, ordering_seed=seed)
+    ii, jj = np.triu_indices(len(fam))
+    want = whitney._span_sizes(mu, whitney._member_index(fam, mu.n_points),
+                               ii, jj)
+    summed = []
+    real = whitney._span_sizes
+
+    def spy(mu, idx, a, b):
+        summed.append((a.tolist(), b.tolist()))
+        return real(mu, idx, a, b)
+    monkeypatch.setattr(whitney, "_span_sizes", spy)
+    u = whitney._union_sizes(mu, fam)
+    assert_bits_equal(u[ii, jj], want)
+    assert_bits_equal(u[jj, ii], want)
+    (a, b), = summed
+    unions = {fam[i] | fam[j] for i, j in zip(a, b)}
+    # the distinct unions of path 22's 32,131 pairs and cycle 30's 379,756
+    assert len(unions) == len(a) == distinct
 
 
 def test_batch_sizes_gather_bounded_point_blocks(monkeypatch):
