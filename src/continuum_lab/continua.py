@@ -3,6 +3,8 @@
 A :class:`GraphContinuum` is a connected graph with a deterministic planar
 embedding.  Its "subcontinua" are the connected vertex sets; the containment
 poset of those sets is the finite stand-in for the hyperspace of a continuum.
+Its one breadth-first walk from vertex 0, :attr:`GraphContinuum.order`, is
+both its connectivity check and the Whitney enumeration order.
 
 Also provided: order arcs between nested subcontinua, terminal-subcontinuum
 and triod detection, and the two classic hyperspace homeomorphisms
@@ -41,37 +43,50 @@ class GraphContinuum:
                 raise DomainError(f"bad edge ({u}, {v})")
         if len(self.pos) != self.n:
             raise DomainError("one position per vertex required")
-        if not self.is_connected(frozenset(range(self.n))):
+        if len(self.order) != self.n:
             raise DomainError("graph must be connected")
 
     @cached_property
-    def adjacency(self) -> Dict[int, FrozenSet[int]]:
-        adj: Dict[int, set] = {v: set() for v in range(self.n)}
+    def neighbors(self) -> Tuple[FrozenSet[int], ...]:
+        """Each vertex's neighbours, indexed by vertex."""
+        rows: List[set] = [set() for _ in range(self.n)]
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(nb) for v, nb in adj.items()}
+            rows[u].add(v)
+            rows[v].add(u)
+        return tuple(map(frozenset, rows))
+
+    @cached_property
+    def order(self) -> Tuple[int, ...]:
+        """The breadth-first order from vertex 0, the Whitney enumeration
+        order; it holds every vertex exactly when the graph is connected."""
+        return tuple(self._walk(0, range(self.n)))
+
+    def _walk(self, start: int, inside) -> List[int]:
+        """The vertices of ``inside`` reached from ``start`` within it,
+        breadth first, each vertex's new neighbours in increasing order."""
+        nb = self.neighbors
+        seen, mark = [start], {start}
+        for v in seen:
+            for w in sorted(nb[v]):
+                if w in inside and w not in mark:
+                    mark.add(w)
+                    seen.append(w)
+        return seen
 
     def is_connected(self, vertices: FrozenSet[int]) -> bool:
         """Whether ``vertices`` spans a connected subgraph; an id that is no
-        vertex has no neighbors, so it is connected only on its own."""
-        if not vertices:
-            return False
-        start = min(vertices)
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in self.adjacency.get(stack.pop(), ()):
-                if w in vertices and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(vertices)
+        vertex has no neighbors, so it is connected only on its own, and
+        the empty set is not connected."""
+        start = min(vertices, default=-1)
+        if not 0 <= start < self.n:
+            return len(vertices) == 1
+        return len(self._walk(start, vertices)) == len(vertices)
 
     def neighbors_of_set(self, vertices: FrozenSet[int]) -> FrozenSet[int]:
-        adj = self.adjacency
+        nb = self.neighbors
         out: set = set()
         for v in vertices:
-            out |= adj[v]
+            out |= nb[v]
         return frozenset(out - vertices)
 
 

@@ -53,7 +53,7 @@ class WhitneyMap:
 
     ``ambient`` is a GraphContinuum (whose embedding supplies Euclidean
     distances) or a planar FinitePointSet.  The enumeration order is
-    breadth-first from vertex 0 for graphs and index order for point sets;
+    :attr:`GraphContinuum.order` for graphs and index order for point sets;
     a non-None ``ordering_seed`` applies a seeded permutation instead.
 
     Sizes do not depend on the platform: the weights are powers of two, so
@@ -72,19 +72,18 @@ class WhitneyMap:
 
     def __init__(self, ambient, ordering_seed: Optional[int] = None):
         if isinstance(ambient, GraphContinuum):
-            order = _bfs_order(ambient)
+            order = np.array(ambient.order)
             ambient = np.array(ambient.pos, dtype=float)
         elif isinstance(ambient, FinitePointSet) and ambient.is_planar:
-            order = list(range(len(ambient)))
+            order = np.arange(len(ambient))
             ambient = ambient.points
         else:
             raise DomainError("ambient must be a graph or planar points")
         n = len(ambient)
         if ordering_seed is not None:
-            rng = np.random.default_rng(ordering_seed)
-            order = [order[i] for i in rng.permutation(n)]
+            order = order[np.random.default_rng(ordering_seed).permutation(n)]
         self.n_points = n
-        self.order = list(order)
+        self.order = order
         self.weights = 0.5 ** np.arange(1, n + 1)
         self._points = ambient
         self._cache: Dict[FrozenSet[int], float] = {}
@@ -180,20 +179,6 @@ def _rounded(sigma: np.ndarray, q: np.ndarray, n: int, tail):
     gamma = (n - 1) * 2.0 ** -53 / (1 - (n - 1) * 2.0 ** -53)
     slack = np.abs(q - (r - sigma)) + 2 * gamma * gamma * r + tail
     return r, (slack < (r - np.nextafter(r, 0)) / 2) | (slack == 0)
-
-
-def _bfs_order(g: GraphContinuum) -> List[int]:
-    adj = g.adjacency
-    seen = [0]
-    mark = {0}
-    head = 0
-    while head < len(seen):
-        for w in sorted(adj[seen[head]]):
-            if w not in mark:
-                mark.add(w)
-                seen.append(w)
-        head += 1
-    return seen
 
 
 def build_whitney_map(ambient,

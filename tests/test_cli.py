@@ -520,6 +520,21 @@ def test_whitney_eval_of_ids_outside_the_graph(capsys):
     assert rep["result"]["error"] == "the set is not a subcontinuum"
 
 
+@pytest.mark.parametrize("ids, error", [
+    # -1 is no vertex, not the last vertex (4, a neighbour of 3)
+    ("-1,3", "the set is not a subcontinuum"),
+    ("-1", "set contains vertices outside the ambient"),
+    ("99", "set contains vertices outside the ambient")])
+def test_whitney_eval_of_ids_below_and_past_the_path(ids, error, capsys):
+    code, rep = run(["whitney", "eval", "--model", "path", "--size", "5",
+                     f"--set={ids}", "--no-timings"], capsys)
+    assert code == 2
+    assert rep == {"artifacts": [], "command": "whitney eval --model path "
+                   f"--size 5 --set={ids} --no-timings",
+                   "result": {"error": error}, "status": "error",
+                   "violations": []}
+
+
 @pytest.mark.parametrize("argv", [
     ["continuum", "orderarcs", "--from", "", "--to", ""],
     ["continuum", "orderarcs", "--from", "1,,2"],

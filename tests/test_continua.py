@@ -113,7 +113,7 @@ def test_triod_search_matches_the_triple_loop_on_models(kind, params):
     got = detect_triod(g, fam)
     assert got == reference_triod(g, fam)
     # these models are arcs, circles or fans of arcs: a triod needs a branch
-    branch = max(len(nb) for nb in g.adjacency.values()) >= 3
+    branch = max(map(len, g.neighbors)) >= 3
     assert (got is not None) == branch
 
 
@@ -381,8 +381,8 @@ def test_huge_graphs_are_refused_before_building(monkeypatch):
 
 def test_adjacency_is_built_once_and_read_by_connectivity():
     g = build_continuum("star", legs=3, leg_length=2)
-    assert g.adjacency is g.adjacency
-    assert g.adjacency[0] == frozenset({1, 3, 5})
+    assert g.neighbors is g.neighbors and g.order is g.order
+    assert g.neighbors[0] == frozenset({1, 3, 5})
     assert g == build_continuum("star", legs=3, leg_length=2)
     assert g.is_connected(frozenset({0, 1, 2}))
     assert not g.is_connected(frozenset({1, 3}))
@@ -391,6 +391,53 @@ def test_adjacency_is_built_once_and_read_by_connectivity():
     assert g.is_connected(frozenset({99}))
     assert not g.is_connected(frozenset({5, 99}))
     assert not g.is_connected(frozenset())
+
+
+def test_one_walk_refuses_disconnected_graphs_and_reads_edges_once():
+    pos = tuple((float(v), 0.0) for v in range(4))
+    with pytest.raises(DomainError, match="^graph must be connected$"):
+        GraphContinuum(n=4, edges=((0, 1), (2, 3)), pos=pos)
+    with pytest.raises(DomainError, match="^graph must be connected$"):
+        GraphContinuum(n=2, edges=(), pos=pos[:2])
+    once = GraphContinuum(n=3, edges=((0, 1), (1, 2)), pos=pos[:3])
+    twice = GraphContinuum(n=3, edges=((0, 1), (1, 0), (1, 2)), pos=pos[:3])
+    assert twice.neighbors == once.neighbors == (
+        frozenset({1}), frozenset({0, 2}), frozenset({1}))
+    assert twice.order == once.order == (0, 1, 2)
+    one = GraphContinuum(n=1, edges=(), pos=pos[:1])
+    assert one.neighbors == (frozenset(),) and one.order == (0,)
+    assert one.is_connected(frozenset({0}))
+
+
+def reference_is_connected(g, vertices):
+    """Subset connectivity as a depth-first walk over a dict of neighbour
+    sets, in which an id that is no vertex has no neighbours."""
+    adj = {v: set() for v in range(g.n)}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    if not vertices:
+        return False
+    start = min(vertices)
+    seen, stack = {start}, [start]
+    while stack:
+        for w in adj.get(stack.pop(), ()):
+            if w in vertices and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(vertices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(), st.data())
+def test_subset_connectivity_equals_the_dict_walk(g, data):
+    # ids from -2 to n + 1: a table indexed by vertex must not read -1 as
+    # the last vertex, nor n as anything
+    ids = st.integers(-2, g.n + 1)
+    for vertices in data.draw(st.lists(st.frozensets(ids, max_size=6),
+                                       max_size=8)):
+        assert g.is_connected(vertices) == \
+            reference_is_connected(g, vertices)
 
 
 def test_star_contains_triod_witness():

@@ -608,6 +608,53 @@ def test_union_and_meet_tables_equal_the_per_set_sizes(case):
                            for i, j in zip(ii.tolist(), jj.tolist())])
 
 
+def reference_bfs_order(g):
+    """The breadth-first order from vertex 0 as whitney once walked it:
+    a head index over a growing list, each row sorted."""
+    adj = {v: set() for v in range(g.n)}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen = [0]
+    mark = {0}
+    head = 0
+    while head < len(seen):
+        for w in sorted(adj[seen[head]]):
+            if w not in mark:
+                mark.add(w)
+                seen.append(w)
+        head += 1
+    return seen
+
+
+ORDER_MODELS = [*[("path", {"n": n}) for n in (1, 2, 10, 2000)],
+                *[("cycle", {"n": n}) for n in (3, 12, 2000)],
+                ("star", {"legs": 3, "leg_length": 4}),
+                ("star", {"legs": 7, "leg_length": 50}),
+                ("cantor_fan", {"depth": 3}), ("cantor_fan", {"depth": 6})]
+
+
+@pytest.mark.parametrize("kind, params", ORDER_MODELS)
+def test_graph_order_equals_the_reference_walk(kind, params):
+    g = build_continuum(kind, **params)
+    ref = reference_bfs_order(g)
+    assert list(g.order) == ref
+    mu = WhitneyMap(g)
+    assert mu.order.dtype.kind == "i" and mu.order.tolist() == ref
+    for seed in (0, 5, 11):
+        perm = np.random.default_rng(seed).permutation(g.n)
+        got = WhitneyMap(g, ordering_seed=seed).order
+        assert got.dtype.kind == "i"
+        assert got.tolist() == [ref[i] for i in perm]
+
+
+def test_point_set_order_is_the_index_order():
+    pts = FinitePointSet(np.random.default_rng(2).random((9, 2)))
+    assert WhitneyMap(pts).order.tolist() == list(range(9))
+    perm = np.random.default_rng(4).permutation(9)
+    assert WhitneyMap(pts, ordering_seed=4).order.tolist() == perm.tolist()
+
+
 def reference_vertex_distances(g):
     """Embedded vertex distances by the broadcast formula whitney once had."""
     pts = np.array(g.pos, dtype=float)
