@@ -779,6 +779,66 @@ class CurvatureReport:
         return self.degenerate == self.additive
 
 
+def _draws(n: int, size: int, trials: int, seed: int) -> np.ndarray:
+    """``trials`` rows of ``size`` distinct ids below ``n``, bit-equal to
+    ``[rng.choice(n, size, replace=False) for _ in range(trials)]`` with
+    ``rng = default_rng(seed)`` wherever ``choice`` takes Floyd's branch
+    (``n <= 10000`` or ``size <= n // 50``; every caller does).
+
+    Only PCG64's raw stream is read, which NEP 19 pins; each raw word gives
+    its low 32-bit half, then its high half.  A row draws Floyd's ids with
+    inclusive bounds ``n - size .. n - 1`` (a bound of 0 draws nothing, an
+    id already taken is replaced by its bound), then shuffles them with
+    Fisher-Yates draws of bounds ``size - 1 .. 1``.  Each draw is Lemire's
+    ``(u * (bound + 1)) >> 32`` (arXiv:1805.10941), all rows at once; the
+    first row holding a draw that Lemire rejects is drawn one value at a
+    time, consuming the extra halves, and the pass resumes after it.
+    """
+    floyd = np.arange(max(n - size, 1), n)
+    span = np.r_[floyd, np.arange(size - 1, 0, -1)].astype(np.uint64) + 1
+    k, low = len(span), 0xFFFFFFFF
+    floor = (1 << 32) % span  # a low product word below this is rejected
+    bits = np.random.default_rng(seed).bit_generator
+    stream = np.empty(0, np.uint64)  # 32-bit halves not yet read, in order
+    drawn = np.empty((trials, k), np.int64)
+
+    def fill(count):
+        nonlocal stream
+        if stream.size < count:
+            raw = bits.random_raw((count - stream.size + 1) // 2)
+            stream = np.r_[stream,
+                           np.column_stack([raw & low, raw >> 32]).ravel()]
+
+    done = 0
+    while done < trials:
+        fill((trials - done) * k)
+        m = stream[:(trials - done) * k].reshape(trials - done, k) * span
+        rejects = ((m & low) < floor).any(axis=1)
+        ok = int(np.r_[rejects, True].argmax())  # rows before the first
+        drawn[done:done + ok] = m[:ok] >> 32
+        done, stream = done + ok, stream[ok * k:]
+        if done < trials:  # this row holds a rejection: one draw at a time
+            for c, s in enumerate(span.tolist()):
+                while True:
+                    fill(1)
+                    p, stream = int(stream[0]) * s, stream[1:]
+                    if p & low >= (1 << 32) % s:
+                        break
+                drawn[done, c] = p >> 32
+            done += 1
+
+    picks = np.c_[np.zeros((trials, size - len(floyd)), np.int64),
+                  drawn[:, :len(floyd)]]
+    for c in range(1, size):
+        taken = (picks[:, :c] == picks[:, c:c + 1]).any(axis=1)
+        picks[taken, c] = n - size + c
+    rows = np.arange(trials)
+    for i, j in zip(range(size - 1, 0, -1), drawn[:, len(floyd):].T):
+        # the view of column i is read before column i is written
+        picks[rows, j], picks[:, i] = picks[:, i], picks[rows, j]
+    return picks
+
+
 def curvature_check(pv: PsiValues, trials: int = 1000,
                     seed: int = 0, tol: float = DEFAULT_TOL
                     ) -> CurvatureReport:
@@ -787,7 +847,9 @@ def curvature_check(pv: PsiValues, trials: int = 1000,
     Not a certificate of curvature >= 0: (1+3)-point comparisons on this
     metric fail with an angle excess of pi (a geodesic branches).
 
-    Samples seeded random element triples; a triple is degenerate when its
+    Samples seeded random element triples, :func:`_draws`' rows of three
+    distinct ids, which read only PCG64's raw stream under ``seed`` and equal
+    ``Generator.choice``'s rows on numpy 2.4; a triple is degenerate when its
     third element lies on *some* geodesic between the other two, that is
     |d(x, y) - d(x, z) - d(z, y)| <= ``tol`` for one of the three orderings.
     This reading does not depend on which of several shortest paths is
@@ -806,9 +868,7 @@ def curvature_check(pv: PsiValues, trials: int = 1000,
     if trials > cap:
         raise ResourceError(f"{trials} curvature trials exceed cap {cap}",
                             achievable=cap)
-    rng = np.random.default_rng(seed)
-    x, y, z = np.array([rng.choice(len(pv.v), size=3, replace=False)
-                        for _ in range(trials)]).T
+    x, y, z = _draws(len(pv.v), 3, trials, seed).T
     sides, _ = pv.space.geodesics(np.r_[x, x, y], np.r_[y, z, z])
     xy, xz, yz = sides.reshape(3, trials)
     excess = np.array([xy - xz - yz, xz - xy - yz, yz - xy - xz])

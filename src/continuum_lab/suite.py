@@ -22,7 +22,7 @@ from .continua import (_by_math, build_continuum, circle_arc_to_disk,
                        interval_arc_to_triangle, is_terminal,
                        order_arcs_between, triangle_to_interval_arc)
 from .metric_core import DEFAULT_TOL
-from .psi import (Arc, Piece, build_psi_model,
+from .psi import (Arc, Piece, _draws, build_psi_model,
                   closed_form_element_count, component_cyclic_arrangement,
                   curvature_check, distinct_element_count,
                   level_structure_report, normalize_to_psi0, planck_report,
@@ -305,7 +305,7 @@ def _geodesic_certificate(pv, d) -> bool:
     prove it without Dijkstra.
     """
     model, v, edges = pv.model, pv.v, pv.space.graph
-    sources = np.random.default_rng(0).choice(len(v), 16, replace=False)
+    sources = _draws(len(v), 16, 1, 0)[0]
     src = np.repeat(sources, len(v))
     ids = np.tile(np.arange(len(v)), len(sources))
     dist, bend = pv.space.geodesics(src, ids)

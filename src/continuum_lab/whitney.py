@@ -396,7 +396,9 @@ def check_whitney_axioms(mu: MuLike, family: Sequence[FrozenSet[int]],
     na, nb = np.nonzero(subset)
     for at in _row_blocks(len(na), len(fam)):
         a, b = na[at], nb[at]
-        bad = u[b] - u[a] > (s[b] - s[a] + tol)[:, None]
+        grow = u.take(b, axis=0)
+        grow -= u.take(a, axis=0)
+        bad = grow > (s[b] - s[a] + tol)[:, None]
         if bad.any():
             report.diff_violations.extend((fam[a[p]], fam[b[p]], fam[c])
                                           for p, c in zip(*np.nonzero(bad)))

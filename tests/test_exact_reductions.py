@@ -89,3 +89,19 @@ def test_the_guard_sees_each_kind_of_reduction(tmp_path):
     assert sorted(src for _, src in _uses(mod)) == [
         "a @ b", "a @= b", "a.mean(axis=0)", "a.sum()", "np.add.reduce(a)",
         "np.dot(a, b)"]
+
+
+def _choice_calls(path):
+    """Source of each ``.choice(...)`` call the module makes."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "choice"]
+
+
+def test_no_draw_depends_on_the_choice_algorithm():
+    # NEP 19 pins PCG64's raw stream but not the algorithm of
+    # Generator.choice; psi._draws reads the raw stream instead
+    assert [f"{path.stem}: {src}" for path in PACKAGE
+            for src in _choice_calls(path)] == []

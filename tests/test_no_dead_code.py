@@ -319,6 +319,10 @@ SHARED_PRIVATE = {
     # math's transcendentals over arrays, so that the suite's check rounds
     # as the interval-disk maps it checks do
     "continua._by_math",
+    # the one seeded draw of distinct ids from PCG64's raw stream, so that
+    # the suite's geodesic sources and curvature_check's triples depend on
+    # no Generator method's algorithm
+    "psi._draws",
 }
 
 

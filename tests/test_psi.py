@@ -1009,6 +1009,102 @@ def test_curvature_refuses_more_trials_than_the_cap(pv, monkeypatch):
         assert exc.value.achievable == 300
 
 
+def choice_rows(n, size, trials, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([rng.choice(n, size, replace=False)
+                     for _ in range(trials)]).reshape(trials, size)
+
+
+def reference_draws(n, size, trials, seed):
+    """Floyd's ids, then a Fisher-Yates shuffle, one Lemire draw at a time
+    from PCG64's 32-bit halves, low half first; and the draws rejected."""
+    bits = np.random.default_rng(seed).bit_generator
+    halves, rejected = [], 0
+
+    def draw(bound):
+        nonlocal rejected
+        while True:
+            if not halves:
+                word = int(bits.random_raw())
+                halves.extend([word >> 32, word & 0xFFFFFFFF])
+            m = halves.pop() * (bound + 1)
+            if m % 2 ** 32 >= 2 ** 32 % (bound + 1):
+                return m >> 32
+            rejected += 1
+
+    rows = []
+    for _ in range(trials):
+        row = []
+        for j in range(n - size, n):
+            v = draw(j) if j else 0
+            row.append(j if v in row else v)
+        for i in range(size - 1, 0, -1):
+            k = draw(i)
+            row[i], row[k] = row[k], row[i]
+        rows.append(row)
+    return np.array(rows, np.int64).reshape(trials, size), rejected
+
+
+def test_draws_equal_the_choice_loop():
+    # (10000, 200) sits on both edges of choice's Floyd branch
+    cases = [(1, 1, 4, 0), (2, 2, 9, 1), (3, 3, 30, 2), (3, 1, 30, 3),
+             (3, 2, 30, 4), (40, 40, 5, 5), (151, 1, 50, 6),
+             (10000, 200, 2, 7)]
+    gen = np.random.default_rng(2024)
+    while len(cases) < 3000:
+        n = int(gen.integers(1, 600 if gen.integers(4) else 10001))
+        size = int(gen.integers(1, min(n, 24) + 1))
+        if n <= 40 and gen.integers(4) == 0:
+            size = n
+        cases.append((n, size, int(gen.integers(1, 40)),
+                      int(gen.integers(2 ** 32))))
+    assert {(n == size, size == 1, n == 3) for n, size, _, _ in cases} >= {
+        (True, True, False), (True, False, False), (False, True, False),
+        (False, False, False), (True, False, True), (False, True, True),
+        (False, False, True)}
+    for case in cases:
+        got = psi._draws(*case)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, choice_rows(*case), str(case))
+
+
+@pytest.mark.parametrize("case, rejected",
+                         [((2913, 19, 156, 267517), 1),
+                          ((10 ** 9, 5, 300, 1), 109)])
+def test_draws_redraw_rows_that_lemire_rejects(case, rejected):
+    # one rejection at (2913, 19); at n = 10^9 about 1 in 15 Floyd draws
+    # is rejected, in consecutive rows too
+    ref, count = reference_draws(*case)
+    assert count == rejected
+    np.testing.assert_array_equal(psi._draws(*case), ref)
+    np.testing.assert_array_equal(ref, choice_rows(*case))
+
+
+def test_draws_stream_is_pinned():
+    rows = psi._draws(151, 3, 1000, 0)
+    assert rows[:6].tolist() == [[95, 77, 126], [2, 11, 6], [96, 76, 136],
+                                 [108, 82, 94], [122, 101, 41], [127, 83, 5]]
+    assert rows[-1].tolist() == [125, 79, 110]
+    assert psi._draws(151, 16, 1, 0)[0].tolist() == [
+        43, 87, 70, 5, 110, 90, 117, 134, 115, 10, 145, 37, 74, 2, 25, 94]
+
+
+def test_curvature_check_reads_only_the_raw_stream(pv, monkeypatch):
+    read, default_rng = [], np.random.default_rng
+
+    class Spy:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            read.append(name)
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    assert curvature_check(pv, trials=1000, seed=0).degenerate == 220
+    assert read == ["bit_generator"]
+
+
 # (1+3)-point comparison: curvature >= 0 asks, for every p, x1, x2, x3, that
 # the three comparison angles at p sum to at most 2 pi (Alexander, Kapovitch
 # and Petrunin, arXiv:1903.08539).  Flat comparison triangles put arccos at
