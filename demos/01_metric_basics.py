@@ -24,10 +24,3 @@ assert hausdorff_distance(dense, dense).value == 0.0
 # point at distance exactly eps is included.
 nb = closed_neighborhood(dense.subset([0]), 0.2, dense)
 print(f"closed 0.2-neighborhood of the left endpoint has {len(nb)} points")
-
-# Point sets can also be table-backed for non-planar spaces.
-table = FinitePointSet(matrix=[[0.0, 2.0, 2.0],
-                               [2.0, 0.0, 2.0],
-                               [2.0, 2.0, 0.0]])
-print(f"equilateral table: d_H(one point, all) = "
-      f"{hausdorff_distance(table.subset([0]), table).value}")

@@ -1,8 +1,8 @@
 """Error types shared across the package.
 
-Domain errors signal invalid mathematical input (mismatched ambient spaces,
-malformed distance tables, out-of-range parameters).  Resource errors signal
-requests that exceed configured enumeration or grid limits; they carry the
+Domain errors signal invalid mathematical input (points outside the
+ambient set, out-of-range parameters).  Resource errors signal requests
+that exceed configured enumeration or grid limits; they carry the
 achievable maximum so callers can retry with a smaller request.  The cap on
 enumerated elements, psi model elements, crooked pattern links, graph
 vertices and curvature trials is read from ``CONTINUUM_LAB_MAX_ELEMENTS``.

@@ -1,9 +1,9 @@
-"""Finite metric spaces, Hausdorff distance, and closed neighborhoods.
+"""Finite planar point sets, Hausdorff distance, and closed neighborhoods.
 
-A :class:`FinitePointSet` is either a set of planar points or a set of
-abstract points carrying a validated distance table.  A planar subset is an
-ordinary planar set; a table-backed one keeps its root table and its indices
-into that root, so pairs drawn from unrelated tables are refused.
+Every space the package measures is a planar compactum, so a
+:class:`FinitePointSet` is a finite set of points of the Euclidean plane
+and its hyperspace carries the planar Hausdorff metric (Illanes & Nadler,
+*Hyperspaces*, Dekker 1999).  A subset is an ordinary planar set.
 
 Planar distances are ``sqrt(dx*dx + dy*dy)`` in numpy float64.
 :func:`hausdorff_distance` evaluates that formula densely up to
@@ -16,14 +16,14 @@ order of bound until no bound left can raise the maximum (Taha & Hanbury,
 IEEE TPAMI 37(11), 2015).  A wrong neighbour only costs time: results are
 the dense ones bit for bit, ties going to the lowest index.
 Dense minima, here and in :func:`closed_neighborhood`, come in the row
-blocks of :func:`errors._row_blocks`, and table-backed sets read their
-distance table.  The default comparison tolerance is ``1e-12``.
+blocks of :func:`errors._row_blocks`.  The default comparison tolerance
+is ``1e-12``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,104 +37,34 @@ TREE_MIN_PAIRS = 50_000
 
 
 class FinitePointSet:
-    """A finite metric space given by planar points or a distance table.
-
-    Exactly one of ``points`` / ``matrix`` is set.  Planar sets all live in
-    the Euclidean plane and are mutually compatible; matrix-backed sets are
-    compatible only with subsets of the same root table.
+    """A finite, non-empty set of points of the Euclidean plane, kept as
+    the validated (n, 2) float64 array ``points``, rows in the given order.
     """
 
-    def __init__(self, points=None, matrix=None):
-        if (points is None) == (matrix is None):
-            raise DomainError("provide exactly one of points= or matrix=")
-        # a table-backed subset's root set and its indices into the root
-        self._root: Optional["FinitePointSet"] = None
-        self._idx: Optional[np.ndarray] = None
-        if points is not None:
-            pts = np.asarray(points, dtype=float)
-            if pts.ndim != 2 or pts.shape[1] != 2:
-                raise DomainError("points must have shape (n, 2)")
-            if pts.shape[0] == 0:
-                raise DomainError("point set must be non-empty")
-            if not np.isfinite(pts).all():
-                raise DomainError("point coordinates must be finite")
-            self.points = pts
-            self.matrix = None
-        else:
-            m = np.asarray(matrix, dtype=float)
-            _validate_distance_table(m)
-            self.points = None
-            self.matrix = m
-
-    # -- structure ---------------------------------------------------------
+    def __init__(self, points):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise DomainError("points must have shape (n, 2)")
+        if pts.shape[0] == 0:
+            raise DomainError("point set must be non-empty")
+        if not np.isfinite(pts).all():
+            raise DomainError("point coordinates must be finite")
+        self.points = pts
 
     def __len__(self) -> int:
-        if self.points is not None:
-            return self.points.shape[0]
-        return self.matrix.shape[0]
-
-    @property
-    def is_planar(self) -> bool:
-        return self.points is not None
-
-    def root(self) -> "FinitePointSet":
-        return self if self._root is None else self._root
+        return self.points.shape[0]
 
     def subset(self, indices: Sequence[int]) -> "FinitePointSet":
         """Restrict to the given point indices (kept in the given order)."""
-        idx = np.asarray(indices, dtype=int)
+        idx = np.asarray(indices)
         if idx.size == 0:
             raise DomainError("subset must be non-empty")
+        if idx.dtype.kind not in "iu":
+            raise DomainError(f"subset indices must be integers, got "
+                              f"{idx.dtype}")
         if idx.min() < 0 or idx.max() >= len(self):
             raise DomainError("subset index out of range")
-        if self.points is not None:
-            return FinitePointSet(points=self.points[idx])
-        sub = object.__new__(FinitePointSet)
-        sub.points = None
-        sub.matrix = self.matrix[np.ix_(idx, idx)]
-        sub._root = self.root()
-        sub._idx = self._root_indices()[idx]
-        return sub
-
-    def _root_indices(self) -> np.ndarray:
-        return np.arange(len(self)) if self._idx is None else self._idx
-
-    def distances_to(self, other: "FinitePointSet") -> np.ndarray:
-        """Pairwise distance matrix between self and other (same ambient)."""
-        if self.is_planar and other.is_planar:
-            return _pair_distances(self.points, other.points)
-        if self.is_planar != other.is_planar:
-            raise DomainError("cannot mix planar and table-backed point sets")
-        ra, rb = self.root(), other.root()
-        if ra is not rb:
-            raise DomainError("point sets drawn from different distance tables")
-        return ra.matrix[np.ix_(self._root_indices(), other._root_indices())]
-
-
-def _validate_distance_table(m: np.ndarray) -> None:
-    """A distance table, each axiom checked within ``DEFAULT_TOL``."""
-    tol = DEFAULT_TOL
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError("distance table must be square")
-    if m.shape[0] == 0:
-        raise DomainError("distance table must be non-empty")
-    if not np.all(np.isfinite(m)):
-        raise DomainError("distance table entries must be finite")
-    if np.any(m < -tol):
-        raise DomainError("distance table entries must be non-negative")
-    if np.abs(np.diag(m)).max() > tol:
-        raise DomainError("distance table diagonal must be zero")
-    if np.abs(m - m.T).max() > tol:
-        raise DomainError("distance table must be symmetric")
-    # triangle inequality: d(i,j) <= d(i,k) + d(k,j) within tol
-    n = m.shape[0]
-    for k in range(n):
-        slack = m[:, k][:, None] + m[k, :][None, :] - m
-        if slack.min() < -tol:
-            i, j = np.unravel_index(np.argmin(slack), slack.shape)
-            raise DomainError(
-                f"distance table violates the triangle inequality at "
-                f"({i}, {k}, {j})")
+        return FinitePointSet(points=self.points[idx])
 
 
 @dataclass(frozen=True)
@@ -270,10 +200,10 @@ def _report(fwd, bwd) -> DistanceReport:
 
 
 def hausdorff_distance(K: FinitePointSet, L: FinitePointSet) -> DistanceReport:
-    """Hausdorff distance between two finite sets in a common ambient space."""
-    if K.is_planar and L.is_planar and len(K) * len(L) > TREE_MIN_PAIRS:
+    """Hausdorff distance between two finite planar sets."""
+    if len(K) * len(L) > TREE_MIN_PAIRS:
         return _tree_hausdorff(K.points, L.points)
-    d = K.distances_to(L)
+    d = _pair_distances(K.points, L.points)
     return _report(_directed_hausdorff(d), _directed_hausdorff(d.T))
 
 
@@ -281,32 +211,22 @@ def closed_neighborhood(K: FinitePointSet, eps: float,
                         ambient: FinitePointSet) -> FinitePointSet:
     """Points of ``ambient`` within distance ``eps`` of ``K``, inclusive.
 
-    ``K`` must be a subset of ``ambient`` (by exact point identity for planar
-    sets, by table membership otherwise).  The boundary is included: points at
-    distance exactly ``eps`` belong to the neighborhood.
+    ``K`` must be a subset of ``ambient``, point by point.  The boundary is
+    included: points at distance exactly ``eps`` belong to the neighborhood.
     """
     if not eps >= 0:
         raise DomainError(f"neighborhood radius must be non-negative, "
                           f"got {eps}")
     _require_subset(K, ambient)
-    near = (_dense_minima(ambient.points, K.points) if K.is_planar
-            else ambient.distances_to(K).min(axis=1))
+    near = _dense_minima(ambient.points, K.points)
     return ambient.subset(np.flatnonzero(near <= eps))
 
 
 def _require_subset(K: FinitePointSet, ambient: FinitePointSet) -> None:
-    """Planar points match by coordinate equality (so -0.0 is 0.0), each
-    pair read as one complex number; table points by root index."""
-    if K.is_planar and ambient.is_planar:
-        missing = np.flatnonzero(~np.isin(_point_keys(K.points),
-                                          _point_keys(ambient.points)))
-        if missing.size:
-            x, y = K.points[missing[0]]
-            raise DomainError(f"point ({x}, {y}) is not in the ambient set")
-        return
-    if K.is_planar != ambient.is_planar:
-        raise DomainError("cannot mix planar and table-backed point sets")
-    if K.root() is not ambient.root():
-        raise DomainError("K is not drawn from the ambient distance table")
-    if not np.isin(K._root_indices(), ambient._root_indices()).all():
-        raise DomainError("K contains points outside the ambient set")
+    """Points match by coordinate equality (so -0.0 is 0.0), each pair read
+    as one complex number."""
+    missing = np.flatnonzero(~np.isin(_point_keys(K.points),
+                                      _point_keys(ambient.points)))
+    if missing.size:
+        x, y = K.points[missing[0]]
+        raise DomainError(f"point ({x}, {y}) is not in the ambient set")

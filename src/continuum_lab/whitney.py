@@ -52,7 +52,7 @@ class WhitneyMap:
     """Size map over a finite planar metric space.
 
     ``ambient`` is a GraphContinuum (whose embedding supplies Euclidean
-    distances) or a planar FinitePointSet.  The enumeration order is
+    distances) or a FinitePointSet.  The enumeration order is
     :attr:`GraphContinuum.order` for graphs and index order for point sets;
     a non-None ``ordering_seed`` applies a seeded permutation instead.
 
@@ -74,7 +74,7 @@ class WhitneyMap:
         if isinstance(ambient, GraphContinuum):
             order = np.array(ambient.order)
             ambient = np.array(ambient.pos, dtype=float)
-        elif isinstance(ambient, FinitePointSet) and ambient.is_planar:
+        elif isinstance(ambient, FinitePointSet):
             order = np.arange(len(ambient))
             ambient = ambient.points
         else:
@@ -372,10 +372,15 @@ def check_whitney_axioms(mu: MuLike, family: Sequence[FrozenSet[int]],
     """
     fam = [frozenset(s) for s in family]
     report = AxiomReport()
-    inc = incidence_table(fam)
-    meet = inc @ inc.T  # |F_i & F_j|
-    card = np.diag(meet)
-    subset = meet == card[:, None]  # F_i <= F_j
+    k = len(fam)
+    words = packed_rows(incidence_table(fam))
+    card = np.fromiter(map(len, fam), dtype=np.int64, count=k)
+    subset = np.empty((k, k), dtype=bool)  # F_i <= F_j
+    meets = np.empty((k, k), dtype=bool)  # F_i & F_j non-empty
+    for at in _row_blocks(k, k * words.shape[1]):
+        both = words[at, None] & words[None]
+        subset[at] = (both == words[at, None]).all(axis=2)
+        meets[at] = both.any(axis=2)
     u = _union_sizes(mu, fam)
     s = u.diagonal()
 
@@ -387,8 +392,8 @@ def check_whitney_axioms(mu: MuLike, family: Sequence[FrozenSet[int]],
     report.monotone_violations = [(fam[i], fam[j])
                                   for i, j in zip(*np.nonzero(bad))]
 
-    ii, jj = np.nonzero(np.triu(meet > 0))
-    s_meet = _meet_sizes(mu, fam, inc, ii, jj)
+    ii, jj = np.nonzero(np.triu(meets))
+    s_meet = _meet_sizes(mu, fam, words, ii, jj)
     bad = u[ii, jj] > s[ii] + s[jj] - s_meet + tol
     report.subadd_violations = [(fam[ii[p]], fam[jj[p]])
                                 for p in np.flatnonzero(bad)]
@@ -405,21 +410,21 @@ def check_whitney_axioms(mu: MuLike, family: Sequence[FrozenSet[int]],
     return report
 
 
-def _meet_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]], inc: np.ndarray,
-                ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+def _meet_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]],
+                words: np.ndarray, ii: np.ndarray,
+                jj: np.ndarray) -> np.ndarray:
     """mu(F_i & F_j) for each intersecting index pair.  For a WhitneyMap each
-    pair's meet is the AND of the members' :func:`packed_rows`; the distinct
-    meets, found by :func:`row_classes` and read back by
+    pair's meet is the AND of the members' :func:`packed_rows` ``words``;
+    the distinct meets, found by :func:`row_classes` and read back by
     :func:`unpacked_rows`, are sized once by :func:`_set_sizes`."""
     if not isinstance(mu, WhitneyMap):
         return _pair_sizes(mu, fam, ii, jj, operator.and_)
     if not len(ii):
         return np.empty(0)
-    words = packed_rows(inc)
     keys = words[ii] & words[jj]
     first, back = row_classes(keys)
-    rows, cols = np.nonzero(unpacked_rows(keys[first], inc.shape[1]))
     verts = np.array(sorted(set().union(*fam)), dtype=np.int64)
+    rows, cols = np.nonzero(unpacked_rows(keys[first], len(verts)))
     idx = _gather_index(verts[cols], np.bincount(rows, minlength=len(first)))
     return _set_sizes(mu, idx)[back]
 

@@ -7,6 +7,11 @@ So ``.sum``, ``.mean``, ``np.add.reduce``, ``@`` and ``dot`` may appear in
 each entry of ``KEEP`` names one such use, by module, enclosing function
 and source text, and says why it is exact.  A float mean that must follow
 numpy's order is written out instead (``psi._pairwise_sum``).
+
+Nor does one come from a numpy transcendental: ``np.arctan2`` rounds
+differently from ``math.atan2`` on 7.8% of inputs, and numpy picks SIMD
+code for its elementary functions by build and CPU, so the package calls
+:mod:`math` for them (``continua._by_math``).
 """
 
 import ast
@@ -30,8 +35,6 @@ KEEP = {
         "ints: the pieces per fiber, squared and added",
     "whitney._member_index: card.sum()":
         "ints: the total member count",
-    "whitney.check_whitney_axioms: inc @ inc.T":
-        "int64 0/1 incidence: the size of each pairwise intersection",
     "whitney.fsum_rows: "
     "(run[:-1] - (run[1:] - part) + (block - part)).sum(axis=0)":
         "Sum2's error sum q: fsum_rows certifies r whatever order q was "
@@ -105,3 +108,36 @@ def test_no_draw_depends_on_the_choice_algorithm():
     # Generator.choice; psi._draws reads the raw stream instead
     assert [f"{path.stem}: {src}" for path in PACKAGE
             for src in _choice_calls(path)] == []
+
+
+TRANSCENDENTALS = {
+    "sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2", "hypot",
+    "sinh", "cosh", "tanh", "exp", "expm1", "log", "log1p", "log2", "log10",
+    "power"}
+
+
+def _transcendentals(path):
+    """Source of each numpy transcendental the module names, called or
+    passed on (``np.exp`` or ``numpy.exp``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in TRANSCENDENTALS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")]
+
+
+def test_no_float_comes_from_a_numpy_transcendental():
+    assert [f"{path.stem}: {src}" for path in PACKAGE
+            for src in _transcendentals(path)] == []
+
+
+def test_the_transcendental_guard_sees_calls_and_references(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import math\nimport numpy\nimport numpy as np\n"
+                   "def f(x, y):\n"
+                   "    a = np.arctan2(y, x) + numpy.log1p(x)\n"
+                   "    b = _by_math(np.hypot, x, y) + np.power(x, 2)\n"
+                   "    return a + b + math.atan2(y, x) + np.sqrt(x)\n")
+    assert sorted(_transcendentals(mod)) == [
+        "np.arctan2", "np.hypot", "np.power", "numpy.log1p"]

@@ -38,26 +38,28 @@ def test_identical_sets_distance_zero():
 
 
 def test_constructor_validation():
-    with pytest.raises(DomainError):
-        FinitePointSet()
-    with pytest.raises(DomainError):
-        FinitePointSet(points=[])
-    with pytest.raises(DomainError):
-        FinitePointSet(points=[(0.0, 0.0)], matrix=[[0.0]])
-    with pytest.raises(DomainError):
-        FinitePointSet(matrix=[[0.0, 1.0], [2.0, 0.0]])  # asymmetric
-    with pytest.raises(DomainError):
-        FinitePointSet(matrix=[[0.0, 5.0, 1.0],
-                               [5.0, 0.0, 1.0],
-                               [1.0, 1.0, 0.0]])  # triangle violation
+    for bad in ([], [0.0, 1.0], [(0.0, 1.0, 2.0)], [[[0.0, 1.0]]]):
+        with pytest.raises(DomainError, match=r"^points must have shape "):
+            FinitePointSet(points=bad)
+    with pytest.raises(DomainError, match="^point set must be non-empty$"):
+        FinitePointSet(points=np.empty((0, 2)))
 
 
-def test_matrix_backed_sets_and_subsets():
-    m = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
-    amb = FinitePointSet(matrix=m)
-    sub = amb.subset([0, 2])
-    rep = hausdorff_distance(sub, amb)
-    assert rep.value == 1.0
+def test_subset_refuses_indices_that_are_not_integers():
+    amb = FinitePointSet(points=[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    with pytest.raises(DomainError,
+                       match="^subset indices must be integers, got bool$"):
+        amb.subset([True, False, True])
+    with pytest.raises(DomainError,
+                       match="^subset indices must be integers, got float64$"):
+        amb.subset([1.7])
+    # np.asarray([]) is float64: an empty list is still named as empty
+    with pytest.raises(DomainError, match="^subset must be non-empty$"):
+        amb.subset([])
+    with pytest.raises(DomainError, match="^subset index out of range$"):
+        amb.subset([3])
+    for idx in ([2, 0], np.array([2, 0], dtype=np.uint8), range(2, -1, -2)):
+        assert amb.subset(idx).points.tolist() == [[2.0, 0.0], [0.0, 0.0]]
 
 
 def test_closed_neighborhood_includes_boundary():
@@ -131,18 +133,6 @@ def test_non_finite_coordinates_rejected():
             FinitePointSet(points=[(0.0, 0.0), (bad, 1.0)])
     with pytest.raises(DomainError, match="non-negative number"):
         DistanceReport(value=math.nan, witness=(0, 0), direction=0)
-
-
-def test_mixed_ambient_spaces_rejected():
-    table = FinitePointSet(matrix=[[0.0, 1.0], [1.0, 0.0]])
-    other = FinitePointSet(matrix=[[0.0, 1.0], [1.0, 0.0]])
-    planar = FinitePointSet(points=[(0.0, 0.0), (1.0, 0.0)])
-    with pytest.raises(DomainError, match="mix planar"):
-        hausdorff_distance(planar, table)
-    with pytest.raises(DomainError, match="mix planar"):
-        hausdorff_distance(table, planar)
-    with pytest.raises(DomainError, match="different distance tables"):
-        hausdorff_distance(table, other.subset([0]))
 
 
 # -- the KD-tree path against the dense formula -----------------------------
@@ -309,23 +299,12 @@ def test_five_link_two_level_tower_step_equals_dense_reference():
 # -- flat subsets against the set-loop reference ------------------------------
 
 
-def reference_require_subset(K, ambient, k_rows=None, amb_rows=None):
-    """The set-loop subset check.  A table-backed set is given with its
-    ``(root table, indices into the root)``, tracked outside the class."""
-    if K.is_planar and ambient.is_planar:
-        amb = {(float(x), float(y)) for x, y in ambient.points}
-        for x, y in K.points:
-            if (float(x), float(y)) not in amb:
-                raise DomainError(f"point ({x}, {y}) is not in the ambient set")
-        return
-    if K.is_planar != ambient.is_planar:
-        raise DomainError("cannot mix planar and table-backed point sets")
-    if k_rows[0] is not amb_rows[0]:
-        raise DomainError("K is not drawn from the ambient distance table")
-    amb_idx = set(amb_rows[1].tolist())
-    for i in k_rows[1].tolist():
-        if i not in amb_idx:
-            raise DomainError("K contains points outside the ambient set")
+def reference_require_subset(K, ambient):
+    """The set-loop subset check."""
+    amb = {(float(x), float(y)) for x, y in ambient.points}
+    for x, y in K.points:
+        if (float(x), float(y)) not in amb:
+            raise DomainError(f"point ({x}, {y}) is not in the ambient set")
 
 
 def _outcome(fn, *args):
@@ -377,72 +356,16 @@ def test_planar_subset_check_matches_the_set_loop(amb_pts, picks, extra,
     assert kind == got[0]
     if kind == "ok":
         near = metric_core._pair_distances(amb.points, K.points).min(axis=1)
-        assert nb.is_planar
+        assert isinstance(nb, FinitePointSet)
         assert np.array_equal(nb.points, amb.points[near <= eps])
     else:
         assert nb == got[1]
 
 
-def _metric_table(rng, n):
-    pts = rng.uniform(-3, 3, (n, 2))
-    return FinitePointSet(matrix=metric_core._pair_distances(pts, pts))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(1, 6),
-       st.sampled_from([0.0, 0.7, 2.5]))
-def test_table_subsets_match_the_set_loop(seed, n, steps, eps):
-    """Subsets of subsets, siblings and two roots: the root table, the
-    indices into it, distances, the subset check and the neighborhood."""
-    rng = np.random.default_rng(seed)
-    roots = [_metric_table(rng, n), _metric_table(rng, n)]
-    nodes = [(r, r, np.arange(n)) for r in roots]  # (set, root, indices)
-    for _ in range(steps):
-        parent, root, idx = nodes[rng.integers(len(nodes))]
-        pick = rng.integers(0, len(parent), rng.integers(1, len(parent) + 1))
-        nodes.append((parent.subset(pick), root, idx[pick]))
-    for s, root, idx in nodes:
-        assert s.root() is root
-        assert np.array_equal(s._root_indices(), idx)
-        assert np.array_equal(s.matrix, root.matrix[np.ix_(idx, idx)])
-    for (K, k_root, k_idx), (A, a_root, a_idx) in \
-            [(nodes[i], nodes[j]) for i in range(len(nodes))
-             for j in range(len(nodes))]:
-        got = _outcome(metric_core._require_subset, K, A)
-        assert got == _outcome(reference_require_subset, K, A,
-                               (k_root, k_idx), (a_root, a_idx))
-        if k_root is a_root:
-            assert np.array_equal(K.distances_to(A),
-                                  k_root.matrix[np.ix_(k_idx, a_idx)])
-        kind, nb = _outcome(closed_neighborhood, K, eps, A)
-        assert kind == got[0]
-        if kind == "ok":
-            keep = a_idx[a_root.matrix[np.ix_(a_idx, k_idx)].min(axis=1)
-                         <= eps]
-            assert nb.root() is a_root
-            assert np.array_equal(nb._root_indices(), keep)
-            assert np.array_equal(nb.matrix, a_root.matrix[np.ix_(keep, keep)])
-        else:
-            assert nb == got[1]
-
-
-def test_subset_of_a_subset_slices_the_root_table():
-    rng = np.random.default_rng(3)
-    root = _metric_table(rng, 8)
-    a = root.subset([7, 1, 4, 4, 0])
-    b = a.subset([3, 0, 4])          # root points 4, 7, 0
-    c = root.subset([2, 4])
-    assert np.array_equal(b._root_indices(), [4, 7, 0])
-    assert np.array_equal(b.distances_to(c),
-                          root.matrix[np.ix_([4, 7, 0], [2, 4])])
-    assert np.array_equal(c.distances_to(a),
-                          root.matrix[np.ix_([2, 4], [7, 1, 4, 4, 0])])
-
-
 def test_planar_subset_is_an_ordinary_planar_set():
     amb = FinitePointSet(points=[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     sub = amb.subset([2, 0]).subset([1])
-    assert sub.root() is sub
+    assert type(sub) is FinitePointSet
     assert np.array_equal(sub.points, [[0.0, 0.0]])
     # planar sets are compatible with any planar set, subset or not
     assert closed_neighborhood(sub, 1.0, amb).points.tolist() == \
@@ -455,11 +378,6 @@ def test_subset_check_names_the_first_missing_point():
     with pytest.raises(DomainError,
                        match=r"^point \(0\.5, 0\.0\) is not in the ambient"):
         closed_neighborhood(k, 1.0, amb)
-    table = FinitePointSet(matrix=[[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(DomainError, match="mix planar"):
-        closed_neighborhood(table, 1.0, amb)
-    with pytest.raises(DomainError, match="outside the ambient set"):
-        closed_neighborhood(table.subset([0]), 1.0, table.subset([1]))
 
 
 @pytest.mark.parametrize("seed", range(4))
