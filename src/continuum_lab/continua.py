@@ -4,7 +4,10 @@ A :class:`GraphContinuum` is a connected graph with a deterministic planar
 embedding.  Its "subcontinua" are the connected vertex sets; the containment
 poset of those sets is the finite stand-in for the hyperspace of a continuum.
 Its one breadth-first walk from vertex 0, :attr:`GraphContinuum.order`, is
-both its connectivity check and the Whitney enumeration order.
+both its connectivity check and the Whitney enumeration order.  The
+family depends only on the graph, so each graph's is enumerated once per
+process and kept, per (graph, cap) and under two bounds; every call
+returns a new list (:func:`enumerate_subcontinua`).
 
 Also provided: order arcs between nested subcontinua, terminal-subcontinuum
 and triod detection, and the two classic hyperspace homeomorphisms
@@ -24,6 +27,7 @@ from . import errors
 from .errors import DomainError, ResourceError, _max_elements
 
 MAX_ORDER_ARCS = 1_000_000
+KEPT_HYPERSPACES = 32
 
 
 @dataclass(frozen=True)
@@ -201,14 +205,42 @@ def _cantor_fan(depth: int) -> GraphContinuum:
 # ---------------------------------------------------------------------------
 # hyperspace enumeration
 
+# the kept families by (graph, cap), least recently used first
+_kept: Dict[Tuple[GraphContinuum, int], Tuple[FrozenSet[int], ...]] = {}
+
 
 def enumerate_subcontinua(g: GraphContinuum) -> List[FrozenSet[int]]:
-    """All connected vertex sets, sorted by (size, sorted vertex tuple).
+    """All connected vertex sets, sorted by (size, sorted vertex tuple), as
+    a new list on every call.
 
     Raises :class:`ResourceError` when the count would exceed the cap taken
-    from ``CONTINUUM_LAB_MAX_ELEMENTS``.
+    from ``CONTINUUM_LAB_MAX_ELEMENTS``.  A family of at most
+    ``errors.SIZE_BLOCK_FLOATS`` vertex cells (the sum of its member
+    sizes) is kept per (graph, cap), the last ``KEPT_HYPERSPACES`` used,
+    so equal graphs share one enumeration; a refused graph keeps nothing.
+    A connected graph on n vertices has at least n - k + 1 connected sets
+    of k vertices (a path has exactly that), so at least n(n+1)(n+2)/6
+    cells: past that bound the graph is not even looked up.
     """
-    cap = _max_elements()
+    cap, n = _max_elements(), g.n
+    if n * (n + 1) * (n + 2) > 6 * errors.SIZE_BLOCK_FLOATS:
+        return _connected_sets(g, cap)
+    key = (g, cap)
+    family = _kept.pop(key, None)  # re-inserted last: the most recent use
+    if family is None:
+        family = _connected_sets(g, cap)
+        if sum(map(len, family)) > errors.SIZE_BLOCK_FLOATS:
+            return family
+        family = tuple(family)
+        if len(_kept) >= KEPT_HYPERSPACES:
+            del _kept[next(iter(_kept))]
+    _kept[key] = family
+    return list(family)
+
+
+def _connected_sets(g: GraphContinuum, cap: int) -> List[FrozenSet[int]]:
+    """:func:`enumerate_subcontinua`'s family, grown size by size and
+    refused as soon as its count passes ``cap``."""
     seen = set()
     frontier: List[FrozenSet[int]] = []
     for v in range(g.n):

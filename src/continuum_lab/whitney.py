@@ -19,7 +19,9 @@ d_mu(A, B) = max(mu(A | B) - mu(A), mu(A | B) - mu(B)), axiom checkers for
 the monotone/subadditive characterisation of Whitney maps, level sets, and
 equal-level refinements of decompositions.  The axiom checks and the
 distance matrices read from one union-size table U[i, j] = mu(F_i | F_j)
-per family, which sizes each distinct union once.  For a WhitneyMap the
+per family, which sizes each distinct union once; each call packs the
+members' words and builds their gather index once, and every table it
+reads shares them.  For a WhitneyMap the
 table comes from the members' envelopes, hi[k, i] = max F[k, F_i] and
 lo[k, i] = min F[k, F_i]: the span of a union is max(hi_i, hi_j) -
 min(lo_i, lo_j), exactly, so no union set is built.
@@ -289,20 +291,21 @@ def _span_sizes(mu: WhitneyMap, idx: np.ndarray, ii: np.ndarray,
     return out
 
 
-def _union_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]]) -> np.ndarray:
+def _union_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]],
+                 words: np.ndarray, idx: Optional[np.ndarray]
+                 ) -> np.ndarray:
     """U[i, j] = mu(F_i | F_j), over the unordered pairs i <= j.  For a
-    WhitneyMap each pair's union is the OR of the members'
-    :func:`packed_rows`, and one pair per distinct union, found by
-    :func:`row_classes`, is sized by :func:`_span_sizes`: a size is the
+    WhitneyMap each pair's union is the OR of the members' packed
+    ``words`` (:func:`packed_rows`), and one pair per distinct union, found
+    by :func:`row_classes`, is sized by :func:`_span_sizes` over the
+    members' gather index ``idx`` (:func:`_member_index`): a size is the
     correctly rounded sum of its union's own terms, so every pair with that
-    union gets its bits."""
+    union gets its bits.  A plain size function reads neither table."""
     k = len(fam)
     if not k:
         return np.empty((0, 0))
     ii, jj = np.triu_indices(k)
     if isinstance(mu, WhitneyMap):
-        idx = _member_index(fam, mu.n_points)
-        words = packed_rows(incidence_table(fam))
         first, back = row_classes(words[ii] | words[jj])
         vals = _span_sizes(mu, idx, ii[first], jj[first])[back]
     else:
@@ -313,14 +316,28 @@ def _union_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]]) -> np.ndarray:
     return u
 
 
-def whitney_distance_matrix(mu: MuLike,
-                            family: Sequence[FrozenSet[int]]) -> np.ndarray:
-    """d_mu over the family (2X mode), from the union-size table."""
-    u = _union_sizes(mu, [frozenset(a) for a in family])
+def _size_metric(u: np.ndarray) -> np.ndarray:
+    """d_mu from a union-size table: max(U_ij - U_ii, U_ij - U_jj)."""
     grow = u - u.diagonal()[:, None]  # mu(F_i | F_j) - mu(F_i); U symmetric
     dm = np.maximum(grow, grow.T)
     np.fill_diagonal(dm, 0.0)
     return dm
+
+
+def _sized_index(mu: MuLike, fam: Sequence[FrozenSet[int]]
+                 ) -> Optional[np.ndarray]:
+    """The family's :func:`_member_index` for a WhitneyMap, which refuses
+    what :meth:`WhitneyMap.sizes` refuses; None for a size function."""
+    return _member_index(fam, mu.n_points) if isinstance(mu, WhitneyMap) \
+        else None
+
+
+def whitney_distance_matrix(mu: MuLike,
+                            family: Sequence[FrozenSet[int]]) -> np.ndarray:
+    """d_mu over the family (2X mode), from the union-size table."""
+    fam = [frozenset(a) for a in family]
+    words = packed_rows(incidence_table(fam))
+    return _size_metric(_union_sizes(mu, fam, words, _sized_index(mu, fam)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +398,7 @@ def check_whitney_axioms(mu: MuLike, family: Sequence[FrozenSet[int]],
         both = words[at, None] & words[None]
         subset[at] = (both == words[at, None]).all(axis=2)
         meets[at] = both.any(axis=2)
-    u = _union_sizes(mu, fam)
+    u = _union_sizes(mu, fam, words, _sized_index(mu, fam))
     s = u.diagonal()
 
     single = (card == 1) & (np.abs(s) > tol)
@@ -440,20 +457,15 @@ def min_value_gap(values: Sequence[float]) -> float:
     return min(b - a for a, b in zip(vals, vals[1:]))
 
 
-def default_level_tolerance(mu: WhitneyMap,
-                            family: Sequence[FrozenSet[int]]) -> float:
-    """Half the minimal gap between distinct mu-values in the family."""
-    return min_value_gap(mu.sizes(family).tolist()) / 2.0
-
-
 def whitney_level(mu: WhitneyMap, family: Sequence[FrozenSet[int]], t: float,
                   tol: Optional[float] = None) -> List[FrozenSet[int]]:
-    """Family members whose size is within ``tol`` of ``t``."""
+    """Family members whose size is within ``tol`` of ``t``; by default
+    half the minimal gap between distinct sizes in the family."""
     if not math.isfinite(t):
         raise DomainError(f"level parameter must be finite, got {t}")
-    if tol is None:
-        tol = default_level_tolerance(mu, family)
     sizes = mu.sizes(family).tolist()
+    if tol is None:
+        tol = min_value_gap(sizes) / 2.0
     return [s for s, v in zip(family, sizes) if abs(v - t) <= tol]
 
 
@@ -512,13 +524,17 @@ def equal_level_refinement(g: GraphContinuum, mu: WhitneyMap,
 def hyperspace_distance_matrices(g: GraphContinuum, mu: MuLike,
                                  family: Sequence[FrozenSet[int]]
                                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """(d_H, d_mu) matrices over the family, using the planar embedding."""
+    """(d_H, d_mu) matrices over the family, using the planar embedding;
+    both read one gather index of the members."""
     pts = np.array(g.pos, dtype=float)
-    idx = _member_index([frozenset(s) for s in family], len(pts))
+    fam = [frozenset(s) for s in family]
+    idx = _member_index(fam, min(len(pts), mu.n_points) if isinstance(
+        mu, WhitneyMap) else len(pts))
     near = np.empty((len(pts), len(idx)))  # near[x, j] = d(x, F_j)
     for at in _row_blocks(len(pts), len(pts)):
         near[at] = _reduce_over(_pair_distances(pts[at], pts), idx,
                                 np.minimum)
     # h[j, i] = max_{x in F_i} d(x, F_j), zero on the diagonal as d(x, x) is
     h = _reduce_over(np.ascontiguousarray(near.T), idx, np.maximum)
-    return np.maximum(h, h.T), whitney_distance_matrix(mu, family)
+    u = _union_sizes(mu, fam, packed_rows(incidence_table(fam)), idx)
+    return np.maximum(h, h.T), _size_metric(u)

@@ -249,6 +249,105 @@ def test_path_subcontinua_are_intervals():
         assert s == frozenset(range(lo, hi + 1))
 
 
+@pytest.fixture
+def kept(monkeypatch):
+    """An empty store of kept families, under the default cap."""
+    monkeypatch.delenv("CONTINUUM_LAB_MAX_ELEMENTS", raising=False)
+    store = {}
+    monkeypatch.setattr(continua, "_kept", store)
+    return store
+
+
+def test_a_kept_family_is_a_new_list_on_every_call(kept):
+    g = build_continuum("cycle", n=7)
+    first = enumerate_subcontinua(g)
+    want = list(first)
+    assert len(kept) == 1
+    first.reverse()
+    first.append(frozenset([99]))
+    again = enumerate_subcontinua(g)
+    assert again == want and again is not first
+    assert again == continua._connected_sets(g, errors._max_elements())
+    again.clear()
+    assert enumerate_subcontinua(g) == want
+
+
+def test_equal_graphs_share_one_kept_family(kept, monkeypatch):
+    grown = []
+    real = continua._connected_sets
+    monkeypatch.setattr(continua, "_connected_sets",
+                        lambda g, cap: grown.append(g) or real(g, cap))
+    a, b = build_continuum("path", n=9), build_continuum("path", n=9)
+    custom = [GraphContinuum(n=4, edges=((0, 1), (1, 2), (1, 3)),
+                             pos=((0.0, 0.0),) * 4) for _ in range(2)]
+    assert a is not b and custom[0] is not custom[1]
+    assert enumerate_subcontinua(a) == enumerate_subcontinua(b)
+    assert enumerate_subcontinua(custom[0]) == enumerate_subcontinua(
+        custom[1])
+    assert grown == [a, custom[0]]
+    assert list(kept) == [(a, errors.DEFAULT_MAX_ELEMENTS),
+                          (custom[0], errors.DEFAULT_MAX_ELEMENTS)]
+
+
+def test_a_kept_family_is_refused_under_a_lower_cap(kept, monkeypatch):
+    # path 10 has 55 subcontinua
+    g = build_continuum("path", n=10)
+    assert len(enumerate_subcontinua(g)) == 55
+    monkeypatch.setenv("CONTINUUM_LAB_MAX_ELEMENTS", "54")
+    with pytest.raises(ResourceError,
+                       match=r"^subcontinuum enumeration exceeds cap 54$"
+                       ) as exc:
+        enumerate_subcontinua(g)
+    assert exc.value.achievable == 54
+    assert list(kept) == [(g, errors.DEFAULT_MAX_ELEMENTS)]
+
+
+def test_a_raised_cap_enumerates_a_refused_graph(kept, monkeypatch):
+    g = build_continuum("cycle", n=6)
+    monkeypatch.setenv("CONTINUUM_LAB_MAX_ELEMENTS", "30")
+    with pytest.raises(ResourceError) as exc:
+        enumerate_subcontinua(g)
+    assert exc.value.achievable == 30 and kept == {}
+    monkeypatch.setenv("CONTINUUM_LAB_MAX_ELEMENTS", "31")
+    assert len(enumerate_subcontinua(g)) == 31
+    assert list(kept) == [(g, 31)]
+
+
+@pytest.mark.parametrize("kind, n, cells, least", [
+    ("path", 10, 220, 220), ("cycle", 8, 232, 120)])
+def test_a_family_over_the_cell_bound_is_not_kept(kind, n, cells, least,
+                                                  kept, monkeypatch):
+    # path n has n(n+1)(n+2)/6 cells, the least of any graph on n
+    # vertices; cycle n has n + n * n(n-1)/2
+    g = build_continuum(kind, n=n)
+    assert sum(map(len, enumerate_subcontinua(g))) == cells
+    kept.clear()
+    monkeypatch.setattr(errors, "SIZE_BLOCK_FLOATS", cells - 1)
+    want = continua._connected_sets(g, errors._max_elements())
+    assert enumerate_subcontinua(g) == want and kept == {}
+    monkeypatch.setattr(errors, "SIZE_BLOCK_FLOATS", cells)
+    assert enumerate_subcontinua(g) == want and len(kept) == 1
+    kept.clear()
+    # under the least cells of n vertices the graph is not even hashed
+    monkeypatch.setattr(errors, "SIZE_BLOCK_FLOATS", least - 1)
+    small = build_continuum("path", n=2)
+    enumerate_subcontinua(small)  # a store that is not empty hashes a key
+    monkeypatch.setattr(GraphContinuum, "__hash__", None)
+    assert enumerate_subcontinua(g) == want
+    assert list(kept) == [(small, errors.DEFAULT_MAX_ELEMENTS)]
+
+
+def test_the_store_never_holds_more_than_its_bound(kept, monkeypatch):
+    monkeypatch.setattr(continua, "KEPT_HYPERSPACES", 3)
+    graphs = [build_continuum("path", n=n) for n in range(1, 7)]
+    for i, g in enumerate(graphs):
+        enumerate_subcontinua(g)
+        assert [k[0] for k in kept] == graphs[max(0, i - 2):i + 1]
+    enumerate_subcontinua(graphs[3])  # a use moves a family last
+    enumerate_subcontinua(graphs[0])
+    assert [k[0] for k in kept] == [graphs[5], graphs[3], graphs[0]]
+
+
 def test_order_arcs_have_unit_steps():
     g = build_continuum("path", n=5)
     arcs = order_arcs_between(g, frozenset([2]), frozenset(range(5)))

@@ -104,8 +104,15 @@ def test_member_sizes_equal_the_full_series(kind, n):
         mu = build_whitney_map(g, ordering_seed=seed)
         assert_bits_equal(mu.sizes(subs), [reference_mu(mu, s) for s in subs])
     pick = subs[::max(1, len(subs) // 60)]
-    assert_bits_equal(whitney._union_sizes(mu, pick).reshape(-1),
+    assert_bits_equal(union_table(mu, pick).reshape(-1),
                       [reference_mu(mu, a | b) for a in pick for b in pick])
+
+
+def union_table(mu, fam):
+    """The union-size table of a family, from the member tables its
+    callers build: the packed words and the gather index."""
+    return whitney._union_sizes(mu, fam, packed_rows(incidence_table(fam)),
+                                whitney._member_index(fam, mu.n_points))
 
 
 @st.composite
@@ -134,7 +141,7 @@ def long_families(draw):
 def test_head_sums_equal_the_full_series(case):
     mu, fam = case
     assert_bits_equal(mu.sizes(fam), [reference_mu(mu, s) for s in fam])
-    assert_bits_equal(whitney._union_sizes(mu, fam).reshape(-1),
+    assert_bits_equal(union_table(mu, fam).reshape(-1),
                       [reference_mu(mu, a | b) for a in fam for b in fam])
     inc = incidence_table(fam)
     ii, jj = np.nonzero(np.triu(inc @ inc.T > 0))
@@ -181,7 +188,7 @@ def test_a_tail_that_crosses_a_rounding_boundary_is_read(monkeypatch):
     monkeypatch.setattr(errors, "SIZE_BLOCK_FLOATS", 64 * 70)
     pair = frozenset([0, 1])
     assert mu.sizes([pair, frozenset([1])]).tolist() == [want, 0.0]
-    assert whitney._union_sizes(mu, [frozenset([0]), frozenset([1])])[
+    assert union_table(mu, [frozenset([0]), frozenset([1])])[
         0, 1] == want
     assert reference_mu(mu, pair) == want
     # psi's envelope kernel: on a 3 x 30 model, a set holding vertex 1 and
@@ -431,7 +438,7 @@ def test_union_table_and_meets_pass_bounded_batches(monkeypatch):
         sums.append(rows)
         return fsum_rows(seen, rows, tail)
     monkeypatch.setattr(whitney, "fsum_rows", spy)
-    u = whitney._union_sizes(mu, subs)
+    u = union_table(mu, subs)
     # one row per distinct union: 2,516 of the 9,316 pairs
     assert sum(sums) == len({a | b for a in subs for b in subs}) == 2516
     assert len(cells) > 1 and max(cells) <= SIZE_BLOCK_FLOATS
@@ -460,7 +467,7 @@ def test_the_union_table_sizes_each_distinct_union_once(kind, n, distinct,
         summed.append((a.tolist(), b.tolist()))
         return real(mu, idx, a, b)
     monkeypatch.setattr(whitney, "_span_sizes", spy)
-    u = whitney._union_sizes(mu, fam)
+    u = union_table(mu, fam)
     assert_bits_equal(u[ii, jj], want)
     assert_bits_equal(u[jj, ii], want)
     (a, b), = summed
@@ -531,10 +538,10 @@ def test_family_tables_read_the_size_table_not_the_memo():
     g = build_continuum("path", n=8)
     subs = enumerate_subcontinua(g)
     mu = build_whitney_map(g)
-    u = whitney._union_sizes(mu, subs)
+    u = union_table(mu, subs)
     assert mu._cache == {}
     mu._cache[subs[3]] = 0.0
-    assert np.array_equal(whitney._union_sizes(mu, subs), u)
+    assert np.array_equal(union_table(mu, subs), u)
 
 
 @pytest.mark.parametrize("block", [1, 5, 300])
@@ -543,11 +550,11 @@ def test_family_tables_do_not_depend_on_the_block(block, monkeypatch):
     fam = enumerate_subcontinua(g)[::3] + [frozenset([0, 4]),
                                           frozenset([1, 5, 8])]
     mu = build_whitney_map(g)
-    want = whitney._union_sizes(mu, fam)
+    want = union_table(mu, fam)
     dists = hyperspace_distance_matrices(g, mu, fam)
     report = check_whitney_axioms(mu, fam, tol=0.02)
     monkeypatch.setattr(errors, "SIZE_BLOCK_FLOATS", block)
-    assert np.array_equal(whitney._union_sizes(mu, fam), want)
+    assert np.array_equal(union_table(mu, fam), want)
     assert all(map(np.array_equal, hyperspace_distance_matrices(g, mu, fam),
                    dists))
     assert check_whitney_axioms(mu, fam, tol=0.02) == report
@@ -603,7 +610,7 @@ def envelope_families(draw):
 @given(envelope_families())
 def test_union_and_meet_tables_equal_the_per_set_sizes(case):
     mu, fam = case
-    assert np.array_equal(whitney._union_sizes(mu, fam).reshape(-1),
+    assert np.array_equal(union_table(mu, fam).reshape(-1),
                           [reference_mu(mu, a | b) for a in fam for b in fam])
     inc = incidence_table(fam)
     ii, jj = np.nonzero(np.triu(inc @ inc.T > 0))
@@ -803,6 +810,51 @@ def test_whitney_level_membership():
     members = whitney_level(mu, subs, t)
     assert frozenset([2, 3]) in members
     assert frozenset(range(8)) not in members
+
+
+def test_a_level_query_reads_the_sizes_once():
+    g = build_continuum("cycle", n=7)
+    subs = enumerate_subcontinua(g)
+    mu = build_whitney_map(g, ordering_seed=3)
+    sizes = mu.sizes(subs).tolist()
+    tol = whitney.min_value_gap(sizes) / 2.0
+    read = []
+    real = mu.sizes
+    mu.sizes = lambda sets: read.append(len(sets)) or real(sets)
+    for t in (sizes[9], sizes[40], 0.0):
+        read.clear()
+        want = [s for s, v in zip(subs, sizes) if abs(v - t) <= tol]
+        assert whitney_level(mu, subs, t) == want and read == [len(subs)]
+        assert whitney_level(mu, subs, t, tol=0.0) == [
+            s for s, v in zip(subs, sizes) if v == t]
+
+
+def test_each_table_call_packs_the_members_once(monkeypatch):
+    g = build_continuum("path", n=9)
+    fam = enumerate_subcontinua(g)
+    mu = build_whitney_map(g)
+    want = (check_whitney_axioms(mu, fam),
+            hyperspace_distance_matrices(g, mu, fam))
+    built = []
+    for name in ("packed_rows", "_member_index"):
+        real = getattr(whitney, name)
+        monkeypatch.setattr(whitney, name, lambda *a, real=real, name=name:
+                            built.append(name) or real(*a))
+    assert check_whitney_axioms(mu, fam) == want[0]
+    assert sorted(built) == ["_member_index", "packed_rows"]
+    built.clear()
+    got = hyperspace_distance_matrices(g, mu, fam)
+    assert all(map(np.array_equal, got, want[1]))
+    assert sorted(built) == ["_member_index", "packed_rows"]
+
+
+def test_distances_refuse_a_map_on_fewer_points():
+    # d_H reads the graph's 10 points and d_mu the map's 6
+    g = build_continuum("path", n=10)
+    mu = build_whitney_map(build_continuum("path", n=6))
+    with pytest.raises(DomainError,
+                       match="set contains vertices outside the ambient"):
+        hyperspace_distance_matrices(g, mu, enumerate_subcontinua(g))
 
 
 def test_equal_level_refinement_covers_each_member():
