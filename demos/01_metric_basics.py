@@ -13,7 +13,8 @@ sparse = FinitePointSet(points=[(0.0, 0.0), (1.0, 0.0)])
 rep = hausdorff_distance(dense, sparse)
 print(f"d_H(dense, sparse) = {rep.value}")
 far = dense if rep.direction == 0 else sparse
-print(f"attained by point {far.points[rep.witness[0]]} of the "
+x, y = far.points[rep.witness[0]].tolist()  # Python floats, not numpy's repr
+print(f"attained by point ({x}, {y}) of the "
       f"{'first' if rep.direction == 0 else 'second'} set")
 
 # The distance is symmetric and vanishes only on equal sets.

@@ -174,15 +174,14 @@ class ChainReport:
     failures: List[str] = field(default_factory=list)
 
 
-def verify_chain(chain: Chain, eps: float) -> ChainReport:
-    """Check the epsilon-chain conditions for a chain.
+def verify_chain(chain: Chain) -> ChainReport:
+    """Check the link structure of a chain and report its mesh.
 
     Links must intersect exactly when their indices differ by at most one,
-    each link must be a connected cell region, and every diameter must be
-    strictly below ``eps`` (positive; ``math.inf`` checks no mesh bound).
+    and each link must be a connected cell region.  The mesh is reported,
+    not bounded: ``realize.build_tower`` refuses a level n whose mesh is
+    not below 2^-n.
     """
-    if not eps > 0:
-        raise DomainError(f"eps must be positive, got {eps}")
     failures: List[str] = []
     n = len(chain)
     for i in range(n):
@@ -195,10 +194,7 @@ def verify_chain(chain: Chain, eps: float) -> ChainReport:
                 failures.append(f"links {i} and {j} do not meet")
             if j > i + 1 and meets:
                 failures.append(f"links {i} and {j} meet but are not adjacent")
-    mesh = chain.mesh()
-    if mesh >= eps:
-        failures.append(f"mesh {mesh} is not below eps {eps}")
-    return ChainReport(ok=not failures, mesh=mesh, failures=failures)
+    return ChainReport(ok=not failures, mesh=chain.mesh(), failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +364,9 @@ def minimal_spanning_crooked_length(n_coarse: int
     +1.  Independent of the recursive generator; the pattern returned is
     certified by ``is_crooked``.
     """
-    found = _search_patterns(n_coarse, MAX_SEARCH_LENGTH)
+    if n_coarse < 1:
+        raise DomainError("need n_coarse >= 1")
+    found = _search_patterns(n_coarse)
     if found is None:
         raise DomainError(f"no spanning crooked pattern of length <= "
                           f"{MAX_SEARCH_LENGTH}")
@@ -412,10 +410,10 @@ def _zigzag_step(pairs: Sequence[Tuple[int, int]], state: _ZigzagState,
     return (x, tuple(stages))
 
 
-def _search_patterns(n_coarse: int, max_len: int
-                     ) -> Optional[Tuple[int, ...]]:
-    """First spanning crooked pattern of the least length <= ``max_len``,
-    depth first with steps -1, 0, +1 in that order, or None.
+def _search_patterns(n_coarse: int) -> Optional[Tuple[int, ...]]:
+    """First spanning crooked pattern of the least length <=
+    ``MAX_SEARCH_LENGTH``, depth first with steps -1, 0, +1 in that order,
+    or None.
 
     A prefix is cut as soon as its newest entry closes a run (up or down)
     that misses the zigzag: the failure is decided by the prefix, so no
@@ -438,7 +436,7 @@ def _search_patterns(n_coarse: int, max_len: int
 
     start = _zigzag_step(pairs, (0, (0,) * len(pairs)), 1)
     layers = [{start}]
-    while len(layers) <= max_len:
+    while len(layers) <= MAX_SEARCH_LENGTH:
         if any(state[0] == n_coarse for state in layers[-1]):
             break
         layers.append({nxt for state in layers[-1]

@@ -242,11 +242,10 @@ def _cmd_whitney_level(args):
 def _cmd_whitney_refine(args):
     g = _continuum_from_args(args)
     mu = build_whitney_map(g, ordering_seed=args.seed)
-    decomposition = [frozenset(range(g.n))]
-    out = equal_level_refinement(g, mu, decomposition, args.t)
-    return {"pieces": [{"member": sorted(p.member), "tol": p.tol,
-                        "refined": sorted(sorted(s) for s in p.pieces)}
-                       for p in out]}, [], None
+    pieces, tol = equal_level_refinement(g, mu, args.t)
+    return {"pieces": [{"member": list(range(g.n)), "tol": tol,
+                        "refined": sorted(sorted(s) for s in pieces)}]
+            }, [], None
 
 
 def _psi_from_args(args):

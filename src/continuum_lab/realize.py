@@ -550,7 +550,7 @@ def _grid_tower(n1: int, patterns: Tuple[RefinementPattern, ...]
     failures, meshes, nested, far = [], [], [None], [None]
     prev_closure = None
     for links in chains:
-        report = verify_chain(Chain(links=links), math.inf)
+        report = verify_chain(Chain(links=links))
         failures.append(tuple(report.failures))
         meshes.append(report.mesh)
         mask = _mask([l.rects for l in links], shape)
@@ -642,7 +642,7 @@ def realize_pattern(pattern: RefinementPattern) -> Tuple[Chain, Chain]:
     if not _contained(chains, [pattern]):
         raise DomainError("containment violated on the grid")
     coarse, fine = (Chain(links=links) for links in chains)
-    report = verify_chain(fine, math.inf)
+    report = verify_chain(fine)
     if not report.ok:
         raise DomainError(f"pattern {list(p)} does not realize as a chain: "
                           f"{report.failures[0]}")

@@ -17,7 +17,7 @@ from :func:`errors._row_blocks`, the package's one working-memory budget.
 The module also provides the hyperspace size metric
 d_mu(A, B) = max(mu(A | B) - mu(A), mu(A | B) - mu(B)), axiom checkers for
 the monotone/subadditive characterisation of Whitney maps, level sets, and
-equal-level refinements of decompositions.  The axiom checks and the
+the equal-level refinement of the whole continuum.  The axiom checks and the
 distance matrices read from one union-size table U[i, j] = mu(F_i | F_j)
 per family, which sizes each distinct union once; each call packs the
 members' words and builds their gather index once, and every table it
@@ -469,52 +469,25 @@ def whitney_level(mu: WhitneyMap, family: Sequence[FrozenSet[int]], t: float,
     return [s for s, v in zip(family, sizes) if abs(v - t) <= tol]
 
 
-@dataclass
-class RefinementPiece:
-    member: FrozenSet[int]
-    pieces: List[FrozenSet[int]]
-    tol: float
+def equal_level_refinement(g: GraphContinuum, mu: WhitneyMap, t0: float
+                           ) -> Tuple[List[FrozenSet[int]], float]:
+    """Refine the whole continuum into subcontinua of size about t0.
 
-
-def equal_level_refinement(g: GraphContinuum, mu: WhitneyMap,
-                           decomposition: Sequence[FrozenSet[int]],
-                           t0: float) -> List[RefinementPiece]:
-    """Refine each decomposition member into subcontinua of size about t0.
-
-    Preconditions: the members partition the vertex set, each is connected,
-    and 0 < t0 <= min member size.  For each member the tolerance is the
+    Precondition: 0 < t0 <= the whole's size.  The tolerance is the
     smallest value for which every vertex is covered by some piece within
     tolerance of t0 (so the result is a covering family, not a partition);
-    the tolerance used is reported per member.
+    returns the pieces and that tolerance.
     """
-    members = [frozenset(m) for m in decomposition]
-    allv: set = set()
-    for m in members:
-        if not g.is_connected(m):
-            raise DomainError("decomposition members must be connected")
-        if allv & m:
-            raise DomainError("decomposition members must be disjoint")
-        allv |= m
-    if allv != set(range(g.n)):
-        raise DomainError("decomposition must cover the vertex set")
     if not t0 > 0:
         raise DomainError(f"t0 must be positive, got {t0}")
-    min_size = min(mu(m) for m in members)
-    if t0 > min_size + DEFAULT_TOL:
+    whole = mu(frozenset(range(g.n)))
+    if t0 > whole + DEFAULT_TOL:
         raise DomainError(
-            f"t0 = {t0} exceeds the smallest member size {min_size}")
+            f"t0 = {t0} exceeds the smallest member size {whole}")
     subs = enumerate_subcontinua(g)
     errs = dict(zip(subs, [abs(v - t0) for v in mu.sizes(subs).tolist()]))
-    out: List[RefinementPiece] = []
-    for m in members:
-        cands = [c for c in subs if c <= m]
-        tol = 0.0
-        for v in m:
-            best = min(errs[c] for c in cands if v in c)
-            tol = max(tol, best)
-        pieces = [c for c in cands if errs[c] <= tol + DEFAULT_TOL]
-        out.append(RefinementPiece(member=m, pieces=pieces, tol=tol))
-    return out
+    tol = max(min(errs[c] for c in subs if v in c) for v in range(g.n))
+    return [c for c in subs if errs[c] <= tol + DEFAULT_TOL], tol
 
 
 # ---------------------------------------------------------------------------

@@ -238,14 +238,15 @@ def test_minimal_lengths_small_cases():
 
 
 @pytest.mark.parametrize("n", range(1, 6))
-def test_pruned_search_matches_the_unpruned_search(n):
+def test_pruned_search_matches_the_unpruned_search(n, monkeypatch):
     length = next(l for l in range(1, 17) if reference_search(n, l))
     got_length, got = minimal_spanning_crooked_length(n)
     assert got_length == length
     assert got.assignment == reference_search(n, length)
     if n == 5:
         assert got.assignment == (1, 2, 3, 2, 3, 4, 3, 2, 3, 4, 3, 4, 5)
-    assert chains._search_patterns(n, length - 1) is None
+    monkeypatch.setattr(chains, "MAX_SEARCH_LENGTH", length - 1)
+    assert chains._search_patterns(n) is None
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -259,6 +260,12 @@ def test_generated_patterns_are_minimal_beyond_five(n, monkeypatch):
     assert got.assignment == generate_crooked_pattern(n).assignment
     monkeypatch.setattr(chains, "MAX_SEARCH_LENGTH", length - 1)
     with pytest.raises(DomainError, match=f"length <= {length - 1}"):
+        minimal_spanning_crooked_length(n)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_minimal_search_refuses_fewer_than_one_coarse_link(n):
+    with pytest.raises(DomainError, match=r"^need n_coarse >= 1$"):
         minimal_spanning_crooked_length(n)
 
 
@@ -289,7 +296,7 @@ def _bar(index, c0, c1):
 def test_verify_chain_accepts_overlapping_row():
     chain = Chain(links=[_bar(1, 0, 3), _bar(2, 2, 5), _bar(3, 4, 7)],
                   cell_size=0.1)
-    rep = verify_chain(chain, 1.0)
+    rep = verify_chain(chain)
     assert rep.ok
     # widest link spans 3 x 1 cells; diameter is corner to corner
     assert rep.mesh == pytest.approx(0.1 * (10 ** 0.5), abs=1e-12)
@@ -297,14 +304,14 @@ def test_verify_chain_accepts_overlapping_row():
 
 def test_verify_chain_rejects_gap():
     chain = Chain(links=[_bar(1, 0, 2), _bar(2, 3, 5)])
-    rep = verify_chain(chain, 100.0)
+    rep = verify_chain(chain)
     assert not rep.ok
     assert any("do not meet" in f for f in rep.failures)
 
 
 def test_verify_chain_rejects_skip_intersection():
     chain = Chain(links=[_bar(1, 0, 5), _bar(2, 2, 7), _bar(3, 4, 9)])
-    rep = verify_chain(chain, 100.0)
+    rep = verify_chain(chain)
     assert not rep.ok
     assert any("not adjacent" in f for f in rep.failures)
 
@@ -312,33 +319,20 @@ def test_verify_chain_rejects_skip_intersection():
 def test_verify_chain_edge_adjacency_is_disjoint():
     # sharing only an edge (no common cell) must count as a gap
     chain = Chain(links=[_bar(1, 0, 2), _bar(2, 2, 4)])
-    rep = verify_chain(chain, 100.0)
+    rep = verify_chain(chain)
     assert any("do not meet" in f for f in rep.failures)
 
 
-def test_verify_chain_refuses_an_eps_that_is_not_positive():
+def test_verify_chain_reports_the_mesh_and_bounds_none():
     # one 100 x 1 cell bar: its diameter is sqrt(100^2 + 1)
     chain = Chain(links=[_bar(1, 0, 100)])
-    mesh = math.hypot(100, 1)
-    for bad in (math.nan, 0.0, -1.0, -math.inf):
-        with pytest.raises(DomainError, match=f"got {bad}"):
-            verify_chain(chain, bad)
-    assert verify_chain(chain, math.inf) == ChainReport(ok=True, mesh=mesh)
-    assert verify_chain(chain, 0.5) == ChainReport(
-        ok=False, mesh=mesh,
-        failures=[f"mesh {mesh} is not below eps 0.5"])
+    assert verify_chain(chain) == ChainReport(ok=True,
+                                              mesh=math.hypot(100, 1))
 
 
 def test_link_needs_a_rect():
     with pytest.raises(DomainError, match="link 1 has no rects"):
         Link(1, ())
-
-
-def test_mesh_strictness():
-    chain = Chain(links=[_bar(1, 0, 3), _bar(2, 2, 5)], cell_size=1.0)
-    diam = 10 ** 0.5  # corner-to-corner of a 3 x 1 cell bar
-    assert not verify_chain(chain, diam).ok  # diameter == eps is too big
-    assert verify_chain(chain, diam + 0.01).ok
 
 
 # five rects, 20 corners, in a plus shape with a far stub: the diameter

@@ -173,6 +173,20 @@ def test_whitney_check_matches_golden_output(capsys):
         assert capsys.readouterr().out == case["stdout"], case["argv"]
 
 
+REFINE_GOLDEN = Path(__file__).parent / "golden" / "whitney_refine.json"
+
+
+def test_whitney_refine_matches_golden_output(capsys):
+    # 22 runs recorded from the per-member refinement: path 6 and 16, cycle
+    # 12, star 3x2 and cantor_fan 2, each unseeded and at seed 3, at t 0.05
+    # and 0.3 (below every whole-continuum size), and the refusals of a t
+    # above the whole's size and of a negative t
+    for case in json.loads(REFINE_GOLDEN.read_text()):
+        code = dispatch(case["argv"])
+        assert code == case["exit"], case["argv"]
+        assert capsys.readouterr().out == case["stdout"], case["argv"]
+
+
 TRIOD_GOLDEN = Path(__file__).parent / "golden" / "continuum_triod.json"
 
 

@@ -19,7 +19,11 @@ says why, so a module's private kernels are driven only from inside it.
 A defaulted parameter of a package function or method must be set, by
 keyword or by position, by some call in the same files (a constructor is
 called by its class name; a ``*`` or ``**`` call sets every parameter),
-so that no library knob exists only for tests.
+so that no library knob exists only for tests.  Nor may any parameter
+be one that every call in the same files passes the same value, when
+that value is a module-level constant of the package, a ``math``
+constant, or one literal at two calls or more: such a knob is turned
+only by tests, and the function should read the value itself.
 The working-memory block budget is bound once, in ``errors``: no other
 module imports it by name, copies it at import or binds a block size of
 its own.
@@ -196,9 +200,6 @@ SHARED_STORED = {
     "start": ({"psi.Arc", "realize.Run"},
               "Arc.start: PsiModel.id_of and cli's element JSON; "
               "Run.start: realize._route"),
-    "tol": ({"psi.LevelReport", "whitney.RefinementPiece"},
-            "LevelReport.tol: cli's psi levels; "
-            "RefinementPiece.tol: cli's whitney refine"),
     "v": ({"psi.PsiValues", "psi.PsiPathspace"},
           "PsiValues.v: level_structure_report and cli's psi report; "
           "PsiPathspace.v: join, meet and _geodesic"),
@@ -262,43 +263,155 @@ def _parameters(tree):
 
 
 def _signature(args, skip):
+    """(positional names, defaulted names, keyword-only names)."""
     positional = [a.arg for a in args.posonlyargs + args.args]
     defaulted = positional[len(positional) - len(args.defaults):]
     defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
                   if d is not None]
-    return positional[skip:], defaulted
+    return positional[skip:], defaulted, [a.arg for a in args.kwonlyargs]
+
+
+def _calls(paths):
+    """The calls in ``paths``, by called name."""
+    found = {}
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                found.setdefault(name, []).append(node)
+    return found
+
+
+def _starred(call):
+    """Whether a call passes ``*`` or ``**`` arguments."""
+    return any(isinstance(a, ast.Starred) for a in call.args) or \
+        any(k.arg is None for k in call.keywords)
 
 
 def _settings():
     """For each called name: the keywords its calls set, the most
     positional arguments one passes, and whether one passes ``*`` or
     ``**``."""
-    found = {}
-    for path in CALLERS:
-        for node in ast.walk(_tree(path)):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            keywords, most, starred = found.setdefault(name, [set(), 0, False])
-            found[name] = [
-                keywords | {k.arg for k in node.keywords},
-                max(most, len(node.args)),
-                starred or any(isinstance(a, ast.Starred) for a in node.args)
-                or any(k.arg is None for k in node.keywords)]
-    return found
+    return {name: [{k.arg for c in calls for k in c.keywords},
+                   max(len(c.args) for c in calls),
+                   any(map(_starred, calls))]
+            for name, calls in _calls(CALLERS).items()}
 
 
 def test_every_defaulted_parameter_is_set_by_a_caller():
     settings = _settings()
     unset = []
     for path in PACKAGE:
-        for qual, called, positional, defaulted in _parameters(_tree(path)):
+        for qual, called, positional, defaulted, _ in _parameters(
+                _tree(path)):
             keywords, most, starred = settings.get(called, [set(), 0, False])
             unset += [f"{path.stem}.{qual}({name})" for name in defaulted
                       if not starred and name not in keywords
                       and name not in positional[:most]]
     assert sorted(unset) == []
+
+
+# Parameters that every program call passes one fixed value, each with its
+# reason.
+FIXED_KEEP = set()
+
+MATH_CONSTANTS = {"e", "inf", "nan", "pi", "tau"}
+
+
+def _passed(call, name, position):
+    """The expression a call passes to a parameter, None where it passes
+    none, or ``...`` where a ``*`` or ``**`` argument may set it."""
+    if _starred(call):
+        return ...
+    if position is not None and position < len(call.args):
+        return call.args[position]
+    return next((k.value for k in call.keywords if k.arg == name), None)
+
+
+def _fixed_kind(value, constants):
+    """Why an argument is one fixed value: ``"constant"`` for a
+    module-level name of the package, bare or as a module attribute, or a
+    ``math`` constant; ``"literal"`` for a literal.  None for anything
+    else, a local name among them, whatever its case."""
+    if isinstance(value, ast.Name):
+        return "constant" if value.id in constants else None
+    if isinstance(value, ast.Attribute) and \
+            isinstance(value.value, ast.Name):
+        named = MATH_CONSTANTS if value.value.id == "math" else constants
+        return "constant" if value.attr in named else None
+    try:
+        ast.literal_eval(value)
+    except ValueError:
+        return None
+    return "literal"
+
+
+def _fixed_parameters(package, callers):
+    """``module.qualname(parameter)`` of each parameter that every call of
+    its name in ``callers`` passes the same value: a module-level constant
+    of ``package`` or a ``math`` constant at one call or more, or one
+    literal at two calls or more."""
+    trees = {path: _tree(path) for path in package}
+    constants = {name for tree in trees.values()
+                 for name in _module_names(tree)}
+    calls = _calls(callers)
+    fixed = []
+    for path, tree in trees.items():
+        for qual, called, positional, _, kwonly in _parameters(tree):
+            for name in positional + kwonly:
+                position = positional.index(name) if name in positional \
+                    else None
+                values = [_passed(c, name, position)
+                          for c in calls.get(called, [])]
+                if not values or any(v is None or v is ... for v in values):
+                    continue
+                if len({ast.dump(v) for v in values}) > 1:
+                    continue
+                kind = _fixed_kind(values[0], constants)
+                if kind == "constant" or \
+                        kind == "literal" and len(values) >= 2:
+                    fixed.append(f"{path.stem}.{qual}({name})")
+    return sorted(fixed)
+
+
+def test_no_parameter_is_fixed_by_every_caller():
+    assert sorted(set(_fixed_parameters(PACKAGE, CALLERS)) - FIXED_KEEP) == []
+
+
+def test_the_fixed_keep_list_holds_only_fixed_parameters():
+    assert set(_fixed_parameters(PACKAGE, CALLERS)) >= FIXED_KEEP
+
+
+def test_the_fixed_parameter_rule_sees_each_kind_of_value(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import math\nLIMIT = 4\n"
+        "def bound(x, n): return x\n"
+        "def inf(x, eps): return x\n"
+        "def twice(x, k): return x\n"
+        "def once(x, k): return x\n"
+        "def local(K): return K\n"
+        "def varied(x, w): return x\n"
+        "def starred(x, y): return x\n"
+        "def keyword(x, *, lim): return x\n"
+        "def defaulted(x, lim=LIMIT): return x\n"
+        "def named(x, lim): return x\n"
+        "class C:\n    def m(self, lim): return lim\n"
+        "    @staticmethod\n    def s(lim): return lim\n"
+        "def caller(a, K, args):\n"
+        "    bound(a, LIMIT)\n    inf(a, math.inf)\n    inf(K, math.inf)\n"
+        "    twice(a, 3)\n    twice(K, 3)\n    once(a, 3)\n    local(K)\n"
+        "    varied(a, 1)\n    varied(a, 2)\n"
+        "    starred(1, LIMIT)\n    starred(*args)\n"
+        "    defaulted(a)\n    defaulted(K, LIMIT)\n"
+        "    named(a, lim=LIMIT)\n    named(K, LIMIT)\n"
+        "    C().m(LIMIT)\n    C.s(-1)\n    C.s(-1)\n")
+    other = tmp_path / "other.py"
+    other.write_text("import mod\nmod.keyword(0, lim=mod.LIMIT)\n")
+    assert _fixed_parameters([mod], [mod, other]) == [
+        "mod.C.m(lim)", "mod.C.s(lim)", "mod.bound(n)", "mod.inf(eps)",
+        "mod.keyword(lim)", "mod.named(lim)", "mod.twice(k)"]
 
 
 # Underscore names that one package module may import from another, each

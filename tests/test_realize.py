@@ -188,7 +188,8 @@ def test_meshes_meet_budgets(tower):
 
 def test_chains_verify_at_their_levels(tower):
     for n, chain in enumerate(tower.levels, start=1):
-        assert verify_chain(chain, 2.0 ** (-n)).ok
+        report = verify_chain(chain)
+        assert report.ok and report.mesh < 2.0 ** (-n)
 
 
 def test_closures_nest_and_converge(tower):
@@ -343,6 +344,25 @@ def test_oversized_coarse_pattern_reports_achievable_depth():
     assert exc.value.achievable == 2
 
 
+# one coarse link, one level: at this distance the link's mesh is exactly
+# 0.5, the level's 2^-1 bound
+BOUND_DISTANCE = 0.13130643285972254
+
+
+def test_a_mesh_equal_to_its_bound_is_refused():
+    with pytest.raises(ResourceError, match=r"^level 1 mesh 0\.5000 exceeds "
+                                            r"0\.5$") as exc:
+        build_tower(1, 1, (0.0, 0.0), (BOUND_DISTANCE, 0.0))
+    assert exc.value.achievable == 0
+
+
+def test_endpoints_one_ulp_nearer_build_below_the_bound():
+    near = math.nextafter(BOUND_DISTANCE, 0)
+    (diag,) = build_tower(1, 1, (0.0, 0.0), (near, 0.0)).diagnostics
+    assert diag.mesh == 0.4999999999999999 < diag.eps == 0.5
+    assert diag.chain_ok
+
+
 def test_distant_endpoints_blocked_with_achievable():
     with pytest.raises(ResourceError) as exc:
         build_tower(4, 3, (0.0, 0.0), (3.0, 0.0))
@@ -376,8 +396,8 @@ def test_realize_pattern_crooked_and_straight():
     for pat in (generate_crooked_pattern(4),
                 RefinementPattern(assignment=(1, 2, 3, 4), n_coarse=4)):
         coarse, fine = realize_pattern(pat)
-        assert verify_chain(coarse, 1e9).ok
-        assert verify_chain(fine, 1e9).ok
+        assert verify_chain(coarse).ok
+        assert verify_chain(fine).ok
 
 
 def test_point_set_realization(tower):
@@ -422,7 +442,7 @@ def test_realize_pattern_realizes_or_refuses_every_small_pattern():
         realized += 1
         assert spans, p
         assert len(fine) == len(p) and len(coarse) == pat.n_coarse
-        assert verify_chain(fine, math.inf).ok, p
+        assert verify_chain(fine).ok, p
         # closure containment, checked against the column bounds directly
         for link, a in zip(fine.links, p):
             (col,) = coarse.links[a - 1].rects

@@ -857,28 +857,24 @@ def test_distances_refuse_a_map_on_fewer_points():
         hyperspace_distance_matrices(g, mu, enumerate_subcontinua(g))
 
 
-def test_equal_level_refinement_covers_each_member():
+def test_equal_level_refinement_covers_the_whole():
     g = build_continuum("path", n=8)
     mu = build_whitney_map(g)
-    halves = [frozenset(range(4)), frozenset(range(4, 8))]
-    t0 = min(mu(h) for h in halves) / 2
-    out = equal_level_refinement(g, mu, halves, t0)
-    for piece in out:
-        covered = set()
-        for s in piece.pieces:
-            assert s <= piece.member
-            assert abs(mu(s) - t0) <= piece.tol + DEFAULT_TOL
-            covered |= s
-        assert covered == set(piece.member)
+    t0 = mu(frozenset(range(8))) / 2
+    pieces, tol = equal_level_refinement(g, mu, t0)
+    subs = enumerate_subcontinua(g)
+    # the least tolerance that covers every vertex, and every piece in it
+    assert tol == max(min(abs(mu(s) - t0) for s in subs if v in s)
+                      for v in range(8))
+    assert pieces == [s for s in subs if abs(mu(s) - t0) <= tol + DEFAULT_TOL]
+    assert set().union(*pieces) == set(range(8))
 
 
 def test_equal_level_refinement_validates_input():
     g = build_continuum("path", n=6)
     mu = build_whitney_map(g)
-    with pytest.raises(DomainError):
-        equal_level_refinement(g, mu, [frozenset(range(5))], 0.1)
-    with pytest.raises(DomainError):
-        equal_level_refinement(g, mu, [frozenset(range(6))], 2.0)
+    with pytest.raises(DomainError, match="exceeds the smallest member size"):
+        equal_level_refinement(g, mu, 2.0)
 
 
 def test_metrics_uniformly_comparable():
