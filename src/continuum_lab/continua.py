@@ -6,8 +6,9 @@ poset of those sets is the finite stand-in for the hyperspace of a continuum.
 Its one breadth-first walk from vertex 0, :attr:`GraphContinuum.order`, is
 both its connectivity check and the Whitney enumeration order.  The
 family depends only on the graph, so each graph's is enumerated once per
-process and kept, per (graph, cap) and under two bounds; every call
-returns a new list (:func:`enumerate_subcontinua`).
+process and kept, per (graph, cap) and under two bounds, as one immutable
+:class:`Hyperspace` that carries its packed words; a kernel packs any other
+family once per call (:func:`enumerate_subcontinua`, :func:`hyperspace`).
 
 Also provided: order arcs between nested subcontinua, terminal-subcontinuum
 and triod detection, and the two classic hyperspace homeomorphisms
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -205,22 +207,63 @@ def _cantor_fan(depth: int) -> GraphContinuum:
 # ---------------------------------------------------------------------------
 # hyperspace enumeration
 
+
+class Hyperspace(tuple):
+    """A family of vertex sets as frozensets, in its order, with the tables
+    the kernels read, each built on first read and kept, read-only: ``card``,
+    the member sizes; ``flat``, their vertices back to back; ``verts``, the
+    sorted vertices of their union; ``words``, their :func:`packed_rows`
+    over the columns ``verts``.  A kept family has at most 2^16 vertex
+    cells, so at most 72 vertices, two words a row: its tables hold at most
+    five 8-byte entries a cell, a constant multiple of the kept cell bound."""
+
+    @cached_property
+    def card(self) -> np.ndarray:
+        return _frozen(np.fromiter(map(len, self), np.int64, len(self)))
+
+    @cached_property
+    def flat(self) -> np.ndarray:
+        return _frozen(np.fromiter(chain.from_iterable(self), np.int64))
+
+    @cached_property
+    def verts(self) -> np.ndarray:
+        return _frozen(np.array(sorted(set().union(*self)), dtype=np.int64))
+
+    @cached_property
+    def words(self) -> np.ndarray:
+        inc = np.zeros((len(self), len(self.verts)), dtype=np.uint8)
+        inc[np.repeat(np.arange(len(self)), self.card),
+            np.searchsorted(self.verts, self.flat)] = 1
+        return _frozen(packed_rows(inc))
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+def hyperspace(family: Sequence[FrozenSet[int]]) -> Hyperspace:
+    """``family`` if it is a :class:`Hyperspace`, else a new one of it."""
+    return family if isinstance(family, Hyperspace) else Hyperspace(
+        map(frozenset, family))
+
+
 # the kept families by (graph, cap), least recently used first
-_kept: Dict[Tuple[GraphContinuum, int], Tuple[FrozenSet[int], ...]] = {}
+_kept: Dict[Tuple[GraphContinuum, int], Hyperspace] = {}
 
 
-def enumerate_subcontinua(g: GraphContinuum) -> List[FrozenSet[int]]:
+def enumerate_subcontinua(g: GraphContinuum) -> Hyperspace:
     """All connected vertex sets, sorted by (size, sorted vertex tuple), as
-    a new list on every call.
+    a :class:`Hyperspace`.
 
     Raises :class:`ResourceError` when the count would exceed the cap taken
     from ``CONTINUUM_LAB_MAX_ELEMENTS``.  A family of at most
     ``errors.SIZE_BLOCK_FLOATS`` vertex cells (the sum of its member
     sizes) is kept per (graph, cap), the last ``KEPT_HYPERSPACES`` used,
-    so equal graphs share one enumeration; a refused graph keeps nothing.
-    A connected graph on n vertices has at least n - k + 1 connected sets
-    of k vertices (a path has exactly that), so at least n(n+1)(n+2)/6
-    cells: past that bound the graph is not even looked up.
+    so equal graphs share one record and its tables; a refused graph keeps
+    nothing.  A connected graph on n vertices has at least n - k + 1
+    connected sets of k vertices (a path has exactly that), so at least
+    n(n+1)(n+2)/6 cells: past that bound the graph is not even looked up.
     """
     cap, n = _max_elements(), g.n
     if n * (n + 1) * (n + 2) > 6 * errors.SIZE_BLOCK_FLOATS:
@@ -231,23 +274,17 @@ def enumerate_subcontinua(g: GraphContinuum) -> List[FrozenSet[int]]:
         family = _connected_sets(g, cap)
         if sum(map(len, family)) > errors.SIZE_BLOCK_FLOATS:
             return family
-        family = tuple(family)
         if len(_kept) >= KEPT_HYPERSPACES:
             del _kept[next(iter(_kept))]
     _kept[key] = family
-    return list(family)
+    return family
 
 
-def _connected_sets(g: GraphContinuum, cap: int) -> List[FrozenSet[int]]:
+def _connected_sets(g: GraphContinuum, cap: int) -> Hyperspace:
     """:func:`enumerate_subcontinua`'s family, grown size by size and
     refused as soon as its count passes ``cap``."""
-    seen = set()
-    frontier: List[FrozenSet[int]] = []
-    for v in range(g.n):
-        s = frozenset([v])
-        seen.add(s)
-        frontier.append(s)
-    out = list(frontier)
+    frontier = [frozenset([v]) for v in range(g.n)]
+    seen, out = set(frontier), list(frontier)
     while frontier:
         nxt: List[FrozenSet[int]] = []
         for s in frontier:
@@ -263,7 +300,7 @@ def _connected_sets(g: GraphContinuum, cap: int) -> List[FrozenSet[int]]:
                             achievable=cap)
         frontier = nxt
     out.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return out
+    return Hyperspace(out)
 
 
 def order_arcs_between(g: GraphContinuum, a: FrozenSet[int],
@@ -322,16 +359,6 @@ def is_terminal(k: FrozenSet[int], family: Sequence[FrozenSet[int]]) -> bool:
     return True
 
 
-def incidence_table(family: Sequence[FrozenSet[int]]) -> np.ndarray:
-    """The 0/1 int64 table [member, vertex] of a family of vertex sets, one
-    column per vertex of their union, in sorted order."""
-    verts = {v: c for c, v in enumerate(sorted(set().union(*family)))}
-    inc = np.zeros((len(family), len(verts)), dtype=np.int64)
-    inc[np.repeat(np.arange(len(family)), [len(s) for s in family]),
-        [verts[v] for s in family for v in s]] = 1
-    return inc
-
-
 def packed_rows(inc: np.ndarray) -> np.ndarray:
     """The rows of a 0/1 table as (rows, words) little-endian uint64 words;
     bit b of word w is column 64 w + b, and the bits past the table are 0."""
@@ -387,22 +414,19 @@ def detect_triod(g: GraphContinuum,
     The witness is the first in the order of the family's index triples
     i < j < l.
 
-    The search joins the members' :func:`packed_rows`.  A block of rows i
-    lists the pairs i < j whose core K = F_i & F_j is non-empty and proper
-    in both, grouped by (i, K) with :func:`row_groups`: (i, j, l) is then a
-    triod exactly when j < l lie in one group, F_j & F_l = K, and K is
-    connected, which is checked only for these hits, in (i, j) order.
+    The search joins the family's :class:`Hyperspace` words.  A block of
+    rows i lists the pairs i < j whose core K = F_i & F_j is non-empty and
+    proper in both, grouped by (i, K) with :func:`row_groups`: (i, j, l) is
+    then a triod exactly when j < l lie in one group, F_j & F_l = K, and K
+    is connected, which is checked only for these hits, in (i, j) order.
     Members of fewer than two vertices hold no proper core and are left
     out; blocks start at one row and double, so early witnesses stay cheap.
     Row blocks and partner blocks hold at most the package's block budget,
     ``errors.SIZE_BLOCK_FLOATS`` words, read at each call, or one row.
     """
-    if family is None:
-        family = enumerate_subcontinua(g)
-    fam = list(family)
-    inc = incidence_table(fam)
-    keep = np.flatnonzero(inc.sum(axis=1) > 1)
-    w = packed_rows(inc)[keep]
+    fam = hyperspace(enumerate_subcontinua(g) if family is None else family)
+    keep = np.flatnonzero(fam.card > 1)
+    w = fam.words[keep]
     n, width = w.shape
     lo, rows = 0, 1
     while lo < n:
@@ -435,9 +459,9 @@ def detect_triod(g: GraphContinuum,
         found = np.flatnonzero(best < len(ii))
         for x in found[np.lexsort((jj[found], ii[found]))].tolist():
             f_i, f_j = fam[keep[ii[x]]], fam[keep[jj[x]]]
-            if g.is_connected(frozenset(f_i & f_j)):
+            if g.is_connected(f_i & f_j):
                 return Triod(a=f_i, b=f_j, c=fam[keep[jj[best[x]]]],
-                             core=frozenset(f_i & f_j))
+                             core=f_i & f_j)
     return None
 
 

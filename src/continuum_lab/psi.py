@@ -553,7 +553,7 @@ def level_structure_report(pv: PsiValues, t: float,
     if below:
         fiber = model.shapes[idx, 0]
         eps = max([_bottleneck(d[np.ix_(fiber == a, fiber == a)])
-                   for a in np.unique(fiber)], default=0.0)
+                   for a in sorted(set(fiber.tolist()))], default=0.0)
     else:
         eps = float(np.sort(d)[:, 1].max()) if n >= 3 else 0.0
     adj = d <= eps + DEFAULT_TOL
@@ -565,7 +565,7 @@ def level_structure_report(pv: PsiValues, t: float,
             front = adj[front].any(axis=0) & (label < 0)
     shells = model._from_shapes(model.shapes[idx].tolist())
     components = [[shells[r] for r in np.flatnonzero(label == s)]
-                  for s in np.unique(label)]
+                  for s in np.flatnonzero(label == np.arange(n))]
     is_cycle = bool(len(components) == 1 and n >= 3
                     and (adj.sum(axis=1) == 2).all())
     comp_fibers = [frozenset().union(*(model.fibers_of(e) for e in g))

@@ -127,9 +127,8 @@ def check_size_metric() -> CheckResult:
         at = {s: i for i, s in enumerate(subs)}  # rows of dist
         size = mu.sizes(subs)
         point = np.array([at[frozenset([x])] for x in range(g.n)])
-        owner = np.repeat(np.arange(k), [len(s) for s in subs])
-        xs = np.fromiter(itertools.chain.from_iterable(subs), dtype=np.int64)
-        point_ok = bool((np.abs(dist[owner, point[xs]] - size[owner])
+        owner = np.repeat(np.arange(k), subs.card)
+        point_ok = bool((np.abs(dist[owner, point[subs.flat]] - size[owner])
                          <= TOL).all())
         # every order arc from a point to the whole grows through g.n sets:
         # one (arcs, g.n) table of rows of dist, checked at its pairs i < j

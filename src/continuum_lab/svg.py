@@ -90,8 +90,7 @@ def hyperspace_svg(continuum: GraphContinuum) -> str:
     h = _PLOT_SIZE * 0.75
     body = []
     for sub in subs:
-        idx = sorted(sub)
-        x = (sum(idx) / len(idx)) / max(n - 1, 1)
+        x = (sum(sub) / len(sub)) / max(n - 1, 1)
         y = len(sub) / n
         cx = pad + x * (w - 2 * pad)
         cy = h - pad - y * (h - 2 * pad)

@@ -19,12 +19,12 @@ d_mu(A, B) = max(mu(A | B) - mu(A), mu(A | B) - mu(B)), axiom checkers for
 the monotone/subadditive characterisation of Whitney maps, level sets, and
 the equal-level refinement of the whole continuum.  The axiom checks and the
 distance matrices read from one union-size table U[i, j] = mu(F_i | F_j)
-per family, which sizes each distinct union once; each call packs the
-members' words and builds their gather index once, and every table it
-reads shares them.  For a WhitneyMap the
-table comes from the members' envelopes, hi[k, i] = max F[k, F_i] and
-lo[k, i] = min F[k, F_i]: the span of a union is max(hi_i, hi_j) -
-min(lo_i, lo_j), exactly, so no union set is built.
+per family, which sizes each distinct union once.  Every table reads the
+family's :class:`~continua.Hyperspace` record, whose words a kept family
+packs once per process and any other sequence once per call.  For a
+WhitneyMap the table comes from the members' envelopes, hi[k, i] =
+max F[k, F_i] and lo[k, i] = min F[k, F_i]: the span of a union is
+max(hi_i, hi_j) - min(lo_i, lo_j), exactly, so no union set is built.
 One single-set kernel, :func:`_set_sizes`, sizes each distinct meet of
 the subadditivity check and the misses of the memoised batch
 :meth:`WhitneyMap.sizes`, which level queries read.  The tables read F
@@ -36,14 +36,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .continua import (GraphContinuum, enumerate_subcontinua,
-                       incidence_table, packed_rows, row_classes,
-                       unpacked_rows)
+from .continua import (GraphContinuum, Hyperspace, enumerate_subcontinua,
+                       hyperspace, row_classes, unpacked_rows)
 from .errors import DomainError, _row_blocks
 from .metric_core import DEFAULT_TOL, FinitePointSet, _pair_distances
 
@@ -125,7 +123,7 @@ class WhitneyMap:
         """mu of each set, read from the memo or computed in one batch:
         each distinct set the memo lacks is sized once by
         :func:`_set_sizes` and memoised."""
-        sets = list(map(frozenset, sets))
+        sets = hyperspace(sets)
         vals = list(map(self._cache.get, sets))
         if None in vals:
             misses = list({s for s, v in zip(sets, vals) if v is None})
@@ -220,14 +218,12 @@ def _gather_index(flat: np.ndarray, card: np.ndarray) -> np.ndarray:
 def _member_index(fam: Sequence[FrozenSet[int]], n_points: int) -> np.ndarray:
     """:func:`_gather_index` of the family's vertex sets; refuses what
     :meth:`WhitneyMap.sizes` refuses."""
-    card = np.fromiter(map(len, fam), dtype=np.int64, count=len(fam))
-    if not card.all():
+    fam = hyperspace(fam)
+    if not fam.card.all():
         raise DomainError("mu is defined on non-empty sets")
-    flat = np.fromiter(chain.from_iterable(fam), dtype=np.int64,
-                       count=int(card.sum()))
-    if flat.size and (flat.min() < 0 or flat.max() >= n_points):
+    if len(fam.verts) and (fam.verts[0] < 0 or fam.verts[-1] >= n_points):
         raise DomainError("set contains vertices outside the ambient")
-    return _gather_index(flat, card)
+    return _gather_index(fam.flat, fam.card)
 
 
 def _reduce_over(table: np.ndarray, idx: np.ndarray, op) -> np.ndarray:
@@ -291,21 +287,20 @@ def _span_sizes(mu: WhitneyMap, idx: np.ndarray, ii: np.ndarray,
     return out
 
 
-def _union_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]],
-                 words: np.ndarray, idx: Optional[np.ndarray]
-                 ) -> np.ndarray:
+def _union_sizes(mu: MuLike, fam: Hyperspace) -> np.ndarray:
     """U[i, j] = mu(F_i | F_j), over the unordered pairs i <= j.  For a
-    WhitneyMap each pair's union is the OR of the members' packed
-    ``words`` (:func:`packed_rows`), and one pair per distinct union, found
-    by :func:`row_classes`, is sized by :func:`_span_sizes` over the
-    members' gather index ``idx`` (:func:`_member_index`): a size is the
-    correctly rounded sum of its union's own terms, so every pair with that
-    union gets its bits.  A plain size function reads neither table."""
+    WhitneyMap each pair's union is the OR of the members' ``words``, and
+    one pair per distinct union, found by :func:`row_classes`, is sized by
+    :func:`_span_sizes` over the members' gather index
+    (:func:`_member_index`, which refuses what the map refuses): a size is
+    the correctly rounded sum of its union's own terms, so every pair with
+    that union gets its bits.  A plain size function reads no table."""
     k = len(fam)
     if not k:
         return np.empty((0, 0))
     ii, jj = np.triu_indices(k)
     if isinstance(mu, WhitneyMap):
+        idx, words = _member_index(fam, mu.n_points), fam.words
         first, back = row_classes(words[ii] | words[jj])
         vals = _span_sizes(mu, idx, ii[first], jj[first])[back]
     else:
@@ -324,20 +319,10 @@ def _size_metric(u: np.ndarray) -> np.ndarray:
     return dm
 
 
-def _sized_index(mu: MuLike, fam: Sequence[FrozenSet[int]]
-                 ) -> Optional[np.ndarray]:
-    """The family's :func:`_member_index` for a WhitneyMap, which refuses
-    what :meth:`WhitneyMap.sizes` refuses; None for a size function."""
-    return _member_index(fam, mu.n_points) if isinstance(mu, WhitneyMap) \
-        else None
-
-
 def whitney_distance_matrix(mu: MuLike,
                             family: Sequence[FrozenSet[int]]) -> np.ndarray:
     """d_mu over the family (2X mode), from the union-size table."""
-    fam = [frozenset(a) for a in family]
-    words = packed_rows(incidence_table(fam))
-    return _size_metric(_union_sizes(mu, fam, words, _sized_index(mu, fam)))
+    return _size_metric(_union_sizes(mu, hyperspace(family)))
 
 
 # ---------------------------------------------------------------------------
@@ -387,18 +372,15 @@ def check_whitney_axioms(mu: MuLike, family: Sequence[FrozenSet[int]],
     Unions and intersections are evaluated in 2^X mode.  Violations are
     listed in row-major order of the member indices ((A, B), then C).
     """
-    fam = [frozenset(s) for s in family]
-    report = AxiomReport()
-    k = len(fam)
-    words = packed_rows(incidence_table(fam))
-    card = np.fromiter(map(len, fam), dtype=np.int64, count=k)
+    fam, report = hyperspace(family), AxiomReport()
+    k, words, card = len(fam), fam.words, fam.card
     subset = np.empty((k, k), dtype=bool)  # F_i <= F_j
     meets = np.empty((k, k), dtype=bool)  # F_i & F_j non-empty
     for at in _row_blocks(k, k * words.shape[1]):
         both = words[at, None] & words[None]
         subset[at] = (both == words[at, None]).all(axis=2)
         meets[at] = both.any(axis=2)
-    u = _union_sizes(mu, fam, words, _sized_index(mu, fam))
+    u = _union_sizes(mu, fam)
     s = u.diagonal()
 
     single = (card == 1) & (np.abs(s) > tol)
@@ -410,7 +392,7 @@ def check_whitney_axioms(mu: MuLike, family: Sequence[FrozenSet[int]],
                                   for i, j in zip(*np.nonzero(bad))]
 
     ii, jj = np.nonzero(np.triu(meets))
-    s_meet = _meet_sizes(mu, fam, words, ii, jj)
+    s_meet = _meet_sizes(mu, fam, ii, jj)
     bad = u[ii, jj] > s[ii] + s[jj] - s_meet + tol
     report.subadd_violations = [(fam[ii[p]], fam[jj[p]])
                                 for p in np.flatnonzero(bad)]
@@ -427,20 +409,18 @@ def check_whitney_axioms(mu: MuLike, family: Sequence[FrozenSet[int]],
     return report
 
 
-def _meet_sizes(mu: MuLike, fam: Sequence[FrozenSet[int]],
-                words: np.ndarray, ii: np.ndarray,
+def _meet_sizes(mu: MuLike, fam: Hyperspace, ii: np.ndarray,
                 jj: np.ndarray) -> np.ndarray:
     """mu(F_i & F_j) for each intersecting index pair.  For a WhitneyMap each
-    pair's meet is the AND of the members' :func:`packed_rows` ``words``;
-    the distinct meets, found by :func:`row_classes` and read back by
-    :func:`unpacked_rows`, are sized once by :func:`_set_sizes`."""
+    pair's meet is the AND of the members' ``words``; the distinct meets,
+    found by :func:`row_classes` and read back by :func:`unpacked_rows`
+    over the columns ``verts``, are sized once by :func:`_set_sizes`."""
     if not isinstance(mu, WhitneyMap):
         return _pair_sizes(mu, fam, ii, jj, operator.and_)
     if not len(ii):
         return np.empty(0)
-    keys = words[ii] & words[jj]
+    keys, verts = fam.words[ii] & fam.words[jj], fam.verts
     first, back = row_classes(keys)
-    verts = np.array(sorted(set().union(*fam)), dtype=np.int64)
     rows, cols = np.nonzero(unpacked_rows(keys[first], len(verts)))
     idx = _gather_index(verts[cols], np.bincount(rows, minlength=len(first)))
     return _set_sizes(mu, idx)[back]
@@ -485,9 +465,10 @@ def equal_level_refinement(g: GraphContinuum, mu: WhitneyMap, t0: float
         raise DomainError(
             f"t0 = {t0} exceeds the smallest member size {whole}")
     subs = enumerate_subcontinua(g)
-    errs = dict(zip(subs, [abs(v - t0) for v in mu.sizes(subs).tolist()]))
-    tol = max(min(errs[c] for c in subs if v in c) for v in range(g.n))
-    return [c for c in subs if errs[c] <= tol + DEFAULT_TOL], tol
+    errs, best = np.abs(mu.sizes(subs) - t0), np.full(g.n, np.inf)
+    np.minimum.at(best, subs.flat, np.repeat(errs, subs.card))  # per vertex
+    tol = float(best.max())
+    return [c for c, e in zip(subs, errs <= tol + DEFAULT_TOL) if e], tol
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +479,13 @@ def hyperspace_distance_matrices(g: GraphContinuum, mu: MuLike,
                                  family: Sequence[FrozenSet[int]]
                                  ) -> Tuple[np.ndarray, np.ndarray]:
     """(d_H, d_mu) matrices over the family, using the planar embedding;
-    both read one gather index of the members."""
-    pts = np.array(g.pos, dtype=float)
-    fam = [frozenset(s) for s in family]
-    idx = _member_index(fam, min(len(pts), mu.n_points) if isinstance(
-        mu, WhitneyMap) else len(pts))
+    both read the family's one :class:`Hyperspace` record."""
+    pts, fam = np.array(g.pos, dtype=float), hyperspace(family)
+    idx = _member_index(fam, len(pts))
     near = np.empty((len(pts), len(idx)))  # near[x, j] = d(x, F_j)
     for at in _row_blocks(len(pts), len(pts)):
         near[at] = _reduce_over(_pair_distances(pts[at], pts), idx,
                                 np.minimum)
     # h[j, i] = max_{x in F_i} d(x, F_j), zero on the diagonal as d(x, x) is
     h = _reduce_over(np.ascontiguousarray(near.T), idx, np.maximum)
-    u = _union_sizes(mu, fam, packed_rows(incidence_table(fam)), idx)
-    return np.maximum(h, h.T), _size_metric(u)
+    return np.maximum(h, h.T), _size_metric(_union_sizes(mu, fam))

@@ -301,22 +301,30 @@ def test_non_finite_endpoint_exits_two(capsys):
 def test_cli_import_and_light_verbs_load_no_scipy(loaded_modules):
     # importing the CLI and running its verbs loads numpy only, towers of 3
     # levels and the whole suite included; scipy.spatial comes only with
-    # planar Hausdorff steps over 50,000 point pairs, which no verb takes
-    def scipy_modules(code):
-        return {m for m in loaded_modules(code) if m.split(".")[0] == "scipy"}
-    assert not scipy_modules("import continuum_lab.cli")
+    # planar Hausdorff steps over 50,000 point pairs, which no verb takes.
+    # Nor does any verb load numpy.ma (1.4 MB and 10-17 ms in a fresh
+    # process), which np.unique imports unless asked for return_index
+    def heavy_modules(code):
+        return {m for m in loaded_modules(code) if m.split(".")[0] == "scipy"
+                or m.split(".")[:2] == ["numpy", "ma"]}
+    assert not heavy_modules("import continuum_lab.cli")
     for argv, code in ((["psi", "report"], 0), (["psi", "levels"], 0),
                        (["psi", "path", "--from", "piece:0:1:2", "--to",
                          "arc:3:2"], 0),
                        (["psi", "curvature"], 0), (["whitney", "check"], 0),
+                       (["whitney", "build"], 0),
+                       (["whitney", "level", "--t", "0.3"], 0),
+                       (["whitney", "refine", "--t", "0.3"], 0),
+                       (["continuum", "enumerate"], 0),
                        (["continuum", "triod"], 0),
+                       (["plot", "hyperspace"], 0),
                        (["chains", "tower", "--levels", "1"], 0),
                        (["chains", "tower", "--levels", "2"], 0),
                        (["chains", "tower", "--n", "4", "--levels", "3"], 0),
                        (["suite", "all"], 1)):  # the census check fails
         run = ("from continuum_lab.cli import dispatch\n"
                f"assert dispatch({argv + ['--no-timings']!r}) == {code}\n")
-        assert not scipy_modules(run), argv
+        assert not heavy_modules(run), argv
 
 
 # -- malformed input: exit 2 with a JSON error, never a traceback ------------

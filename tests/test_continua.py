@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from continuum_lab import continua, errors
-from continuum_lab.continua import (GraphContinuum, Triod, build_continuum,
-                                    circle_arc_to_disk, detect_triod,
-                                    disk_to_circle_arc,
-                                    enumerate_subcontinua, incidence_table,
+from continuum_lab.continua import (GraphContinuum, Hyperspace, Triod,
+                                    build_continuum, circle_arc_to_disk,
+                                    detect_triod, disk_to_circle_arc,
+                                    enumerate_subcontinua, hyperspace,
                                     interval_arc_to_triangle, is_terminal,
                                     order_arcs_between, packed_rows,
                                     row_classes, row_groups,
@@ -46,24 +46,34 @@ def reference_incidence(family):
     return inc
 
 
+def assert_tables_match_the_row_loop(rec, family):
+    """The record's tables against loops over the members: its words are
+    the family's incidence table, packed."""
+    fam = [frozenset(s) for s in family]
+    assert list(rec) == fam
+    assert rec.card.tolist() == [len(s) for s in fam]
+    assert rec.flat.tolist() == [v for s in fam for v in s]
+    assert rec.verts.tolist() == sorted(set().union(*fam))
+    for table in (rec.card, rec.flat, rec.verts):
+        assert table.dtype == np.int64
+    ref = reference_incidence(fam)
+    assert rec.words.shape == (len(fam), -(-ref.shape[1] // 64))
+    assert np.array_equal(unpacked_rows(rec.words, ref.shape[1]), ref)
+
+
 @pytest.mark.parametrize("kind, params", [
     ("path", {"n": 12}), ("cycle", {"n": 9}),
     ("star", {"legs": 4, "leg_length": 2}), ("cantor_fan", {"depth": 2})])
 def test_incidence_table_matches_the_row_loop_on_models(kind, params):
     fam = enumerate_subcontinua(build_continuum(kind, **params))
-    got = incidence_table(fam)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, reference_incidence(fam))
+    assert_tables_match_the_row_loop(fam, fam)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.frozensets(st.integers(-5, 40), max_size=8), max_size=10))
 def test_incidence_table_matches_the_row_loop(family):
     # arbitrary ids, empty members and the empty family included
-    got = incidence_table(family)
-    ref = reference_incidence(family)
-    assert got.dtype == ref.dtype and got.shape == ref.shape
-    assert np.array_equal(got, ref)
+    assert_tables_match_the_row_loop(hyperspace(family), family)
 
 
 @st.composite
@@ -82,7 +92,7 @@ def connected_graphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(connected_graphs(), st.randoms(use_true_random=False))
 def test_triod_search_matches_the_triple_loop(g, rnd):
-    fam = enumerate_subcontinua(g)
+    fam = list(enumerate_subcontinua(g))
     assert detect_triod(g, fam) == reference_triod(g, fam)
     rnd.shuffle(fam)
     assert detect_triod(g, fam) == reference_triod(g, fam)
@@ -176,15 +186,15 @@ def test_triod_search_in_small_blocks(monkeypatch, block):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.frozensets(st.integers(0, 150), max_size=12), max_size=12))
 def test_packed_rows_hold_one_bit_per_column(family):
-    inc = incidence_table(family)
-    words = packed_rows(inc)
+    rec = hyperspace(family)
+    inc, words = reference_incidence(family), rec.words
     assert words.dtype == np.dtype("<u8")
-    assert words.shape == (len(family), -(-inc.shape[1] // 64))
-    cols = np.arange(inc.shape[1])
+    assert words.shape == (len(family), -(-len(rec.verts) // 64))
+    cols = np.arange(len(rec.verts))
     bits = (words[:, cols // 64] >> (cols % 64).astype(np.uint64)) & 1
     assert np.array_equal(bits, inc)
     assert not np.unpackbits(words.view(np.uint8), axis=1,
-                             bitorder="little")[:, inc.shape[1]:].any()
+                             bitorder="little")[:, len(rec.verts):].any()
 
 
 word = st.sampled_from([0, 1, 2, 2 ** 63, 2 ** 64 - 1])
@@ -258,18 +268,25 @@ def kept(monkeypatch):
     return store
 
 
-def test_a_kept_family_is_a_new_list_on_every_call(kept):
+def test_a_kept_family_is_one_immutable_record(kept):
     g = build_continuum("cycle", n=7)
     first = enumerate_subcontinua(g)
-    want = list(first)
-    assert len(kept) == 1
-    first.reverse()
-    first.append(frozenset([99]))
-    again = enumerate_subcontinua(g)
-    assert again == want and again is not first
-    assert again == continua._connected_sets(g, errors._max_elements())
-    again.clear()
-    assert enumerate_subcontinua(g) == want
+    assert isinstance(first, Hyperspace) and len(kept) == 1
+    assert first == continua._connected_sets(g, errors._max_elements())
+    with pytest.raises(TypeError):
+        first[0] = frozenset([99])
+    assert not hasattr(first, "append") and not hasattr(first, "clear")
+    for name in ("card", "flat", "verts", "words"):
+        table = getattr(first, name)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+        assert getattr(first, name) is table  # built once, kept
+    # equal graphs get the one kept record; a plain copy packs anew, equal
+    again = enumerate_subcontinua(build_continuum("cycle", n=7))
+    assert again is first and hyperspace(first) is first
+    copy = hyperspace(list(first))
+    assert copy == first and copy is not first
+    assert np.array_equal(copy.words, first.words)
 
 
 def test_equal_graphs_share_one_kept_family(kept, monkeypatch):

@@ -21,8 +21,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "continuum_lab").glob("*.py"))
 
 KEEP = {
-    "continua.detect_triod: inc.sum(axis=1)":
-        "int64 0/1 incidence: each vertex's member count, exact",
     "psi.PsiModel.strict_order: count.sum(axis=1)":
         "ints: the run lengths of each row of the order",
     "psi.curvature_check: (excess.max(axis=0) > tol).sum()":
@@ -33,8 +31,6 @@ KEEP = {
         "bools: the count of cells outside the previous closure",
     "suite.check_psi_paths.run: per_fiber @ per_fiber":
         "ints: the pieces per fiber, squared and added",
-    "whitney._member_index: card.sum()":
-        "ints: the total member count",
     "whitney.fsum_rows: "
     "(run[:-1] - (run[1:] - part) + (block - part)).sum(axis=0)":
         "Sum2's error sum q: fsum_rows certifies r whatever order q was "

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from continuum_lab import errors, whitney
+from continuum_lab import continua, errors, suite, whitney
 from continuum_lab.cli import dispatch
-from continuum_lab.continua import (build_continuum, enumerate_subcontinua,
-                                    incidence_table, packed_rows)
+from continuum_lab.continua import (build_continuum, detect_triod,
+                                    enumerate_subcontinua, hyperspace)
 from continuum_lab.errors import DomainError
 from continuum_lab.metric_core import DEFAULT_TOL, FinitePointSet
 from continuum_lab.psi import Arc, Piece, PsiModel, build_psi_model
@@ -64,7 +64,7 @@ def test_batch_sizes_equal_the_per_set_sizes(kind, params):
 def test_batch_sizes_do_not_depend_on_the_block(block, monkeypatch):
     g = build_continuum("cycle", n=9)
     subs = enumerate_subcontinua(g)
-    sets = subs + [a | b for a in subs[:20] for b in subs[-20:]]
+    sets = [*subs, *(a | b for a in subs[:20] for b in subs[-20:])]
     monkeypatch.setattr(errors, "SIZE_BLOCK_FLOATS", block)
     mu = build_whitney_map(g)
     assert np.array_equal(mu.sizes(sets), [reference_mu(mu, s) for s in sets])
@@ -109,10 +109,16 @@ def test_member_sizes_equal_the_full_series(kind, n):
 
 
 def union_table(mu, fam):
-    """The union-size table of a family, from the member tables its
-    callers build: the packed words and the gather index."""
-    return whitney._union_sizes(mu, fam, packed_rows(incidence_table(fam)),
-                                whitney._member_index(fam, mu.n_points))
+    """The union-size table of a family, from its record's tables."""
+    return whitney._union_sizes(mu, hyperspace(fam))
+
+
+def meet_table(mu, fam):
+    """The meet sizes of a family's intersecting pairs i <= j, found by a
+    loop over the sets, and those pairs."""
+    meets = np.array([[bool(a & b) for b in fam] for a in fam], dtype=bool)
+    ii, jj = np.nonzero(np.triu(meets.reshape(len(fam), len(fam))))
+    return whitney._meet_sizes(mu, hyperspace(fam), ii, jj), ii, jj
 
 
 @st.composite
@@ -143,12 +149,9 @@ def test_head_sums_equal_the_full_series(case):
     assert_bits_equal(mu.sizes(fam), [reference_mu(mu, s) for s in fam])
     assert_bits_equal(union_table(mu, fam).reshape(-1),
                       [reference_mu(mu, a | b) for a in fam for b in fam])
-    inc = incidence_table(fam)
-    ii, jj = np.nonzero(np.triu(inc @ inc.T > 0))
-    assert_bits_equal(whitney._meet_sizes(mu, fam, packed_rows(inc), ii,
-                                          jj),
-                      [reference_mu(mu, fam[i] & fam[j])
-                       for i, j in zip(ii.tolist(), jj.tolist())])
+    got, ii, jj = meet_table(mu, fam)
+    assert_bits_equal(got, [reference_mu(mu, fam[i] & fam[j])
+                            for i, j in zip(ii.tolist(), jj.tolist())])
 
 
 def crossing_table(n=70):
@@ -547,8 +550,8 @@ def test_family_tables_read_the_size_table_not_the_memo():
 @pytest.mark.parametrize("block", [1, 5, 300])
 def test_family_tables_do_not_depend_on_the_block(block, monkeypatch):
     g = build_continuum("cycle", n=9)
-    fam = enumerate_subcontinua(g)[::3] + [frozenset([0, 4]),
-                                          frozenset([1, 5, 8])]
+    fam = [*enumerate_subcontinua(g)[::3], frozenset([0, 4]),
+           frozenset([1, 5, 8])]
     mu = build_whitney_map(g)
     want = union_table(mu, fam)
     dists = hyperspace_distance_matrices(g, mu, fam)
@@ -575,7 +578,7 @@ def test_family_tables_refuse_what_sizes_refuses(bad, message, table):
     g = build_continuum("path", n=10)
     mu = build_whitney_map(g)
     subs = enumerate_subcontinua(g)
-    fam = subs[:5] + bad + subs[5:8]
+    fam = [*subs[:5], *bad, *subs[5:8]]
     with pytest.raises(DomainError, match=message):
         mu.sizes(fam)
     with pytest.raises(DomainError, match=message):
@@ -612,12 +615,9 @@ def test_union_and_meet_tables_equal_the_per_set_sizes(case):
     mu, fam = case
     assert np.array_equal(union_table(mu, fam).reshape(-1),
                           [reference_mu(mu, a | b) for a in fam for b in fam])
-    inc = incidence_table(fam)
-    ii, jj = np.nonzero(np.triu(inc @ inc.T > 0))
-    assert np.array_equal(whitney._meet_sizes(mu, fam, packed_rows(inc),
-                                              ii, jj),
-                          [reference_mu(mu, fam[i] & fam[j])
-                           for i, j in zip(ii.tolist(), jj.tolist())])
+    got, ii, jj = meet_table(mu, fam)
+    assert np.array_equal(got, [reference_mu(mu, fam[i] & fam[j])
+                                for i, j in zip(ii.tolist(), jj.tolist())])
 
 
 def reference_bfs_order(g):
@@ -829,23 +829,33 @@ def test_a_level_query_reads_the_sizes_once():
             s for s, v in zip(subs, sizes) if v == t]
 
 
-def test_each_table_call_packs_the_members_once(monkeypatch):
-    g = build_continuum("path", n=9)
+def test_a_kept_family_packs_its_words_once_per_process(monkeypatch):
+    # every kernel reads the kept record's words, the suite's seven maps
+    # over path 6 too; a plain list is packed again on every call
+    packed = []
+    real = continua.packed_rows
+    monkeypatch.setattr(continua, "packed_rows",
+                        lambda table: packed.append(len(table)) or real(table))
+    monkeypatch.setattr(continua, "_kept", {})
+    g = build_continuum("star", legs=3, leg_length=3)
     fam = enumerate_subcontinua(g)
     mu = build_whitney_map(g)
-    want = (check_whitney_axioms(mu, fam),
-            hyperspace_distance_matrices(g, mu, fam))
-    built = []
-    for name in ("packed_rows", "_member_index"):
-        real = getattr(whitney, name)
-        monkeypatch.setattr(whitney, name, lambda *a, real=real, name=name:
-                            built.append(name) or real(*a))
-    assert check_whitney_axioms(mu, fam) == want[0]
-    assert sorted(built) == ["_member_index", "packed_rows"]
-    built.clear()
-    got = hyperspace_distance_matrices(g, mu, fam)
-    assert all(map(np.array_equal, got, want[1]))
-    assert sorted(built) == ["_member_index", "packed_rows"]
+    want = (check_whitney_axioms(mu, fam), whitney_distance_matrix(mu, fam),
+            hyperspace_distance_matrices(g, mu, fam), detect_triod(g, fam))
+    assert packed == [len(fam)] and want[3] is not None
+    for family in (fam, list(fam)):
+        packed.clear()
+        assert check_whitney_axioms(mu, family) == want[0]
+        assert np.array_equal(whitney_distance_matrix(mu, family), want[1])
+        assert all(map(np.array_equal,
+                       hyperspace_distance_matrices(g, mu, family), want[2]))
+        assert detect_triod(g, family) == want[3]
+        assert packed == ([] if family is fam else [len(fam)] * 4)
+    packed.clear()
+    assert detect_triod(g) == want[3] and packed == []
+    assert suite.check_subadditivity_agreement().ok
+    assert packed == [21]  # path 6's 21 members, once for seven maps
+    assert suite.check_subadditivity_agreement().ok and packed == [21]
 
 
 def test_distances_refuse_a_map_on_fewer_points():
