@@ -26,7 +26,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import errors
-from .errors import DomainError, ResourceError, _max_elements
+from .errors import DomainError, ResourceError, _max_elements, _row_blocks
 
 MAX_ORDER_ARCS = 1_000_000
 KEPT_HYPERSPACES = 32
@@ -212,10 +212,11 @@ class Hyperspace(tuple):
     """A family of vertex sets as frozensets, in its order, with the tables
     the kernels read, each built on first read and kept, read-only: ``card``,
     the member sizes; ``flat``, their vertices back to back; ``verts``, the
-    sorted vertices of their union; ``words``, their :func:`packed_rows`
-    over the columns ``verts``.  A kept family has at most 2^16 vertex
-    cells, so at most 72 vertices, two words a row: its tables hold at most
-    five 8-byte entries a cell, a constant multiple of the kept cell bound."""
+    sorted vertices of their union; ``words``, their :func:`packed_rows`,
+    each member's run of ``flat`` set in the columns ``verts``.  A kept
+    family has at most 2^16 vertex cells, so at most 72 vertices, two words
+    a row: its tables hold at most five 8-byte entries a cell, a constant
+    multiple of the kept cell bound."""
 
     @cached_property
     def card(self) -> np.ndarray:
@@ -231,10 +232,10 @@ class Hyperspace(tuple):
 
     @cached_property
     def words(self) -> np.ndarray:
-        inc = np.zeros((len(self), len(self.verts)), dtype=np.uint8)
-        inc[np.repeat(np.arange(len(self)), self.card),
-            np.searchsorted(self.verts, self.flat)] = 1
-        return _frozen(packed_rows(inc))
+        width = len(self.verts)
+        return _frozen(packed_rows(
+            np.r_[0, np.cumsum(self.card)],
+            np.searchsorted(self.verts, self.flat), np.arange(width), width))
 
 
 def _frozen(table: np.ndarray) -> np.ndarray:
@@ -359,13 +360,24 @@ def is_terminal(k: FrozenSet[int], family: Sequence[FrozenSet[int]]) -> bool:
     return True
 
 
-def packed_rows(inc: np.ndarray) -> np.ndarray:
-    """The rows of a 0/1 table as (rows, words) little-endian uint64 words;
-    bit b of word w is column 64 w + b, and the bits past the table are 0."""
-    bits = np.zeros((len(inc), -(-inc.shape[1] // 64) * 8), dtype=np.uint8)
-    bits[:, :(inc.shape[1] + 7) // 8] = np.packbits(inc, axis=1,
-                                                   bitorder="little")
-    return bits.view("<u8")
+def packed_rows(ptr: np.ndarray, indices: np.ndarray, col: np.ndarray,
+                width: int) -> np.ndarray:
+    """Row r: the bits ``col[indices[ptr[r]:ptr[r + 1]]]``, as (rows, words)
+    little-endian uint64 words; bit b of word w is column 64 w + b, and the
+    bits from ``width`` on are 0, so a column equal to ``width`` sets none.
+    Filled in the :func:`_row_blocks` of ``width + 1`` cells."""
+    rows, col = len(ptr) - 1, col.astype(np.int32)
+    out = np.zeros((rows, -(-width // 64)), dtype="<u8")
+    for at in _row_blocks(rows, width + 1):
+        p = ptr[at.start:at.stop + 1]
+        table = np.zeros((len(p) - 1, width + 1), dtype=bool)
+        cell = col[indices[p[0]:p[-1]]]
+        cell += np.repeat(np.arange(0, table.size, width + 1, dtype=np.int32),
+                          np.diff(p))
+        table.ravel()[cell] = True
+        out.view(np.uint8)[at, :(width + 7) // 8] = np.packbits(
+            table[:, :width], axis=1, bitorder="little")
+    return out
 
 
 def row_groups(keys: np.ndarray, *lead: np.ndarray):

@@ -10,7 +10,8 @@ vertices and curvature trials is read from ``CONTINUUM_LAB_MAX_ELEMENTS``.
 Blocked kernels bound their working tables by ``SIZE_BLOCK_FLOATS`` cells
 a block, or one row, read at each call; all but the triod search take
 their row blocks from :func:`_row_blocks`, the Whitney size table F's
-rows included.
+rows included, and so does ``continua.packed_rows``, which builds every
+packed word table of the package.
 """
 
 import os

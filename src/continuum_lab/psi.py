@@ -392,29 +392,13 @@ def filament_covers(model: PsiModel
     filament, ample = np.arange(p), np.arange(p, n)
     col = np.r_[np.full(p, n - p), ample - p]  # a spare column for pieces
     order = model.strict_order
-    up = _bit_rows(order, col, n - p)
+    up = packed_rows(order.indptr, order.indices, col, n - p)
     first, cls = row_classes(up)
-    above = _bit_rows(Order(order.indptr[:p + 1], order.indices), cls,
-                      len(first))
+    above = packed_rows(order.indptr[:p + 1], order.indices, cls, len(first))
     groups, grp = row_classes(above)
     reach = np.array([np.bitwise_or.reduce(up[first[g]])
                       for g in unpacked_rows(above[groups], len(first))])
     return filament, ample, unpacked_rows(up[:p] & ~reach[grp], n - p)
-
-
-def _bit_rows(order: Order, col: np.ndarray, width: int) -> np.ndarray:
-    """Row a: the :func:`packed_rows` bits ``col[b]`` (those below ``width``)
-    of the b above a, built in the :func:`_row_blocks` of width + 1 cells."""
-    col, out = col.astype(np.int32), []
-    for at in _row_blocks(len(order.indptr) - 1, width + 1):
-        ptr = order.indptr[at.start:at.stop + 1]
-        table = np.zeros((len(ptr) - 1, width + 1), dtype=bool)
-        cell = col[order.indices[ptr[0]:ptr[-1]]]
-        cell += np.repeat(np.arange(0, table.size, width + 1, dtype=np.int32),
-                          np.diff(ptr))
-        table.ravel()[cell] = True
-        out.append(packed_rows(table[:, :width]))
-    return np.vstack(out)
 
 
 def planck_report(model: PsiModel) -> PlanckReport:

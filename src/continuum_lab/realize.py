@@ -103,16 +103,11 @@ class Segment:
     rect: Rect
     axis: str          # 'h': longitudinal = columns; 'v': longitudinal = rows
     link_id: int       # 1-based owner link in its own chain
-    direction: int     # +1 when the tube runs toward larger coordinates
     band_start: Dict[int, int] = field(default_factory=dict)
 
     @property
     def trans0(self) -> int:
         return self.rect.r0 if self.axis == "h" else self.rect.c0
-
-    @property
-    def trans1(self) -> int:
-        return self.rect.r1 if self.axis == "h" else self.rect.c1
 
     def rect_at(self, lo: int, hi: int, t0: int, t1: int) -> Rect:
         """Longitudinal [lo, hi) by transverse [t0, t1)."""
@@ -130,18 +125,13 @@ def _transfer_bands(a: Segment, b: Segment, bh: int) -> None:
     if a.axis == b.axis:
         b.band_start.update(a.band_start)
         return
-    # right-angle bend: lanes keep their distance from the inner corner.
-    # inner side on a's transverse axis faces +direction of b; inner side
-    # on b's transverse axis faces -direction of a.
-    if b.direction > 0:
-        ranked = sorted(a.band_start, key=lambda r: -a.band_start[r])
-    else:
-        ranked = sorted(a.band_start, key=lambda r: a.band_start[r])
+    # right-angle bend of two segments that run toward larger coordinates,
+    # as all do in towers of at most MAX_LEVELS levels (_grid_tower's checks
+    # would refuse any other): lanes keep their distance from the inner
+    # corner, which faces larger coordinates on a's transverse axis.
+    ranked = sorted(a.band_start, key=lambda r: -a.band_start[r])
     for rank, run in enumerate(ranked):
-        if a.direction > 0:
-            b.band_start[run] = b.trans0 + 1 + rank * (bh + 1)
-        else:
-            b.band_start[run] = b.trans1 - 1 - rank * (bh + 1) - bh
+        b.band_start[run] = b.trans0 + 1 + rank * (bh + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +286,7 @@ def _route(tube: List[Segment], windows: Dict[int, Interval],
             la, lb = sa.band_start[ra], sa.band_start[rb]
             stub = sa.rect_at(iv[0], iv[1], min(la, lb), max(la, lb) + bh)
             stub_of[t] = Segment(rect=stub, axis="v" if sa.axis == "h"
-                                 else "h", link_id=t + 1,
-                                 direction=1 if lb >= la else -1)
+                                 else "h", link_id=t + 1)
 
     # stitch: one bar per tube segment the link passes, then its stub
     links: List[Link] = []
@@ -313,8 +302,7 @@ def _route(tube: List[Segment], windows: Dict[int, Interval],
             bar = seg.rect_at(min(a[0], b[0]), max(a[1], b[1]),
                               *seg.lane(rho, bh))
             rects.append(bar)
-            segments.append(Segment(rect=bar, axis=seg.axis, link_id=t + 1,
-                                    direction=1 if sum(b) >= sum(a) else -1))
+            segments.append(Segment(rect=bar, axis=seg.axis, link_id=t + 1))
         if stub_of[t] is not None:
             rects.append(stub_of[t].rect)
             segments.append(stub_of[t])
@@ -344,7 +332,7 @@ def _realize(n1: int, patterns: Sequence[RefinementPattern]
     shape = (plan.thickness[0], cols[-1].c1)
     if shape[0] * shape[1] > MAX_GRID_CELLS:
         raise ResourceError("grid too large", achievable=None)
-    tube = [Segment(rect=c, axis="h", link_id=k + 1, direction=1)
+    tube = [Segment(rect=c, axis="h", link_id=k + 1)
             for k, c in enumerate(cols)]
     windows = {j: (cols[j].c0, cols[j - 1].c1) for j in range(1, n1)}
     chains = [[Link(index=k + 1, rects=(c,)) for k, c in enumerate(cols)]]

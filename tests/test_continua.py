@@ -1,9 +1,10 @@
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from continuum_lab import continua, errors
@@ -16,6 +17,7 @@ from continuum_lab.continua import (GraphContinuum, Hyperspace, Triod,
                                     row_classes, row_groups,
                                     triangle_to_interval_arc, unpacked_rows)
 from continuum_lab.errors import DomainError, ResourceError
+from continuum_lab.psi import build_psi_model, filament_covers
 
 
 def reference_triod(g, family):
@@ -197,6 +199,73 @@ def test_packed_rows_hold_one_bit_per_column(family):
                              bitorder="little")[:, len(rec.verts):].any()
 
 
+def reference_words(lists, col, width):
+    """The packer as a loop: row r sets bit c % 64 of word c // 64 for each
+    column c = col[i] below ``width`` of the i in ``lists[r]``."""
+    words = [[0] * -(-width // 64) for _ in lists]
+    for r, idx in enumerate(lists):
+        for c in (col[i] for i in idx):
+            if c < width:
+                words[r][c // 64] |= 1 << (c % 64)
+    return np.array(words, dtype=np.uint64).reshape(len(lists),
+                                                    -(-width // 64))
+
+
+def pack_lists(lists, col, width):
+    ptr = np.cumsum([0] + [len(idx) for idx in lists], dtype=np.int64)
+    indices = np.array([i for idx in lists for i in idx], dtype=np.int64)
+    return packed_rows(ptr, indices, np.array(col, dtype=np.int64), width)
+
+
+def packer_case(width):
+    """(width, col, lists): columns up to the spare one, width, and rows of
+    indices into col, some empty and some repeating an index."""
+    return st.lists(st.integers(0, width), min_size=1, max_size=40).flatmap(
+        lambda col: st.tuples(st.just(width), st.just(col), st.lists(
+            st.lists(st.integers(0, len(col) - 1), max_size=12),
+            max_size=10)))
+
+
+# rows with no entries, with repeated entries and with entries in the
+# spare column (col[0] and col[4])
+FIXED_ROWS = [[], [0], [1, 1, 2], [], [4, 3, 0, 3], [0, 4], []]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 63, 64, 65, 129]).flatmap(packer_case),
+       st.sampled_from([errors.SIZE_BLOCK_FLOATS, 1, 200]))
+@example((1, [1, 0, 0, 0, 1], FIXED_ROWS), 1)
+@example((63, [63, 62, 0, 31, 63], FIXED_ROWS), 200)
+@example((64, [64, 63, 0, 32, 64], FIXED_ROWS), 1)
+@example((65, [65, 64, 0, 63, 65], FIXED_ROWS), 200)
+@example((129, [129, 128, 0, 64, 129], FIXED_ROWS), 1)
+def test_packed_rows_equal_the_loop(case, block):
+    # small budgets cut the rows into blocks of one row or a few
+    width, col, lists = case
+    with mock.patch.object(errors, "SIZE_BLOCK_FLOATS", block):
+        words = pack_lists(lists, col, width)
+    assert words.dtype == np.dtype("<u8")
+    assert np.array_equal(words, reference_words(lists, col, width))
+
+
+def test_the_empty_family_packs_no_words():
+    assert hyperspace([]).words.shape == (0, 0)
+    assert pack_lists([], [], 5).shape == (0, 1)
+
+
+def test_packed_tables_do_not_depend_on_the_block(monkeypatch):
+    fams = [enumerate_subcontinua(build_continuum(kind, **params))
+            for kind, params in [("path", {"n": 10}), ("cycle", {"n": 8}),
+                                 ("star", {"legs": 3, "leg_length": 3})]]
+    models = [build_psi_model(6, 2), build_psi_model(6, 3)]
+    want = ([fam.words for fam in fams], list(map(filament_covers, models)))
+    monkeypatch.setattr(errors, "SIZE_BLOCK_FLOATS", 64)
+    words = [Hyperspace(fam).words for fam in fams]
+    assert all(map(np.array_equal, words, want[0]))
+    for got, ref in zip(map(filament_covers, models), want[1]):
+        assert all(map(np.array_equal, got, ref))
+
+
 word = st.sampled_from([0, 1, 2, 2 ** 63, 2 ** 64 - 1])
 
 
@@ -232,7 +301,9 @@ def test_row_classes_and_unpacked_rows_invert_packed_rows(width, data):
     pick = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
                               max_size=40))
     table = np.array([pool[p] for p in pick], dtype=bool)
-    words = packed_rows(table)
+    rows, cols = np.nonzero(table)  # each row's index list, in row order
+    words = packed_rows(np.searchsorted(rows, np.arange(len(table) + 1)),
+                        cols, np.arange(width), width)
     back = unpacked_rows(words, width)
     assert back.dtype == bool and np.array_equal(back, table)
     first, cls = row_classes(words)

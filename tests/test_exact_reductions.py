@@ -106,6 +106,64 @@ def test_no_draw_depends_on_the_choice_algorithm():
             for src in _choice_calls(path)] == []
 
 
+# each bit packing routine of numpy, and the one package function that may
+# name it: every packed word table is built, and read back, in one place
+PACKERS = {"packbits": "continua.packed_rows",
+           "unpackbits": "continua.unpacked_rows"}
+
+
+def _packer_names(path):
+    """``(where, name)`` of each packbits or unpackbits the module names, as
+    an attribute, a name or an import: ``where`` is the dotted name of the
+    innermost function or class around it, or ``<module>``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = child.name if where == "<module>" \
+                    else f"{where}.{child.name}"
+                visit(child, inner)
+                continue
+            names = [alias.name for alias in getattr(child, "names", ())
+                     if isinstance(alias, ast.alias)]
+            names.append(getattr(child, "attr", getattr(child, "id", None)))
+            found.extend((where, name) for name in names if name in PACKERS)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def _misplaced_packers(paths):
+    return sorted(f"{path.stem}.{where}: {name}" for path in paths
+                  for where, name in _packer_names(path)
+                  if f"{path.stem}.{where}" != PACKERS[name])
+
+
+def test_bits_are_packed_and_unpacked_in_one_function_each():
+    assert _misplaced_packers(PACKAGE) == []
+    assert {f"{path.stem}.{where}" for path in PACKAGE
+            for where, _ in _packer_names(path)} == set(PACKERS.values())
+
+
+def test_the_packer_guard_sees_every_way_to_name_a_packer(tmp_path):
+    mod = tmp_path / "continua.py"
+    mod.write_text("import numpy as np\nfrom numpy import unpackbits\n"
+                   "def packed_rows(a):\n    return np.packbits(a)\n"
+                   "def unpacked_rows(a):\n    return np.packbits(a)\n"
+                   "class C:\n    def f(self, a):\n"
+                   "        g = np.unpackbits\n        return g(a)\n"
+                   "def h(a):\n    def packed_rows(b):\n"
+                   "        return numpy.packbits(b)\n    return a\n")
+    assert _misplaced_packers([mod]) == [
+        "continua.<module>: unpackbits", "continua.C.f: unpackbits",
+        "continua.h.packed_rows: packbits",
+        "continua.unpacked_rows: packbits"]
+
+
 TRANSCENDENTALS = {
     "sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2", "hypot",
     "sinh", "cosh", "tanh", "exp", "expm1", "log", "log1p", "log2", "log10",

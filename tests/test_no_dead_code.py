@@ -169,9 +169,6 @@ SHARED_STORED = {
     "cell_size": ({"chains.Chain", "realize.ChainTower"},
                   "Chain.cell_size: Chain.mesh and chain_point_sets; "
                   "ChainTower.cell_size: cell_center and tower_to_json"),
-    "direction": ({"metric_core.DistanceReport", "realize.Segment"},
-                  "DistanceReport.direction: demo 01; "
-                  "Segment.direction: _transfer_bands"),
     "k": ({"psi.PsiModel", "psi.PsiPathspace"},
           "PsiModel.k: id_of and cli's psi report; "
           "PsiPathspace.k: its arc and piece formulas"),
