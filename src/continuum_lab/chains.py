@@ -300,9 +300,11 @@ def generate_crooked_pattern(n_coarse: int) -> RefinementPattern:
 
     Recursive folding: a run from a to b first runs to b -/+ 1, doubles back
     to a +/- 1, then finishes; spans of at most three links are monotone.
-    Lengths grow 1, 2, 3, 6, 13, 30, ...; for n <= 10 the pattern is the
-    one minimal spanning crooked pattern that the search finds.  A pattern
-    over the element cap is refused before any of it is built.
+    Lengths grow 1, 2, 3, 6, 13, 30, ...; the pattern is the first
+    minimal spanning crooked pattern that ``minimal_spanning_crooked_length``
+    finds for n <= 5, and for n <= 8 with its search length raised (the
+    tests pin both; n = 9 and 10 were checked once the same way).  A
+    pattern over the element cap is refused before any of it is built.
     """
     cap = _max_elements()
     # lengths are at least 2^(n-2), so a larger n needs no recurrence

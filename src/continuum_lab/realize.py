@@ -11,8 +11,11 @@ their lane.  A straight step meets its neighbour in a slot of the coarse
 meet window; a turn descends to the next lane through a transverse stub in
 that window; at right-angle bends of the tube the lanes turn as nested
 L-blocks around the inner corner (which keeps distinct lanes disjoint).
-The bars and stubs of the fine links, with their slots, are the tube of the
-next level.
+Every tube starts along the columns and bends only toward larger
+coordinates, so a lane's transverse position follows from its run and its
+segment's axis alone (:func:`_lane`); no lane table is propagated from
+junction to junction.  The bars and stubs of the fine links, with their
+slots, are the tube of the next level.
 
 Sizing is bottom-up: the transverse thickness of a level-n link is the
 width of the lanes the level-(n+1) routing needs, and each meet window is
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,7 +53,6 @@ from .errors import DomainError, ResourceError
 from .metric_core import FinitePointSet, _settle
 
 MAX_LEVELS = 3
-MAX_LINKS_PER_LEVEL = 2000
 MAX_GRID_CELLS = 5_000_000
 # Unit-cell grids kept per process: room for every tower of n <= 5 and
 # up to 3 levels (15 grids), and room to spare.
@@ -69,41 +71,26 @@ Interval = Tuple[int, int]
 # pattern combinatorics
 
 
-@dataclass(frozen=True)
-class Run:
-    start: int  # 0-based, inclusive
-    end: int
-
-
-def pattern_runs(assignment: Sequence[int]) -> List[Run]:
-    """Maximal monotone stretches; a turn apex ends its run."""
-    p = list(assignment)
-    runs: List[Run] = []
-    s, d = 0, 0
-    for i in range(1, len(p)):
-        step = p[i] - p[i - 1]
-        if step == 0:
-            continue
-        step = 1 if step > 0 else -1
-        if d == 0:
-            d = step
-        elif step != d:
-            runs.append(Run(s, i - 1))
-            s, d = i, step
-    runs.append(Run(s, len(p) - 1))
-    return runs
+def pattern_runs(assignment: Sequence[int]) -> List[int]:
+    """Each link's run, counted from 0: runs are the maximal monotone
+    stretches, and a turn apex ends its run."""
+    labels, d = [0], 0
+    for a, b in zip(assignment, assignment[1:]):
+        step = (b > a) - (b < a)
+        labels.append(labels[-1] + (step * d < 0))
+        d = step or d
+    return labels
 
 
 # ---------------------------------------------------------------------------
 # tube segments
 
 
-@dataclass
+@dataclass(frozen=True)
 class Segment:
     rect: Rect
     axis: str          # 'h': longitudinal = columns; 'v': longitudinal = rows
     link_id: int       # 1-based owner link in its own chain
-    band_start: Dict[int, int] = field(default_factory=dict)
 
     @property
     def trans0(self) -> int:
@@ -115,23 +102,17 @@ class Segment:
             return Rect(lo, hi, t0, t1)
         return Rect(t0, t1, lo, hi)
 
-    def lane(self, run: int, bh: int) -> Interval:
-        t = self.band_start[run]
-        return (t, t + bh)
 
-
-def _transfer_bands(a: Segment, b: Segment, bh: int) -> None:
-    """Propagate lane positions across a junction of two segments."""
-    if a.axis == b.axis:
-        b.band_start.update(a.band_start)
-        return
-    # right-angle bend of two segments that run toward larger coordinates,
-    # as all do in towers of at most MAX_LEVELS levels (_grid_tower's checks
-    # would refuse any other): lanes keep their distance from the inner
-    # corner, which faces larger coordinates on a's transverse axis.
-    ranked = sorted(a.band_start, key=lambda r: -a.band_start[r])
-    for rank, run in enumerate(ranked):
-        b.band_start[run] = b.trans0 + 1 + rank * (bh + 1)
+def _lane(seg: Segment, run: int, lanes: int, bh: int) -> Interval:
+    """The transverse interval of lane ``run`` of ``lanes`` in ``seg``, for
+    links ``bh`` cells thick.  Every tube starts along 'h' and, in towers of
+    at most MAX_LEVELS levels, bends only toward larger coordinates
+    (_grid_tower's checks would refuse any other), so each bend reverses
+    the lanes' order about the inner corner: lane 0 lies at the low edge
+    of an 'h' segment and at the high edge of a 'v' one."""
+    rank = run if seg.axis == "h" else lanes - 1 - run
+    t = seg.trans0 + 1 + rank * (bh + 1)
+    return (t, t + bh)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +121,12 @@ def _transfer_bands(a: Segment, b: Segment, bh: int) -> None:
 
 @dataclass
 class _Plan:
-    """Per level, level 1 first: the runs of its pattern (none at level 1),
-    the transverse thickness of its links, and the meet-window width of
-    each adjacency c at [c - 1] (only straight junctions have a window)."""
+    """Per level, level 1 first: the run of each link of its pattern (none
+    at level 1), the transverse thickness of its links, and the meet-window
+    width of each adjacency c at [c - 1] (only straight junctions have a
+    window)."""
 
-    runs: List[List[Run]]
+    runs: List[List[int]]
     thickness: List[int]
     windows: List[List[int]]
 
@@ -160,14 +142,13 @@ def _plan(n1: int, patterns: Sequence[RefinementPattern]) -> _Plan:
         room = [2] * (sizes[k] - 1)
         lanes = 0
         if k < len(patterns):
-            p = patterns[k].assignment
-            turns = {r.end for r in runs[k + 1][:-1]}
+            p, run = patterns[k].assignment, runs[k + 1]
             for t in range(len(p) - 1):
                 c = min(p[t], p[t + 1])
                 if c < sizes[k]:  # a stutter in the last link has no window
-                    room[c - 1] += 1 + (fine_thick if t in turns
+                    room[c - 1] += 1 + (fine_thick if run[t] != run[t + 1]
                                         else fine_windows[t])
-            lanes = len(runs[k + 1])
+            lanes = run[-1] + 1
         fine_thick = max(lanes * (fine_thick + 1) + 1, _MIN_THICKNESS[k])
         fine_windows = [max(w, _MIN_WINDOW[k]) for w in room]
         thickness.insert(0, fine_thick)
@@ -184,9 +165,6 @@ def _crooked_patterns(n1: int, levels: int) -> List[RefinementPattern]:
                 f"level-{level} pattern over {n} coarse links is too large",
                 achievable=level - 1)
         q = generate_crooked_pattern(n)
-        if level > 2 and len(q) > MAX_LINKS_PER_LEVEL:
-            raise ResourceError(f"level-{level} chain has too many links",
-                                achievable=level - 1)
         patterns.append(q)
         n = len(q)
     return patterns
@@ -216,29 +194,21 @@ class _Allocator:
 
 
 def _route(tube: List[Segment], windows: Dict[int, Interval],
-           p: Sequence[int], runs: List[Run], bh: int, slot_w: List[int],
+           p: Sequence[int], run_of: List[int], bh: int, slot_w: List[int],
            inset: int, gw: int
            ) -> Tuple[List[Link], List[Segment], Dict[int, Interval]]:
     """Thread the fine pattern ``p`` through the coarse tube.
 
     ``windows`` maps each straight coarse adjacency to its meet window,
+    ``run_of[t]`` is the run of fine link t (see :func:`pattern_runs`),
     ``bh`` is the fine link thickness, ``slot_w[t]`` the meet-window width
     of the fine junction after link t, and the terminal anchors sit
     ``inset`` cells inside the grid of width ``gw``.  Returns the fine
     links, their segments, and the meet windows of their straight
     junctions: the tube of the next level.
     """
-    run_of = [0] * len(p)
-    for idx, r in enumerate(runs):
-        run_of[r.start:r.end + 1] = [idx] * (r.end - r.start + 1)
-    turns = {r.end for r in runs[:-1]}
-
-    # lane positions: seed the first segment, then push through junctions
-    first = tube[0]
-    for idx in range(len(runs)):
-        first.band_start[idx] = first.trans0 + 1 + idx * (bh + 1)
-    for a, b in zip(tube, tube[1:]):
-        _transfer_bands(a, b, bh)
+    turns = {t for t in range(len(p) - 1) if run_of[t] != run_of[t + 1]}
+    lane = functools.partial(_lane, lanes=run_of[-1] + 1, bh=bh)
 
     segs_of: Dict[int, List[int]] = {}
     for i, s in enumerate(tube):
@@ -279,12 +249,13 @@ def _route(tube: List[Segment], windows: Dict[int, Interval],
         iv = slot[t]
         if iv is None:
             # bend: each side extends to the other's lane interval
-            leave[t], enter[t + 1] = sb.lane(rb, bh), sa.lane(ra, bh)
+            leave[t], enter[t + 1] = lane(sb, rb), lane(sa, ra)
             continue
         leave[t] = enter[t + 1] = iv
         if ra != rb:
-            la, lb = sa.band_start[ra], sa.band_start[rb]
-            stub = sa.rect_at(iv[0], iv[1], min(la, lb), max(la, lb) + bh)
+            la, lb = lane(sa, ra), lane(sa, rb)
+            stub = sa.rect_at(iv[0], iv[1], min(la[0], lb[0]),
+                              max(la[1], lb[1]))
             stub_of[t] = Segment(rect=stub, axis="v" if sa.axis == "h"
                                  else "h", link_id=t + 1)
 
@@ -297,10 +268,10 @@ def _route(tube: List[Segment], windows: Dict[int, Interval],
         path = tube[i:j + 1] if i <= j else tube[j:i + 1][::-1]
         rects = []
         for m, seg in enumerate(path):
-            a = enter[t] if m == 0 else path[m - 1].lane(rho, bh)
-            b = leave[t] if m == len(path) - 1 else path[m + 1].lane(rho, bh)
+            a = enter[t] if m == 0 else lane(path[m - 1], rho)
+            b = leave[t] if m == len(path) - 1 else lane(path[m + 1], rho)
             bar = seg.rect_at(min(a[0], b[0]), max(a[1], b[1]),
-                              *seg.lane(rho, bh))
+                              *lane(seg, rho))
             rects.append(bar)
             segments.append(Segment(rect=bar, axis=seg.axis, link_id=t + 1))
         if stub_of[t] is not None:

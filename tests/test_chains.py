@@ -243,15 +243,16 @@ def test_pruned_search_matches_the_unpruned_search(n, monkeypatch):
     got_length, got = minimal_spanning_crooked_length(n)
     assert got_length == length
     assert got.assignment == reference_search(n, length)
+    assert got.assignment == generate_crooked_pattern(n).assignment
     if n == 5:
         assert got.assignment == (1, 2, 3, 2, 3, 4, 3, 2, 3, 4, 3, 4, 5)
     monkeypatch.setattr(chains, "MAX_SEARCH_LENGTH", length - 1)
     assert chains._search_patterns(n) is None
 
 
-@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("n", [6, 7, 8])
 def test_generated_patterns_are_minimal_beyond_five(n, monkeypatch):
-    # the fold recurrence's 30 and 71 links are the least, and the first
+    # the fold recurrence's 30, 71 and 170 links are the least, and the first
     # minimal pattern in search order is the generated one
     length = crooked_pattern_length(n)
     monkeypatch.setattr(chains, "MAX_SEARCH_LENGTH", length)

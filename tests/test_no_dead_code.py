@@ -194,9 +194,6 @@ SHARED_STORED = {
     "shapes": ({"psi.PsiModel", "psi.PsiPathspace"},
                "PsiModel.shapes: element and strict_order; "
                "PsiPathspace.shapes: join, meet and _geodesic"),
-    "start": ({"psi.Arc", "realize.Run"},
-              "Arc.start: PsiModel.id_of and cli's element JSON; "
-              "Run.start: realize._route"),
     "v": ({"psi.PsiValues", "psi.PsiPathspace"},
           "PsiValues.v: level_structure_report and cli's psi report; "
           "PsiPathspace.v: join, meet and _geodesic"),

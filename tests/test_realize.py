@@ -170,9 +170,94 @@ def test_tower_steps_equal_the_edt_formula(n, levels):
 
 
 def test_pattern_runs_decomposition():
-    runs = pattern_runs((1, 2, 3, 2, 3, 4))
-    assert [(r.start, r.end) for r in runs] == [(0, 2), (3, 3), (4, 5)]
-    assert len(pattern_runs(generate_crooked_pattern(6).assignment)) == 17
+    assert pattern_runs((1, 2, 3, 2, 3, 4)) == [0, 0, 0, 1, 2, 2]
+    assert pattern_runs(generate_crooked_pattern(6).assignment)[-1] == 16
+
+
+# The router's lane table and run records before lanes became a formula of
+# the segment's axis, kept as references for the formula.
+
+def _reference_runs(assignment):
+    """Maximal monotone stretches as 0-based inclusive (start, end) pairs;
+    a turn apex ends its run."""
+    p = list(assignment)
+    runs, s, d = [], 0, 0
+    for i in range(1, len(p)):
+        step = p[i] - p[i - 1]
+        if step == 0:
+            continue
+        step = 1 if step > 0 else -1
+        if d == 0:
+            d = step
+        elif step != d:
+            runs.append((s, i - 1))
+            s, d = i, step
+    runs.append((s, len(p) - 1))
+    return runs
+
+
+def _reference_lane_starts(tube, lanes, bh):
+    """Each tube segment's lane starts by run: seeded in run order on the
+    first segment, then pushed through every junction.  A straight junction
+    keeps them; a bend ranks them by their distance from the inner corner,
+    which faces larger coordinates on the first segment's transverse axis."""
+    starts = [{r: tube[0].trans0 + 1 + r * (bh + 1) for r in range(lanes)}]
+    for a, b in zip(tube, tube[1:]):
+        prev = starts[-1]
+        if a.axis == b.axis:
+            starts.append(dict(prev))
+            continue
+        ranked = sorted(prev, key=lambda r: -prev[r])
+        starts.append({run: b.trans0 + 1 + rank * (bh + 1)
+                       for rank, run in enumerate(ranked)})
+    return starts
+
+
+def _spanning_walks():
+    """Every walk from coarse link 1 to n with steps of at most one link,
+    for n <= 5 and at most 9 fine links: 1,485 patterns."""
+    for n in range(1, 6):
+        for length in range(1, 10):
+            for p in itertools.product(range(1, n + 1), repeat=length):
+                if p[0] == 1 and p[-1] == n and \
+                        all(abs(a - b) <= 1 for a, b in zip(p, p[1:])):
+                    yield RefinementPattern(assignment=p, n_coarse=n)
+
+
+def test_lanes_and_runs_equal_the_propagated_references(monkeypatch):
+    real = realize._route
+    seen = {"tubes": 0, "segments": 0, "bends": 0}
+
+    def checked(tube, windows, p, run_of, bh, *args, **kwargs):
+        runs = _reference_runs(p)
+        assert run_of == [k for k, (s, e) in enumerate(runs)
+                          for _ in range(s, e + 1)], p
+        assert tube[0].axis == "h"
+        for seg, starts in zip(tube, _reference_lane_starts(tube, len(runs),
+                                                             bh)):
+            for run, t in starts.items():
+                assert realize._lane(seg, run, len(runs), bh) == \
+                    (t, t + bh), (p, seg, run)
+        seen["tubes"] += 1
+        seen["segments"] += len(tube)
+        seen["bends"] += sum(a.axis != b.axis for a, b in zip(tube, tube[1:]))
+        return real(tube, windows, p, run_of, bh, *args, **kwargs)
+
+    monkeypatch.setattr(realize, "_route", checked)
+    for n, levels in [(n, 2) for n in range(1, 10)] + \
+            [(n, 3) for n in range(1, 5)]:
+        realize._realize(n, realize._crooked_patterns(n, levels))
+    realized = 0
+    for pat in _spanning_walks():
+        try:
+            realize_pattern(pat)
+            realized += 1
+        except DomainError:
+            pass
+    assert realized == 478
+    # one tube per 2-level tower, two per 3-level one, one per walk; only
+    # the 3-level tower over 4 links bends
+    assert seen == {"tubes": 9 + 2 * 4 + 1485, "segments": 5267, "bends": 4}
 
 
 def test_tower_shape(tower):
